@@ -9,9 +9,7 @@ built from.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (
     BaseMismatch,
@@ -248,26 +246,82 @@ def suprema(phi):
     return tuple(A.elements[a] for a in range(A.n) if A.hom[a] == target)
 
 
-@lru_cache(maxsize=None)
-def _monotone_value_tuples(A, kind):
-    check = _lower_violation if kind == "lower" else _upper_violation
+# (base, kind) -> (value tuples, candidate values tried)
+_WALKS = {}
+
+
+def _walk(A, kind, budget):
+    """Depth-first assignment of coordinates 0..n-1, trying every value
+    in index order and keeping it only if each pair it forms with the
+    coordinates already fixed satisfies the condition.  The conditions
+    are pairwise, so a rejected prefix has no monotone completion and
+    the pruning is exact; the output is in the lexicographic order of
+    itertools.product.  Raises BudgetExceeded once the count of values
+    tried passes the budget."""
+    q = A.quantale
+    n, m = A.n, q.n
+    leq, tens, hom = q.leq, q.tensor_table, A.hom
+    if kind == "lower":
+        def holds(x, y, vx, vy):
+            return leq[tens[vy][hom[x][y]]][vx]
+    else:
+        def holds(x, y, vx, vy):
+            return leq[tens[hom[x][y]][vx]][vy]
+    values = range(m)
+    # bitmasks over values: own[i] admits v at coordinate i against
+    # itself, beside[i][j][u] beside the value u at coordinate j < i
+    own = [sum(1 << v for v in values if holds(i, i, v, v)) for i in range(n)]
+    beside = [[[sum(1 << v for v in values
+                    if holds(i, j, v, u) and holds(j, i, u, v))
+                for u in values] for j in range(i)]
+              for i in range(n)]
     out = []
-    for vec in itertools.product(range(A.quantale.n), repeat=A.n):
-        if check(A, vec) is None:
-            out.append(vec)
-    return tuple(out)
+    tried = 0
+
+    def extend(prefix):
+        nonlocal tried
+        tried += m
+        if tried > budget:
+            raise BudgetExceeded(tried, budget, what="candidate values tried")
+        i = len(prefix)
+        mask = own[i]
+        for row, u in zip(beside[i], prefix):
+            mask &= row[u]
+        kept = [prefix + (v,) for v in values if mask >> v & 1]
+        if i + 1 == n:
+            out.extend(kept)
+        else:
+            for p in kept:
+                extend(p)
+
+    extend(())
+    return tuple(out), tried
+
+
+def _monotone_value_tuples(A, kind, budget):
+    """Value tuples of every lower (or upper) set of A, cached per base
+    together with the number of candidate values the walk tried.  The
+    budget is checked against that number on every call, so the verdict
+    does not depend on what is cached."""
+    key = (A, kind)
+    hit = _WALKS.get(key)
+    if hit is None:
+        hit = _WALKS[key] = _walk(A, kind, budget)
+    tuples, tried = hit
+    if tried > budget:
+        raise BudgetExceeded(tried, budget, what="candidate values tried")
+    return tuples
 
 
 def enumerate_monotone_sets(A, kind, budget=None):
     """All fuzzy lower (or upper) sets of A, lexicographic in the carrier
-    order by quantale element index."""
+    order by quantale element index.  The budget bounds the candidate
+    values the enumeration tries."""
     if kind not in ("lower", "upper"):
         raise ValueError(f"unknown kind {kind!r}")
-    budget = budget or DEFAULT_BUDGET
-    count = A.quantale.n ** A.n
-    if count > budget:
-        raise BudgetExceeded(count, budget, what="fuzzy-set enumeration")
-    return tuple(FuzzySet(A, vec) for vec in _monotone_value_tuples(A, kind))
+    budget = DEFAULT_BUDGET if budget is None else budget
+    return tuple(FuzzySet(A, vec)
+                 for vec in _monotone_value_tuples(A, kind, budget))
 
 
 def classify_sampled(order, fn, grid=129, tolerance=None):
@@ -315,8 +369,8 @@ def intersection_inclusion_identities(A, budget=None):
     dn = all(q.neg_vector[q.neg_vector[i]] == i for i in range(q.n))
     res, meet, neg = q.res_table, q.meet_table, q.neg_vector
     lab = q.elements.__getitem__
-    lowers = _monotone_value_tuples(A, "lower")
-    uppers = _monotone_value_tuples(A, "upper")
+    lowers = _monotone_value_tuples(A, "lower", limit)
+    uppers = _monotone_value_tuples(A, "upper", limit)
 
     def bad(name, v1, v2, lhs, rhs):
         return {"identity": name,
@@ -367,8 +421,8 @@ def kan_transport_identity(f, budget=None):
         raise BudgetExceeded(count, limit, what="fuzzy-set enumeration")
     lab = q.elements.__getitem__
     fwds = [(pv, transport(f, FuzzySet(A, pv), "forward").values)
-            for pv in _monotone_value_tuples(A, "lower")]
-    for sv in _monotone_value_tuples(B, "lower"):
+            for pv in _monotone_value_tuples(A, "lower", limit)]
+    for sv in _monotone_value_tuples(B, "lower", limit):
         back = transport(f, FuzzySet(B, sv), "backward").values
         for pv, fv in fwds:
             lhs = _sub_idx(B, fv, sv)

@@ -154,7 +154,7 @@ def is_flat(phi, method="auto", budget=None):
     pre = _ideal_precondition(phi)
     if pre is not None:
         return False, pre
-    budget = budget or DEFAULT_BUDGET
+    budget = DEFAULT_BUDGET if budget is None else budget
     if method == "auto":
         method = "shortcut" if phi.base.quantale.is_frame else "brute"
     if method == "shortcut":
@@ -176,7 +176,7 @@ def _flat_witness(A, v1, v2, lhs, rhs):
 def _flat_brute(phi, budget):
     A, q = phi.base, phi.base.quantale
     _enumeration_guard(A, budget)
-    uppers = _monotone_value_tuples(A, "upper")
+    uppers = _monotone_value_tuples(A, "upper", budget)
     m = len(uppers)
     pairs = m * (m + 1) // 2
     if pairs > budget:
@@ -224,9 +224,9 @@ def is_irreducible(phi, budget=None):
     if pre is not None:
         return False, pre
     A, q = phi.base, phi.base.quantale
-    budget = budget or DEFAULT_BUDGET
+    budget = DEFAULT_BUDGET if budget is None else budget
     _enumeration_guard(A, budget)
-    lowers = _monotone_value_tuples(A, "lower")
+    lowers = _monotone_value_tuples(A, "lower", budget)
     m = len(lowers)
     pairs = m * (m + 1) // 2
     if pairs > budget:

@@ -174,7 +174,9 @@ def standard_qorder(q, name, **params):
         k = len(labels)
         if k == 0:
             raise EmptyCarrier(detail="power over an empty label set")
-        budget = params.get("budget") or DEFAULT_POWER_BUDGET
+        budget = params.get("budget")
+        if budget is None:
+            budget = DEFAULT_POWER_BUDGET
         count = q.n ** k
         if count > budget:
             raise PowerTooLarge(count, budget)

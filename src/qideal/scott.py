@@ -123,11 +123,12 @@ def generate_scott_structure(A, mode, which=None, method="auto", budget=None):
     axiom flags of the resulting family."""
     mode = _mode_tag(mode)
     tag = ideal_class_tag(which if which is not None else _default_class(mode))
-    _enumeration_guard(A, budget or DEFAULT_BUDGET)
+    limit = DEFAULT_BUDGET if budget is None else budget
+    _enumeration_guard(A, limit)
     ctx = _scott_context(A, tag, method, budget)
     kind = "upper" if mode == "topology" else "lower"
     members = tuple(FuzzySet(A, vals)
-                    for vals in _monotone_value_tuples(A, kind)
+                    for vals in _monotone_value_tuples(A, kind, limit)
                     if _member_violation(A, vals, mode, ctx) is None)
     S = ScottStructure(A, mode, tag, members, {}, False, False, False)
     report = check_structure_axioms(S)
@@ -216,17 +217,19 @@ def check_structure_axioms(S):
 
 @lru_cache(maxsize=None)
 def _closed_family(B, tag, method, budget):
-    _enumeration_guard(B, budget or DEFAULT_BUDGET)
+    limit = DEFAULT_BUDGET if budget is None else budget
+    _enumeration_guard(B, limit)
     ctx = _scott_context(B, tag, method, budget)
-    return tuple(vals for vals in _monotone_value_tuples(B, "lower")
+    return tuple(vals for vals in _monotone_value_tuples(B, "lower", limit)
                  if _member_violation(B, vals, "cotopology", ctx) is None)
 
 
 @lru_cache(maxsize=None)
 def _open_family(B, tag, method, budget):
-    _enumeration_guard(B, budget or DEFAULT_BUDGET)
+    limit = DEFAULT_BUDGET if budget is None else budget
+    _enumeration_guard(B, limit)
     ctx = _scott_context(B, tag, method, budget)
-    return tuple(vals for vals in _monotone_value_tuples(B, "upper")
+    return tuple(vals for vals in _monotone_value_tuples(B, "upper", limit)
                  if _member_violation(B, vals, "topology", ctx) is None)
 
 

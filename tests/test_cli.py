@@ -116,6 +116,13 @@ def test_check_budget_and_unknown(capsys):
     assert "NO_SUCH_SUITE" in err
 
 
+def test_budget_zero_is_not_the_default(capsys):
+    code, _, err = run(capsys, "--budget", "0", "enumerate", DL3,
+                       "--class", "irr")
+    assert code == 2
+    assert "exceed the budget of 0" in err
+
+
 def test_check_params(capsys):
     code, report, _ = run(capsys, "check", "SCOTT_AXIOMS",
                           "--param", "phases=duality")

@@ -1,0 +1,115 @@
+"""The pruned enumeration of fuzzy lower/upper sets against the product
+filter it replaced, and the budget it counts."""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qideal import fuzzy
+from qideal.errors import BudgetExceeded
+from qideal.fuzzy import (
+    _lower_violation,
+    _monotone_value_tuples,
+    _upper_violation,
+    enumerate_monotone_sets,
+)
+from qideal.ideals import enumerate_ideals
+from qideal.qorder import build_qorder, crisp_qorder, random_qorder, standard_qorder
+from qideal.quantale import (
+    boolean4,
+    build_finite_quantale,
+    godel_chain,
+    lukasiewicz_chain,
+    nilpotent_minimum_chain,
+)
+
+L3 = lukasiewicz_chain(3)
+L8 = lukasiewicz_chain(8)
+
+
+def product_oracle(A, kind):
+    """Every vector of itertools.product that passes the pair check."""
+    check = _lower_violation if kind == "lower" else _upper_violation
+    return tuple(vec for vec in itertools.product(range(A.quantale.n), repeat=A.n)
+                 if check(A, vec) is None)
+
+
+def assert_matches_oracle(A):
+    for kind in ("lower", "upper"):
+        got = _monotone_value_tuples(A, kind, fuzzy.DEFAULT_BUDGET)
+        assert got == product_oracle(A, kind), (A.catalog, kind)
+
+
+def l3_times_l2():
+    """Łukasiewicz-3 times the two-element chain, pointwise: a non-linear
+    quantale whose tensor is not the meet."""
+    elements = tuple(f"{i}{j}" for i in range(3) for j in range(2))
+    leq = [[a[0] <= b[0] and a[1] <= b[1] for b in elements] for a in elements]
+    tensor = [[f"{max(0, int(a[0]) + int(b[0]) - 2)}{min(a[1], b[1])}"
+               for b in elements] for a in elements]
+    return build_finite_quantale(elements, leq, tensor, "21")
+
+
+def two_chain(q):
+    return crisp_qorder(q, ("a", "b"), ((True, True), (False, True)))
+
+
+@pytest.mark.parametrize("q", [boolean4(), L3, godel_chain(4)],
+                         ids=["boolean4", "L3", "G4"])
+def test_every_two_point_order(q):
+    one = q.elements[q.unit]
+    for ab, ba in itertools.product(q.elements, repeat=2):
+        assert_matches_oracle(build_qorder(q, ("a", "b"), [[one, ab], [ba, one]]))
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_named_orders_over_lukasiewicz(k):
+    q = lukasiewicz_chain(k)
+    for name in ("dL", "dR"):
+        assert_matches_oracle(standard_qorder(q, name))
+    for n in (1, 2, 3):
+        assert_matches_oracle(standard_qorder(q, "discrete", n=n))
+
+
+RANDOM_BASES = [boolean4(), godel_chain(3), nilpotent_minimum_chain(4), L3,
+                l3_times_l2()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(RANDOM_BASES), st.integers(3, 4), st.integers(0, 2 ** 32))
+def test_random_orders(q, n, seed):
+    assert_matches_oracle(random_qorder(q, n, random.Random(seed)))
+
+
+def test_budget_verdict_does_not_depend_on_the_cache(monkeypatch):
+    A = two_chain(L3)
+    monkeypatch.setattr(fuzzy, "_WALKS", {})
+    assert len(enumerate_monotone_sets(A, "lower")) == 6
+    with pytest.raises(BudgetExceeded):
+        enumerate_monotone_sets(A, "lower", budget=3)
+    monkeypatch.setattr(fuzzy, "_WALKS", {})
+    with pytest.raises(BudgetExceeded):
+        enumerate_monotone_sets(A, "lower", budget=3)
+    assert len(enumerate_monotone_sets(A, "lower")) == 6
+
+
+def test_budget_counts_candidate_values_tried():
+    A = two_chain(L3)
+    with pytest.raises(BudgetExceeded, match="candidate values tried") as err:
+        enumerate_monotone_sets(A, "upper", budget=0)
+    assert err.value.count > 0 and err.value.budget == 0
+
+
+@pytest.mark.parametrize("name", ["dL", "dR"])
+def test_lukasiewicz8_work_count(name):
+    A = standard_qorder(L8, name)
+    for kind in ("lower", "upper"):
+        assert len(enumerate_monotone_sets(A, kind)) == 576
+        # the cached walk replays its count against a budget of nothing
+        with pytest.raises(BudgetExceeded) as err:
+            enumerate_monotone_sets(A, kind, budget=0)
+        assert err.value.count <= 10_000
+    with pytest.raises(BudgetExceeded):
+        enumerate_ideals(A, "irr")

@@ -95,6 +95,8 @@ def test_power_order_is_pointwise():
 def test_power_order_budget():
     with pytest.raises(PowerTooLarge):
         standard_qorder(lukasiewicz_chain(6), "power", n=5, budget=100)
+    with pytest.raises(PowerTooLarge):
+        standard_qorder(lukasiewicz_chain(2), "power", n=1, budget=0)
 
 
 def test_standard_qorder_rejects_unknown_name():
