@@ -54,11 +54,11 @@ class IdealSpace:
         return self.space.elements[self.index_of(phi)]
 
 
-def ideal_space(A, which="flat", method="auto", budget=None):
+def ideal_space(A, which="flat", budget=None):
     """Build the ideal space of A for the named class (fc, flat,
     irreducible, or lower for every lower set)."""
     tag = ideal_class_tag(which)
-    carrier = enumerate_ideals(A, tag, method=method, budget=budget)
+    carrier = enumerate_ideals(A, tag, budget=budget)
     labels = tuple(f"phi{i}" for i in range(len(carrier)))
     hom = tuple(tuple(_sub_idx(A, p.values, r.values) for r in carrier)
                 for p in carrier)
@@ -112,15 +112,15 @@ def weighted_join(S, lam):
     return out
 
 
-def check_saturation(A, which="flat", method="auto", budget=None, cap=512):
+def check_saturation(A, which="flat", budget=None, cap=512):
     """Weighted joins of class weights over the ideal space must land
     back in the class; reports every weight that escapes."""
     tag = ideal_class_tag(which)
-    S = ideal_space(A, tag, method=method, budget=budget)
+    S = ideal_space(A, tag, budget=budget)
     if S.n > cap:
         raise BudgetExceeded(S.n, cap,
                              what="ideal-space members before the second level")
-    weights = enumerate_ideals(S.space, tag, method=method, budget=budget)
+    weights = enumerate_ideals(S.space, tag, budget=budget)
     violations = []
     for lam in weights:
         w = weighted_join(S, lam)
@@ -131,13 +131,13 @@ def check_saturation(A, which="flat", method="auto", budget=None, cap=512):
             "saturated": not violations, "violations": violations}
 
 
-def check_completeness_continuity(A, which="flat", method="auto", budget=None):
+def check_completeness_continuity(A, which="flat", budget=None):
     """complete: every class ideal has a supremum in the base.
     continuous: additionally, taking suprema has a left adjoint into the
     ideal space.  The adjunction identity fixes each image on its own,
     so the adjoint search runs element by element over the members."""
     tag = ideal_class_tag(which)
-    S = ideal_space(A, tag, method=method, budget=budget)
+    S = ideal_space(A, tag, budget=budget)
     report = {"class": tag, "space": S, "witnesses": {},
               "sup": None, "adjoint": None}
     sup_idx = []

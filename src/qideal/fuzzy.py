@@ -70,23 +70,21 @@ def constant_fuzzy_set(A, p):
 
 
 def _lower_violation(A, vals):
-    q = A.quantale
+    tens, leq = A.quantale.tensor_table, A.quantale.leq
     for y in range(A.n):
-        vy = vals[y]
+        row = tens[vals[y]]
         for x in range(A.n):
-            t = q.tensor(vy, A.hom[x][y])
-            if not q.leq[t][vals[x]]:
+            if not leq[row[A.hom[x][y]]][vals[x]]:
                 return (x, y)
     return None
 
 
 def _upper_violation(A, vals):
-    q = A.quantale
+    tens, leq = A.quantale.tensor_table, A.quantale.leq
     for x in range(A.n):
-        vx = vals[x]
+        vx, hx = vals[x], A.hom[x]
         for y in range(A.n):
-            t = q.tensor(A.hom[x][y], vx)
-            if not q.leq[t][vals[y]]:
+            if not leq[tens[hx[y]][vx]][vals[y]]:
                 return (x, y)
     return None
 

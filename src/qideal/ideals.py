@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import getitem
 
 from .errors import (
     BudgetExceeded,
     NotForwardCauchy,
     ShapeMismatch,
-    ValidationError,
 )
 from .fuzzy import (
     DEFAULT_BUDGET,
@@ -26,8 +26,6 @@ from .fuzzy import (
     _inhabited,
     _lower_violation,
     _monotone_value_tuples,
-    _sub_idx,
-    _tensor_idx,
     enumerate_monotone_sets,
 )
 
@@ -117,16 +115,16 @@ def ideal_from_sequence(s):
 
 
 def _ideal_precondition(phi):
-    """None when phi is lower and inhabited, else a reason dict."""
+    """None when phi is lower and inhabited, else (False, reason dict)."""
     A = phi.base
     w = _lower_violation(A, phi.values)
     if w is not None:
-        return {"reason": "not a lower set",
-                "pair": (A.elements[w[0]], A.elements[w[1]])}
+        return False, {"reason": "not a lower set",
+                       "pair": (A.elements[w[0]], A.elements[w[1]])}
     if not _inhabited(A, phi.values):
         q = A.quantale
-        return {"reason": "not inhabited",
-                "join_of_values": q.elements[q.join_all(phi.values)]}
+        return False, {"reason": "not inhabited",
+                       "join_of_values": q.elements[q.join_all(phi.values)]}
     return None
 
 
@@ -141,121 +139,121 @@ def _enumeration_guard(A, budget):
         raise BudgetExceeded(count, budget, what="fuzzy-set enumeration")
 
 
-def is_flat(phi, method="auto", budget=None):
+def _threshold_break(phi, kind, budget):
+    """The scan behind _irreducible (kind lower) and _flat (kind upper).
+    d is the inclusion degree out of phi (the tensor degree with phi),
+    sets fold by join (meet), and d passes the threshold u when d <= u
+    (d >= u).  Returns None, or the first break of the proofs' fold:
+    (acc, psi, d(acc . psi), d(acc) . d(psi)).
+    """
+    A, q = phi.base, phi.base.quantale
+    sets = _monotone_value_tuples(A, kind, budget)
+    lower = kind == "lower"
+    table = q.res_table if lower else q.tensor_table
+    gather, fold_all = (q.meet_all, q.join_all) if lower else (q.join_all, q.meet_all)
+    fold = q.join_table if lower else q.meet_table
+    within = q.leq if lower else tuple(zip(*q.leq))
+    rows = [table[a] for a in phi.values]
+
+    def d(vec):
+        return gather(set(map(getitem, rows, vec)))
+
+    def fold_sets(vecs):
+        return tuple(fold_all(set(col)) for col in zip(*vecs))
+
+    degs = [d(v) for v in sets]
+    groups = {}
+    for v, w in zip(sets, degs):
+        groups.setdefault(w, []).append(v)
+    buckets = [(w, fold_sets(vs)) for w, vs in groups.items()]
+    for u in range(q.n):
+        inside = [b for w, b in buckets if within[w][u]]
+        if not inside or within[d(fold_sets(inside))][u]:
+            continue
+        acc = None
+        for v, w in zip(sets, degs):
+            if not within[w][u]:
+                continue
+            if acc is None:
+                acc = v
+                continue
+            out = tuple(fold[a][b] for a, b in zip(acc, v))
+            if not within[d(out)][u]:
+                return acc, v, d(out), fold[d(acc)][w]
+            acc = out
+    return None
+
+
+def _verdict(A, hit, keys):
+    if hit is None:
+        return True, None
+    v1, v2, lhs, rhs = hit
+    lab = A.quantale.elements.__getitem__
+    return False, dict(zip(keys, (_as_label_dict(A, v1), _as_label_dict(A, v2),
+                                  lab(lhs), lab(rhs))))
+
+
+def is_flat(phi, budget=None):
     """Decide whether tensoring with phi distributes over binary meets of
     upper sets.  Returns (flag, witness); a failure witness carries the
-    two upper sets and both sides of the broken equation.
+    two upper sets and both sides of the broken equation."""
+    return _ideal_precondition(phi) or _flat(
+        phi, DEFAULT_BUDGET if budget is None else budget)
 
-    method brute checks every upper-set pair; shortcut is the
-    one-quantifier test available when tensor is meet; auto picks for
-    you.  Both produce witnesses that recompute to strict violations of
-    the pair form.
+
+def _flat(phi, budget):
+    """Threshold decider for a lower, inhabited phi.  With t(psi) =
+    tensor(phi, psi) on the upper sets (closed under pointwise meets)
+    and F_r = {psi : t(psi) >= r}: t is monotone, so t(psi1 ^ psi2) <=
+    t(psi1) ^ t(psi2) always, and phi is flat (equality for every pair)
+    iff t(meet F_r) >= r for every inhabited F_r.  Only if: t then
+    preserves inhabited finite meets.  If: for psi1, psi2 put r =
+    t(psi1) ^ t(psi2); both lie in F_r, so t(psi1 ^ psi2) >= t(meet F_r)
+    >= r.  meet F_r is the meet of the per-degree meets at degrees >= r.
+    On failure a left-to-right meet fold of F_r ends outside F_r; the
+    member psi that first takes the running meet acc out has t(acc ^ psi)
+    not >= r but t(acc) ^ t(psi) >= r: a strict violation.
     """
-    pre = _ideal_precondition(phi)
-    if pre is not None:
-        return False, pre
-    budget = DEFAULT_BUDGET if budget is None else budget
-    if method == "auto":
-        method = "shortcut" if phi.base.quantale.is_frame else "brute"
-    if method == "shortcut":
-        if not phi.base.quantale.is_frame:
-            raise ValidationError("meet shortcut needs an idempotent tensor",
-                                  detail="tensor table differs from meet table")
-        return _flat_shortcut(phi)
-    if method != "brute":
-        raise ValueError(f"unknown method {method!r}")
-    return _flat_brute(phi, budget)
-
-
-def _flat_witness(A, v1, v2, lhs, rhs):
-    lab = A.quantale.elements.__getitem__
-    return {"psi1": _as_label_dict(A, v1), "psi2": _as_label_dict(A, v2),
-            "tensor_with_meet": lab(lhs), "meet_of_tensors": lab(rhs)}
-
-
-def _flat_brute(phi, budget):
-    A, q = phi.base, phi.base.quantale
-    _enumeration_guard(A, budget)
-    uppers = _monotone_value_tuples(A, "upper", budget)
-    m = len(uppers)
-    pairs = m * (m + 1) // 2
-    if pairs > budget:
-        raise BudgetExceeded(pairs, budget, what="upper-set pairs")
-    pos = {vec: k for k, vec in enumerate(uppers)}
-    mt = q.meet_table
-    t = [_tensor_idx(A, phi.values, vec) for vec in uppers]
-    for i in range(m):
-        vi, ti = uppers[i], t[i]
-        for j in range(i, m):
-            vj = uppers[j]
-            k = pos[tuple(mt[a][b] for a, b in zip(vi, vj))]
-            rhs = mt[ti][t[j]]
-            if t[k] != rhs:
-                return False, _flat_witness(A, vi, vj, t[k], rhs)
-    return True, None
-
-
-def _flat_shortcut(phi):
-    # phi(x) ^ phi(y) <= join_z phi(z) ^ A(x,z) ^ A(y,z); a failing pair
-    # converts into the principal upper sets A(x,-), A(y,-), which break
-    # the pair form strictly.
-    A, q = phi.base, phi.base.quantale
-    vals = phi.values
-    mt = q.meet_table
-    for x in range(A.n):
-        for y in range(A.n):
-            lhs = mt[vals[x]][vals[y]]
-            rhs = q.join_all(mt[vals[z]][mt[A.hom[x][z]][A.hom[y][z]]]
-                             for z in range(A.n))
-            if not q.leq[lhs][rhs]:
-                v1 = tuple(A.hom[x][z] for z in range(A.n))
-                v2 = tuple(A.hom[y][z] for z in range(A.n))
-                tm = _tensor_idx(A, vals,
-                                 tuple(mt[a][b] for a, b in zip(v1, v2)))
-                both = mt[_tensor_idx(A, vals, v1)][_tensor_idx(A, vals, v2)]
-                return False, _flat_witness(A, v1, v2, tm, both)
-    return True, None
+    hit = _threshold_break(phi, "upper", budget)
+    return _verdict(phi.base, hit, ("psi1", "psi2", "tensor_with_meet",
+                                     "meet_of_tensors"))
 
 
 def is_irreducible(phi, budget=None):
     """Decide whether the inclusion degree out of phi distributes over
-    binary joins of lower sets.  Returns (flag, witness)."""
-    pre = _ideal_precondition(phi)
-    if pre is not None:
-        return False, pre
-    A, q = phi.base, phi.base.quantale
-    budget = DEFAULT_BUDGET if budget is None else budget
-    _enumeration_guard(A, budget)
-    lowers = _monotone_value_tuples(A, "lower", budget)
-    m = len(lowers)
-    pairs = m * (m + 1) // 2
-    if pairs > budget:
-        raise BudgetExceeded(pairs, budget, what="lower-set pairs")
-    pos = {vec: k for k, vec in enumerate(lowers)}
-    jt = q.join_table
-    s = [_sub_idx(A, phi.values, vec) for vec in lowers]
-    lab = q.elements.__getitem__
-    for i in range(m):
-        vi, si = lowers[i], s[i]
-        for j in range(i, m):
-            vj = lowers[j]
-            k = pos[tuple(jt[a][b] for a, b in zip(vi, vj))]
-            rhs = jt[si][s[j]]
-            if s[k] != rhs:
-                return False, {"phi1": _as_label_dict(A, vi),
-                               "phi2": _as_label_dict(A, vj),
-                               "sub_of_join": lab(s[k]),
-                               "join_of_subs": lab(rhs)}
-    return True, None
+    binary joins of lower sets.  Returns (flag, witness); a failure
+    witness carries the two lower sets and both sides of the broken
+    equation."""
+    return _ideal_precondition(phi) or _irreducible(
+        phi, DEFAULT_BUDGET if budget is None else budget)
+
+
+def _irreducible(phi, budget):
+    """Threshold decider for a lower, inhabited phi.  With s(psi) =
+    sub(phi, psi) on the lower sets (closed under pointwise joins) and
+    G_u = {psi : s(psi) <= u}: s is monotone, so s(psi1 v psi2) >=
+    s(psi1) v s(psi2) always, and phi is irreducible (equality for every
+    pair) iff s(join G_u) <= u for every inhabited G_u.  Only if: s then
+    preserves inhabited finite joins.  If: for psi1, psi2 put u =
+    s(psi1) v s(psi2); both lie in G_u, so s(psi1 v psi2) <= s(join G_u)
+    <= u.  join G_u is the join of the per-degree joins at degrees <= u.
+    On failure a left-to-right join fold of G_u ends outside G_u; the
+    member psi that first takes the running join acc out has s(acc v psi)
+    not <= u but s(acc) v s(psi) <= u: a strict violation.
+    """
+    hit = _threshold_break(phi, "lower", budget)
+    return _verdict(phi.base, hit, ("phi1", "phi2", "sub_of_join",
+                                    "join_of_subs"))
 
 
 def is_forward_cauchy(phi):
     """Pointwise decision, valid on finite bases: lower, inhabited, and
     every two points admit a third with full membership whose hom degrees
     dominate theirs.  Returns (flag, witness)."""
-    pre = _ideal_precondition(phi)
-    if pre is not None:
-        return False, pre
+    return _ideal_precondition(phi) or _forward_cauchy(phi)
+
+
+def _forward_cauchy(phi):
     A, q = phi.base, phi.base.quantale
     vals = phi.values
     tops = [z for z in range(A.n) if vals[z] == q.unit]
@@ -282,37 +280,41 @@ class IdealReport:
                 self.forward_cauchy)
 
 
-def classify_ideal(phi, method="auto", budget=None):
+def classify_ideal(phi, budget=None):
     """All three deciders plus inhabitedness; every false flag keeps its
-    witness under its own key."""
-    inhabited = _inhabited(phi.base, phi.values)
-    flat, wf = is_flat(phi, method=method, budget=budget)
-    irr, wi = is_irreducible(phi, budget=budget)
-    fc, wc = is_forward_cauchy(phi)
-    witnesses = {}
-    if wf is not None:
-        witnesses["flat"] = wf
-    if wi is not None:
-        witnesses["irreducible"] = wi
-    if wc is not None:
-        witnesses["forward_cauchy"] = wc
-    return IdealReport(inhabited, flat, irr, fc, witnesses)
+    witness under its own key.  A set that is not lower and inhabited
+    fails all three with the same reason."""
+    pre = _ideal_precondition(phi)
+    budget = DEFAULT_BUDGET if budget is None else budget
+    flat = pre or _flat(phi, budget)
+    irr = pre or _irreducible(phi, budget)
+    fc = pre or _forward_cauchy(phi)
+    witnesses = {k: w for k, (_, w) in (("flat", flat), ("irreducible", irr),
+                                        ("forward_cauchy", fc)) if w is not None}
+    return IdealReport(_inhabited(phi.base, phi.values), flat[0], irr[0], fc[0],
+                       witnesses)
 
 
-def enumerate_ideals(A, which="fc", method="auto", budget=None):
+def enumerate_ideals(A, which="fc", budget=None):
     """All lower sets of the named class, in enumeration order.  The
     lower tag skips the class filter (and the inhabitedness demand the
-    three proper classes make)."""
+    three proper classes make).  Flat and irreducible scan every upper
+    (lower) set once per lower set; that count of sets scanned is
+    charged against the budget before any is decided."""
     tag = ideal_class_tag(which)
+    budget = DEFAULT_BUDGET if budget is None else budget
     lowers = enumerate_monotone_sets(A, "lower", budget=budget)
     if tag == "lower":
         return lowers
     if tag == "fc":
-        return tuple(p for p in lowers if is_forward_cauchy(p)[0])
-    if tag == "flat":
         return tuple(p for p in lowers
-                     if is_flat(p, method=method, budget=budget)[0])
-    return tuple(p for p in lowers if is_irreducible(p, budget=budget)[0])
+                     if _inhabited(A, p.values) and _forward_cauchy(p)[0])
+    body, kind = (_flat, "upper") if tag == "flat" else (_irreducible, "lower")
+    count = len(lowers) * len(_monotone_value_tuples(A, kind, budget))
+    if count > budget:
+        raise BudgetExceeded(count, budget, what="sets scanned")
+    return tuple(p for p in lowers
+                 if _inhabited(A, p.values) and body(p, budget)[0])
 
 
 def sequence_generated_ideals(A, bound=4):

@@ -51,11 +51,11 @@ def _default_class(mode):
 
 
 @lru_cache(maxsize=None)
-def _scott_context(A, tag, method, budget):
+def _scott_context(A, tag, budget):
     """Class ideals of A paired with all their suprema (as indices);
     ideals without a supremum impose no condition and are dropped."""
     out = []
-    for p in enumerate_ideals(A, tag, method=method, budget=budget):
+    for p in enumerate_ideals(A, tag, budget=budget):
         sups = suprema(p)
         if sups:
             out.append((p.values, tuple(A.index(s) for s in sups)))
@@ -94,14 +94,14 @@ def _member_violation(A, vals, mode, ctx):
     return None
 
 
-def is_scott_member(psi, mode, which=None, method="auto", budget=None):
+def is_scott_member(psi, mode, which=None, budget=None):
     """Membership of a fuzzy set in the open (mode topology) or closed
     (mode cotopology) family for the given ideal class.  The class
     defaults to flat for opens and irreducible for closeds.  Returns
     (flag, witness)."""
     mode = _mode_tag(mode)
     tag = ideal_class_tag(which if which is not None else _default_class(mode))
-    ctx = _scott_context(psi.base, tag, method, budget)
+    ctx = _scott_context(psi.base, tag, budget)
     w = _member_violation(psi.base, psi.values, mode, ctx)
     return w is None, w
 
@@ -118,14 +118,14 @@ class ScottStructure:
     strong: bool
 
 
-def generate_scott_structure(A, mode, which=None, method="auto", budget=None):
+def generate_scott_structure(A, mode, which=None, budget=None):
     """Filter every monotone fuzzy set by membership and compute the
     axiom flags of the resulting family."""
     mode = _mode_tag(mode)
     tag = ideal_class_tag(which if which is not None else _default_class(mode))
     limit = DEFAULT_BUDGET if budget is None else budget
     _enumeration_guard(A, limit)
-    ctx = _scott_context(A, tag, method, budget)
+    ctx = _scott_context(A, tag, budget)
     kind = "upper" if mode == "topology" else "lower"
     members = tuple(FuzzySet(A, vals)
                     for vals in _monotone_value_tuples(A, kind, limit)
@@ -216,24 +216,24 @@ def check_structure_axioms(S):
 
 
 @lru_cache(maxsize=None)
-def _closed_family(B, tag, method, budget):
+def _closed_family(B, tag, budget):
     limit = DEFAULT_BUDGET if budget is None else budget
     _enumeration_guard(B, limit)
-    ctx = _scott_context(B, tag, method, budget)
+    ctx = _scott_context(B, tag, budget)
     return tuple(vals for vals in _monotone_value_tuples(B, "lower", limit)
                  if _member_violation(B, vals, "cotopology", ctx) is None)
 
 
 @lru_cache(maxsize=None)
-def _open_family(B, tag, method, budget):
+def _open_family(B, tag, budget):
     limit = DEFAULT_BUDGET if budget is None else budget
     _enumeration_guard(B, limit)
-    ctx = _scott_context(B, tag, method, budget)
+    ctx = _scott_context(B, tag, budget)
     return tuple(vals for vals in _monotone_value_tuples(B, "upper", limit)
                  if _member_violation(B, vals, "topology", ctx) is None)
 
 
-def cocontinuity_equivalence(f, which="irreducible", method="auto", budget=None):
+def cocontinuity_equivalence(f, which="irreducible", budget=None):
     """Two routes to the same judgment about a map, compared.
 
     cocontinuous: f preserves the order and sends every existing
@@ -252,7 +252,7 @@ def cocontinuity_equivalence(f, which="irreducible", method="auto", budget=None)
         cocontinuous = False
         witnesses["order"] = w
     if cocontinuous:
-        for ivals, sups in _scott_context(A, tag, method, budget):
+        for ivals, sups in _scott_context(A, tag, budget):
             img = transport(f, FuzzySet(A, ivals), "forward")
             targets = set(suprema(img))
             bad = next((s for s in sups
@@ -267,8 +267,8 @@ def cocontinuity_equivalence(f, which="irreducible", method="auto", budget=None)
                 }
                 break
     closed_preimage = True
-    ctxA = _scott_context(A, tag, method, budget)
-    for lvals in _closed_family(B, tag, method, budget):
+    ctxA = _scott_context(A, tag, budget)
+    for lvals in _closed_family(B, tag, budget):
         pulled = tuple(lvals[j] for j in f.mapping)
         v = _member_violation(A, pulled, "cotopology", ctxA)
         if v is not None:
@@ -280,15 +280,15 @@ def cocontinuity_equivalence(f, which="irreducible", method="auto", budget=None)
             "agree": cocontinuous == closed_preimage, "witnesses": witnesses}
 
 
-def check_open_preimages(f, which="flat", method="auto", budget=None):
+def check_open_preimages(f, which="flat", budget=None):
     """One-directional continuity: composites of open sets of the target
     with a cocontinuous map must be open on the source.  Returns
     (flag, witness); callers are expected to have checked
     cocontinuity."""
     A, B = f.source, f.target
     tag = ideal_class_tag(which)
-    ctxA = _scott_context(A, tag, method, budget)
-    for uvals in _open_family(B, tag, method, budget):
+    ctxA = _scott_context(A, tag, budget)
+    for uvals in _open_family(B, tag, budget):
         pulled = tuple(uvals[j] for j in f.mapping)
         v = _member_violation(A, pulled, "topology", ctxA)
         if v is not None:

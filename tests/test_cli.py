@@ -87,6 +87,17 @@ def test_enumerate(capsys):
     assert report["count"] == 3 == len(report["ideals"])
 
 
+def test_enumerate_lukasiewicz8_classes(capsys):
+    dl8 = '{"base": {"kind": "chain", "tnorm": "lukasiewicz", "n": 8}, "name": "dL"}'
+    for cls in ("irr", "flat"):
+        code, report, _ = run(capsys, "enumerate", dl8, "--class", cls)
+        assert code == 0 and report["count"] == 8
+    # 576 lower sets, each scanning 576 sets, is 331,776
+    code, _, err = run(capsys, "--budget", "300000", "enumerate", dl8,
+                       "--class", "irr")
+    assert code == 2 and "sets scanned" in err
+
+
 def test_scott(capsys):
     code, report, _ = run(capsys, "scott", DL3, "--mode", "top")
     assert code == 0

@@ -1,0 +1,154 @@
+"""The threshold deciders for flat and irreducible ideals against the
+pair scans they replaced and the meet shortcut for frames, with every
+failure witness replayed from the definitions."""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qideal.fuzzy import DEFAULT_BUDGET, _monotone_value_tuples, fuzzy_set
+from qideal.ideals import classify_ideal, enumerate_ideals, is_flat, is_irreducible
+from qideal.qorder import build_qorder, random_qorder, standard_qorder
+from qideal.quantale import boolean4, godel_chain, lukasiewicz_chain
+from test_enumeration import RANDOM_BASES
+
+
+def sub(q, v1, v2):
+    """Inclusion degree: meet over x of v1(x) -> v2(x)."""
+    return q.meet_all(q.res_table[a][b] for a, b in zip(v1, v2))
+
+
+def tensor(q, v1, v2):
+    """Intersection degree: join over x of v1(x) & v2(x)."""
+    return q.join_all(q.tensor_table[a][b] for a, b in zip(v1, v2))
+
+
+def pointwise(table, v1, v2):
+    return tuple(table[a][b] for a, b in zip(v1, v2))
+
+
+def monotone(A, vec, kind):
+    """vec is a lower set (vec(y) & A(x,y) <= vec(x) for every x, y) or an
+    upper set (A(x,y) & vec(x) <= vec(y))."""
+    q = A.quantale
+
+    def holds(x, y):
+        if kind == "lower":
+            return q.leq[q.tensor_table[vec[y]][A.hom[x][y]]][vec[x]]
+        return q.leq[q.tensor_table[A.hom[x][y]][vec[x]]][vec[y]]
+    return all(holds(x, y) for x in range(A.n) for y in range(A.n))
+
+
+def inhabited(phi):
+    q = phi.base.quantale
+    return q.join_all(phi.values) == q.unit
+
+
+def pair_scan(phi, kind, degree, fold, combine):
+    """Every pair of sets of the kind: degree(fold) = combine(degrees)."""
+    A, q = phi.base, phi.base.quantale
+    sets = _monotone_value_tuples(A, kind, DEFAULT_BUDGET)
+    d = {v: degree(q, phi.values, v) for v in sets}
+    return all(degree(q, phi.values, pointwise(fold, v1, v2)) == combine[d[v1]][d[v2]]
+               for i, v1 in enumerate(sets) for v2 in sets[i:])
+
+
+def brute_flat(phi):
+    q = phi.base.quantale
+    return inhabited(phi) and pair_scan(phi, "upper", tensor, q.meet_table, q.meet_table)
+
+
+def brute_irreducible(phi):
+    q = phi.base.quantale
+    return inhabited(phi) and pair_scan(phi, "lower", sub, q.join_table, q.join_table)
+
+
+def meet_shortcut(phi):
+    """Flatness when the tensor is the meet: phi(x) ^ phi(y) <= join over
+    z of phi(z) ^ A(x,z) ^ A(y,z) for every x, y."""
+    A, q = phi.base, phi.base.quantale
+    mt, v = q.meet_table, phi.values
+    return inhabited(phi) and all(
+        q.leq[mt[v[x]][v[y]]][q.join_all(mt[v[z]][mt[A.hom[x][z]][A.hom[y][z]]]
+                                         for z in range(A.n))]
+        for x in range(A.n) for y in range(A.n))
+
+
+def replay_flat(phi, w):
+    A, q = phi.base, phi.base.quantale
+    v1, v2 = fuzzy_set(A, w["psi1"]).values, fuzzy_set(A, w["psi2"]).values
+    assert monotone(A, v1, "upper") and monotone(A, v2, "upper")
+    lhs = tensor(q, phi.values, pointwise(q.meet_table, v1, v2))
+    rhs = q.meet_table[tensor(q, phi.values, v1)][tensor(q, phi.values, v2)]
+    assert (w["tensor_with_meet"], w["meet_of_tensors"]) == (q.elements[lhs],
+                                                             q.elements[rhs])
+    assert q.leq[lhs][rhs] and lhs != rhs
+
+
+def replay_irreducible(phi, w):
+    A, q = phi.base, phi.base.quantale
+    v1, v2 = fuzzy_set(A, w["phi1"]).values, fuzzy_set(A, w["phi2"]).values
+    assert monotone(A, v1, "lower") and monotone(A, v2, "lower")
+    lhs = sub(q, phi.values, pointwise(q.join_table, v1, v2))
+    rhs = q.join_table[sub(q, phi.values, v1)][sub(q, phi.values, v2)]
+    assert (w["sub_of_join"], w["join_of_subs"]) == (q.elements[lhs],
+                                                     q.elements[rhs])
+    assert q.leq[rhs][lhs] and lhs != rhs
+
+
+def assert_matches_oracles(A):
+    frame = A.quantale.is_frame
+    for phi in enumerate_ideals(A, "lower"):
+        flat, wf = is_flat(phi)
+        irr, wi = is_irreducible(phi)
+        assert flat == brute_flat(phi), (A.catalog, phi.values)
+        assert irr == brute_irreducible(phi), (A.catalog, phi.values)
+        if frame:
+            assert flat == meet_shortcut(phi), (A.catalog, phi.values)
+        if not flat and inhabited(phi):
+            replay_flat(phi, wf)
+        if not irr and inhabited(phi):
+            replay_irreducible(phi, wi)
+        rep = classify_ideal(phi)
+        assert (rep.flat, rep.irreducible) == (flat, irr)
+        assert (rep.witnesses.get("flat"), rep.witnesses.get("irreducible")) == (wf, wi)
+
+
+@pytest.mark.parametrize("q", [boolean4(), lukasiewicz_chain(3), godel_chain(4)],
+                         ids=["boolean4", "L3", "G4"])
+def test_every_two_point_order(q):
+    one = q.elements[q.unit]
+    for ab, ba in itertools.product(q.elements, repeat=2):
+        assert_matches_oracles(build_qorder(q, ("a", "b"), [[one, ab], [ba, one]]))
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_named_orders_over_lukasiewicz(k):
+    q = lukasiewicz_chain(k)
+    for name in ("dL", "dR"):
+        assert_matches_oracles(standard_qorder(q, name))
+    for n in (1, 2, 3):
+        assert_matches_oracles(standard_qorder(q, "discrete", n=n))
+
+
+def test_threshold_equals_both_oracles_on_dL_over_godel4():
+    assert_matches_oracles(standard_qorder(godel_chain(4), "dL"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(RANDOM_BASES), st.integers(3, 4), st.integers(0, 2 ** 32))
+def test_random_orders(q, n, seed):
+    assert_matches_oracles(random_qorder(q, n, random.Random(seed)))
+
+
+def test_precondition_is_one_reason_under_every_key():
+    A = standard_qorder(lukasiewicz_chain(3), "dL")
+    rep = classify_ideal(fuzzy_set(A, (0, 0, 1)))
+    assert rep.flags() == (True, False, False, False)
+    reason = rep.witnesses["flat"]
+    assert reason["reason"] == "not a lower set"
+    assert rep.witnesses == dict.fromkeys(("flat", "irreducible", "forward_cauchy"),
+                                          reason)
+    assert is_flat(fuzzy_set(A, (0, 0, 1))) == (False, reason)

@@ -14,6 +14,7 @@ from qideal.fuzzy import (
     _monotone_value_tuples,
     _upper_violation,
     enumerate_monotone_sets,
+    yoneda,
 )
 from qideal.ideals import enumerate_ideals
 from qideal.qorder import build_qorder, crisp_qorder, random_qorder, standard_qorder
@@ -111,5 +112,9 @@ def test_lukasiewicz8_work_count(name):
         with pytest.raises(BudgetExceeded) as err:
             enumerate_monotone_sets(A, kind, budget=0)
         assert err.value.count <= 10_000
-    with pytest.raises(BudgetExceeded):
-        enumerate_ideals(A, "irr")
+    principal = {yoneda(A, a).values for a in A.elements}
+    for cls in ("irr", "flat"):
+        assert {p.values for p in enumerate_ideals(A, cls)} == principal
+    # 13,312 lower sets, each scanning 13,312 sets: refused before deciding
+    with pytest.raises(BudgetExceeded, match="sets scanned"):
+        enumerate_ideals(standard_qorder(lukasiewicz_chain(12), name), "irr")

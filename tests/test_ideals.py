@@ -8,7 +8,6 @@ from qideal.errors import (
     BudgetExceeded,
     NotForwardCauchy,
     ShapeMismatch,
-    ValidationError,
 )
 from qideal.fuzzy import fuzzy_set, sub_degree, yoneda
 from qideal.ideals import (
@@ -137,20 +136,6 @@ def test_sequence_route_matches_the_decider():
     assert len(sequence_generated_ideals(DL3, bound=3)) == DL3.n
 
 
-def test_flat_brute_agrees_with_the_meet_shortcut():
-    A = standard_qorder(godel_chain(4), "dL")
-    for phi in enumerate_ideals(A, "lower"):
-        assert is_flat(phi, method="brute") == is_flat(phi, method="shortcut")
-
-
-def test_flat_method_guards():
-    phi = yoneda(DL3, Fraction(1, 2))
-    with pytest.raises(ValidationError, match="idempotent tensor"):
-        is_flat(phi, method="shortcut")
-    with pytest.raises(ValueError):
-        is_flat(phi, method="middle-out")
-
-
 def test_ideal_preconditions_are_reported():
     A = two_chain(L3)
     flag, w = is_flat(fuzzy_set(A, {"a": 0, "b": 1}))
@@ -173,7 +158,7 @@ def test_budget_guards():
     with pytest.raises(BudgetExceeded):
         is_irreducible(yoneda(DL3, Fraction(1)), budget=2)
     with pytest.raises(BudgetExceeded):
-        is_flat(yoneda(DL3, Fraction(1)), method="brute", budget=2)
+        is_flat(yoneda(DL3, Fraction(1)), budget=2)
 
 
 def test_interval_family_values():
