@@ -28,9 +28,6 @@ class FuzzySet:
     base: QOrderedSet
     values: tuple   # quantale indices aligned with base.elements
 
-    def value_idx(self, i):
-        return self.values[i]
-
     def value(self, label):
         return self.base.quantale.elements[self.values[self.base.index(label)]]
 
@@ -244,7 +241,21 @@ def suprema(phi):
     return tuple(A.elements[a] for a in range(A.n) if A.hom[a] == target)
 
 
-# (base, kind) -> (value tuples, candidate values tried)
+class _Walk:
+    """The cached enumeration of one (base, kind): the value tuples and
+    the candidate values the walk tried.  The first flat or irreducible
+    decider call on the base adds the column masks over the sets, the
+    position of every set, and an empty memo of folds by mask (see
+    _column_index)."""
+
+    __slots__ = ("tuples", "tried", "columns", "positions", "folds")
+
+    def __init__(self, tuples, tried):
+        self.tuples, self.tried = tuples, tried
+        self.columns = self.positions = self.folds = None
+
+
+# (base, kind) -> _Walk
 _WALKS = {}
 
 
@@ -296,19 +307,45 @@ def _walk(A, kind, budget):
     return tuple(out), tried
 
 
-def _monotone_value_tuples(A, kind, budget):
-    """Value tuples of every lower (or upper) set of A, cached per base
-    together with the number of candidate values the walk tried.  The
-    budget is checked against that number on every call, so the verdict
-    does not depend on what is cached."""
+def _cached_walk(A, kind, budget):
+    """The walk of A's lower (or upper) sets, cached per base together
+    with the number of candidate values it tried.  The budget is checked
+    against that number on every call, so the verdict does not depend on
+    what is cached."""
     key = (A, kind)
     hit = _WALKS.get(key)
     if hit is None:
-        hit = _WALKS[key] = _walk(A, kind, budget)
-    tuples, tried = hit
-    if tried > budget:
-        raise BudgetExceeded(tried, budget, what="candidate values tried")
-    return tuples
+        hit = _WALKS[key] = _Walk(*_walk(A, kind, budget))
+    if hit.tried > budget:
+        raise BudgetExceeded(hit.tried, budget, what="candidate values tried")
+    return hit
+
+
+def _monotone_value_tuples(A, kind, budget):
+    """Value tuples of every lower (or upper) set of A."""
+    return _cached_walk(A, kind, budget).tuples
+
+
+def _column_index(A, kind, budget):
+    """The walk of A's lower (upper) sets with its decider index: bit i
+    of columns[x][b] is set when set i has b <= its value at x (its
+    value at x <= b), and positions maps each value tuple to its i.
+    Built on the first call and kept with the walk."""
+    walk = _cached_walk(A, kind, budget)
+    if walk.columns is None:
+        q = A.quantale
+        below = q.leq if kind == "lower" else tuple(zip(*q.leq))
+        columns = []
+        for col in zip(*walk.tuples):
+            at = [0] * q.n      # at[v]: the sets with value v at x
+            for i, v in enumerate(col):
+                at[v] |= 1 << i
+            columns.append(tuple(sum(s for s, ok in zip(at, row) if ok)
+                                 for row in below))
+        walk.columns = tuple(columns)
+        walk.positions = {vec: i for i, vec in enumerate(walk.tuples)}
+        walk.folds = {}
+    return walk
 
 
 def enumerate_monotone_sets(A, kind, budget=None):
@@ -357,18 +394,20 @@ def intersection_inclusion_identities(A, budget=None):
 
     and under double negation both collapse to one negation each.
     Checks every enumerated pair on a finite base; returns the first
-    violation (with both sides as labels) or None.
+    violation (with both sides as labels) or None.  The pairs, times the
+    quantale values each quantifies over, are charged against the budget
+    before any is checked.
     """
     q = A.quantale
     limit = DEFAULT_BUDGET if budget is None else budget
-    count = q.n ** A.n
+    lowers = _monotone_value_tuples(A, "lower", limit)
+    uppers = _monotone_value_tuples(A, "upper", limit)
+    count = len(lowers) * (len(uppers) + len(lowers)) * q.n
     if count > limit:
-        raise BudgetExceeded(count, limit, what="fuzzy-set enumeration")
+        raise BudgetExceeded(count, limit, what="pairs checked")
     dn = all(q.neg_vector[q.neg_vector[i]] == i for i in range(q.n))
     res, meet, neg = q.res_table, q.meet_table, q.neg_vector
     lab = q.elements.__getitem__
-    lowers = _monotone_value_tuples(A, "lower", limit)
-    uppers = _monotone_value_tuples(A, "upper", limit)
 
     def bad(name, v1, v2, lhs, rhs):
         return {"identity": name,
@@ -408,19 +447,22 @@ def kan_transport_identity(f, budget=None):
     """Forward and backward transport are adjoint through inclusion:
     sub(forward(phi), psi) = sub(phi, backward(psi)) for every lower set
     phi of the source and psi of the target.  Returns the first
-    violating pair or None."""
+    violating pair or None.  The pairs are charged against the budget
+    before any is checked."""
     A, B = f.source, f.target
     q = A.quantale
     if B.quantale is not q:
         raise BaseMismatch("map endpoints live over different quantales")
     limit = DEFAULT_BUDGET if budget is None else budget
-    count = q.n ** A.n + q.n ** B.n
+    sources = _monotone_value_tuples(A, "lower", limit)
+    targets = _monotone_value_tuples(B, "lower", limit)
+    count = len(sources) * len(targets)
     if count > limit:
-        raise BudgetExceeded(count, limit, what="fuzzy-set enumeration")
+        raise BudgetExceeded(count, limit, what="pairs checked")
     lab = q.elements.__getitem__
     fwds = [(pv, transport(f, FuzzySet(A, pv), "forward").values)
-            for pv in _monotone_value_tuples(A, "lower", limit)]
-    for sv in _monotone_value_tuples(B, "lower", limit):
+            for pv in sources]
+    for sv in targets:
         back = transport(f, FuzzySet(B, sv), "backward").values
         for pv, fv in fwds:
             lhs = _sub_idx(B, fv, sv)

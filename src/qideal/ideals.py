@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import getitem
+from functools import reduce
+from operator import and_, getitem, or_
 
 from .errors import (
     BudgetExceeded,
@@ -23,6 +24,7 @@ from .errors import (
 from .fuzzy import (
     DEFAULT_BUDGET,
     FuzzySet,
+    _column_index,
     _inhabited,
     _lower_violation,
     _monotone_value_tuples,
@@ -133,54 +135,69 @@ def _as_label_dict(A, vec):
     return {e: lab(v) for e, v in zip(A.elements, vec)}
 
 
-def _enumeration_guard(A, budget):
-    count = A.quantale.n ** A.n
-    if count > budget:
-        raise BudgetExceeded(count, budget, what="fuzzy-set enumeration")
-
-
 def _threshold_break(phi, kind, budget):
-    """The scan behind _irreducible (kind lower) and _flat (kind upper).
+    """The decision behind _irreducible (kind lower) and _flat (kind upper).
     d is the inclusion degree out of phi (the tensor degree with phi),
     sets fold by join (meet), and d passes the threshold u when d <= u
     (d >= u).  Returns None, or the first break of the proofs' fold:
     (acc, psi, d(acc . psi), d(acc) . d(psi)).
+
+    The sets are the bits of masks, in enumeration order.  By
+    residuation c <= d(psi) iff phi(x) & c <= psi(x) at every x (d(psi)
+    <= c iff psi(x) <= phi(x) -> c), so reach[c], the sets with c <=
+    d(psi) (d(psi) <= c), is an AND of one column mask per point.  A set
+    misses the threshold u iff it lies in reach[c] for some c that
+    misses u (take c = d(psi)), so the sets passing u are the complement
+    of an OR of reach masks.  They pass together iff their fold passes.
+    Folds of longer prefixes only grow (shrink), and once one misses u
+    every longer one does, so the first break of the left-to-right fold
+    is found by bisection over prefixes.
     """
     A, q = phi.base, phi.base.quantale
-    sets = _monotone_value_tuples(A, kind, budget)
+    walk = _column_index(A, kind, budget)
+    sets, columns, positions, folds = (walk.tuples, walk.columns,
+                                       walk.positions, walk.folds)
     lower = kind == "lower"
-    table = q.res_table if lower else q.tensor_table
+    table, bound = ((q.res_table, q.tensor_table) if lower
+                    else (q.tensor_table, q.res_table))
     gather, fold_all = (q.meet_all, q.join_all) if lower else (q.join_all, q.meet_all)
     fold = q.join_table if lower else q.meet_table
-    within = q.leq if lower else tuple(zip(*q.leq))
+    # thresholds[u][c]: c passes u, that is c <= u (c >= u)
+    thresholds = tuple(zip(*q.leq)) if lower else q.leq
     rows = [table[a] for a in phi.values]
+    values = range(q.n)
 
     def d(vec):
         return gather(set(map(getitem, rows, vec)))
 
-    def fold_sets(vecs):
-        return tuple(fold_all(set(col)) for col in zip(*vecs))
+    def fold_at(mask):
+        """Position of the join (meet) of the sets in mask, at x the
+        join (meet) of the values whose column meets the mask.  It is a
+        set again: lower sets are closed under joins, upper under meets."""
+        at = folds.get(mask)
+        if at is None:
+            at = folds[mask] = positions[tuple(
+                fold_all(itertools.compress(values, map(mask.__and__, cols)))
+                for cols in columns)]
+        return at
 
-    degs = [d(v) for v in sets]
-    groups = {}
-    for v, w in zip(sets, degs):
-        groups.setdefault(w, []).append(v)
-    buckets = [(w, fold_sets(vs)) for w, vs in groups.items()]
-    for u in range(q.n):
-        inside = [b for w, b in buckets if within[w][u]]
-        if not inside or within[d(fold_sets(inside))][u]:
+    full = (1 << len(sets)) - 1
+    reach = [reduce(and_, masks, full) for masks in zip(
+        *[map(cols.__getitem__, bound[a]) for cols, a in zip(columns, phi.values)])]
+    for passes in thresholds:
+        inside = full & ~reduce(or_, [r for r, ok in zip(reach, passes) if not ok], 0)
+        if not inside or inside >> fold_at(inside) & 1:
             continue
-        acc = None
-        for v, w in zip(sets, degs):
-            if not within[w][u]:
-                continue
-            if acc is None:
-                acc = v
-                continue
-            out = tuple(fold[a][b] for a, b in zip(acc, v))
-            if not within[d(out)][u]:
-                return acc, v, d(out), fold[d(acc)][w]
-            acc = out
+        lo, hi = (inside & -inside).bit_length() - 1, inside.bit_length() - 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if inside >> fold_at(inside & ((2 << mid) - 1)) & 1:
+                lo = mid
+            else:
+                hi = mid
+        acc, v = sets[fold_at(inside & ((1 << hi) - 1))], sets[hi]
+        out = tuple(fold[a][b] for a, b in zip(acc, v))
+        return acc, v, d(out), fold[d(acc)][d(v)]
     return None
 
 
@@ -209,10 +226,9 @@ def _flat(phi, budget):
     iff t(meet F_r) >= r for every inhabited F_r.  Only if: t then
     preserves inhabited finite meets.  If: for psi1, psi2 put r =
     t(psi1) ^ t(psi2); both lie in F_r, so t(psi1 ^ psi2) >= t(meet F_r)
-    >= r.  meet F_r is the meet of the per-degree meets at degrees >= r.
-    On failure a left-to-right meet fold of F_r ends outside F_r; the
-    member psi that first takes the running meet acc out has t(acc ^ psi)
-    not >= r but t(acc) ^ t(psi) >= r: a strict violation.
+    >= r.  On failure a left-to-right meet fold of F_r ends outside F_r;
+    the member psi that first takes the running meet acc out has
+    t(acc ^ psi) not >= r but t(acc) ^ t(psi) >= r: a strict violation.
     """
     hit = _threshold_break(phi, "upper", budget)
     return _verdict(phi.base, hit, ("psi1", "psi2", "tensor_with_meet",
@@ -236,10 +252,9 @@ def _irreducible(phi, budget):
     pair) iff s(join G_u) <= u for every inhabited G_u.  Only if: s then
     preserves inhabited finite joins.  If: for psi1, psi2 put u =
     s(psi1) v s(psi2); both lie in G_u, so s(psi1 v psi2) <= s(join G_u)
-    <= u.  join G_u is the join of the per-degree joins at degrees <= u.
-    On failure a left-to-right join fold of G_u ends outside G_u; the
-    member psi that first takes the running join acc out has s(acc v psi)
-    not <= u but s(acc) v s(psi) <= u: a strict violation.
+    <= u.  On failure a left-to-right join fold of G_u ends outside G_u;
+    the member psi that first takes the running join acc out has
+    s(acc v psi) not <= u but s(acc) v s(psi) <= u: a strict violation.
     """
     hit = _threshold_break(phi, "lower", budget)
     return _verdict(phi.base, hit, ("phi1", "phi2", "sub_of_join",

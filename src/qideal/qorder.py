@@ -47,9 +47,6 @@ class QOrderedSet:
     def label(self, i):
         return self.elements[i]
 
-    def hom_idx(self, i, j):
-        return self.hom[i][j]
-
     def degree(self, x, y):
         """A(x,y) as a quantale label."""
         return self.quantale.elements[self.hom[self.index(x)][self.index(y)]]
@@ -234,9 +231,6 @@ class QMap:
     source: QOrderedSet
     target: QOrderedSet
     mapping: tuple   # target indices aligned with source.elements
-
-    def apply_idx(self, i):
-        return self.mapping[i]
 
     def apply(self, label):
         return self.target.elements[self.mapping[self.source.index(label)]]

@@ -91,9 +91,6 @@ class FiniteQuantale:
         return self.elements[i]
 
     # index-level operations
-    def leq_idx(self, i, j):
-        return self.leq[i][j]
-
     def tensor(self, i, j):
         return self.tensor_table[i][j]
 
@@ -121,10 +118,6 @@ class FiniteQuantale:
             out = self.meet_table[out][i]
         return out
 
-    def way_below(self, i, j):
-        # finite lattices: every directed set attains its join
-        return self.leq[i][j]
-
     @property
     def is_linear(self):
         n = self.n
@@ -133,25 +126,6 @@ class FiniteQuantale:
     @property
     def is_frame(self):
         return self.tensor_table == self.meet_table
-
-    # label-level conveniences
-    def tensor_label(self, p, q):
-        return self.elements[self.tensor(self.index(p), self.index(q))]
-
-    def res_label(self, p, q):
-        return self.elements[self.residuate(self.index(p), self.index(q))]
-
-    def join_label(self, p, q):
-        return self.elements[self.join(self.index(p), self.index(q))]
-
-    def meet_label(self, p, q):
-        return self.elements[self.meet(self.index(p), self.index(q))]
-
-    def neg_label(self, p):
-        return self.elements[self.neg(self.index(p))]
-
-    def leq_label(self, p, q):
-        return self.leq[self.index(p)][self.index(q)]
 
 
 def build_finite_quantale(elements, leq, tensor, unit, catalog=None):
@@ -443,9 +417,6 @@ class IntervalQuantale:
     def neg(self, a):
         return self.residuate(a, 0.0)
 
-    def way_below(self, p, r):
-        return p <= self.tolerance or (r - p) > self.tolerance
-
 
 def interval_quantale(tnorm, pieces=None, tolerance=DEFAULT_TOLERANCE):
     """Build a unit-interval quantale from the t-norm catalog."""
@@ -498,21 +469,6 @@ def standard_quantale(name, **params):
             "ordinal_sum", pieces=params.get("pieces", ()),
             tolerance=params.get("tolerance", DEFAULT_TOLERANCE))
     raise ValueError(f"unknown catalog name {name!r}")
-
-
-def residuate(q, p, r):
-    """Residuation by label (finite) or by float (interval)."""
-    if isinstance(q, IntervalQuantale):
-        return q.residuate(float(p), float(r))
-    return q.elements[q.res_table[q.index(p)][q.index(r)]]
-
-
-def way_below(q, p, r):
-    """p way below r: on finite lattices this is p <= r; on the interval,
-    p = 0 or p strictly below r."""
-    if isinstance(q, IntervalQuantale):
-        return q.way_below(float(p), float(r))
-    return q.leq[q.index(p)][q.index(r)]
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
+    BudgetExceeded,
     DecompositionMismatch,
     GridTooCoarse,
     ShapeMismatch,
@@ -33,7 +34,7 @@ from .fuzzy import (
     suprema,
     transport,
 )
-from .ideals import _as_label_dict, _enumeration_guard, enumerate_ideals, ideal_class_tag
+from .ideals import _as_label_dict, enumerate_ideals, ideal_class_tag
 
 _MODE_ALIASES = {"topology": "topology", "top": "topology",
                  "cotopology": "cotopology", "cotop": "cotopology"}
@@ -120,18 +121,16 @@ class ScottStructure:
 
 def generate_scott_structure(A, mode, which=None, budget=None):
     """Filter every monotone fuzzy set by membership and compute the
-    axiom flags of the resulting family."""
+    axiom flags of the resulting family.  The filter and the axiom
+    checks each charge their work against the budget before they start
+    (see _member_values and check_structure_axioms)."""
     mode = _mode_tag(mode)
     tag = ideal_class_tag(which if which is not None else _default_class(mode))
     limit = DEFAULT_BUDGET if budget is None else budget
-    _enumeration_guard(A, limit)
-    ctx = _scott_context(A, tag, budget)
-    kind = "upper" if mode == "topology" else "lower"
     members = tuple(FuzzySet(A, vals)
-                    for vals in _monotone_value_tuples(A, kind, limit)
-                    if _member_violation(A, vals, mode, ctx) is None)
+                    for vals in _member_values(A, mode, tag, budget))
     S = ScottStructure(A, mode, tag, members, {}, False, False, False)
-    report = check_structure_axioms(S)
+    report = check_structure_axioms(S, limit)
     S.axioms = report["flags"]
     first, last = ("O4", "O5") if mode == "topology" else ("C4", "C5")
     S.stratified = S.axioms[first]
@@ -140,16 +139,23 @@ def generate_scott_structure(A, mode, which=None, budget=None):
     return S
 
 
-def check_structure_axioms(S):
+def check_structure_axioms(S, budget=None):
     """Axiom flags for a member family, each with a witness on failure.
 
     Topology: O1 constants, O2 pair meets, O3 joins (every pair and the
     whole member list), O4 tensoring by a constant, O5 residuating by a
     constant.  Cotopology: C1 constants, C2 pair joins, C3 meets (pair
-    and whole list), C4 residuating, C5 tensoring.
+    and whole list), C4 residuating, C5 tensoring.  The work is charged
+    against the budget before any check runs: the m(m+1)/2 member pairs
+    twice (O2 and O3, or C2 and C3) and the |Q| * m scalings twice (O4
+    and O5, or C4 and C5).
     """
     A, q = S.base, S.base.quantale
     vecs = [p.values for p in S.members]
+    limit = DEFAULT_BUDGET if budget is None else budget
+    count = len(vecs) * (len(vecs) + 1) + 2 * q.n * len(vecs)
+    if count > limit:
+        raise BudgetExceeded(count, limit, what="pairs checked")
     have = set(vecs)
     flags, wits = {}, {}
 
@@ -215,22 +221,30 @@ def check_structure_axioms(S):
     return {"flags": flags, "witnesses": wits}
 
 
+def _member_values(B, mode, tag, budget):
+    """Value tuples of the members of B's open (closed) family, in
+    enumeration order.  Each upper (lower) set is checked against every
+    ideal of the context; those (set, ideal) pairs are charged against
+    the budget before any is checked."""
+    limit = DEFAULT_BUDGET if budget is None else budget
+    ctx = _scott_context(B, tag, budget)
+    sets = _monotone_value_tuples(B, "upper" if mode == "topology" else "lower",
+                                  limit)
+    pairs = len(sets) * len(ctx)
+    if pairs > limit:
+        raise BudgetExceeded(pairs, limit, what="pairs checked")
+    return tuple(vals for vals in sets
+                 if _member_violation(B, vals, mode, ctx) is None)
+
+
 @lru_cache(maxsize=None)
 def _closed_family(B, tag, budget):
-    limit = DEFAULT_BUDGET if budget is None else budget
-    _enumeration_guard(B, limit)
-    ctx = _scott_context(B, tag, budget)
-    return tuple(vals for vals in _monotone_value_tuples(B, "lower", limit)
-                 if _member_violation(B, vals, "cotopology", ctx) is None)
+    return _member_values(B, "cotopology", tag, budget)
 
 
 @lru_cache(maxsize=None)
 def _open_family(B, tag, budget):
-    limit = DEFAULT_BUDGET if budget is None else budget
-    _enumeration_guard(B, limit)
-    ctx = _scott_context(B, tag, budget)
-    return tuple(vals for vals in _monotone_value_tuples(B, "upper", limit)
-                 if _member_violation(B, vals, "topology", ctx) is None)
+    return _member_values(B, "topology", tag, budget)
 
 
 def cocontinuity_equivalence(f, which="irreducible", budget=None):

@@ -106,6 +106,17 @@ def test_scott(capsys):
     assert report["count"] == len(report["members"])
 
 
+def test_scott_lukasiewicz8(capsys):
+    dl8 = '{"base": {"kind": "chain", "tnorm": "lukasiewicz", "n": 8}, "name": "dL"}'
+    code, report, _ = run(capsys, "scott", dl8, "--mode", "top")
+    assert code == 0 and report["count"] == 576
+    # the axiom checks on 576 members: 576 * 577 pairs for meets and
+    # joins, 2 * 8 * 576 scalings by the 8 quantale values
+    code, _, err = run(capsys, "--budget", "100000", "scott", dl8, "--mode", "top",
+                       "--class", "fc")
+    assert code == 2 and "341568 pairs checked" in err
+
+
 def test_check_pass_and_report_file(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, report, _ = run(capsys, "check", "BOOLEAN4_COUNTEREXAMPLE")

@@ -1,6 +1,7 @@
 """The threshold deciders for flat and irreducible ideals against the
 pair scans they replaced and the meet shortcut for frames, with every
-failure witness replayed from the definitions."""
+failure witness replayed from the definitions; the bitset kernel against
+the per-set fold it replaced, break for break."""
 
 import itertools
 import random
@@ -8,8 +9,21 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qideal.fuzzy import DEFAULT_BUDGET, _monotone_value_tuples, fuzzy_set
-from qideal.ideals import classify_ideal, enumerate_ideals, is_flat, is_irreducible
+from qideal import fuzzy
+from qideal.fuzzy import (
+    DEFAULT_BUDGET,
+    _monotone_value_tuples,
+    enumerate_monotone_sets,
+    fuzzy_set,
+    yoneda,
+)
+from qideal.ideals import (
+    _threshold_break,
+    classify_ideal,
+    enumerate_ideals,
+    is_flat,
+    is_irreducible,
+)
 from qideal.qorder import build_qorder, random_qorder, standard_qorder
 from qideal.quantale import boolean4, godel_chain, lukasiewicz_chain
 from test_enumeration import RANDOM_BASES
@@ -76,6 +90,36 @@ def meet_shortcut(phi):
         for x in range(A.n) for y in range(A.n))
 
 
+def fold_oracle(phi, kind):
+    """The scan the bitset kernel replaced: the degree of every set, one
+    test per threshold, and on failure the left-to-right fold of the
+    threshold's sets up to its first break (acc, psi, d(acc . psi),
+    d(acc) . d(psi))."""
+    q = phi.base.quantale
+    sets = _monotone_value_tuples(phi.base, kind, DEFAULT_BUDGET)
+    if kind == "lower":
+        degree, fold, fold_all, within = sub, q.join_table, q.join_all, q.leq
+    else:
+        degree, fold, fold_all = tensor, q.meet_table, q.meet_all
+        within = tuple(zip(*q.leq))
+
+    def d(vec):
+        return degree(q, phi.values, vec)
+
+    degs = [d(v) for v in sets]
+    for u in range(q.n):
+        inside = [v for v, w in zip(sets, degs) if within[w][u]]
+        if not inside or within[d(tuple(map(fold_all, zip(*inside))))][u]:
+            continue
+        acc = inside[0]
+        for v in inside[1:]:
+            out = pointwise(fold, acc, v)
+            if not within[d(out)][u]:
+                return acc, v, d(out), fold[d(acc)][d(v)]
+            acc = out
+    return None
+
+
 def replay_flat(phi, w):
     A, q = phi.base, phi.base.quantale
     v1, v2 = fuzzy_set(A, w["psi1"]).values, fuzzy_set(A, w["psi2"]).values
@@ -111,6 +155,10 @@ def assert_matches_oracles(A):
             replay_flat(phi, wf)
         if not irr and inhabited(phi):
             replay_irreducible(phi, wi)
+        if inhabited(phi):
+            for kind in ("lower", "upper"):
+                assert (_threshold_break(phi, kind, DEFAULT_BUDGET)
+                        == fold_oracle(phi, kind)), (A.catalog, phi.values, kind)
         rep = classify_ideal(phi)
         assert (rep.flat, rep.irreducible) == (flat, irr)
         assert (rep.witnesses.get("flat"), rep.witnesses.get("irreducible")) == (wf, wi)
@@ -141,6 +189,32 @@ def test_threshold_equals_both_oracles_on_dL_over_godel4():
 @given(st.sampled_from(RANDOM_BASES), st.integers(3, 4), st.integers(0, 2 ** 32))
 def test_random_orders(q, n, seed):
     assert_matches_oracles(random_qorder(q, n, random.Random(seed)))
+
+
+def test_lukasiewicz10_classes_are_the_principal_ideals():
+    A = standard_qorder(lukasiewicz_chain(10), "dL")
+    principal = {yoneda(A, a).values for a in A.elements}
+    for cls in ("irr", "flat"):
+        found = enumerate_ideals(A, cls, budget=8_000_000)
+        assert {p.values for p in found} == principal and len(found) == 10
+
+
+def test_the_index_is_built_by_the_first_decider_call(monkeypatch):
+    monkeypatch.setattr(fuzzy, "_WALKS", {})
+    A = standard_qorder(lukasiewicz_chain(4), "dR")
+    lowers = enumerate_monotone_sets(A, "lower")
+    enumerate_monotone_sets(A, "upper")
+    walks = {kind: fuzzy._WALKS[A, kind] for kind in ("lower", "upper")}
+    assert all(w.columns is None and w.folds is None for w in walks.values())
+    phi = lowers[-1]
+    is_irreducible(phi)
+    assert walks["lower"].columns is not None and walks["upper"].columns is None
+    is_flat(phi)
+    columns = walks["upper"].columns
+    assert columns is not None and len(columns) == A.n
+    is_flat(lowers[-2])
+    assert walks["upper"].columns is columns
+    assert fuzzy._WALKS == {(A, kind): walks[kind] for kind in walks}
 
 
 def test_precondition_is_one_reason_under_every_key():

@@ -228,6 +228,20 @@ def test_kan_transport_identity():
     assert kan_transport_identity(identity_qmap(DL3)) is None
 
 
+def test_identity_checks_charge_pairs_not_candidates():
+    # 2^23 candidate vectors, but a crisp chain has only 24 lower sets
+    n = 23
+    chain = crisp_qorder(godel_chain(2), tuple(f"p{i}" for i in range(n)),
+                         [[i <= j for j in range(n)] for i in range(n)])
+    assert intersection_inclusion_identities(chain) is None
+    assert kan_transport_identity(identity_qmap(chain)) is None
+    # 24 lower sets times 48 lower and upper sets times 2 values
+    with pytest.raises(BudgetExceeded, match="2304 pairs checked"):
+        intersection_inclusion_identities(chain, budget=2303)
+    with pytest.raises(BudgetExceeded, match="576 pairs checked"):
+        kan_transport_identity(identity_qmap(chain), budget=575)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2 ** 32))
 def test_yoneda_images_are_lower_and_inhabited(seed):

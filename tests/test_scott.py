@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qideal.errors import (
+    BudgetExceeded,
     DecompositionMismatch,
     GridTooCoarse,
     ShapeMismatch,
@@ -102,6 +103,21 @@ def test_classical_coincidence_on_a_crisp_chain():
     los = {tuple(unit if i < k else bot for i in range(3)) for k in range(4)}
     assert opens == ups
     assert closeds == los
+
+
+def test_families_charge_the_pairs_they_check():
+    # a 6-point crisp antichain over the 2-chain: 64 upper sets, each
+    # checked against 6 principal ideals, while the walk tries 126 values
+    A = crisp_qorder(godel_chain(2), tuple(f"p{i}" for i in range(6)),
+                     [[i == j for j in range(6)] for i in range(6)])
+    with pytest.raises(BudgetExceeded, match="384 pairs checked"):
+        generate_scott_structure(A, "topology", "fc", budget=383)
+    S = generate_scott_structure(A, "topology", "fc")
+    m = len(S.members)
+    count = m * (m + 1) + 2 * 2 * m
+    with pytest.raises(BudgetExceeded, match=f"{count} pairs checked"):
+        check_structure_axioms(S, budget=count - 1)
+    assert check_structure_axioms(S, budget=count)["flags"] == S.axioms
 
 
 @pytest.mark.parametrize("q", [boolean4(), nilpotent_minimum_chain(4)])

@@ -29,6 +29,14 @@ def test_every_suite_passes(name):
     assert res.instances
 
 
+def test_godel_witness_is_the_first_break_of_the_fold():
+    w = run_suite("GODEL_FLAT_NOT_IRR").to_json()["details"]["irreducible_witness"]
+    assert w == {
+        "phi1": {"0": "3/4", "1/4": "1/2", "1/2": "1/2", "3/4": "1/2", "1": "1/2"},
+        "phi2": {"0": "3/4", "1/4": "3/4", "1/2": "1/4", "3/4": "1/4", "1": "1/4"},
+        "sub_of_join": "3/4", "join_of_subs": "1/2"}
+
+
 def test_results_are_deterministic():
     a = run_suite("FC_SUBSET_IRR", seed=7).to_json()
     b = run_suite("FC_SUBSET_IRR", seed=7).to_json()
