@@ -18,7 +18,7 @@ from .errors import (
     NotUpper,
     ShapeMismatch,
 )
-from .qorder import QDistributor, QOrderedSet, point_qorder
+from .qorder import QOrderedSet
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -147,18 +147,6 @@ def tensor_degree(phi, psi):
     return A.quantale.elements[_tensor_idx(A, phi.values, psi.values)]
 
 
-def lower_as_distributor(phi):
-    """A lower set as a distributor into the one-point order."""
-    pt = point_qorder(phi.base.quantale)
-    return QDistributor(phi.base, pt, tuple((v,) for v in phi.values))
-
-
-def upper_as_distributor(psi):
-    """An upper set as a distributor out of the one-point order."""
-    pt = point_qorder(psi.base.quantale)
-    return QDistributor(pt, psi.base, (tuple(psi.values),))
-
-
 def transport(f, phi, direction="forward"):
     """Image of a fuzzy set along a map.
 
@@ -183,45 +171,6 @@ def transport(f, phi, direction="forward"):
     raise ValueError(f"unknown transport direction {direction!r}")
 
 
-def tensor_pointwise(p, phi):
-    q = phi.base.quantale
-    i = q.index(p)
-    return FuzzySet(phi.base, tuple(q.tensor_table[i][v] for v in phi.values))
-
-
-def residuate_pointwise(p, phi):
-    """x -> (p -> phi(x))."""
-    q = phi.base.quantale
-    i = q.index(p)
-    return FuzzySet(phi.base, tuple(q.res_table[i][v] for v in phi.values))
-
-
-def residuate_into(phi, p):
-    """x -> (phi(x) -> p)."""
-    q = phi.base.quantale
-    i = q.index(p)
-    return FuzzySet(phi.base, tuple(q.res_table[v][i] for v in phi.values))
-
-
-def join_pointwise(phi1, phi2):
-    _same_base(phi1, phi2)
-    q = phi1.base.quantale
-    return FuzzySet(phi1.base, tuple(q.join_table[a][b]
-                                     for a, b in zip(phi1.values, phi2.values)))
-
-
-def meet_pointwise(phi1, phi2):
-    _same_base(phi1, phi2)
-    q = phi1.base.quantale
-    return FuzzySet(phi1.base, tuple(q.meet_table[a][b]
-                                     for a, b in zip(phi1.values, phi2.values)))
-
-
-def neg_pointwise(phi):
-    q = phi.base.quantale
-    return FuzzySet(phi.base, tuple(q.neg_vector[v] for v in phi.values))
-
-
 def suprema(phi):
     """All carrier elements a with A(a, x) = sub(phi, y(x)) for every x.
 
@@ -241,8 +190,28 @@ def suprema(phi):
     return tuple(A.elements[a] for a in range(A.n) if A.hom[a] == target)
 
 
+# base -> {key: value}: what is derived from a base, kept for the life
+# of the process.  The walks sit under "lower" and "upper", the Scott
+# contexts under ("scott", tag, budget), the censuses under ("census",
+# budget).  Entries that depend on a budget keep it in their key; the
+# walks replay theirs (see _cached_walk).
+_MEMO = {}
+
+
+def _memoized(A, key, build):
+    """The value kept for A under key, made by build() on the first
+    call.  A build that raises keeps nothing.  The build may memoize
+    other keys of A, so A's entry is looked up again after it."""
+    entries = _MEMO.get(A)
+    if entries is None or key not in entries:
+        value = build()
+        _MEMO.setdefault(A, {})[key] = value
+        return value
+    return entries[key]
+
+
 class _Walk:
-    """The cached enumeration of one (base, kind): the value tuples and
+    """The memoized enumeration of one (base, kind): the value tuples and
     the candidate values the walk tried.  The first flat or irreducible
     decider call on the base adds the column masks over the sets, the
     position of every set, and an empty memo of folds by mask (see
@@ -253,10 +222,6 @@ class _Walk:
     def __init__(self, tuples, tried):
         self.tuples, self.tried = tuples, tried
         self.columns = self.positions = self.folds = None
-
-
-# (base, kind) -> _Walk
-_WALKS = {}
 
 
 def _walk(A, kind, budget):
@@ -308,17 +273,14 @@ def _walk(A, kind, budget):
 
 
 def _cached_walk(A, kind, budget):
-    """The walk of A's lower (or upper) sets, cached per base together
+    """The walk of A's lower (or upper) sets, memoized per base together
     with the number of candidate values it tried.  The budget is checked
     against that number on every call, so the verdict does not depend on
-    what is cached."""
-    key = (A, kind)
-    hit = _WALKS.get(key)
-    if hit is None:
-        hit = _WALKS[key] = _Walk(*_walk(A, kind, budget))
-    if hit.tried > budget:
-        raise BudgetExceeded(hit.tried, budget, what="candidate values tried")
-    return hit
+    what is memoized."""
+    walk = _memoized(A, kind, lambda: _Walk(*_walk(A, kind, budget)))
+    if walk.tried > budget:
+        raise BudgetExceeded(walk.tried, budget, what="candidate values tried")
+    return walk
 
 
 def _monotone_value_tuples(A, kind, budget):

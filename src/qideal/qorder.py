@@ -232,9 +232,6 @@ class QMap:
     target: QOrderedSet
     mapping: tuple   # target indices aligned with source.elements
 
-    def apply(self, label):
-        return self.target.elements[self.mapping[self.source.index(label)]]
-
     def order_violation(self):
         """First pair with A(x1,x2) not below B(f x1, f x2), or None."""
         A, B, q = self.source, self.target, self.source.quantale
@@ -308,68 +305,6 @@ def check_map_and_adjunction(f, g=None):
                 out["adjoint_witness"] = (A.elements[i], B.elements[j])
                 return out
     return out
-
-
-@dataclass(frozen=True)
-class QDistributor:
-    """Hom-compatible matrix between two Q-ordered sets: lower in the
-    source argument, upper in the target argument."""
-
-    source: QOrderedSet
-    target: QOrderedSet
-    matrix: tuple   # matrix[i][j]: quantale index, i over source, j over target
-
-
-def _distributor_violation(q, A, B, m):
-    for a2 in range(A.n):
-        for a in range(A.n):
-            for b in range(B.n):
-                v = q.tensor(m[a][b], A.hom[a2][a])
-                for b2 in range(B.n):
-                    if not q.leq[q.tensor(B.hom[b][b2], v)][m[a2][b2]]:
-                        return (a2, a, b, b2)
-    return None
-
-
-def build_qdistributor(source, target, matrix, check=True):
-    """matrix entries are quantale labels, rows over the source carrier."""
-    if source.quantale != target.quantale:
-        raise QuantaleMismatch("distributor endpoints live over different quantales")
-    q = source.quantale
-    if len(matrix) != source.n or any(len(r) != target.n for r in matrix):
-        raise ShapeMismatch("distributor matrix shape mismatch")
-    m = tuple(tuple(q.index(v) for v in row) for row in matrix)
-    if check:
-        bad = _distributor_violation(q, source, target, m)
-        if bad is not None:
-            a2, a, b, b2 = bad
-            raise ValidationError(
-                "distributor is not hom-compatible",
-                witness=(source.elements[a2], source.elements[a],
-                         target.elements[b], target.elements[b2]))
-    return QDistributor(source, target, m)
-
-
-def hom_distributor(A):
-    return QDistributor(A, A, A.hom)
-
-
-def compose_distributors(psi, phi):
-    """(psi after phi)(a, c) = join over b of psi(b, c) & phi(a, b)."""
-    if phi.source.quantale != psi.source.quantale:
-        raise QuantaleMismatch("distributors live over different quantales")
-    if phi.target != psi.source:
-        raise ShapeMismatch("distributors do not share the middle object")
-    q = phi.source.quantale
-    A, B, C = phi.source, phi.target, psi.target
-    m = tuple(
-        tuple(q.join_all(q.tensor(psi.matrix[b][c], phi.matrix[a][b])
-                         for b in range(B.n))
-              for c in range(C.n))
-        for a in range(A.n))
-    if _distributor_violation(q, A, C, m) is not None:
-        raise RuntimeError("internal: composite distributor lost hom-compatibility")
-    return QDistributor(A, C, m)
 
 
 @dataclass(frozen=True)

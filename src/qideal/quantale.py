@@ -355,9 +355,6 @@ class IntervalQuantale:
     top = 1.0
     bottom = 0.0
 
-    def close(self, a, b):
-        return abs(a - b) <= self.tolerance
-
     def leq(self, a, b):
         return a <= b + self.tolerance
 

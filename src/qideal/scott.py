@@ -14,7 +14,6 @@ they report what held on the sample, never a proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (
     BudgetExceeded,
@@ -27,6 +26,7 @@ from .fuzzy import (
     DEFAULT_BUDGET,
     FuzzySet,
     _lower_violation,
+    _memoized,
     _monotone_value_tuples,
     _sub_idx,
     _tensor_idx,
@@ -51,16 +51,18 @@ def _default_class(mode):
     return "flat" if mode == "topology" else "irreducible"
 
 
-@lru_cache(maxsize=None)
 def _scott_context(A, tag, budget):
     """Class ideals of A paired with all their suprema (as indices);
-    ideals without a supremum impose no condition and are dropped."""
-    out = []
-    for p in enumerate_ideals(A, tag, budget=budget):
-        sups = suprema(p)
-        if sups:
-            out.append((p.values, tuple(A.index(s) for s in sups)))
-    return tuple(out)
+    ideals without a supremum impose no condition and are dropped.
+    Memoized per base."""
+    def build():
+        out = []
+        for p in enumerate_ideals(A, tag, budget=budget):
+            sups = suprema(p)
+            if sups:
+                out.append((p.values, tuple(A.index(s) for s in sups)))
+        return tuple(out)
+    return _memoized(A, ("scott", tag, budget), build)
 
 
 def _member_violation(A, vals, mode, ctx):
@@ -237,16 +239,6 @@ def _member_values(B, mode, tag, budget):
                  if _member_violation(B, vals, mode, ctx) is None)
 
 
-@lru_cache(maxsize=None)
-def _closed_family(B, tag, budget):
-    return _member_values(B, "cotopology", tag, budget)
-
-
-@lru_cache(maxsize=None)
-def _open_family(B, tag, budget):
-    return _member_values(B, "topology", tag, budget)
-
-
 def cocontinuity_equivalence(f, which="irreducible", budget=None):
     """Two routes to the same judgment about a map, compared.
 
@@ -282,7 +274,7 @@ def cocontinuity_equivalence(f, which="irreducible", budget=None):
                 break
     closed_preimage = True
     ctxA = _scott_context(A, tag, budget)
-    for lvals in _closed_family(B, tag, budget):
+    for lvals in _member_values(B, "cotopology", tag, budget):
         pulled = tuple(lvals[j] for j in f.mapping)
         v = _member_violation(A, pulled, "cotopology", ctxA)
         if v is not None:
@@ -302,7 +294,7 @@ def check_open_preimages(f, which="flat", budget=None):
     A, B = f.source, f.target
     tag = ideal_class_tag(which)
     ctxA = _scott_context(A, tag, budget)
-    for uvals in _open_family(B, tag, budget):
+    for uvals in _member_values(B, "topology", tag, budget):
         pulled = tuple(uvals[j] for j in f.mapping)
         v = _member_violation(A, pulled, "topology", ctxA)
         if v is not None:

@@ -15,11 +15,11 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
 
 from .completion import check_completeness_continuity, check_saturation, ideal_space
-from .errors import BudgetExceeded, DecompositionMismatch, UnknownSuite
-from .fuzzy import FuzzySet, fuzzy_set, classify_sampled, transport
+from .errors import BudgetExceeded, DecompositionMismatch, GridTooCoarse, UnknownSuite
+from .fuzzy import FuzzySet, _memoized, classify_sampled, fuzzy_set, transport
 from .ideals import (
     approach_terms,
     classify_ideal,
@@ -95,7 +95,6 @@ def _trio():
             (godel_chain(4), "godel-4"))
 
 
-@lru_cache(maxsize=None)
 def _exhaustive_battery():
     out = []
     for q, qd in _trio():
@@ -105,7 +104,6 @@ def _exhaustive_battery():
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _seeded_battery(seed, count=50):
     rng = random.Random(seed)
     qs = _trio()
@@ -121,13 +119,13 @@ def _full_battery(seed):
     return _exhaustive_battery() + _seeded_battery(seed)
 
 
-@lru_cache(maxsize=None)
 def _census(A, budget):
-    return tuple((phi, classify_ideal(phi, budget=budget))
-                 for phi in enumerate_ideals(A, "lower", budget=budget))
+    """Every lower set of A with its ideal report, memoized per base."""
+    return _memoized(A, ("census", budget), lambda: tuple(
+        (phi, classify_ideal(phi, budget=budget))
+        for phi in enumerate_ideals(A, "lower", budget=budget)))
 
 
-@lru_cache(maxsize=None)
 def _saturation_battery():
     out = []
     for q, qd in ((lukasiewicz_chain(2), "lukasiewicz-2"),
@@ -138,7 +136,6 @@ def _saturation_battery():
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _crisp_posets(max_points):
     """Every labeled partial order on 1..max_points points, as leq
     matrices."""
@@ -179,11 +176,11 @@ def _ideal_witness(desc, phi, rep, reason):
             "witnesses": rep.witnesses}
 
 
-def _inclusion_suite(name, keep_base, offend, reason, seed, budget):
+def _inclusion_suite(keep_base, offend, reason, params, seed, budget, tolerance):
     instances, witnesses = [], []
     ideals = 0
     for desc, A in _full_battery(seed):
-        if not keep_base(quantale_properties(A.quantale), A.quantale):
+        if not keep_base(A.quantale):
             continue
         instances.append(desc)
         for phi, rep in _census(A, budget):
@@ -194,42 +191,27 @@ def _inclusion_suite(name, keep_base, offend, reason, seed, budget):
     return instances, verdict, witnesses, {"ideals_checked": ideals, "seed": seed}
 
 
-def _suite_fc_subset_irr(params, seed, budget, tolerance):
-    return _inclusion_suite(
-        "FC_SUBSET_IRR", lambda props, q: True,
-        lambda r: r.forward_cauchy and not r.irreducible,
-        "forward Cauchy ideal that is not irreducible", seed, budget)
-
-
-def _suite_fc_subset_flat(params, seed, budget, tolerance):
-    return _inclusion_suite(
-        "FC_SUBSET_FLAT", lambda props, q: True,
-        lambda r: r.forward_cauchy and not r.flat,
-        "forward Cauchy ideal that is not flat", seed, budget)
-
-
-def _suite_irr_subset_flat_prelinear(params, seed, budget, tolerance):
-    return _inclusion_suite(
-        "IRR_SUBSET_FLAT_PRELINEAR", lambda props, q: props.is_prelinear,
+# name -> (the quantales whose bases it covers, the ideal reports that
+# break its claim, the reason a breaking ideal is reported with)
+_INCLUSION_SUITES = {
+    "FC_SUBSET_IRR": (
+        lambda q: True, lambda r: r.forward_cauchy and not r.irreducible,
+        "forward Cauchy ideal that is not irreducible"),
+    "FC_SUBSET_FLAT": (
+        lambda q: True, lambda r: r.forward_cauchy and not r.flat,
+        "forward Cauchy ideal that is not flat"),
+    "IRR_SUBSET_FLAT_PRELINEAR": (
+        lambda q: quantale_properties(q).is_prelinear,
         lambda r: r.irreducible and not r.flat,
-        "irreducible ideal that is not flat on a prelinear instance",
-        seed, budget)
-
-
-def _suite_flat_eq_irr_doubleneg(params, seed, budget, tolerance):
-    return _inclusion_suite(
-        "FLAT_EQ_IRR_DOUBLENEG", lambda props, q: props.has_double_negation,
+        "irreducible ideal that is not flat on a prelinear instance"),
+    "FLAT_EQ_IRR_DOUBLENEG": (
+        lambda q: quantale_properties(q).has_double_negation,
         lambda r: r.flat != r.irreducible,
-        "flat and irreducible disagree under double negation",
-        seed, budget)
-
-
-def _suite_linear_irr_eq_fc(params, seed, budget, tolerance):
-    return _inclusion_suite(
-        "LINEAR_IRR_EQ_FC", lambda props, q: q.is_linear,
-        lambda r: r.irreducible != r.forward_cauchy,
-        "irreducible and forward Cauchy disagree on a linear quantale",
-        seed, budget)
+        "flat and irreducible disagree under double negation"),
+    "LINEAR_IRR_EQ_FC": (
+        lambda q: q.is_linear, lambda r: r.irreducible != r.forward_cauchy,
+        "irreducible and forward Cauchy disagree on a linear quantale"),
+}
 
 
 def _suite_boolean4_counterexample(params, seed, budget, tolerance):
@@ -340,7 +322,7 @@ def _suite_cor312_families(params, seed, budget, tolerance):
                                            "grid": grid, "tolerance": tol}
 
 
-def _saturation_suite(name, tag, budget):
+def _saturation_suite(tag, params, seed, budget, tolerance):
     instances, witnesses = [], []
     weights = 0
     for desc, A in _saturation_battery():
@@ -351,18 +333,6 @@ def _saturation_suite(name, tag, budget):
             witnesses.append({"instance": desc, "violations": rep["violations"]})
     verdict = "pass" if not witnesses else "fail"
     return instances, verdict, witnesses, {"weights_checked": weights}
-
-
-def _suite_saturation_fc(params, seed, budget, tolerance):
-    return _saturation_suite("SATURATION_FC", "fc", budget)
-
-
-def _suite_saturation_flat(params, seed, budget, tolerance):
-    return _saturation_suite("SATURATION_FLAT", "flat", budget)
-
-
-def _suite_saturation_irr(params, seed, budget, tolerance):
-    return _saturation_suite("SATURATION_IRR", "irr", budget)
 
 
 def _suite_thm42_free(params, seed, budget, tolerance):
@@ -628,17 +598,13 @@ def _suite_classical_degeneration(params, seed, budget, tolerance):
 
 
 _REGISTRY = {
-    "FC_SUBSET_IRR": _suite_fc_subset_irr,
-    "FC_SUBSET_FLAT": _suite_fc_subset_flat,
-    "IRR_SUBSET_FLAT_PRELINEAR": _suite_irr_subset_flat_prelinear,
-    "FLAT_EQ_IRR_DOUBLENEG": _suite_flat_eq_irr_doubleneg,
-    "LINEAR_IRR_EQ_FC": _suite_linear_irr_eq_fc,
+    **{name: partial(_inclusion_suite, *row)
+       for name, row in _INCLUSION_SUITES.items()},
     "BOOLEAN4_COUNTEREXAMPLE": _suite_boolean4_counterexample,
     "GODEL_FLAT_NOT_IRR": _suite_godel_flat_not_irr,
     "COR312_FAMILIES": _suite_cor312_families,
-    "SATURATION_FC": _suite_saturation_fc,
-    "SATURATION_FLAT": _suite_saturation_flat,
-    "SATURATION_IRR": _suite_saturation_irr,
+    **{f"SATURATION_{tag.upper()}": partial(_saturation_suite, tag)
+       for tag in ("fc", "flat", "irr")},
     "THM42_FREE": _suite_thm42_free,
     "SCOTT_AXIOMS": _suite_scott_axioms,
     "PROP57_EQUIV": _suite_prop57_equiv,
@@ -656,7 +622,7 @@ def run_suite(name, seed=None, budget=None, tolerance=None, **params):
     """Execute one named suite and return its SuiteResult.  Verdicts:
     pass, fail (claim violated, witnesses attached), finding (claim
     holds but an asserted side condition failed), budget (enumeration
-    gave up)."""
+    gave up, or a grid parameter was too coarse to sample)."""
     key = str(name).upper().replace("-", "_")
     if key not in _REGISTRY:
         raise UnknownSuite(name, suite_names())
@@ -665,7 +631,7 @@ def run_suite(name, seed=None, budget=None, tolerance=None, **params):
     try:
         instances, verdict, witnesses, details = _REGISTRY[key](
             params, seed, budget, tolerance)
-    except BudgetExceeded as e:
+    except (BudgetExceeded, GridTooCoarse) as e:
         return SuiteResult(key, [], "budget", [{"budget": str(e)}],
                            time.perf_counter() - start, {"seed": seed})
     return SuiteResult(key, instances, verdict, witnesses,

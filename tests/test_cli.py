@@ -138,6 +138,15 @@ def test_check_budget_and_unknown(capsys):
     assert "NO_SUCH_SUITE" in err
 
 
+def test_check_coarse_grid_reports_a_budget_verdict(capsys):
+    code, report, err = run(capsys, "check", "EX58_CHARACTERIZATION",
+                            "--param", "grid=5")
+    assert code == 2
+    assert report["verdict"] == "budget"
+    assert "at least 17 required" in report["witnesses"][0]["budget"]
+    assert "BUDGET" in err
+
+
 def test_budget_zero_is_not_the_default(capsys):
     code, _, err = run(capsys, "--budget", "0", "enumerate", DL3,
                        "--class", "irr")

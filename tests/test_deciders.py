@@ -200,11 +200,11 @@ def test_lukasiewicz10_classes_are_the_principal_ideals():
 
 
 def test_the_index_is_built_by_the_first_decider_call(monkeypatch):
-    monkeypatch.setattr(fuzzy, "_WALKS", {})
+    monkeypatch.setattr(fuzzy, "_MEMO", {})
     A = standard_qorder(lukasiewicz_chain(4), "dR")
     lowers = enumerate_monotone_sets(A, "lower")
     enumerate_monotone_sets(A, "upper")
-    walks = {kind: fuzzy._WALKS[A, kind] for kind in ("lower", "upper")}
+    walks = {kind: fuzzy._MEMO[A][kind] for kind in ("lower", "upper")}
     assert all(w.columns is None and w.folds is None for w in walks.values())
     phi = lowers[-1]
     is_irreducible(phi)
@@ -214,7 +214,7 @@ def test_the_index_is_built_by_the_first_decider_call(monkeypatch):
     assert columns is not None and len(columns) == A.n
     is_flat(lowers[-2])
     assert walks["upper"].columns is columns
-    assert fuzzy._WALKS == {(A, kind): walks[kind] for kind in walks}
+    assert fuzzy._MEMO == {A: walks}
 
 
 def test_precondition_is_one_reason_under_every_key():

@@ -86,11 +86,11 @@ def test_random_orders(q, n, seed):
 
 def test_budget_verdict_does_not_depend_on_the_cache(monkeypatch):
     A = two_chain(L3)
-    monkeypatch.setattr(fuzzy, "_WALKS", {})
+    monkeypatch.setattr(fuzzy, "_MEMO", {})
     assert len(enumerate_monotone_sets(A, "lower")) == 6
     with pytest.raises(BudgetExceeded):
         enumerate_monotone_sets(A, "lower", budget=3)
-    monkeypatch.setattr(fuzzy, "_WALKS", {})
+    monkeypatch.setattr(fuzzy, "_MEMO", {})
     with pytest.raises(BudgetExceeded):
         enumerate_monotone_sets(A, "lower", budget=3)
     assert len(enumerate_monotone_sets(A, "lower")) == 6

@@ -20,23 +20,14 @@ from qideal.fuzzy import (
     enumerate_monotone_sets,
     fuzzy_set,
     intersection_inclusion_identities,
-    join_pointwise,
     kan_transport_identity,
-    lower_as_distributor,
-    meet_pointwise,
-    neg_pointwise,
-    residuate_into,
-    residuate_pointwise,
     sub_degree,
     suprema,
     tensor_degree,
-    tensor_pointwise,
     transport,
-    upper_as_distributor,
     yoneda,
 )
 from qideal.qorder import (
-    build_qdistributor,
     build_qmap,
     crisp_qorder,
     identity_qmap,
@@ -153,18 +144,6 @@ def test_transport_collapses_along_a_map():
         transport(f, phi, "sideways")
 
 
-def test_pointwise_operations():
-    A = two_chain(L3)
-    phi = fuzzy_set(A, {"a": 1, "b": HALF})
-    assert tensor_pointwise(HALF, phi).as_dict() == {"a": HALF, "b": Fraction(0)}
-    assert residuate_pointwise(HALF, phi).as_dict() == {"a": Fraction(1), "b": Fraction(1)}
-    assert residuate_into(phi, HALF).as_dict() == {"a": HALF, "b": Fraction(1)}
-    psi = fuzzy_set(A, {"a": 0, "b": 1})
-    assert join_pointwise(phi, psi).as_dict() == {"a": Fraction(1), "b": Fraction(1)}
-    assert meet_pointwise(phi, psi).as_dict() == {"a": Fraction(0), "b": HALF}
-    assert neg_pointwise(neg_pointwise(phi)).values == phi.values
-
-
 def test_suprema():
     # principal lower sets recover their generator
     for a in DL3.elements:
@@ -188,19 +167,6 @@ def test_enumerate_monotone_sets():
         enumerate_monotone_sets(A, "sideways")
     with pytest.raises(BudgetExceeded):
         enumerate_monotone_sets(A, "lower", budget=3)
-
-
-def test_fuzzy_sets_as_distributors():
-    A = two_chain(L3)
-    phi = fuzzy_set(A, {"a": 1, "b": HALF})
-    psi = fuzzy_set(A, {"a": 0, "b": HALF})
-    lab = L3.elements.__getitem__
-    d = lower_as_distributor(phi)
-    assert d.matrix == ((L3.index(Fraction(1)),), (L3.index(HALF),))
-    # both embeddings are hom-compatible matrices
-    build_qdistributor(A, d.target, [[lab(v) for v in row] for row in d.matrix])
-    u = upper_as_distributor(psi)
-    build_qdistributor(u.source, A, [[lab(v) for v in row] for row in u.matrix])
 
 
 def test_classify_sampled_on_the_interval():

@@ -1,0 +1,102 @@
+"""The per-base memo in fuzzy: what it keeps is reused, and no verdict,
+budget refusal or report depends on whether it is warm or empty."""
+
+import pytest
+
+from qideal import fuzzy, ideals
+from qideal.errors import BudgetExceeded
+from qideal.fuzzy import _inhabited, enumerate_monotone_sets
+from qideal.ideals import enumerate_ideals
+from qideal.qorder import standard_qorder
+from qideal.quantale import lukasiewicz_chain
+from qideal.scott import generate_scott_structure, is_scott_member
+from qideal.suites import run_suite
+
+DL4 = standard_qorder(lukasiewicz_chain(4), "dL")
+
+
+def outcomes(call, budgets):
+    """What call(budget) gives for each budget, a refusal as the budget
+    verdict with what it refused on."""
+    out = []
+    for budget in budgets:
+        try:
+            out.append(call(budget))
+        except BudgetExceeded as e:
+            out.append(("budget", e.what))
+    return out
+
+
+def cold_and_warm(monkeypatch, call, budgets):
+    """The outcomes with the memo emptied before each call, and with it
+    warmed once at the default budget and then kept."""
+    cold = []
+    for budget in budgets:
+        monkeypatch.setattr(fuzzy, "_MEMO", {})
+        cold += outcomes(call, [budget])
+    monkeypatch.setattr(fuzzy, "_MEMO", {})
+    call(None)
+    warm = outcomes(call, budgets)
+    assert any(o[0] == "budget" for o in cold)
+    assert any(o[0] != "budget" for o in cold)
+    return cold, warm
+
+
+# 96 candidate values tried per walk, 20 x 20 sets scanned, 580 member
+# pairs and scalings for the axioms of a 20-member family
+DL4_BUDGETS = (0, 95, 96, 399, 400, 579, 580, 5_000)
+
+
+@pytest.mark.parametrize("cls", ["flat", "irr"])
+def test_enumerate_ideals_refuses_alike_warm_and_cold(monkeypatch, cls):
+    def call(budget):
+        return ("ideals", [p.values for p in enumerate_ideals(DL4, cls, budget=budget)])
+    cold, warm = cold_and_warm(monkeypatch, call, DL4_BUDGETS)
+    assert cold == warm
+
+
+@pytest.mark.parametrize("mode", ["topology", "cotopology"])
+def test_scott_structure_refuses_alike_warm_and_cold(monkeypatch, mode):
+    def call(budget):
+        S = generate_scott_structure(DL4, mode, budget=budget)
+        return ("structure", [m.values for m in S.members], S.axioms)
+    cold, warm = cold_and_warm(monkeypatch, call, DL4_BUDGETS)
+    assert cold == warm
+
+
+def test_census_suite_refuses_alike_warm_and_cold(monkeypatch):
+    def call(budget):
+        res = run_suite("FC_SUBSET_IRR", budget=budget)
+        return (res.verdict, res.details)
+    cold, warm = cold_and_warm(monkeypatch, call, (1, 10, 40, 80, 200))
+    assert cold == warm
+
+
+def test_scott_members_share_one_context(monkeypatch):
+    """Every membership test on dL over Łukasiewicz-6 reads the same
+    flat ideals: each lower set is decided once, not once per test."""
+    monkeypatch.setattr(fuzzy, "_MEMO", {})
+    decided = []
+    flat = ideals._flat
+
+    def counted(phi, budget):
+        decided.append(phi.values)
+        return flat(phi, budget)
+
+    monkeypatch.setattr(ideals, "_flat", counted)
+    A = standard_qorder(lukasiewicz_chain(6), "dL")
+    uppers = enumerate_monotone_sets(A, "upper")
+    assert all(is_scott_member(psi, "topology")[0] for psi in uppers)
+    inhabited = [p.values for p in enumerate_monotone_sets(A, "lower")
+                 if _inhabited(A, p.values)]
+    assert len(uppers) > 1 and decided == inhabited
+
+
+@pytest.mark.parametrize("name", ["FC_SUBSET_IRR", "SCOTT_AXIOMS", "PROP57_EQUIV"])
+def test_reports_do_not_depend_on_the_memo(monkeypatch, name):
+    monkeypatch.setattr(fuzzy, "_MEMO", {})
+    cold = run_suite(name).to_json()
+    assert fuzzy._MEMO
+    warm = run_suite(name).to_json()
+    cold.pop("elapsed"), warm.pop("elapsed")
+    assert cold == warm and cold["verdict"] == "pass"

@@ -1,4 +1,4 @@
-"""Q-ordered sets, maps, adjunctions, and distributors."""
+"""Q-ordered sets, maps and adjunctions."""
 
 import random
 from fractions import Fraction
@@ -18,11 +18,8 @@ from qideal.qorder import (
     all_qmaps,
     build_qmap,
     build_qorder,
-    build_qdistributor,
     check_map_and_adjunction,
-    compose_distributors,
     crisp_qorder,
-    hom_distributor,
     identity_qmap,
     interval_order,
     is_separated,
@@ -217,25 +214,6 @@ def test_adjunction_shape_guard():
     f = identity_qmap(DL)
     with pytest.raises(ShapeMismatch):
         check_map_and_adjunction(f, identity_qmap(A))
-
-
-def test_hom_distributor_composes_to_itself():
-    # reflexivity and transitivity make the hom matrix idempotent
-    d = hom_distributor(DL)
-    assert compose_distributors(d, d).matrix == DL.hom
-
-
-def test_distributor_guards():
-    q = lukasiewicz_chain(2)
-    A = standard_qorder(q, "discrete", n=2)
-    chain = crisp_qorder(q, ("a", "b"), ((True, True), (False, True)))
-    with pytest.raises(ValidationError, match="hom-compatible"):
-        # 1 at (a, x0) but 0 at (b, x0) contradicts lowering along a <= b
-        build_qdistributor(chain, A, ((0, 0), (1, 0)))
-    with pytest.raises(ShapeMismatch):
-        build_qdistributor(A, A, ((1, 0),))
-    with pytest.raises(ShapeMismatch):
-        compose_distributors(hom_distributor(A), hom_distributor(chain))
 
 
 def test_interval_orders():

@@ -115,3 +115,10 @@ def test_search_shape_grammar():
     for bad in ("flat", "flat-not-lower", "flat-not-prime", "x-not-y"):
         with pytest.raises(ValueError):
             search_counterexample(bad)
+
+
+@pytest.mark.parametrize("name", ["EX58_CHARACTERIZATION", "EX510_GENERATION"])
+def test_a_coarse_grid_is_a_budget_verdict(name):
+    res = run_suite(name, grid=5)
+    assert res.verdict == "budget"
+    assert res.witnesses == [{"budget": "grid has 5 points; at least 17 required"}]
