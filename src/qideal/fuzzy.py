@@ -10,6 +10,9 @@ built from.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import and_, getitem
 
 from .errors import (
     BaseMismatch,
@@ -191,11 +194,17 @@ def suprema(phi):
 
 
 # base -> {key: value}: what is derived from a base, kept for the life
-# of the process.  The walks sit under "lower" and "upper", the Scott
-# contexts under ("scott", tag, budget), the censuses under ("census",
-# budget).  Entries that depend on a budget keep it in their key; the
-# walks replay theirs (see _cached_walk).
+# of the process: the walks under "lower"/"upper", their set indexes
+# under ("index", kind), the Scott contexts under ("scott", tag, budget),
+# the censuses under ("census", budget).  Entries that depend on a budget
+# keep it in their key; the walks replay theirs (_monotone_value_tuples).
 _MEMO = {}
+
+
+def _charge(count, budget, what):
+    """Refuse work of count units, named by what, over the budget."""
+    if count > budget:
+        raise BudgetExceeded(count, budget, what=what)
 
 
 def _memoized(A, key, build):
@@ -210,28 +219,14 @@ def _memoized(A, key, build):
     return entries[key]
 
 
-class _Walk:
-    """The memoized enumeration of one (base, kind): the value tuples and
-    the candidate values the walk tried.  The first flat or irreducible
-    decider call on the base adds the column masks over the sets, the
-    position of every set, and an empty memo of folds by mask (see
-    _column_index)."""
-
-    __slots__ = ("tuples", "tried", "columns", "positions", "folds")
-
-    def __init__(self, tuples, tried):
-        self.tuples, self.tried = tuples, tried
-        self.columns = self.positions = self.folds = None
-
-
 def _walk(A, kind, budget):
     """Depth-first assignment of coordinates 0..n-1, trying every value
     in index order and keeping it only if each pair it forms with the
     coordinates already fixed satisfies the condition.  The conditions
     are pairwise, so a rejected prefix has no monotone completion and
     the pruning is exact; the output is in the lexicographic order of
-    itertools.product.  Raises BudgetExceeded once the count of values
-    tried passes the budget."""
+    itertools.product.  Returns the tuples and the count of values
+    tried, and raises BudgetExceeded once that count passes the budget."""
     q = A.quantale
     n, m = A.n, q.n
     leq, tens, hom = q.leq, q.tensor_table, A.hom
@@ -255,8 +250,7 @@ def _walk(A, kind, budget):
     def extend(prefix):
         nonlocal tried
         tried += m
-        if tried > budget:
-            raise BudgetExceeded(tried, budget, what="candidate values tried")
+        _charge(tried, budget, "candidate values tried")
         i = len(prefix)
         mask = own[i]
         for row, u in zip(beside[i], prefix):
@@ -272,42 +266,93 @@ def _walk(A, kind, budget):
     return tuple(out), tried
 
 
-def _cached_walk(A, kind, budget):
-    """The walk of A's lower (or upper) sets, memoized per base together
-    with the number of candidate values it tried.  The budget is checked
-    against that number on every call, so the verdict does not depend on
-    what is memoized."""
-    walk = _memoized(A, kind, lambda: _Walk(*_walk(A, kind, budget)))
-    if walk.tried > budget:
-        raise BudgetExceeded(walk.tried, budget, what="candidate values tried")
-    return walk
-
-
 def _monotone_value_tuples(A, kind, budget):
-    """Value tuples of every lower (or upper) set of A."""
-    return _cached_walk(A, kind, budget).tuples
+    """Value tuples of every lower (or upper) set of A, from the walk
+    memoized per base together with the number of candidate values it
+    tried.  The budget is checked against that number on every call, so
+    the verdict does not depend on what is memoized."""
+    sets, tried = _memoized(A, kind, lambda: _walk(A, kind, budget))
+    _charge(tried, budget, "candidate values tried")
+    return sets
 
 
-def _column_index(A, kind, budget):
-    """The walk of A's lower (upper) sets with its decider index: bit i
-    of columns[x][b] is set when set i has b <= its value at x (its
-    value at x <= b), and positions maps each value tuple to its i.
-    Built on the first call and kept with the walk."""
-    walk = _cached_walk(A, kind, budget)
-    if walk.columns is None:
-        q = A.quantale
-        below = q.leq if kind == "lower" else tuple(zip(*q.leq))
-        columns = []
-        for col in zip(*walk.tuples):
-            at = [0] * q.n      # at[v]: the sets with value v at x
-            for i, v in enumerate(col):
-                at[v] |= 1 << i
-            columns.append(tuple(sum(s for s, ok in zip(at, row) if ok)
-                                 for row in below))
-        walk.columns = tuple(columns)
-        walk.positions = {vec: i for i, vec in enumerate(walk.tuples)}
-        walk.folds = {}
-    return walk
+class _SetIndex:
+    """Column masks over the lower (or upper) sets of one base, bit i
+    standing for sets[i]: columns[True][x][b] holds the sets with b <=
+    their value at x, columns[False][x][b] those with their value at x
+    <= b, each built on first use.  The sets are closed under pointwise
+    joins and meets, so a fold of a mask is a set again."""
+
+    __slots__ = ("q", "sets", "positions", "full", "columns", "folds")
+
+    def __init__(self, q, sets):
+        self.q, self.sets = q, sets
+        self.positions = {vec: i for i, vec in enumerate(sets)}
+        self.full = (1 << len(sets)) - 1
+        self.columns, self.folds = {}, {"join": {}, "meet": {}}
+
+    def _masks(self, up):
+        if up not in self.columns:
+            q, cols = self.q, []
+            rows = q.leq if up else tuple(zip(*q.leq))
+            for col in zip(*self.sets):
+                at = [0] * q.n      # at[v]: the sets with value v at x
+                for i, v in enumerate(col):
+                    at[v] |= 1 << i
+                cols.append(tuple(sum(s for s, ok in zip(at, row) if ok)
+                                  for row in rows))
+            self.columns[up] = tuple(cols)
+        return self.columns[up]
+
+    def above(self, w):
+        """The sets at or above the value vector w at every point."""
+        return reduce(and_, map(getitem, self._masks(True), w), self.full)
+
+    def below(self, w):
+        """The sets at or below the value vector w at every point."""
+        return reduce(and_, map(getitem, self._masks(False), w), self.full)
+
+    def fold(self, mask, op):
+        """Position of the join (op "join") or meet ("meet") of the sets
+        in a nonempty mask.  At x that is the join of the b that some
+        set of the mask is at or above (the meet of the b that some set
+        is at or below)."""
+        at = self.folds[op].get(mask)
+        if at is None:
+            q = self.q
+            up = op == "join"
+            gather = q.join_all if up else q.meet_all
+            at = self.folds[op][mask] = self.positions[tuple(
+                gather(compress(range(q.n), map(mask.__and__, cols)))
+                for cols in self._masks(up))]
+        return at
+
+    def break_in(self, inside, op):
+        """None when inside is empty or its fold is one of its sets.
+        Else (acc, member, out): a left-to-right running fold in inside,
+        the member of inside that takes it out, and their fold.
+        Bisection keeps the fold up to lo in inside and up to hi out of
+        it, so the pair is adjacent even where membership is not
+        monotone along prefixes (and is the first break where it is)."""
+        if not inside or inside >> self.fold(inside, op) & 1:
+            return None
+        lo, hi = (inside & -inside).bit_length() - 1, inside.bit_length() - 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if inside >> self.fold(inside & ((2 << mid) - 1), op) & 1:
+                lo = mid
+            else:
+                hi = mid
+        acc = self.fold(inside & ((1 << hi) - 1), op)
+        out = self.fold(inside & ((2 << hi) - 1), op)
+        return self.sets[acc], self.sets[hi], self.sets[out]
+
+
+def _set_index(A, kind, budget):
+    """The index over A's lower (upper) sets, built on the first call
+    and kept beside the walk, whose budget it replays."""
+    sets = _monotone_value_tuples(A, kind, budget)
+    return _memoized(A, ("index", kind), lambda: _SetIndex(A.quantale, sets))
 
 
 def enumerate_monotone_sets(A, kind, budget=None):
@@ -364,9 +409,7 @@ def intersection_inclusion_identities(A, budget=None):
     limit = DEFAULT_BUDGET if budget is None else budget
     lowers = _monotone_value_tuples(A, "lower", limit)
     uppers = _monotone_value_tuples(A, "upper", limit)
-    count = len(lowers) * (len(uppers) + len(lowers)) * q.n
-    if count > limit:
-        raise BudgetExceeded(count, limit, what="pairs checked")
+    _charge(len(lowers) * (len(uppers) + len(lowers)) * q.n, limit, "pairs checked")
     dn = all(q.neg_vector[q.neg_vector[i]] == i for i in range(q.n))
     res, meet, neg = q.res_table, q.meet_table, q.neg_vector
     lab = q.elements.__getitem__
@@ -376,32 +419,22 @@ def intersection_inclusion_identities(A, budget=None):
                 "phi": FuzzySet(A, v1).as_dict(), "psi": FuzzySet(A, v2).as_dict(),
                 "lhs": lab(lhs), "rhs": lab(rhs)}
 
-    for phi in lowers:
-        for psi in uppers:
-            t = _tensor_idx(A, phi, psi)
-            acc = q.top
-            for p in range(q.n):
-                arrow = tuple(res[v][p] for v in psi)
-                acc = meet[acc][res[_sub_idx(A, phi, arrow)][p]]
-            if acc != t:
-                return bad("intersection via inclusion", phi, psi, t, acc)
-            if dn:
-                other = neg[_sub_idx(A, phi, tuple(neg[v] for v in psi))]
-                if other != t:
-                    return bad("intersection via one negation", phi, psi, t, other)
-    for phi1 in lowers:
-        for phi2 in lowers:
-            s = _sub_idx(A, phi1, phi2)
-            acc = q.top
-            for p in range(q.n):
-                arrow = tuple(res[v][p] for v in phi2)
-                acc = meet[acc][res[_tensor_idx(A, phi1, arrow)][p]]
-            if acc != s:
-                return bad("inclusion via intersection", phi1, phi2, s, acc)
-            if dn:
-                other = neg[_tensor_idx(A, phi1, tuple(neg[v] for v in phi2))]
-                if other != s:
-                    return bad("inclusion via one negation", phi1, phi2, s, other)
+    for seconds, degree, dual, name, via in (
+            (uppers, _tensor_idx, _sub_idx, "intersection", "inclusion"),
+            (lowers, _sub_idx, _tensor_idx, "inclusion", "intersection")):
+        for phi in lowers:
+            for psi in seconds:
+                d = degree(A, phi, psi)
+                acc = q.top
+                for p in range(q.n):
+                    arrow = tuple(res[v][p] for v in psi)
+                    acc = meet[acc][res[dual(A, phi, arrow)][p]]
+                if acc != d:
+                    return bad(f"{name} via {via}", phi, psi, d, acc)
+                if dn:
+                    other = neg[dual(A, phi, tuple(neg[v] for v in psi))]
+                    if other != d:
+                        return bad(f"{name} via one negation", phi, psi, d, other)
     return None
 
 
@@ -418,9 +451,7 @@ def kan_transport_identity(f, budget=None):
     limit = DEFAULT_BUDGET if budget is None else budget
     sources = _monotone_value_tuples(A, "lower", limit)
     targets = _monotone_value_tuples(B, "lower", limit)
-    count = len(sources) * len(targets)
-    if count > limit:
-        raise BudgetExceeded(count, limit, what="pairs checked")
+    _charge(len(sources) * len(targets), limit, "pairs checked")
     lab = q.elements.__getitem__
     fwds = [(pv, transport(f, FuzzySet(A, pv), "forward").values)
             for pv in sources]

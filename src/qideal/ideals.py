@@ -14,20 +14,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, getitem, or_
+from operator import getitem, or_
 
-from .errors import (
-    BudgetExceeded,
-    NotForwardCauchy,
-    ShapeMismatch,
-)
+from .errors import NotForwardCauchy, ShapeMismatch
 from .fuzzy import (
     DEFAULT_BUDGET,
     FuzzySet,
-    _column_index,
+    _charge,
     _inhabited,
     _lower_violation,
-    _monotone_value_tuples,
+    _set_index,
     enumerate_monotone_sets,
 )
 
@@ -142,62 +138,39 @@ def _threshold_break(phi, kind, budget):
     (d >= u).  Returns None, or the first break of the proofs' fold:
     (acc, psi, d(acc . psi), d(acc) . d(psi)).
 
-    The sets are the bits of masks, in enumeration order.  By
-    residuation c <= d(psi) iff phi(x) & c <= psi(x) at every x (d(psi)
-    <= c iff psi(x) <= phi(x) -> c), so reach[c], the sets with c <=
-    d(psi) (d(psi) <= c), is an AND of one column mask per point.  A set
+    The sets are the bits of masks of the set index.  By residuation c
+    <= d(psi) iff phi(x) & c <= psi(x) at every x (d(psi) <= c iff
+    psi(x) <= phi(x) -> c), so reach[c], the sets with c <= d(psi)
+    (d(psi) <= c), are those above (below) one value vector.  A set
     misses the threshold u iff it lies in reach[c] for some c that
     misses u (take c = d(psi)), so the sets passing u are the complement
     of an OR of reach masks.  They pass together iff their fold passes.
     Folds of longer prefixes only grow (shrink), and once one misses u
-    every longer one does, so the first break of the left-to-right fold
-    is found by bisection over prefixes.
+    every longer one does, so the index's bisection finds the first
+    break.
     """
     A, q = phi.base, phi.base.quantale
-    walk = _column_index(A, kind, budget)
-    sets, columns, positions, folds = (walk.tuples, walk.columns,
-                                       walk.positions, walk.folds)
+    index = _set_index(A, kind, budget)
     lower = kind == "lower"
     table, bound = ((q.res_table, q.tensor_table) if lower
                     else (q.tensor_table, q.res_table))
-    gather, fold_all = (q.meet_all, q.join_all) if lower else (q.join_all, q.meet_all)
-    fold = q.join_table if lower else q.meet_table
+    gather = q.meet_all if lower else q.join_all
+    op, fold = ("join", q.join_table) if lower else ("meet", q.meet_table)
     # thresholds[u][c]: c passes u, that is c <= u (c >= u)
     thresholds = tuple(zip(*q.leq)) if lower else q.leq
     rows = [table[a] for a in phi.values]
-    values = range(q.n)
 
     def d(vec):
         return gather(set(map(getitem, rows, vec)))
 
-    def fold_at(mask):
-        """Position of the join (meet) of the sets in mask, at x the
-        join (meet) of the values whose column meets the mask.  It is a
-        set again: lower sets are closed under joins, upper under meets."""
-        at = folds.get(mask)
-        if at is None:
-            at = folds[mask] = positions[tuple(
-                fold_all(itertools.compress(values, map(mask.__and__, cols)))
-                for cols in columns)]
-        return at
-
-    full = (1 << len(sets)) - 1
-    reach = [reduce(and_, masks, full) for masks in zip(
-        *[map(cols.__getitem__, bound[a]) for cols, a in zip(columns, phi.values)])]
+    reach = list(map(index.above if lower else index.below,
+                     zip(*(bound[a] for a in phi.values))))
     for passes in thresholds:
-        inside = full & ~reduce(or_, [r for r, ok in zip(reach, passes) if not ok], 0)
-        if not inside or inside >> fold_at(inside) & 1:
-            continue
-        lo, hi = (inside & -inside).bit_length() - 1, inside.bit_length() - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if inside >> fold_at(inside & ((2 << mid) - 1)) & 1:
-                lo = mid
-            else:
-                hi = mid
-        acc, v = sets[fold_at(inside & ((1 << hi) - 1))], sets[hi]
-        out = tuple(fold[a][b] for a, b in zip(acc, v))
-        return acc, v, d(out), fold[d(acc)][d(v)]
+        inside = index.full & ~reduce(or_, [r for r, ok in zip(reach, passes) if not ok], 0)
+        hit = index.break_in(inside, op)
+        if hit is not None:
+            acc, v, out = hit
+            return acc, v, d(out), fold[d(acc)][d(v)]
     return None
 
 
@@ -313,9 +286,10 @@ def classify_ideal(phi, budget=None):
 def enumerate_ideals(A, which="fc", budget=None):
     """All lower sets of the named class, in enumeration order.  The
     lower tag skips the class filter (and the inhabitedness demand the
-    three proper classes make).  Flat and irreducible scan every upper
-    (lower) set once per lower set; that count of sets scanned is
-    charged against the budget before any is decided."""
+    three proper classes make).  Flat and irreducible decide each lower
+    set on the index of the upper (lower) sets, with |Q| reach masks of
+    n ANDs and |Q| thresholds of up to |Q| ORs; those mask operations
+    are charged against the budget before any set is decided."""
     tag = ideal_class_tag(which)
     budget = DEFAULT_BUDGET if budget is None else budget
     lowers = enumerate_monotone_sets(A, "lower", budget=budget)
@@ -325,9 +299,8 @@ def enumerate_ideals(A, which="fc", budget=None):
         return tuple(p for p in lowers
                      if _inhabited(A, p.values) and _forward_cauchy(p)[0])
     body, kind = (_flat, "upper") if tag == "flat" else (_irreducible, "lower")
-    count = len(lowers) * len(_monotone_value_tuples(A, kind, budget))
-    if count > budget:
-        raise BudgetExceeded(count, budget, what="sets scanned")
+    q = A.quantale
+    _charge(len(lowers) * q.n * (A.n + q.n), budget, "decider mask operations")
     return tuple(p for p in lowers
                  if _inhabited(A, p.values) and body(p, budget)[0])
 

@@ -33,6 +33,14 @@ class QOrderedSet:
     hom: tuple   # hom[i][j]: quantale index of A(x_i, x_j)
     catalog: tuple | None = field(default=None, compare=False)
     _index: dict = field(default=None, compare=False, repr=False)
+    _hash: int = field(default=None, init=False, compare=False, repr=False)
+
+    def __hash__(self):
+        # kept for the memo in fuzzy; equal bases have equal homs, and int
+        # tuples hash alike in every process, so pickling keeps it valid
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.hom))
+        return self._hash
 
     @property
     def n(self):

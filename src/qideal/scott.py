@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    BudgetExceeded,
     DecompositionMismatch,
     GridTooCoarse,
     ShapeMismatch,
@@ -25,9 +24,11 @@ from .errors import (
 from .fuzzy import (
     DEFAULT_BUDGET,
     FuzzySet,
+    _charge,
     _lower_violation,
     _memoized,
     _monotone_value_tuples,
+    _set_index,
     _sub_idx,
     _tensor_idx,
     _upper_violation,
@@ -68,32 +69,22 @@ def _scott_context(A, tag, budget):
 def _member_violation(A, vals, mode, ctx):
     q = A.quantale
     lab = A.elements.__getitem__
-    if mode == "topology":
-        w = _upper_violation(A, vals)
-        if w is not None:
-            return {"reason": "not an upper set", "pair": (lab(w[0]), lab(w[1]))}
-        for ivals, sups in ctx:
-            t = _tensor_idx(A, ivals, vals)
-            for s in sups:
-                if vals[s] != t:
-                    return {"reason": "misses the supremum equation",
-                            "ideal": _as_label_dict(A, ivals),
-                            "supremum": lab(s),
-                            "at_supremum": q.elements[vals[s]],
-                            "tensor_degree": q.elements[t]}
-    else:
-        w = _lower_violation(A, vals)
-        if w is not None:
-            return {"reason": "not a lower set", "pair": (lab(w[0]), lab(w[1]))}
-        for ivals, sups in ctx:
-            d = _sub_idx(A, ivals, vals)
-            for s in sups:
-                if vals[s] != d:
-                    return {"reason": "misses the supremum equation",
-                            "ideal": _as_label_dict(A, ivals),
-                            "supremum": lab(s),
-                            "at_supremum": q.elements[vals[s]],
-                            "sub_degree": q.elements[d]}
+    violation, shape, degree, key = (
+        (_upper_violation, "an upper", _tensor_idx, "tensor_degree")
+        if mode == "topology" else
+        (_lower_violation, "a lower", _sub_idx, "sub_degree"))
+    w = violation(A, vals)
+    if w is not None:
+        return {"reason": f"not {shape} set", "pair": (lab(w[0]), lab(w[1]))}
+    for ivals, sups in ctx:
+        d = degree(A, ivals, vals)
+        for s in sups:
+            if vals[s] != d:
+                return {"reason": "misses the supremum equation",
+                        "ideal": _as_label_dict(A, ivals),
+                        "supremum": lab(s),
+                        "at_supremum": q.elements[vals[s]],
+                        key: q.elements[d]}
     return None
 
 
@@ -128,11 +119,10 @@ def generate_scott_structure(A, mode, which=None, budget=None):
     (see _member_values and check_structure_axioms)."""
     mode = _mode_tag(mode)
     tag = ideal_class_tag(which if which is not None else _default_class(mode))
-    limit = DEFAULT_BUDGET if budget is None else budget
     members = tuple(FuzzySet(A, vals)
                     for vals in _member_values(A, mode, tag, budget))
     S = ScottStructure(A, mode, tag, members, {}, False, False, False)
-    report = check_structure_axioms(S, limit)
+    report = check_structure_axioms(S, budget)
     S.axioms = report["flags"]
     first, last = ("O4", "O5") if mode == "topology" else ("C4", "C5")
     S.stratified = S.axioms[first]
@@ -144,49 +134,50 @@ def generate_scott_structure(A, mode, which=None, budget=None):
 def check_structure_axioms(S, budget=None):
     """Axiom flags for a member family, each with a witness on failure.
 
-    Topology: O1 constants, O2 pair meets, O3 joins (every pair and the
-    whole member list), O4 tensoring by a constant, O5 residuating by a
-    constant.  Cotopology: C1 constants, C2 pair joins, C3 meets (pair
-    and whole list), C4 residuating, C5 tensoring.  The work is charged
-    against the budget before any check runs: the m(m+1)/2 member pairs
-    twice (O2 and O3, or C2 and C3) and the |Q| * m scalings twice (O4
-    and O5, or C4 and C5).
+    Topology: O1 constants, O2 binary meets, O3 binary joins (and so
+    every nonempty finite one), O4 tensoring by a constant, O5
+    residuating by a constant.  Cotopology: C1 constants, C2 joins, C3
+    meets, C4 residuating, C5 tensoring.
+
+    The members S must be upper (lower) sets, or ValidationError names
+    the first that is not.  Those sets form a universe U closed under
+    meets and joins, and S is closed under meets iff for every w in U
+    outside S the members above w, if any, meet into S (for members v1,
+    v2 take w = v1 ^ v2).  Every fold of those members stays above w,
+    so it is in S iff it is one of them, and the bisection of their fold
+    yields two members whose meet is not one.  Dually for joins.  Before
+    any check runs, n mask ANDs per set of U for each closure axiom and
+    the |Q| * m scalings twice (O4 and O5, or C4 and C5) are charged.
     """
     A, q = S.base, S.base.quantale
     vecs = [p.values for p in S.members]
     limit = DEFAULT_BUDGET if budget is None else budget
-    count = len(vecs) * (len(vecs) + 1) + 2 * q.n * len(vecs)
-    if count > limit:
-        raise BudgetExceeded(count, limit, what="pairs checked")
+    kind = "upper" if S.mode == "topology" else "lower"
+    index = _set_index(A, kind, limit)
+    family = 0
+    for v in vecs:
+        at = index.positions.get(v)
+        if at is None:
+            raise ValidationError(f"member is not a fuzzy {kind} set of the base",
+                                  witness=_as_label_dict(A, v))
+        family |= 1 << at
+    _charge(2 * len(index.sets) * A.n + 2 * q.n * len(vecs), limit,
+            "closure mask operations and scalings")
     have = set(vecs)
     flags, wits = {}, {}
 
-    def member_dicts(*vs):
-        return tuple(_as_label_dict(A, v) for v in vs)
-
-    def closed_under(name, table):
-        for i, v1 in enumerate(vecs):
-            for v2 in vecs[i:]:
-                out = tuple(table[a][b] for a, b in zip(v1, v2))
-                if out not in have:
-                    flags[name] = False
-                    wits[name] = {"members": member_dicts(v1, v2),
-                                  "result": _as_label_dict(A, out)}
-                    return
+    def closed_under(name, op):
+        within = index.above if op == "meet" else index.below
+        for w in index.sets:
+            if w in have:
+                continue
+            hit = index.break_in(family & within(w), op)
+            if hit is not None:
+                flags[name] = False
+                wits[name] = {"members": tuple(_as_label_dict(A, v) for v in hit[:2]),
+                              "result": _as_label_dict(A, hit[2])}
+                return
         flags[name] = True
-
-    def whole_list(name, fold):
-        if not vecs:
-            flags[name] = flags.get(name, True)
-            return
-        acc = vecs[0]
-        for v in vecs[1:]:
-            acc = tuple(fold[a][b] for a, b in zip(acc, v))
-        if acc not in have:
-            flags[name] = False
-            wits.setdefault(name, {"members": "all",
-                                   "result": _as_label_dict(A, acc)})
-        # pairwise verdict already recorded; whole-list only strengthens
 
     def scaled(name, op):
         for p in range(q.n):
@@ -209,15 +200,13 @@ def check_structure_axioms(S, budget=None):
             break
 
     if S.mode == "topology":
-        closed_under("O2", q.meet_table)
-        closed_under("O3", q.join_table)
-        whole_list("O3", q.join_table)
+        closed_under("O2", "meet")
+        closed_under("O3", "join")
         scaled("O4", q.tensor_table)
         scaled("O5", q.res_table)
     else:
-        closed_under("C2", q.join_table)
-        closed_under("C3", q.meet_table)
-        whole_list("C3", q.meet_table)
+        closed_under("C2", "join")
+        closed_under("C3", "meet")
         scaled("C4", q.res_table)
         scaled("C5", q.tensor_table)
     return {"flags": flags, "witnesses": wits}
@@ -232,9 +221,7 @@ def _member_values(B, mode, tag, budget):
     ctx = _scott_context(B, tag, budget)
     sets = _monotone_value_tuples(B, "upper" if mode == "topology" else "lower",
                                   limit)
-    pairs = len(sets) * len(ctx)
-    if pairs > limit:
-        raise BudgetExceeded(pairs, limit, what="pairs checked")
+    _charge(len(sets) * len(ctx), limit, "pairs checked")
     return tuple(vals for vals in sets
                  if _member_violation(B, vals, mode, ctx) is None)
 

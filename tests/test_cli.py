@@ -92,10 +92,14 @@ def test_enumerate_lukasiewicz8_classes(capsys):
     for cls in ("irr", "flat"):
         code, report, _ = run(capsys, "enumerate", dl8, "--class", cls)
         assert code == 0 and report["count"] == 8
-    # 576 lower sets, each scanning 576 sets, is 331,776
-    code, _, err = run(capsys, "--budget", "300000", "enumerate", dl8,
+    # 576 lower sets, each deciding on 8 reach masks of 8 ANDs and 8
+    # thresholds of up to 8 ORs: 576 * 8 * (8 + 8) = 73,728
+    code, _, err = run(capsys, "--budget", "73727", "enumerate", dl8,
                        "--class", "irr")
-    assert code == 2 and "sets scanned" in err
+    assert code == 2 and "73728 decider mask operations" in err
+    code, report, _ = run(capsys, "--budget", "73728", "enumerate", dl8,
+                          "--class", "irr")
+    assert code == 0 and report["count"] == 8
 
 
 def test_scott(capsys):
@@ -110,11 +114,23 @@ def test_scott_lukasiewicz8(capsys):
     dl8 = '{"base": {"kind": "chain", "tnorm": "lukasiewicz", "n": 8}, "name": "dL"}'
     code, report, _ = run(capsys, "scott", dl8, "--mode", "top")
     assert code == 0 and report["count"] == 576
-    # the axiom checks on 576 members: 576 * 577 pairs for meets and
-    # joins, 2 * 8 * 576 scalings by the 8 quantale values
-    code, _, err = run(capsys, "--budget", "100000", "scott", dl8, "--mode", "top",
+    # the axiom checks on 576 members among 576 upper sets: 8 ANDs per
+    # upper set for meets and for joins, 2 * 8 * 576 scalings by the 8
+    # quantale values; the fc class charges nothing more than that
+    code, _, err = run(capsys, "--budget", "18431", "scott", dl8, "--mode", "top",
                        "--class", "fc")
-    assert code == 2 and "341568 pairs checked" in err
+    assert code == 2 and "18432 closure mask operations and scalings" in err
+    code, report, _ = run(capsys, "--budget", "18432", "scott", dl8, "--mode", "top",
+                          "--class", "fc")
+    assert code == 0 and report["count"] == 576
+
+
+@pytest.mark.parametrize("mode", ["top", "cotop"])
+def test_scott_lukasiewicz10_at_the_default_budget(capsys, mode):
+    dl10 = '{"base": {"kind": "chain", "tnorm": "lukasiewicz", "n": 10}, "name": "dL"}'
+    code, report, _ = run(capsys, "scott", dl10, "--mode", mode)
+    assert code == 0 and report["count"] == 2816
+    assert all(report["axioms"].values())
 
 
 def test_check_pass_and_report_file(capsys, tmp_path, monkeypatch):

@@ -204,17 +204,17 @@ def test_the_index_is_built_by_the_first_decider_call(monkeypatch):
     A = standard_qorder(lukasiewicz_chain(4), "dR")
     lowers = enumerate_monotone_sets(A, "lower")
     enumerate_monotone_sets(A, "upper")
-    walks = {kind: fuzzy._MEMO[A][kind] for kind in ("lower", "upper")}
-    assert all(w.columns is None and w.folds is None for w in walks.values())
+    assert set(fuzzy._MEMO[A]) == {"lower", "upper"}
     phi = lowers[-1]
     is_irreducible(phi)
-    assert walks["lower"].columns is not None and walks["upper"].columns is None
+    assert set(fuzzy._MEMO[A]) == {"lower", "upper", ("index", "lower")}
     is_flat(phi)
-    columns = walks["upper"].columns
-    assert columns is not None and len(columns) == A.n
+    index = fuzzy._MEMO[A]["index", "upper"]
+    assert index.sets is fuzzy._MEMO[A]["upper"][0] and index.columns
+    assert all(len(columns) == A.n for columns in index.columns.values())
     is_flat(lowers[-2])
-    assert walks["upper"].columns is columns
-    assert fuzzy._MEMO == {A: walks}
+    assert fuzzy._MEMO[A]["index", "upper"] is index
+    assert list(fuzzy._MEMO) == [A] and len(fuzzy._MEMO[A]) == 4
 
 
 def test_precondition_is_one_reason_under_every_key():

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qideal import fuzzy
+from qideal import fuzzy, ideals
 from qideal.errors import BudgetExceeded
 from qideal.fuzzy import (
     _lower_violation,
@@ -104,7 +104,7 @@ def test_budget_counts_candidate_values_tried():
 
 
 @pytest.mark.parametrize("name", ["dL", "dR"])
-def test_lukasiewicz8_work_count(name):
+def test_lukasiewicz8_work_count(monkeypatch, name):
     A = standard_qorder(L8, name)
     for kind in ("lower", "upper"):
         assert len(enumerate_monotone_sets(A, kind)) == 576
@@ -115,6 +115,15 @@ def test_lukasiewicz8_work_count(name):
     principal = {yoneda(A, a).values for a in A.elements}
     for cls in ("irr", "flat"):
         assert {p.values for p in enumerate_ideals(A, cls)} == principal
-    # 13,312 lower sets, each scanning 13,312 sets: refused before deciding
-    with pytest.raises(BudgetExceeded, match="sets scanned"):
-        enumerate_ideals(standard_qorder(lukasiewicz_chain(12), name), "irr")
+    # 61,440 lower sets, each deciding on 14 reach masks of 14 ANDs and 14
+    # thresholds of up to 14 ORs: refused before deciding, and admitted
+    # at exactly that count (the decider is stubbed, the charge is not)
+    monkeypatch.setattr(fuzzy, "_MEMO", {})
+    A = standard_qorder(lukasiewicz_chain(14), name)
+    count = 61_440 * 14 * (14 + 14)
+    with pytest.raises(BudgetExceeded, match=f"^{count} decider mask operations"):
+        enumerate_ideals(A, "irr")
+    with pytest.raises(BudgetExceeded, match=f"^{count} decider mask operations"):
+        enumerate_ideals(A, "irr", budget=count - 1)
+    monkeypatch.setattr(ideals, "_irreducible", lambda phi, budget: (False, None))
+    assert enumerate_ideals(A, "irr", budget=count) == ()

@@ -5,7 +5,7 @@ import pytest
 
 from qideal import fuzzy, ideals
 from qideal.errors import BudgetExceeded
-from qideal.fuzzy import _inhabited, enumerate_monotone_sets
+from qideal.fuzzy import _inhabited, _monotone_value_tuples, enumerate_monotone_sets
 from qideal.ideals import enumerate_ideals
 from qideal.qorder import standard_qorder
 from qideal.quantale import lukasiewicz_chain
@@ -42,9 +42,10 @@ def cold_and_warm(monkeypatch, call, budgets):
     return cold, warm
 
 
-# 96 candidate values tried per walk, 20 x 20 sets scanned, 580 member
-# pairs and scalings for the axioms of a 20-member family
-DL4_BUDGETS = (0, 95, 96, 399, 400, 579, 580, 5_000)
+# 96 candidate values tried per walk, 20 * 4 * (4 + 4) decider mask
+# operations for the 20 lower sets, 2 * 20 * 4 mask ANDs and 2 * 4 * 20
+# scalings for the axioms of a 20-member family among 20 sets
+DL4_BUDGETS = (0, 95, 96, 319, 320, 639, 640, 5_000)
 
 
 @pytest.mark.parametrize("cls", ["flat", "irr"])
@@ -100,3 +101,15 @@ def test_reports_do_not_depend_on_the_memo(monkeypatch, name):
     warm = run_suite(name).to_json()
     cold.pop("elapsed"), warm.pop("elapsed")
     assert cold == warm and cold["verdict"] == "pass"
+
+
+def test_equal_bases_built_apart_share_one_entry(monkeypatch):
+    monkeypatch.setattr(fuzzy, "_MEMO", {})
+    A, B = (standard_qorder(lukasiewicz_chain(4), "dL") for _ in range(2))
+    assert A == B and A is not B and hash(A) == hash(B)
+    sets = _monotone_value_tuples(A, "lower", fuzzy.DEFAULT_BUDGET)
+    assert _monotone_value_tuples(B, "lower", fuzzy.DEFAULT_BUDGET) is sets
+    assert list(fuzzy._MEMO) == [A]
+    dR = standard_qorder(lukasiewicz_chain(4), "dR")
+    enumerate_monotone_sets(dR, "lower")
+    assert len(fuzzy._MEMO) == 2

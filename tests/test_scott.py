@@ -1,8 +1,13 @@
-"""Open and closed families, cocontinuity routes, interval characterizations."""
+"""Open and closed families, cocontinuity routes, interval
+characterizations; the closure axioms against the member-pair loop they
+replaced, with every failure witness replayed."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qideal.errors import (
     BudgetExceeded,
@@ -15,7 +20,9 @@ from qideal.fuzzy import enumerate_monotone_sets, fuzzy_set, tensor_degree
 from qideal.qorder import (
     all_qmaps,
     build_qmap,
+    build_qorder,
     crisp_qorder,
+    random_qorder,
     standard_qorder,
 )
 from qideal.quantale import (
@@ -26,6 +33,7 @@ from qideal.quantale import (
     nilpotent_minimum_chain,
 )
 from qideal.scott import (
+    ScottStructure,
     check_open_preimages,
     check_structure_axioms,
     cocontinuity_equivalence,
@@ -34,6 +42,8 @@ from qideal.scott import (
     is_scott_member,
     verify_ordinal_sum_generation,
 )
+from test_deciders import pointwise
+from test_enumeration import RANDOM_BASES
 
 L4 = lukasiewicz_chain(4)
 DL4 = standard_qorder(L4, "dL")
@@ -112,12 +122,121 @@ def test_families_charge_the_pairs_they_check():
                      [[i == j for j in range(6)] for i in range(6)])
     with pytest.raises(BudgetExceeded, match="384 pairs checked"):
         generate_scott_structure(A, "topology", "fc", budget=383)
+    # the axioms: 6 mask ANDs per upper set for meets and for joins, and
+    # each member scaled by the 2 quantale values twice
     S = generate_scott_structure(A, "topology", "fc")
     m = len(S.members)
-    count = m * (m + 1) + 2 * 2 * m
-    with pytest.raises(BudgetExceeded, match=f"{count} pairs checked"):
+    count = 2 * 64 * 6 + 2 * 2 * m
+    with pytest.raises(BudgetExceeded,
+                       match=f"{count} closure mask operations and scalings"):
         check_structure_axioms(S, budget=count - 1)
     assert check_structure_axioms(S, budget=count)["flags"] == S.axioms
+
+
+@pytest.mark.parametrize("mode", ["topology", "cotopology"])
+def test_axioms_refuse_a_member_outside_the_universe(mode):
+    rising = fuzzy_set(DL4, {e: e for e in DL4.elements})
+    falling = fuzzy_set(DL4, [L4.elements[L4.neg_vector[L4.index(e)]]
+                              for e in DL4.elements])
+    stray, kind = (falling, "upper") if mode == "topology" else (rising, "lower")
+    members = generate_scott_structure(DL4, mode).members + (stray,)
+    S = ScottStructure(DL4, mode, "flat", members, {}, False, False, False)
+    with pytest.raises(ValidationError, match=f"not a fuzzy {kind} set") as err:
+        check_structure_axioms(S)
+    assert err.value.witness == stray.as_dict()
+
+
+def pair_loop_flags(S):
+    """The axiom flags from the definitions, closure by the loop over
+    every pair of members that the principal-filter test replaced."""
+    A, q = S.base, S.base.quantale
+    have = {m.values for m in S.members}
+
+    def closed(table):
+        return all(pointwise(table, v1, v2) in have for v1 in have for v2 in have)
+
+    def scaled(table):
+        return all(tuple(table[p][a] for a in v) in have
+                   for p in range(q.n) for v in have)
+
+    constants = all((p,) * A.n in have for p in range(q.n))
+    meets, joins = closed(q.meet_table), closed(q.join_table)
+    tensors, residuals = scaled(q.tensor_table), scaled(q.res_table)
+    if S.mode == "topology":
+        return {"O1": constants, "O2": meets, "O3": joins, "O4": tensors,
+                "O5": residuals}
+    return {"C1": constants, "C2": joins, "C3": meets, "C4": residuals,
+            "C5": tensors}
+
+
+def replay_axioms(S, report):
+    """Every false flag's witness recomputes to members (or a constant)
+    whose meet, join or scaling is not a member."""
+    A, q = S.base, S.base.quantale
+    have = {m.values for m in S.members}
+    pairs = {"O2": q.meet_table, "O3": q.join_table,
+             "C2": q.join_table, "C3": q.meet_table}
+    scalings = {"O4": q.tensor_table, "O5": q.res_table,
+                "C4": q.res_table, "C5": q.tensor_table}
+    for name, ok in report["flags"].items():
+        w = report["witnesses"].get(name)
+        if ok:
+            assert w is None
+        elif name in pairs:
+            v1, v2 = (fuzzy_set(A, m).values for m in w["members"])
+            out = pointwise(pairs[name], v1, v2)
+            assert v1 in have and v2 in have and out not in have
+            assert fuzzy_set(A, w["result"]).values == out
+        elif name in scalings:
+            p, v = q.index(w["p"]), fuzzy_set(A, w["member"]).values
+            out = tuple(scalings[name][p][a] for a in v)
+            assert v in have and out not in have
+            assert fuzzy_set(A, w["result"]).values == out
+        else:
+            assert (q.index(w["constant"]),) * A.n not in have
+
+
+def assert_axioms_match_the_pair_loop(A, rng):
+    """Every class's open and closed families and, since those have not
+    been seen to fail closure, subfamilies: each family less a random
+    member, and a random half of the upper (lower) sets.  Returns how
+    many closure flags were false."""
+    broken = 0
+    for mode, kind in (("topology", "upper"), ("cotopology", "lower")):
+        universe = enumerate_monotone_sets(A, kind)
+        families = [generate_scott_structure(A, mode, cls).members
+                    for cls in ("fc", "flat", "irr")]
+        for members in families[:]:
+            if members:
+                drop = rng.randrange(len(members))
+                families.append(members[:drop] + members[drop + 1:])
+        families.append(tuple(p for p in universe if rng.random() < 0.5))
+        for members in families:
+            S = ScottStructure(A, mode, "fc", members, {}, False, False, False)
+            report = check_structure_axioms(S)
+            assert report["flags"] == pair_loop_flags(S), (A.catalog, mode, members)
+            replay_axioms(S, report)
+            broken += sum(not report["flags"][name]
+                          for name in ("O2", "O3", "C2", "C3") if name in report["flags"])
+    return broken
+
+
+@pytest.mark.parametrize("q", [boolean4(), lukasiewicz_chain(3), godel_chain(4)],
+                         ids=["boolean4", "L3", "G4"])
+def test_axioms_match_the_pair_loop_on_every_two_point_order(q):
+    one = q.elements[q.unit]
+    rng = random.Random(0)
+    broken = sum(assert_axioms_match_the_pair_loop(
+                     build_qorder(q, ("a", "b"), [[one, ab], [ba, one]]), rng)
+                 for ab, ba in itertools.product(q.elements, repeat=2))
+    assert broken
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(RANDOM_BASES), st.integers(3, 4), st.integers(0, 2 ** 32))
+def test_axioms_match_the_pair_loop_on_random_orders(q, n, seed):
+    rng = random.Random(seed)
+    assert_axioms_match_the_pair_loop(random_qorder(q, n, rng), rng)
 
 
 @pytest.mark.parametrize("q", [boolean4(), nilpotent_minimum_chain(4)])
