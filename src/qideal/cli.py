@@ -29,10 +29,10 @@ from .scott import generate_scott_structure
 from .suites import run_suite, search_counterexample, suite_names
 
 
-def _load_arg(text, loader=load_instance):
+def _load_arg(text, budget, loader=load_instance):
     if text.lstrip().startswith(("{", "[")):
-        return loader(json.loads(text))
-    return loader(text)
+        return loader(json.loads(text), budget=budget)
+    return loader(text, budget=budget)
 
 
 def _emit(report, summary_lines):
@@ -42,7 +42,7 @@ def _emit(report, summary_lines):
 
 
 def _cmd_validate(args):
-    obj = _load_arg(args.instance)
+    obj = _load_arg(args.instance, args.budget)
     if isinstance(obj, (FiniteQuantale, IntervalQuantale)):
         props = quantale_properties(obj)
         report = {"kind": "quantale", "valid": True,
@@ -76,7 +76,7 @@ def _cmd_validate(args):
 
 
 def _cmd_classify(args):
-    order = _load_arg(args.qorder, load_qorder)
+    order = _load_arg(args.qorder, args.budget, load_qorder)
     raw = args.fuzzyset
     data = json.loads(raw) if raw.lstrip().startswith(("{", "[")) else None
     if data is None:
@@ -105,7 +105,7 @@ def _cmd_classify(args):
 
 
 def _cmd_enumerate(args):
-    order = _load_arg(args.qorder, load_qorder)
+    order = _load_arg(args.qorder, args.budget, load_qorder)
     ideals = enumerate_ideals(order, args.cls, budget=args.budget)
     report = {"class": args.cls, "count": len(ideals),
               "ideals": [p.as_dict() for p in ideals]}
@@ -114,7 +114,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_scott(args):
-    order = _load_arg(args.qorder, load_qorder)
+    order = _load_arg(args.qorder, args.budget, load_qorder)
     mode = {"top": "topology", "cotop": "cotopology"}[args.mode]
     S = generate_scott_structure(order, mode, which=args.cls,
                                  budget=args.budget)

@@ -195,8 +195,9 @@ def suprema(phi):
 
 # base -> {key: value}: what is derived from a base, kept for the life
 # of the process: the walks under "lower"/"upper", their set indexes
-# under ("index", kind), the Scott contexts under ("scott", tag, budget),
-# the censuses under ("census", budget).  Entries that depend on a budget
+# under ("index", kind), the forward-Cauchy dominance masks under
+# "dominance", the Scott contexts under ("scott", tag, budget), the
+# censuses under ("census", budget).  Entries that depend on a budget
 # keep it in their key; the walks replay theirs (_monotone_value_tuples).
 _MEMO = {}
 
@@ -229,20 +230,19 @@ def _walk(A, kind, budget):
     tried, and raises BudgetExceeded once that count passes the budget."""
     q = A.quantale
     n, m = A.n, q.n
-    leq, tens, hom = q.leq, q.tensor_table, A.hom
-    if kind == "lower":
-        def holds(x, y, vx, vy):
-            return leq[tens[vy][hom[x][y]]][vx]
-    else:
-        def holds(x, y, vx, vy):
-            return leq[tens[hom[x][y]][vx]][vy]
+    leq, tens, res, hom = q.leq, q.tensor_table, q.res_table, A.hom
     values = range(m)
-    # bitmasks over values: own[i] admits v at coordinate i against
-    # itself, beside[i][j][u] beside the value u at coordinate j < i
-    own = [sum(1 << v for v in values if holds(i, i, v, v)) for i in range(n)]
-    beside = [[[sum(1 << v for v in values
-                    if holds(i, j, v, u) and holds(j, i, u, v))
-                for u in values] for j in range(i)]
+    # bitmasks over values: up[a] (down[a]) holds the values at or above
+    # (below) a; own[i] admits v at coordinate i against itself,
+    # beside[i][j][u] beside the value u at coordinate j < i.  The tensor
+    # is commutative, so a lower set has u & A(i,j) <= v at i and, by
+    # residuation, v <= A(j,i) -> u; an upper set swaps the two degrees.
+    up = [sum(1 << v for v in values if leq[a][v]) for a in values]
+    down = [sum(1 << v for v in values if leq[v][a]) for a in values]
+    lift = hom if kind == "lower" else tuple(zip(*hom))
+    own = [sum(1 << v for v in values if leq[tens[v][hom[i][i]]][v]) for i in range(n)]
+    beside = [[[up[t[u]] & down[r[u]] for u in values]
+               for t, r in ((tens[lift[i][j]], res[lift[j][i]]) for j in range(i))]
               for i in range(n)]
     out = []
     tried = 0
@@ -281,50 +281,56 @@ class _SetIndex:
     standing for sets[i]: columns[True][x][b] holds the sets with b <=
     their value at x, columns[False][x][b] those with their value at x
     <= b, each built on first use.  The sets are closed under pointwise
-    joins and meets, so a fold of a mask is a set again."""
+    joins and meets, so a fold of a mask is a set again.  plan holds
+    what the threshold deciders derive from the base and kind alone
+    (ideals._threshold_plan), built by their first call."""
 
-    __slots__ = ("q", "sets", "positions", "full", "columns", "folds")
+    __slots__ = ("q", "values", "sets", "positions", "full", "columns", "folds",
+                 "plan")
 
     def __init__(self, q, sets):
-        self.q, self.sets = q, sets
+        self.q, self.values, self.sets = q, range(q.n), sets
         self.positions = {vec: i for i, vec in enumerate(sets)}
         self.full = (1 << len(sets)) - 1
         self.columns, self.folds = {}, {"join": {}, "meet": {}}
+        self.plan = None
 
-    def _masks(self, up):
-        if up not in self.columns:
-            q, cols = self.q, []
-            rows = q.leq if up else tuple(zip(*q.leq))
+    def masks(self, up):
+        """columns[up], built on the first call."""
+        cols = self.columns.get(up)
+        if cols is None:
+            rows = self.q.leq if up else tuple(zip(*self.q.leq))
+            cols = []
             for col in zip(*self.sets):
-                at = [0] * q.n      # at[v]: the sets with value v at x
+                at = [0] * self.q.n     # at[v]: the sets with value v at x
                 for i, v in enumerate(col):
                     at[v] |= 1 << i
                 cols.append(tuple(sum(s for s, ok in zip(at, row) if ok)
                                   for row in rows))
-            self.columns[up] = tuple(cols)
-        return self.columns[up]
+            cols = self.columns[up] = tuple(cols)
+        return cols
 
     def above(self, w):
         """The sets at or above the value vector w at every point."""
-        return reduce(and_, map(getitem, self._masks(True), w), self.full)
+        return reduce(and_, map(getitem, self.masks(True), w), self.full)
 
     def below(self, w):
         """The sets at or below the value vector w at every point."""
-        return reduce(and_, map(getitem, self._masks(False), w), self.full)
+        return reduce(and_, map(getitem, self.masks(False), w), self.full)
 
     def fold(self, mask, op):
         """Position of the join (op "join") or meet ("meet") of the sets
         in a nonempty mask.  At x that is the join of the b that some
         set of the mask is at or above (the meet of the b that some set
         is at or below)."""
-        at = self.folds[op].get(mask)
+        memo = self.folds[op]
+        at = memo.get(mask)
         if at is None:
-            q = self.q
             up = op == "join"
-            gather = q.join_all if up else q.meet_all
-            at = self.folds[op][mask] = self.positions[tuple(
-                gather(compress(range(q.n), map(mask.__and__, cols)))
-                for cols in self._masks(up))]
+            gather, values = self.q.join_all if up else self.q.meet_all, self.values
+            at = memo[mask] = self.positions[tuple(
+                gather(compress(values, map(mask.__and__, cols)))
+                for cols in self.masks(up))]
         return at
 
     def break_in(self, inside, op):

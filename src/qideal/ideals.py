@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from operator import getitem, or_
+from operator import and_, getitem, or_
 
 from .errors import NotForwardCauchy, ShapeMismatch
 from .fuzzy import (
@@ -23,6 +23,7 @@ from .fuzzy import (
     _charge,
     _inhabited,
     _lower_violation,
+    _memoized,
     _set_index,
     enumerate_monotone_sets,
 )
@@ -131,6 +132,23 @@ def _as_label_dict(A, vec):
     return {e: lab(v) for e, v in zip(A.elements, vec)}
 
 
+def _threshold_plan(q, index, lower):
+    """What _threshold_break derives from the base and kind alone: the
+    index's columns (above each value at each point for lower sets,
+    below it for upper sets), the bound table (reach[c] ANDs, over x,
+    the column at phi(x) & c, or at phi(x) -> c), the values c that miss
+    each threshold u, the degree's table and gather, and the fold's
+    operation and table."""
+    values = range(q.n)
+    misses = tuple(tuple(c for c in values if not (q.leq[c][u] if lower else q.leq[u][c]))
+                   for u in values)
+    if lower:
+        return (index.masks(True), q.tensor_table, misses,
+                q.res_table, q.meet_all, "join", q.join_table)
+    return (index.masks(False), q.res_table, misses,
+            q.tensor_table, q.join_all, "meet", q.meet_table)
+
+
 def _threshold_break(phi, kind, budget):
     """The decision behind _irreducible (kind lower) and _flat (kind upper).
     d is the inclusion degree out of phi (the tensor degree with phi),
@@ -147,28 +165,31 @@ def _threshold_break(phi, kind, budget):
     of an OR of reach masks.  They pass together iff their fold passes.
     Folds of longer prefixes only grow (shrink), and once one misses u
     every longer one does, so the index's bisection finds the first
-    break.
+    break.  A threshold whose sets are none, all (the sets are closed
+    under the fold) or those of an earlier threshold cannot break.
     """
-    A, q = phi.base, phi.base.quantale
+    A, vals = phi.base, phi.values
     index = _set_index(A, kind, budget)
-    lower = kind == "lower"
-    table, bound = ((q.res_table, q.tensor_table) if lower
-                    else (q.tensor_table, q.res_table))
-    gather = q.meet_all if lower else q.join_all
-    op, fold = ("join", q.join_table) if lower else ("meet", q.meet_table)
-    # thresholds[u][c]: c passes u, that is c <= u (c >= u)
-    thresholds = tuple(zip(*q.leq)) if lower else q.leq
-    rows = [table[a] for a in phi.values]
-
-    def d(vec):
-        return gather(set(map(getitem, rows, vec)))
-
-    reach = list(map(index.above if lower else index.below,
-                     zip(*(bound[a] for a in phi.values))))
-    for passes in thresholds:
-        inside = index.full & ~reduce(or_, [r for r, ok in zip(reach, passes) if not ok], 0)
+    if index.plan is None:
+        index.plan = _threshold_plan(A.quantale, index, kind == "lower")
+    columns, bound, misses, table, gather, op, fold = index.plan
+    at = (map(col.__getitem__, bound[a]) for col, a in zip(columns, vals))
+    reach = tuple(next(at))
+    for masks in at:
+        reach = tuple(map(and_, reach, masks))
+    full = index.full
+    seen = {0, full}
+    for miss in misses:
+        inside = full ^ reduce(or_, map(reach.__getitem__, miss), 0)
+        if inside in seen:
+            continue
+        seen.add(inside)
         hit = index.break_in(inside, op)
         if hit is not None:
+            rows = [table[a] for a in vals]
+
+            def d(vec):
+                return gather(set(map(getitem, rows, vec)))
             acc, v, out = hit
             return acc, v, d(out), fold[d(acc)][d(v)]
     return None
@@ -241,16 +262,23 @@ def is_forward_cauchy(phi):
     return _ideal_precondition(phi) or _forward_cauchy(phi)
 
 
+def _dominance(A):
+    """dom[x][v]: the points z with v <= A(x,z), as a bitmask."""
+    leq = A.quantale.leq
+    return tuple(tuple(sum(1 << z for z, h in enumerate(row) if above[h])
+                       for above in leq)
+                 for row in A.hom)
+
+
 def _forward_cauchy(phi):
-    A, q = phi.base, phi.base.quantale
-    vals = phi.values
-    tops = [z for z in range(A.n) if vals[z] == q.unit]
-    for x in range(A.n):
-        vx = vals[x]
-        for y in range(A.n):
-            vy = vals[y]
-            if not any(q.leq[vx][A.hom[x][z]] and q.leq[vy][A.hom[y][z]]
-                       for z in tops):
+    A, vals = phi.base, phi.values
+    unit = A.quantale.unit
+    tops = sum(1 << z for z, v in enumerate(vals) if v == unit)
+    doms = list(map(getitem, _memoized(A, "dominance", lambda: _dominance(A)), vals))
+    for x, dx in enumerate(doms):
+        dx &= tops
+        for y, dy in enumerate(doms):
+            if not dx & dy:
                 return False, {"pair": (A.elements[x], A.elements[y])}
     return True, None
 

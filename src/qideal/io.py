@@ -17,7 +17,10 @@ map        {"source": qorder, "target": qorder, "mapping": {...} | [...]}
 sequence   {"order": qorder, "cycle": [...], "prefix": [...]}
 
 The instance kind is inferred from the keys, so one loader serves the
-whole command line.
+whole command line.  Sizes are charged against the budget (default
+fuzzy.DEFAULT_BUDGET) before any table is built: a chain or table
+quantale on n elements costs n**3 law checks, a discrete order on n
+points n**2 hom entries.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import os
 import re
 from fractions import Fraction
 
-from .fuzzy import FuzzySet, fuzzy_set
+from .fuzzy import DEFAULT_BUDGET, FuzzySet, _charge, fuzzy_set
 from .ideals import EventuallyPeriodicSequence, periodic_sequence
 from .qorder import QMap, QOrderedSet, build_qmap, build_qorder, crisp_qorder, standard_qorder
 from .quantale import (
@@ -66,13 +69,21 @@ def _resolve(data, base_dir):
     return data, base_dir
 
 
-def load_quantale(data, base_dir=None):
+def _charge_size(size, budget, what, power):
+    """Refuse an instance whose size, raised to power, passes the budget."""
+    if isinstance(size, int):
+        _charge(size ** power, DEFAULT_BUDGET if budget is None else budget, what)
+
+
+def load_quantale(data, base_dir=None, budget=None):
     data, base_dir = _resolve(data, base_dir)
     kind = data.get("kind", "chain")
     if kind == "boolean4":
         return boolean4()
     if kind == "chain":
         carrier = data.get("carrier")
+        _charge_size(data.get("n") if carrier is None else len(carrier), budget,
+                     "quantale law checks", 3)
         if carrier is not None:
             carrier = [parse_label(c) for c in carrier]
         return chain_quantale(data["tnorm"], n=data.get("n"), carrier=carrier)
@@ -83,6 +94,7 @@ def load_quantale(data, base_dir=None):
             extra["tolerance"] = data["tolerance"]
         return interval_quantale(data["tnorm"], pieces=pieces or None, **extra)
     if kind == "table":
+        _charge_size(len(data["elements"]), budget, "quantale law checks", 3)
         elements = [parse_label(e) for e in data["elements"]]
         leq = [[bool(v) for v in row] for row in data["leq"]]
         tensor = [[parse_label(v) for v in row] for row in data["tensor"]]
@@ -90,13 +102,15 @@ def load_quantale(data, base_dir=None):
     raise ValueError(f"unknown quantale kind {kind!r}")
 
 
-def load_qorder(data, base_dir=None):
+def load_qorder(data, base_dir=None, budget=None):
     data, base_dir = _resolve(data, base_dir)
-    base = load_quantale(data["base"], base_dir)
+    base = load_quantale(data["base"], base_dir, budget)
     if "name" in data:
         params = {k: v for k, v in data.items() if k not in ("base", "name")}
         if "labels" in params:
             params["labels"] = [parse_label(e) for e in params["labels"]]
+        elif data["name"] == "discrete":
+            _charge_size(params.get("n"), budget, "hom entries", 2)
         return standard_qorder(base, data["name"], **params)
     elements = [parse_label(e) for e in data["elements"]]
     if "crisp_leq" in data:
@@ -106,9 +120,9 @@ def load_qorder(data, base_dir=None):
     return build_qorder(base, elements, hom)
 
 
-def load_fuzzy_set(data, base_dir=None):
+def load_fuzzy_set(data, base_dir=None, budget=None):
     data, base_dir = _resolve(data, base_dir)
-    order = load_qorder(data["order"], base_dir)
+    order = load_qorder(data["order"], base_dir, budget)
     values = data["values"]
     if isinstance(values, dict):
         values = {parse_label(k): parse_label(v) for k, v in values.items()}
@@ -117,10 +131,10 @@ def load_fuzzy_set(data, base_dir=None):
     return fuzzy_set(order, values)
 
 
-def load_qmap(data, base_dir=None):
+def load_qmap(data, base_dir=None, budget=None):
     data, base_dir = _resolve(data, base_dir)
-    source = load_qorder(data["source"], base_dir)
-    target = load_qorder(data["target"], base_dir)
+    source = load_qorder(data["source"], base_dir, budget)
+    target = load_qorder(data["target"], base_dir, budget)
     mapping = data["mapping"]
     if isinstance(mapping, dict):
         mapping = {parse_label(k): parse_label(v) for k, v in mapping.items()}
@@ -129,27 +143,27 @@ def load_qmap(data, base_dir=None):
     return build_qmap(source, target, mapping)
 
 
-def load_sequence(data, base_dir=None):
+def load_sequence(data, base_dir=None, budget=None):
     data, base_dir = _resolve(data, base_dir)
-    order = load_qorder(data["order"], base_dir)
+    order = load_qorder(data["order"], base_dir, budget)
     cycle = [parse_label(v) for v in data["cycle"]]
     prefix = [parse_label(v) for v in data.get("prefix", ())]
     return periodic_sequence(order, cycle, prefix=prefix)
 
 
-def load_instance(data, base_dir=None):
+def load_instance(data, base_dir=None, budget=None):
     """Load whatever the file holds, keyed on its shape."""
     data, base_dir = _resolve(data, base_dir)
     if "cycle" in data:
-        return load_sequence(data, base_dir)
+        return load_sequence(data, base_dir, budget)
     if "mapping" in data:
-        return load_qmap(data, base_dir)
+        return load_qmap(data, base_dir, budget)
     if "values" in data:
-        return load_fuzzy_set(data, base_dir)
+        return load_fuzzy_set(data, base_dir, budget)
     if "base" in data:
-        return load_qorder(data, base_dir)
+        return load_qorder(data, base_dir, budget)
     if "kind" in data or "tensor" in data:
-        return load_quantale(data, base_dir)
+        return load_quantale(data, base_dir, budget)
     raise ValueError("cannot infer the instance kind from the keys "
                      f"{sorted(data)}")
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qideal import io
 from qideal.cli import main
 
 LUK3 = '{"kind": "chain", "tnorm": "lukasiewicz", "n": 3}'
@@ -168,6 +169,37 @@ def test_budget_zero_is_not_the_default(capsys):
                        "--class", "irr")
     assert code == 2
     assert "exceed the budget of 0" in err
+
+
+def test_oversized_instances_are_refused_before_any_table_is_built(capsys, monkeypatch):
+    def build(*args, **kwargs):
+        pytest.fail("a table was built for an instance over the budget")
+    for name in ("chain_quantale", "build_finite_quantale", "standard_qorder"):
+        monkeypatch.setattr(io, name, build)
+    huge = 10 ** 9
+    chain = '{"kind": "chain", "tnorm": "lukasiewicz", "n": %d}' % huge
+    code, _, err = run(capsys, "validate", chain)
+    assert code == 2
+    assert f"{huge ** 3} quantale law checks exceed the budget of 5000000" in err
+    code, _, err = run(capsys, "enumerate", '{"base": %s, "name": "dL"}' % chain)
+    assert code == 2 and "quantale law checks" in err
+    table = json.dumps({"kind": "table", "elements": [f"e{i}" for i in range(200)],
+                        "leq": [], "tensor": [], "unit": "e0"})
+    code, _, err = run(capsys, "validate", table)
+    assert code == 2 and "8000000 quantale law checks" in err
+    discrete = '{"base": {"kind": "boolean4"}, "name": "discrete", "n": %d}' % huge
+    code, _, err = run(capsys, "scott", discrete)
+    assert code == 2 and f"{huge ** 2} hom entries exceed" in err
+
+
+def test_instance_sizes_are_charged_against_the_budget(capsys):
+    code, _, err = run(capsys, "--budget", "26", "validate", LUK3)
+    assert code == 2 and "27 quantale law checks exceed the budget of 26" in err
+    assert run(capsys, "--budget", "27", "validate", LUK3)[0] == 0
+    discrete = '{"base": {"kind": "boolean4"}, "name": "discrete", "n": 3}'
+    code, _, err = run(capsys, "--budget", "8", "validate", discrete)
+    assert code == 2 and "9 hom entries exceed the budget of 8" in err
+    assert run(capsys, "--budget", "9", "validate", discrete)[0] == 0
 
 
 def test_check_params(capsys):

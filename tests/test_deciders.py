@@ -1,7 +1,9 @@
 """The threshold deciders for flat and irreducible ideals against the
 pair scans they replaced and the meet shortcut for frames, with every
 failure witness replayed from the definitions; the bitset kernel against
-the per-set fold it replaced, break for break."""
+the per-set fold it replaced, break for break; the forward-Cauchy
+dominance masks against the pointwise loop they replaced, pair for
+pair."""
 
 import itertools
 import random
@@ -18,10 +20,14 @@ from qideal.fuzzy import (
     yoneda,
 )
 from qideal.ideals import (
+    _flat,
+    _forward_cauchy,
+    _irreducible,
     _threshold_break,
     classify_ideal,
     enumerate_ideals,
     is_flat,
+    is_forward_cauchy,
     is_irreducible,
 )
 from qideal.qorder import build_qorder, random_qorder, standard_qorder
@@ -120,6 +126,21 @@ def fold_oracle(phi, kind):
     return None
 
 
+def fc_oracle(phi):
+    """The pointwise loop the dominance masks replaced: the first pair x,
+    y (x outer) with no z at the unit such that phi(x) <= A(x,z) and
+    phi(y) <= A(y,z)."""
+    A, q = phi.base, phi.base.quantale
+    vals = phi.values
+    tops = [z for z in range(A.n) if vals[z] == q.unit]
+    for x in range(A.n):
+        for y in range(A.n):
+            if not any(q.leq[vals[x]][A.hom[x][z]] and q.leq[vals[y]][A.hom[y][z]]
+                       for z in tops):
+                return False, {"pair": (A.elements[x], A.elements[y])}
+    return True, None
+
+
 def replay_flat(phi, w):
     A, q = phi.base, phi.base.quantale
     v1, v2 = fuzzy_set(A, w["psi1"]).values, fuzzy_set(A, w["psi2"]).values
@@ -159,9 +180,15 @@ def assert_matches_oracles(A):
             for kind in ("lower", "upper"):
                 assert (_threshold_break(phi, kind, DEFAULT_BUDGET)
                         == fold_oracle(phi, kind)), (A.catalog, phi.values, kind)
+        fc = fc_oracle(phi)
+        assert _forward_cauchy(phi) == fc, (A.catalog, phi.values)
+        if inhabited(phi):
+            assert is_forward_cauchy(phi) == fc, (A.catalog, phi.values)
         rep = classify_ideal(phi)
         assert (rep.flat, rep.irreducible) == (flat, irr)
         assert (rep.witnesses.get("flat"), rep.witnesses.get("irreducible")) == (wf, wi)
+        if inhabited(phi):
+            assert (rep.forward_cauchy, rep.witnesses.get("forward_cauchy")) == fc
 
 
 @pytest.mark.parametrize("q", [boolean4(), lukasiewicz_chain(3), godel_chain(4)],
@@ -215,6 +242,34 @@ def test_the_index_is_built_by_the_first_decider_call(monkeypatch):
     is_flat(lowers[-2])
     assert fuzzy._MEMO[A]["index", "upper"] is index
     assert list(fuzzy._MEMO) == [A] and len(fuzzy._MEMO[A]) == 4
+
+
+@pytest.mark.parametrize("A", [standard_qorder(lukasiewicz_chain(5), "dL"),
+                               standard_qorder(godel_chain(4), "dR"),
+                               standard_qorder(boolean4(), "dL")],
+                         ids=["dL/L5", "dR/G4", "dL/boolean4"])
+def test_a_decider_call_tests_no_threshold_that_cannot_break(A, monkeypatch):
+    """No empty mask, no full mask (the sets are closed under the fold)
+    and no mask twice within one call: none of these can break."""
+    tested = []
+    break_in = fuzzy._SetIndex.break_in
+
+    def spy(index, inside, op):
+        tested.append((inside, index.full))
+        return break_in(index, inside, op)
+    monkeypatch.setattr(fuzzy._SetIndex, "break_in", spy)
+    calls = 0
+    for phi in enumerate_ideals(A, "lower"):
+        if not inhabited(phi):
+            continue
+        for decider in (_flat, _irreducible):
+            tested.clear()
+            decider(phi, DEFAULT_BUDGET)
+            masks = [inside for inside, _ in tested]
+            assert all(0 != inside != full for inside, full in tested), phi.values
+            assert len(set(masks)) == len(masks), phi.values
+            calls += len(masks)
+    assert calls
 
 
 def test_precondition_is_one_reason_under_every_key():

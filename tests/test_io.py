@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qideal.errors import BudgetExceeded
 from qideal.fuzzy import yoneda
 from qideal.io import (
     dump_instance,
@@ -145,3 +146,14 @@ def test_jsonable_payloads():
                                     "n": 3}
     assert json.dumps(out)
     assert jsonable(object()).startswith("<object")
+
+
+def test_loaders_charge_sizes_at_the_default_budget():
+    with pytest.raises(BudgetExceeded, match="quantale law checks"):
+        load_instance({"kind": "chain", "tnorm": "godel", "n": 171})
+    assert load_instance({"kind": "chain", "tnorm": "godel", "n": 4}).n == 4
+    with pytest.raises(BudgetExceeded, match="hom entries"):
+        load_instance({"base": {"kind": "boolean4"}, "name": "discrete", "n": 2237})
+    with pytest.raises(BudgetExceeded, match="27 quantale law checks"):
+        load_instance({"order": {"base": {"kind": "chain", "tnorm": "godel", "n": 3},
+                                 "name": "dL"}, "values": [1, 1, 1]}, budget=26)
