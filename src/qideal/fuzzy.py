@@ -10,9 +10,9 @@ built from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import compress
-from operator import and_, getitem
+from operator import and_, getitem, itemgetter
 
 from .errors import (
     BaseMismatch,
@@ -26,7 +26,7 @@ from .qorder import QOrderedSet
 DEFAULT_BUDGET = 5_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FuzzySet:
     base: QOrderedSet
     values: tuple   # quantale indices aligned with base.elements
@@ -70,20 +70,20 @@ def constant_fuzzy_set(A, p):
 
 
 def _lower_violation(A, vals):
-    tens, leq = A.quantale.tensor_table, A.quantale.leq
-    for y in range(A.n):
+    tens, leq, hom, points = A.quantale.tensor_table, A.quantale.leq, A.hom, range(A.n)
+    for y in points:
         row = tens[vals[y]]
-        for x in range(A.n):
-            if not leq[row[A.hom[x][y]]][vals[x]]:
+        for x in points:
+            if not leq[row[hom[x][y]]][vals[x]]:
                 return (x, y)
     return None
 
 
 def _upper_violation(A, vals):
-    tens, leq = A.quantale.tensor_table, A.quantale.leq
-    for x in range(A.n):
-        vx, hx = vals[x], A.hom[x]
-        for y in range(A.n):
+    tens, leq, hom, points = A.quantale.tensor_table, A.quantale.leq, A.hom, range(A.n)
+    for x in points:
+        vx, hx = vals[x], hom[x]
+        for y in points:
             if not leq[tens[hx[y]][vx]][vals[y]]:
                 return (x, y)
     return None
@@ -227,42 +227,56 @@ def _walk(A, kind, budget):
     are pairwise, so a rejected prefix has no monotone completion and
     the pruning is exact; the output is in the lexicographic order of
     itertools.product.  Returns the tuples and the count of values
-    tried, and raises BudgetExceeded once that count passes the budget."""
+    tried, and raises BudgetExceeded once that count passes the budget.
+    A node's state, the masks of the values still admissible at the
+    coordinates after its prefix, fixes its completions and the values
+    tried below it, so a state met again re-prefixes the block of out
+    it emitted the first time and charges what that visit tried."""
     q = A.quantale
     n, m = A.n, q.n
     leq, tens, res, hom = q.leq, q.tensor_table, q.res_table, A.hom
     values = range(m)
     # bitmasks over values: up[a] (down[a]) holds the values at or above
-    # (below) a; own[i] admits v at coordinate i against itself,
-    # beside[i][j][u] beside the value u at coordinate j < i.  The tensor
-    # is commutative, so a lower set has u & A(i,j) <= v at i and, by
-    # residuation, v <= A(j,i) -> u; an upper set swaps the two degrees.
+    # (below) a; own[i] admits v at coordinate i against itself, and
+    # after[j][u][k-j-1] at coordinate k > j beside the value u at j.  The
+    # tensor is commutative, so a lower set has u & A(k,j) <= v at k and,
+    # by residuation, v <= A(j,k) -> u; an upper set swaps the two degrees.
     up = [sum(1 << v for v in values if leq[a][v]) for a in values]
     down = [sum(1 << v for v in values if leq[v][a]) for a in values]
     lift = hom if kind == "lower" else tuple(zip(*hom))
-    own = [sum(1 << v for v in values if leq[tens[v][hom[i][i]]][v]) for i in range(n)]
-    beside = [[[up[t[u]] & down[r[u]] for u in values]
-               for t, r in ((tens[lift[i][j]], res[lift[j][i]]) for j in range(i))]
-              for i in range(n)]
+    own = tuple(sum(1 << v for v in values if leq[tens[v][hom[i][i]]][v]) for i in range(n))
+    after = [[tuple(up[tens[lift[k][j]][u]] & down[res[lift[j][k]][u]] for k in range(j + 1, n))
+              for u in values] for j in range(n)]
     out = []
+    seen = {}       # state -> (first, last, tried): its block of out
     tried = 0
 
-    def extend(prefix):
+    def extend(prefix, state):
         nonlocal tried
+        i, first, before = len(prefix), len(out), tried
         tried += m
         _charge(tried, budget, "candidate values tried")
-        i = len(prefix)
-        mask = own[i]
-        for row, u in zip(beside[i], prefix):
-            mask &= row[u]
-        kept = [prefix + (v,) for v in values if mask >> v & 1]
-        if i + 1 == n:
-            out.extend(kept)
+        mask, rest = state[0], state[1:]
+        if not rest:
+            out.extend([prefix + (v,) for v in values if mask >> v & 1])
         else:
-            for p in kept:
-                extend(p)
+            step, cut = after[i], itemgetter(slice(i + 1, None))
+            for v in values:
+                if mask >> v & 1:
+                    child, head = tuple(map(and_, rest, step[v])), prefix + (v,)
+                    block = seen.get(child)
+                    if block is None:
+                        extend(head, child)
+                    else:
+                        tried += block[2]
+                        _charge(tried, budget, "candidate values tried")
+                        out.extend(map(head.__add__, map(cut, out[block[0]:block[1]])))
+        seen[state] = (first, len(out), tried - before)
 
-    extend(())
+    try:
+        extend((), own)
+    finally:
+        del extend      # the closure refers to itself: free out and seen now
     return tuple(out), tried
 
 
@@ -368,8 +382,7 @@ def enumerate_monotone_sets(A, kind, budget=None):
     if kind not in ("lower", "upper"):
         raise ValueError(f"unknown kind {kind!r}")
     budget = DEFAULT_BUDGET if budget is None else budget
-    return tuple(FuzzySet(A, vec)
-                 for vec in _monotone_value_tuples(A, kind, budget))
+    return tuple(map(partial(FuzzySet, A), _monotone_value_tuples(A, kind, budget)))
 
 
 def classify_sampled(order, fn, grid=129, tolerance=None):

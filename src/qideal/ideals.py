@@ -113,14 +113,15 @@ def ideal_from_sequence(s):
     return FuzzySet(A, vals)
 
 
-def _ideal_precondition(phi):
-    """None when phi is lower and inhabited, else (False, reason dict)."""
+def _ideal_precondition(phi, inhabited=None):
+    """None when phi is lower and inhabited, else (False, reason dict).
+    inhabited, when given, is _inhabited(phi.base, phi.values)."""
     A = phi.base
     w = _lower_violation(A, phi.values)
     if w is not None:
         return False, {"reason": "not a lower set",
                        "pair": (A.elements[w[0]], A.elements[w[1]])}
-    if not _inhabited(A, phi.values):
+    if not (_inhabited(A, phi.values) if inhabited is None else inhabited):
         q = A.quantale
         return False, {"reason": "not inhabited",
                        "join_of_values": q.elements[q.join_all(phi.values)]}
@@ -300,15 +301,15 @@ def classify_ideal(phi, budget=None):
     """All three deciders plus inhabitedness; every false flag keeps its
     witness under its own key.  A set that is not lower and inhabited
     fails all three with the same reason."""
-    pre = _ideal_precondition(phi)
+    inhabited = _inhabited(phi.base, phi.values)
+    pre = _ideal_precondition(phi, inhabited)
     budget = DEFAULT_BUDGET if budget is None else budget
     flat = pre or _flat(phi, budget)
     irr = pre or _irreducible(phi, budget)
     fc = pre or _forward_cauchy(phi)
     witnesses = {k: w for k, (_, w) in (("flat", flat), ("irreducible", irr),
                                         ("forward_cauchy", fc)) if w is not None}
-    return IdealReport(_inhabited(phi.base, phi.values), flat[0], irr[0], fc[0],
-                       witnesses)
+    return IdealReport(inhabited, flat[0], irr[0], fc[0], witnesses)
 
 
 def enumerate_ideals(A, which="fc", budget=None):

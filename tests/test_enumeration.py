@@ -1,8 +1,12 @@
 """The pruned enumeration of fuzzy lower/upper sets against the product
-filter it replaced, and the budget it counts."""
+filter it replaced and the plain walk it shares work over, and the
+budget it counts."""
 
+import gc
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +14,11 @@ from hypothesis import given, settings, strategies as st
 from qideal import fuzzy, ideals
 from qideal.errors import BudgetExceeded
 from qideal.fuzzy import (
+    _charge,
     _lower_violation,
     _monotone_value_tuples,
     _upper_violation,
+    _walk,
     enumerate_monotone_sets,
     yoneda,
 )
@@ -37,10 +43,59 @@ def product_oracle(A, kind):
                  if check(A, vec) is None)
 
 
+def walk_oracle(A, kind, budget):
+    """The plain walk: one call per admissible prefix, each trying every
+    value against the coordinates already fixed."""
+    q = A.quantale
+    n, m = A.n, q.n
+    leq, tens, res, hom = q.leq, q.tensor_table, q.res_table, A.hom
+    values = range(m)
+    up = [sum(1 << v for v in values if leq[a][v]) for a in values]
+    down = [sum(1 << v for v in values if leq[v][a]) for a in values]
+    lift = hom if kind == "lower" else tuple(zip(*hom))
+    own = [sum(1 << v for v in values if leq[tens[v][hom[i][i]]][v]) for i in range(n)]
+    beside = [[[up[t[u]] & down[r[u]] for u in values]
+               for t, r in ((tens[lift[i][j]], res[lift[j][i]]) for j in range(i))]
+              for i in range(n)]
+    out = []
+    tried = 0
+
+    def extend(prefix):
+        nonlocal tried
+        tried += m
+        _charge(tried, budget, "candidate values tried")
+        i = len(prefix)
+        mask = own[i]
+        for row, u in zip(beside[i], prefix):
+            mask &= row[u]
+        kept = [prefix + (v,) for v in values if mask >> v & 1]
+        if i + 1 == n:
+            out.extend(kept)
+        else:
+            for p in kept:
+                extend(p)
+
+    extend(())
+    return tuple(out), tried
+
+
+def assert_walk_matches_oracle(A):
+    """Same sets and same count as the plain walk, and the same verdict
+    one value below that count and at it."""
+    for kind in ("lower", "upper"):
+        sets, tried = walk_oracle(A, kind, 10 ** 12)
+        assert _walk(A, kind, 10 ** 12) == (sets, tried), (A.catalog, kind)
+        for walk in (walk_oracle, _walk):
+            with pytest.raises(BudgetExceeded, match="candidate values tried"):
+                walk(A, kind, tried - 1)
+            assert walk(A, kind, tried) == (sets, tried)
+
+
 def assert_matches_oracle(A):
     for kind in ("lower", "upper"):
         got = _monotone_value_tuples(A, kind, fuzzy.DEFAULT_BUDGET)
         assert got == product_oracle(A, kind), (A.catalog, kind)
+    assert_walk_matches_oracle(A)
 
 
 def l3_times_l2():
@@ -72,6 +127,61 @@ def test_named_orders_over_lukasiewicz(k):
         assert_matches_oracle(standard_qorder(q, name))
     for n in (1, 2, 3):
         assert_matches_oracle(standard_qorder(q, "discrete", n=n))
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_walk_matches_oracle_on_lukasiewicz(k):
+    q = lukasiewicz_chain(k)
+    for name in ("dL", "dR"):
+        assert_walk_matches_oracle(standard_qorder(q, name))
+
+
+@pytest.mark.parametrize("q", [L3, boolean4()], ids=["L3", "boolean4"])
+def test_walk_matches_oracle_on_discrete(q):
+    for n in range(1, 8):
+        assert_walk_matches_oracle(standard_qorder(q, "discrete", n=n))
+
+
+def inner_calls(A, kind):
+    """Calls of the functions nested in _walk (comprehensions aside)."""
+    inner = {c for c in _walk.__code__.co_consts
+             if inspect.iscode(c) and not c.co_name.startswith("<")}
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code in inner
+
+    sys.setprofile(count)
+    try:
+        _walk(A, kind, fuzzy.DEFAULT_BUDGET)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_walk_shares_equal_states_on_discrete(n):
+    # every prefix leaves the same state, so each depth is explored once
+    # (the plain walk makes 3,280 calls at n = 8)
+    assert inner_calls(standard_qorder(L3, "discrete", n=n), "lower") <= 1 + (n - 1) * 3
+
+
+def test_walk_shares_equal_states_on_lukasiewicz10():
+    A = standard_qorder(lukasiewicz_chain(10), "dL")
+    for kind in ("lower", "upper"):
+        assert inner_calls(A, kind) <= 200    # the plain walk makes 3,318
+
+
+def test_walk_leaves_no_garbage_cycle():
+    A = standard_qorder(lukasiewicz_chain(6), "dL")
+    gc.collect()
+    gc.disable()
+    try:
+        _walk(A, "lower", fuzzy.DEFAULT_BUDGET)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 RANDOM_BASES = [boolean4(), godel_chain(3), nilpotent_minimum_chain(4), L3,

@@ -1,5 +1,6 @@
 """Fuzzy lower/upper sets: degrees, transport, suprema, enumeration."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from qideal.errors import (
     ShapeMismatch,
 )
 from qideal.fuzzy import (
+    FuzzySet,
     classify_fuzzy_set,
     classify_sampled,
     constant_fuzzy_set,
@@ -167,6 +169,20 @@ def test_enumerate_monotone_sets():
         enumerate_monotone_sets(A, "sideways")
     with pytest.raises(BudgetExceeded):
         enumerate_monotone_sets(A, "lower", budget=3)
+
+
+def test_enumerated_sets_are_slotted_frozen_values():
+    A = two_chain(L3)
+    phi = enumerate_monotone_sets(A, "lower")[-1]
+    assert not hasattr(phi, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        phi.values = (0, 0)
+    twin = FuzzySet(two_chain(L3), phi.values)
+    assert twin == phi and hash(twin) == hash(phi)
+    assert phi != FuzzySet(standard_qorder(L3, "discrete", n=2), phi.values)
+    assert phi != FuzzySet(A, (0, 0))
+    assert phi.as_dict() == {"a": Fraction(1), "b": Fraction(1)}
+    assert phi.value("b") == 1
 
 
 def test_classify_sampled_on_the_interval():
