@@ -232,7 +232,7 @@ def build_parser():
     p.add_argument("--shape", required=True,
                    help="<class>-not-<class> with classes fc, flat, irr")
     p.add_argument("--limit", type=int, default=200,
-                   help="instance budget for the search")
+                   help="scan the first N bases of the class-comparison battery")
     p.add_argument("--report", default=None)
     p.set_defaults(fn=_cmd_search)
     return parser

@@ -128,11 +128,6 @@ def _ideal_precondition(phi, inhabited=None):
     return None
 
 
-def _as_label_dict(A, vec):
-    lab = A.quantale.elements.__getitem__
-    return {e: lab(v) for e, v in zip(A.elements, vec)}
-
-
 def _threshold_plan(q, index, lower):
     """What _threshold_break derives from the base and kind alone: the
     index's columns (above each value at each point for lower sets,
@@ -201,7 +196,7 @@ def _verdict(A, hit, keys):
         return True, None
     v1, v2, lhs, rhs = hit
     lab = A.quantale.elements.__getitem__
-    return False, dict(zip(keys, (_as_label_dict(A, v1), _as_label_dict(A, v2),
+    return False, dict(zip(keys, (FuzzySet(A, v1).as_dict(), FuzzySet(A, v2).as_dict(),
                                   lab(lhs), lab(rhs))))
 
 
@@ -363,9 +358,9 @@ def compare_fc_routes(A, bound=4, budget=None):
         "agree": decided == generated,
         "decider_count": len(decided),
         "sequence_count": len(generated),
-        "only_decider": [_as_label_dict(A, v)
+        "only_decider": [FuzzySet(A, v).as_dict()
                          for v in sorted(decided - generated)],
-        "only_sequence": [_as_label_dict(A, v)
+        "only_sequence": [FuzzySet(A, v).as_dict()
                           for v in sorted(generated - decided)],
     }
 

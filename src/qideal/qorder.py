@@ -52,9 +52,6 @@ class QOrderedSet:
                                {e: i for i, e in enumerate(self.elements)})
         return label_index(self._index, label)
 
-    def label(self, i):
-        return self.elements[i]
-
     def degree(self, x, y):
         """A(x,y) as a quantale label."""
         return self.quantale.elements[self.hom[self.index(x)][self.index(y)]]

@@ -87,9 +87,6 @@ class FiniteQuantale:
     def index(self, label):
         return label_index(self._index, label)
 
-    def label(self, i):
-        return self.elements[i]
-
     # index-level operations
     def tensor(self, i, j):
         return self.tensor_table[i][j]

@@ -35,7 +35,7 @@ from .fuzzy import (
     suprema,
     transport,
 )
-from .ideals import _as_label_dict, enumerate_ideals, ideal_class_tag
+from .ideals import enumerate_ideals, ideal_class_tag
 
 _MODE_ALIASES = {"topology": "topology", "top": "topology",
                  "cotopology": "cotopology", "cotop": "cotopology"}
@@ -81,7 +81,7 @@ def _member_violation(A, vals, mode, ctx):
         for s in sups:
             if vals[s] != d:
                 return {"reason": "misses the supremum equation",
-                        "ideal": _as_label_dict(A, ivals),
+                        "ideal": FuzzySet(A, ivals).as_dict(),
                         "supremum": lab(s),
                         "at_supremum": q.elements[vals[s]],
                         key: q.elements[d]}
@@ -159,7 +159,7 @@ def check_structure_axioms(S, budget=None):
         at = index.positions.get(v)
         if at is None:
             raise ValidationError(f"member is not a fuzzy {kind} set of the base",
-                                  witness=_as_label_dict(A, v))
+                                  witness=FuzzySet(A, v).as_dict())
         family |= 1 << at
     _charge(2 * len(index.sets) * A.n + 2 * q.n * len(vecs), limit,
             "closure mask operations and scalings")
@@ -174,8 +174,8 @@ def check_structure_axioms(S, budget=None):
             hit = index.break_in(family & within(w), op)
             if hit is not None:
                 flags[name] = False
-                wits[name] = {"members": tuple(_as_label_dict(A, v) for v in hit[:2]),
-                              "result": _as_label_dict(A, hit[2])}
+                wits[name] = {"members": tuple(FuzzySet(A, v).as_dict() for v in hit[:2]),
+                              "result": FuzzySet(A, hit[2]).as_dict()}
                 return
         flags[name] = True
 
@@ -186,8 +186,8 @@ def check_structure_axioms(S, budget=None):
                 if out not in have:
                     flags[name] = False
                     wits[name] = {"p": q.elements[p],
-                                  "member": _as_label_dict(A, v),
-                                  "result": _as_label_dict(A, out)}
+                                  "member": FuzzySet(A, v).as_dict(),
+                                  "result": FuzzySet(A, out).as_dict()}
                     return
         flags[name] = True
 
@@ -253,22 +253,17 @@ def cocontinuity_equivalence(f, which="irreducible", budget=None):
             if bad is not None:
                 cocontinuous = False
                 witnesses["sup_not_preserved"] = {
-                    "ideal": _as_label_dict(A, ivals),
+                    "ideal": FuzzySet(A, ivals).as_dict(),
                     "supremum": A.elements[bad],
                     "image_of_supremum": B.elements[f.mapping[bad]],
                     "suprema_of_image": [b for b in B.elements if b in targets],
                 }
                 break
-    closed_preimage = True
-    ctxA = _scott_context(A, tag, budget)
-    for lvals in _member_values(B, "cotopology", tag, budget):
-        pulled = tuple(lvals[j] for j in f.mapping)
-        v = _member_violation(A, pulled, "cotopology", ctxA)
-        if v is not None:
-            closed_preimage = False
-            witnesses["preimage_not_closed"] = {
-                "closed_set": _as_label_dict(B, lvals), "violation": v}
-            break
+    bad = _preimage_violation(f, "cotopology", tag, budget)
+    if bad is not None:
+        witnesses["preimage_not_closed"] = {"closed_set": bad[0],
+                                            "violation": bad[1]}
+    closed_preimage = bad is None
     return {"cocontinuous": cocontinuous, "closed_preimage": closed_preimage,
             "agree": cocontinuous == closed_preimage, "witnesses": witnesses}
 
@@ -278,15 +273,23 @@ def check_open_preimages(f, which="flat", budget=None):
     with a cocontinuous map must be open on the source.  Returns
     (flag, witness); callers are expected to have checked
     cocontinuity."""
-    A, B = f.source, f.target
-    tag = ideal_class_tag(which)
-    ctxA = _scott_context(A, tag, budget)
-    for uvals in _member_values(B, "topology", tag, budget):
-        pulled = tuple(uvals[j] for j in f.mapping)
-        v = _member_violation(A, pulled, "topology", ctxA)
+    bad = _preimage_violation(f, "topology", ideal_class_tag(which), budget)
+    if bad is None:
+        return True, None
+    return False, {"open_set": bad[0], "violation": bad[1]}
+
+
+def _preimage_violation(f, mode, tag, budget):
+    """The first member of the target's open (closed) family, by mode,
+    whose composite with f is not open (closed) on the source: its label
+    dict and the membership violation, or None."""
+    ctxA = _scott_context(f.source, tag, budget)
+    for vals in _member_values(f.target, mode, tag, budget):
+        pulled = tuple(vals[j] for j in f.mapping)
+        v = _member_violation(f.source, pulled, mode, ctxA)
         if v is not None:
-            return False, {"open_set": _as_label_dict(B, uvals), "violation": v}
-    return True, None
+            return FuzzySet(f.target, vals).as_dict(), v
+    return None
 
 
 def interval_dR_scott_closed(fn, q, grid=257, tolerance=None,

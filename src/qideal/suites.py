@@ -19,7 +19,7 @@ from functools import partial
 
 from .completion import check_completeness_continuity, check_saturation, ideal_space
 from .errors import BudgetExceeded, DecompositionMismatch, GridTooCoarse, UnknownSuite
-from .fuzzy import FuzzySet, _memoized, classify_sampled, fuzzy_set, transport
+from .fuzzy import DEFAULT_BUDGET, FuzzySet, _charge, _memoized, classify_sampled, fuzzy_set, transport
 from .ideals import (
     approach_terms,
     classify_ideal,
@@ -29,7 +29,8 @@ from .ideals import (
     irreducible_interval_ideal,
 )
 from .io import dump_instance, jsonable
-from .qorder import QOrderedSet, all_qmaps, crisp_qorder, interval_order, random_qorder, standard_qorder
+from .qorder import (QOrderedSet, all_qmaps, crisp_qorder, interval_order, is_separated,
+                     qorder_violation, random_qorder, standard_qorder)
 from .quantale import (
     boolean4,
     godel_chain,
@@ -77,46 +78,46 @@ class SuiteResult:
         return "\n".join(lines)
 
 
-def _two_point_orders(q):
-    lab = q.elements.__getitem__
-    out = []
-    for r01 in range(q.n):
-        for r10 in range(q.n):
-            hom = ((q.unit, r01), (r10, q.unit))
-            A = QOrderedSet(q, ("x0", "x1"), hom,
-                            catalog=("two_point", {"r01": lab(r01), "r10": lab(r10)}),
-                            _index={"x0": 0, "x1": 1})
-            out.append(A)
-    return out
+def _qorders(q, labels, budget, separated=False):
+    """Every Q-order on the points labels, in lexicographic order of its
+    off-diagonal hom entries, row by row; with separated, only those in
+    which no two points are isomorphic.  The |Q|^(n(n-1)) tables are
+    charged against the budget by the call, before the first is tried."""
+    n = len(labels)
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    _charge(q.n ** len(off), DEFAULT_BUDGET if budget is None else budget,
+            "hom tables tried")
+    index = {e: i for i, e in enumerate(labels)}
+
+    def tables():
+        for entries in itertools.product(range(q.n), repeat=len(off)):
+            hom = [[q.unit] * n for _ in range(n)]
+            for (i, j), v in zip(off, entries):
+                hom[i][j] = v
+            A = QOrderedSet(q, labels, tuple(map(tuple, hom)), _index=index)
+            if (not separated or is_separated(A)) and qorder_violation(q, A.hom) is None:
+                yield A
+    return tables()
 
 
-def _trio():
-    return ((boolean4(), "boolean4"), (lukasiewicz_chain(3), "lukasiewicz-3"),
+def _battery(seed, budget):
+    """The class-comparison bases: every two-point Q-order over the trio
+    (41 bases), then seeded random three-point ones without end."""
+    trio = ((boolean4(), "boolean4"), (lukasiewicz_chain(3), "lukasiewicz-3"),
             (godel_chain(4), "godel-4"))
-
-
-def _exhaustive_battery():
-    out = []
-    for q, qd in _trio():
-        for A in _two_point_orders(q):
-            p = A.catalog[1]
-            out.append((f"2-point({p['r01']},{p['r10']}) over {qd}", A))
-    return tuple(out)
-
-
-def _seeded_battery(seed, count=50):
+    for q, qd in trio:
+        lab = q.elements.__getitem__
+        for A in _qorders(q, ("x0", "x1"), budget):
+            yield f"2-point({lab(A.hom[0][1])},{lab(A.hom[1][0])}) over {qd}", A
     rng = random.Random(seed)
-    qs = _trio()
-    out = []
-    for k in range(count):
-        q, qd = qs[k % len(qs)]
-        A = random_qorder(q, 3, rng)
-        out.append((f"seeded-3pt#{k} over {qd}", A))
-    return tuple(out)
+    for k in itertools.count():
+        q, qd = trio[k % len(trio)]
+        yield f"seeded-3pt#{k} over {qd}", random_qorder(q, 3, rng)
 
 
-def _full_battery(seed):
-    return _exhaustive_battery() + _seeded_battery(seed)
+def _full_battery(seed, budget):
+    """The two-point bases and the first 50 seeded ones."""
+    return tuple(itertools.islice(_battery(seed, budget), 41 + 50))
 
 
 def _census(A, budget):
@@ -136,50 +137,41 @@ def _saturation_battery():
     return tuple(out)
 
 
-def _crisp_posets(max_points):
-    """Every labeled partial order on 1..max_points points, as leq
-    matrices."""
-    out = []
-    for n in range(1, max_points + 1):
-        off = [(i, j) for i in range(n) for j in range(n) if i != j]
-        for bits in itertools.product((False, True), repeat=len(off)):
-            leq = [[i == j for j in range(n)] for i in range(n)]
-            for (i, j), b in zip(off, bits):
-                leq[i][j] = b
-            ok = True
-            for i in range(n):
-                for j in range(n):
-                    if i != j and leq[i][j] and leq[j][i]:
-                        ok = False
-                        break
-                    if not leq[i][j]:
-                        continue
-                    for k in range(n):
-                        if leq[j][k] and not leq[i][k]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append((n, tuple(tuple(r) for r in leq)))
-    return tuple(out)
+def _crisp_posets(max_points, budget):
+    """Every labeled partial order on 1..max_points points as a Q-order
+    over the two-element chain, with the line that names them."""
+    if max_points < 1:
+        raise ValueError(f"max_points must be at least 1, got {max_points}")
+    b2 = godel_chain(2)
+    # every size is charged before the smallest is enumerated
+    sizes = [_qorders(b2, tuple(f"p{i}" for i in range(n)), budget, separated=True)
+             for n in range(1, max_points + 1)]
+    posets = tuple(itertools.chain.from_iterable(sizes))
+    return (f"all crisp posets on <= {max_points} points over the 2-chain "
+            f"({len(posets)} posets)"), posets
+
+
+def _leq(P):
+    """The crisp order of a poset from _crisp_posets, as a bool matrix."""
+    unit = P.quantale.unit
+    return tuple(tuple(v == unit for v in row) for row in P.hom)
+
+
+def _flags(rep):
+    return dict(zip(("inhabited", "flat", "irreducible", "forward_cauchy"),
+                    rep.flags()))
 
 
 def _ideal_witness(desc, phi, rep, reason):
     return {"instance": desc, "reason": reason,
-            "ideal": dump_instance(phi),
-            "flags": {"inhabited": rep.inhabited, "flat": rep.flat,
-                      "irreducible": rep.irreducible,
-                      "forward_cauchy": rep.forward_cauchy},
+            "ideal": dump_instance(phi), "flags": _flags(rep),
             "witnesses": rep.witnesses}
 
 
 def _inclusion_suite(keep_base, offend, reason, params, seed, budget, tolerance):
     instances, witnesses = [], []
     ideals = 0
-    for desc, A in _full_battery(seed):
+    for desc, A in _full_battery(seed, budget):
         if not keep_base(A.quantale):
             continue
         instances.append(desc)
@@ -187,8 +179,7 @@ def _inclusion_suite(keep_base, offend, reason, params, seed, budget, tolerance)
             ideals += 1
             if offend(rep):
                 witnesses.append(_ideal_witness(desc, phi, rep, reason))
-    verdict = "pass" if not witnesses else "fail"
-    return instances, verdict, witnesses, {"ideals_checked": ideals, "seed": seed}
+    return instances, witnesses, {"ideals_checked": ideals, "seed": seed}
 
 
 # name -> (the quantales whose bases it covers, the ideal reports that
@@ -224,12 +215,9 @@ def _suite_boolean4_counterexample(params, seed, budget, tolerance):
     if rep.flags() != expected:
         witnesses.append(_ideal_witness("discrete-2 over boolean4", phi, rep,
                                         f"expected flags {expected}"))
-    details = {"flags": {"inhabited": rep.inhabited, "flat": rep.flat,
-                         "irreducible": rep.irreducible,
-                         "forward_cauchy": rep.forward_cauchy},
+    details = {"flags": _flags(rep),
                "forward_cauchy_witness": rep.witnesses.get("forward_cauchy")}
-    return (["discrete-2 over boolean4"],
-            "pass" if not witnesses else "fail", witnesses, details)
+    return ["discrete-2 over boolean4"], witnesses, details
 
 
 def _suite_godel_flat_not_irr(params, seed, budget, tolerance):
@@ -250,8 +238,7 @@ def _suite_godel_flat_not_irr(params, seed, budget, tolerance):
     details = {"n": n, "b": str(b), "a": str(a),
                "irreducible_witness": rep.witnesses.get("irreducible"),
                "forward_cauchy_witness": rep.witnesses.get("forward_cauchy")}
-    return ([f"dL over godel-{n} with b={b}, a={a}"],
-            "pass" if not witnesses else "fail", witnesses, details)
+    return [f"dL over godel-{n} with b={b}, a={a}"], witnesses, details
 
 
 def _principal_values(A):
@@ -261,6 +248,8 @@ def _principal_values(A):
 def _suite_cor312_families(params, seed, budget, tolerance):
     tol = 1e-9 if tolerance is None else tolerance
     grid = int(params.get("grid", 257))
+    if grid < 17:
+        raise GridTooCoarse(grid)
     instances, witnesses = [], []
     checked = 0
 
@@ -317,9 +306,8 @@ def _suite_cor312_families(params, seed, budget, tolerance):
                                           "reason": "approach-sequence "
                                           "generation misses the strict member",
                                           "deviation": worst})
-    verdict = "pass" if not witnesses else "fail"
-    return instances, verdict, witnesses, {"members_checked": checked,
-                                           "grid": grid, "tolerance": tol}
+    return instances, witnesses, {"members_checked": checked,
+                                  "grid": grid, "tolerance": tol}
 
 
 def _saturation_suite(tag, params, seed, budget, tolerance):
@@ -331,8 +319,7 @@ def _saturation_suite(tag, params, seed, budget, tolerance):
         weights += rep["weights_checked"]
         if not rep["saturated"]:
             witnesses.append({"instance": desc, "violations": rep["violations"]})
-    verdict = "pass" if not witnesses else "fail"
-    return instances, verdict, witnesses, {"weights_checked": weights}
+    return instances, witnesses, {"weights_checked": weights}
 
 
 def _suite_thm42_free(params, seed, budget, tolerance):
@@ -372,22 +359,27 @@ def _suite_thm42_free(params, seed, budget, tolerance):
                               "composition with the embedding",
                     "member": S2.space.elements[j]})
                 break
-    verdict = "pass" if not witnesses else "fail"
-    return instances, verdict, witnesses, {"level_one_members": members}
+    return instances, witnesses, {"level_one_members": members}
+
+
+_SCOTT_PHASES = ("axioms", "classical", "duality")
 
 
 def _suite_scott_axioms(params, seed, budget, tolerance):
-    phases = params.get("phases", ("axioms", "classical", "duality"))
-    if isinstance(phases, str):
-        phases = tuple(p.strip() for p in phases.split(",") if p.strip())
+    phases = params.get("phases", _SCOTT_PHASES)
+    if not isinstance(phases, (list, tuple)):
+        phases = [p.strip() for p in str(phases).split(",") if p.strip()]
+    unknown = [p for p in phases if p not in _SCOTT_PHASES]
+    if unknown:
+        raise ValueError(f"unknown SCOTT_AXIOMS phases {unknown}; "
+                         f"the phases are {', '.join(_SCOTT_PHASES)}")
     instances, witnesses = [], []
     details = {"seed": seed}
-    finding = False
+    luk_c5 = []
 
     if "axioms" in phases:
         strong_t = strong_c = 0
-        luk_c5 = []
-        bases = _full_battery(seed)
+        bases = _full_battery(seed, budget)
         for desc, A in bases:
             instances.append(desc)
             St = generate_scott_structure(A, "topology", which="flat",
@@ -407,7 +399,6 @@ def _suite_scott_axioms(params, seed, budget, tolerance):
             name = (A.quantale.catalog or ("",))[0]
             if name == "lukasiewicz_chain" and not Sc.axioms["C5"]:
                 luk_c5.append(desc)
-                finding = True
         details["axioms_bases"] = len(bases)
         details["strong_topologies"] = strong_t
         details["strong_cotopologies"] = strong_c
@@ -415,12 +406,11 @@ def _suite_scott_axioms(params, seed, budget, tolerance):
             details["luk_c5_failures"] = luk_c5
 
     if "classical" in phases:
-        b2 = godel_chain(2)
-        unit, bot = b2.unit, b2.bottom
-        posets = _crisp_posets(int(params.get("max_points", 4)))
+        line, posets = _crisp_posets(int(params.get("max_points", 4)), budget)
         mismatches = 0
-        for n, leq in posets:
-            P = crisp_qorder(b2, tuple(f"p{i}" for i in range(n)), leq)
+        for P in posets:
+            n, leq = P.n, _leq(P)
+            unit, bot = P.quantale.unit, P.quantale.bottom
             St = generate_scott_structure(P, "topology", which="flat",
                                           budget=budget)
             Sc = generate_scott_structure(P, "cotopology", which="irr",
@@ -445,8 +435,7 @@ def _suite_scott_axioms(params, seed, budget, tolerance):
                               "classical one",
                     "open_difference": sorted(got_t ^ uppers),
                     "closed_difference": sorted(got_c ^ lowers)})
-        instances.append(f"all crisp posets on <= {params.get('max_points', 4)} "
-                         f"points over the 2-chain ({len(posets)} posets)")
+        instances.append(line)
         details["classical_posets"] = len(posets)
         details["classical_mismatches"] = mismatches
 
@@ -456,7 +445,7 @@ def _suite_scott_axioms(params, seed, budget, tolerance):
                       (nilpotent_minimum_chain(3), "nilpotent-minimum-3"),
                       (nilpotent_minimum_chain(4), "nilpotent-minimum-4"),
                       (nilpotent_minimum_chain(5), "nilpotent-minimum-5")):
-            bases = _two_point_orders(q) + [standard_qorder(q, "dL")]
+            bases = (*_qorders(q, ("x0", "x1"), budget), standard_qorder(q, "dL"))
             for k, A in enumerate(bases):
                 desc = (f"duality base#{k} over {qd}")
                 St = generate_scott_structure(A, "topology", which="irr",
@@ -474,10 +463,9 @@ def _suite_scott_axioms(params, seed, budget, tolerance):
                              f"({len(bases)} bases)")
         details["duality_bases"] = duality_bases
 
-    verdict = "pass" if not witnesses else "fail"
-    if verdict == "pass" and finding:
-        verdict = "finding"
-    return instances, verdict, witnesses, details
+    # C1-C4 are the claim; C5 (closure under tensoring) failing on a
+    # Lukasiewicz chain is reported as a finding
+    return instances, witnesses, details, bool(luk_c5)
 
 
 def _suite_prop57_equiv(params, seed, budget, tolerance):
@@ -504,9 +492,8 @@ def _suite_prop57_equiv(params, seed, budget, tolerance):
                                       "reason": "open set pulled back to a "
                                       "non-open set along a cocontinuous map",
                                       "witness": w})
-    verdict = "pass" if not witnesses else "fail"
-    return instances, verdict, witnesses, {"maps_checked": maps,
-                                           "cocontinuous_maps": cocontinuous}
+    return instances, witnesses, {"maps_checked": maps,
+                                  "cocontinuous_maps": cocontinuous}
 
 
 def _suite_ex58_characterization(params, seed, budget, tolerance):
@@ -529,8 +516,7 @@ def _suite_ex58_characterization(params, seed, budget, tolerance):
                          "order_preserving": rep["order_preserving"]}
         if rep["scott_closed"] != expect:
             witnesses.append({"case": desc, "expected": expect, "report": rep})
-    verdict = "pass" if not witnesses else "fail"
-    return instances, verdict, witnesses, {"grid": grid, "cases": reports}
+    return instances, witnesses, {"grid": grid, "cases": reports}
 
 
 def _suite_ex510_generation(params, seed, budget, tolerance):
@@ -567,23 +553,18 @@ def _suite_ex510_generation(params, seed, budget, tolerance):
     if rep2["max_deviation"] > 1e-6:
         witnesses.append({"instance": "ordinal sum spot check",
                           "max_deviation": rep2["max_deviation"]})
-    verdict = "pass" if not witnesses else "fail"
-    return instances, verdict, witnesses, details
+    return instances, witnesses, details
 
 
 def _suite_classical_degeneration(params, seed, budget, tolerance):
-    b2 = godel_chain(2)
-    max_points = int(params.get("max_points", 4))
-    posets = _crisp_posets(max_points)
-    instances = [f"all crisp posets on <= {max_points} points over the 2-chain "
-                 f"({len(posets)} posets)"]
+    line, posets = _crisp_posets(int(params.get("max_points", 4)), budget)
     witnesses = []
     ideals = 0
-    for n, leq in posets:
-        P = crisp_qorder(b2, tuple(f"p{i}" for i in range(n)), leq)
+    for P in posets:
+        n, leq = P.n, _leq(P)
         for phi, rep in _census(P, budget):
             ideals += 1
-            S = [i for i in range(n) if phi.values[i] == b2.unit]
+            S = [i for i in range(n) if phi.values[i] == P.quantale.unit]
             directed = bool(S) and all(
                 any(leq[x][z] and leq[y][z] for z in S)
                 for x in S for y in S)
@@ -592,9 +573,7 @@ def _suite_classical_degeneration(params, seed, budget, tolerance):
                     f"crisp poset on {n} points (leq {leq})", phi, rep,
                     "class verdicts differ from the classical "
                     f"directed-lower-set test ({directed})"))
-    verdict = "pass" if not witnesses else "fail"
-    return instances, verdict, witnesses, {"posets": len(posets),
-                                           "ideals_checked": ideals}
+    return [line], witnesses, {"posets": len(posets), "ideals_checked": ideals}
 
 
 _REGISTRY = {
@@ -622,18 +601,24 @@ def run_suite(name, seed=None, budget=None, tolerance=None, **params):
     """Execute one named suite and return its SuiteResult.  Verdicts:
     pass, fail (claim violated, witnesses attached), finding (claim
     holds but an asserted side condition failed), budget (enumeration
-    gave up, or a grid parameter was too coarse to sample)."""
+    gave up, or a grid parameter was too coarse to sample).  A run that
+    checks no instance is refused with ValueError."""
     key = str(name).upper().replace("-", "_")
     if key not in _REGISTRY:
         raise UnknownSuite(name, suite_names())
     seed = DEFAULT_SEED if seed is None else int(seed) & (2 ** 64 - 1)
     start = time.perf_counter()
     try:
-        instances, verdict, witnesses, details = _REGISTRY[key](
+        # a suite returns (instances, witnesses, details), and a suite
+        # that can end in a finding appends whether it did
+        instances, witnesses, details, *finding = _REGISTRY[key](
             params, seed, budget, tolerance)
     except (BudgetExceeded, GridTooCoarse) as e:
         return SuiteResult(key, [], "budget", [{"budget": str(e)}],
                            time.perf_counter() - start, {"seed": seed})
+    if not instances:
+        raise ValueError(f"{key} checked no instances with parameters {params}")
+    verdict = "fail" if witnesses else "finding" if any(finding) else "pass"
     return SuiteResult(key, instances, verdict, witnesses,
                        time.perf_counter() - start, details)
 
@@ -644,9 +629,10 @@ _FLAG_FIELDS = {"fc": "forward_cauchy", "flat": "flat",
 
 def search_counterexample(shape, seed=None, budget=None, limit=200):
     """Look for an ideal in class X that misses class Y, shape "X-not-Y"
-    with classes named fc, flat, irr.  Exhaustive 2-point instances over
-    the standard quantale trio come first, then seeded random 3-point
-    instances, until the limit.  Returns a report dict either way."""
+    with classes named fc, flat, irr, in the first limit bases of the
+    class-comparison battery: the exhaustive 2-point instances over the
+    standard quantale trio, then seeded random 3-point instances.
+    Returns a report dict either way."""
     try:
         have_tag, want_tag = [ideal_class_tag(part)
                               for part in str(shape).lower().split("-not-")]
@@ -656,41 +642,20 @@ def search_counterexample(shape, seed=None, budget=None, limit=200):
             "with classes fc, flat, irr") from None
     if "lower" in (have_tag, want_tag):
         raise ValueError("search wants one of the proper classes: fc, flat, irr")
+    if limit < 0:
+        raise ValueError(f"limit must be at least 0, got {limit}")
     seed = DEFAULT_SEED if seed is None else int(seed) & (2 ** 64 - 1)
     have_f, want_f = _FLAG_FIELDS[have_tag], _FLAG_FIELDS[want_tag]
-    rng = random.Random(seed)
-    qs = _trio()
     checked = {"instances": 0, "ideals": 0}
-
-    def scan(desc, A):
+    for desc, A in itertools.islice(_battery(seed, budget), limit):
+        checked["instances"] += 1
         for phi, rep in _census(A, budget):
             checked["ideals"] += 1
             if getattr(rep, have_f) and not getattr(rep, want_f):
                 return {"found": True, "shape": f"{have_tag}-not-{want_tag}",
                         "instance": desc, "seed": seed,
-                        "ideal": dump_instance(phi),
-                        "flags": {"inhabited": rep.inhabited, "flat": rep.flat,
-                                  "irreducible": rep.irreducible,
-                                  "forward_cauchy": rep.forward_cauchy},
+                        "ideal": dump_instance(phi), "flags": _flags(rep),
                         "witnesses": jsonable(rep.witnesses),
-                        "checked": dict(checked)}
-        return None
-
-    for desc, A in _exhaustive_battery():
-        checked["instances"] += 1
-        hit = scan(desc, A)
-        if hit:
-            return hit
-        if checked["instances"] >= limit:
-            break
-    k = 0
-    while checked["instances"] < limit:
-        q, qd = qs[k % len(qs)]
-        A = random_qorder(q, 3, rng)
-        checked["instances"] += 1
-        hit = scan(f"seeded-3pt#{k} over {qd}", A)
-        if hit:
-            return hit
-        k += 1
+                        "checked": checked}
     return {"found": False, "shape": f"{have_tag}-not-{want_tag}",
-            "seed": seed, "checked": dict(checked)}
+            "seed": seed, "checked": checked}

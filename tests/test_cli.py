@@ -208,6 +208,11 @@ def test_check_params(capsys):
     assert code == 0 and report["verdict"] == "pass"
     code, _, err = run(capsys, "check", "SCOTT_AXIOMS", "--param", "phases")
     assert code == 2
+    code, _, err = run(capsys, "check", "SCOTT_AXIOMS", "--param", "phases=axiom")
+    assert code == 2 and "axiom" in err
+    code, _, err = run(capsys, "check", "CLASSICAL_DEGENERATION",
+                       "--param", "max_points=0")
+    assert code == 2 and "max_points" in err
 
 
 def test_search_found_writes_witness(capsys, tmp_path, monkeypatch):
@@ -229,6 +234,16 @@ def test_search_exhausted(capsys, tmp_path, monkeypatch):
     assert not list(tmp_path.iterdir())
     code, _, err = run(capsys, "search-counterexample", "--shape", "fc-not")
     assert code == 2
+
+
+def test_search_limit(capsys):
+    code, report, err = run(capsys, "search-counterexample",
+                            "--shape", "fc-not-flat", "--limit", "0")
+    assert code == 0 and report["checked"] == {"instances": 0, "ideals": 0}
+    assert "nothing in 0 instances (0 ideals)" in err
+    code, _, err = run(capsys, "search-counterexample",
+                       "--shape", "fc-not-flat", "--limit", "-1")
+    assert code == 2 and "limit" in err
 
 
 def test_error_exits(capsys):

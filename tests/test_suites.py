@@ -1,5 +1,8 @@
 """The named check suites: verdicts, determinism, the counterexample search."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from qideal.errors import UnknownSuite
@@ -13,6 +16,9 @@ from qideal.suites import (
 )
 
 ALL_SUITES = suite_names()
+# every suite's report at the default seed and budget, less its elapsed time
+REPORTS = json.loads((Path(__file__).parent / "data" / "suite_reports.json")
+                     .read_text(encoding="utf-8"))
 
 
 def test_registry_shape():
@@ -27,6 +33,9 @@ def test_every_suite_passes(name):
     assert res.verdict == "pass", res.summary()
     assert res.witnesses == []
     assert res.instances
+    report = res.to_json()
+    report.pop("elapsed")
+    assert json.loads(json.dumps(report)) == REPORTS[name]
 
 
 def test_godel_witness_is_the_first_break_of_the_fold():
@@ -71,6 +80,30 @@ def test_budget_verdict():
     assert res.witnesses and "budget" in res.witnesses[0]
 
 
+def test_poset_tables_are_charged_before_any_is_tried():
+    # the 4-point posets are picked from 2^12 hom tables
+    assert run_suite("CLASSICAL_DEGENERATION", budget=4096).verdict == "pass"
+    res = run_suite("CLASSICAL_DEGENERATION", budget=4095)
+    assert res.witnesses == [
+        {"budget": "4096 hom tables tried exceed the budget of 4095"}]
+    # 2^30 tables on 6 points: refused before the 5-point ones are walked
+    res = run_suite("CLASSICAL_DEGENERATION", max_points=6)
+    assert res.verdict == "budget"
+    assert "1073741824 hom tables tried" in res.witnesses[0]["budget"]
+
+
+@pytest.mark.parametrize("name, params", [
+    ("SCOTT_AXIOMS", {"phases": "axiom"}),
+    ("SCOTT_AXIOMS", {"phases": 3}),
+    ("SCOTT_AXIOMS", {"phases": ""}),
+    ("SCOTT_AXIOMS", {"phases": "classical", "max_points": 0}),
+    ("CLASSICAL_DEGENERATION", {"max_points": 0}),
+])
+def test_a_run_that_checks_nothing_is_refused(name, params):
+    with pytest.raises(ValueError):
+        run_suite(name, **params)
+
+
 def test_summary_mentions_verdict_and_counts():
     res = run_suite("BOOLEAN4_COUNTEREXAMPLE")
     text = res.summary()
@@ -103,6 +136,20 @@ def test_search_exhausts_without_a_hit():
     assert rep["checked"]["ideals"] > 0
 
 
+def test_search_scans_the_suites_battery():
+    rep = search_counterexample("fc-not-flat", limit=91)
+    suite = run_suite("FC_SUBSET_FLAT")
+    assert rep["checked"]["ideals"] == suite.details["ideals_checked"] == 930
+
+
+def test_search_honours_its_limit():
+    rep = search_counterexample("fc-not-flat", limit=0)
+    assert rep["checked"] == {"instances": 0, "ideals": 0}
+    assert search_counterexample("fc-not-flat", limit=1)["checked"]["instances"] == 1
+    with pytest.raises(ValueError):
+        search_counterexample("fc-not-flat", limit=-1)
+
+
 def test_search_is_seeded():
     a = search_counterexample("flat-not-fc", seed=11)
     b = search_counterexample("flat-not-fc", seed=11)
@@ -117,7 +164,8 @@ def test_search_shape_grammar():
             search_counterexample(bad)
 
 
-@pytest.mark.parametrize("name", ["EX58_CHARACTERIZATION", "EX510_GENERATION"])
+@pytest.mark.parametrize("name", ["EX58_CHARACTERIZATION", "EX510_GENERATION",
+                                  "COR312_FAMILIES"])
 def test_a_coarse_grid_is_a_budget_verdict(name):
     res = run_suite(name, grid=5)
     assert res.verdict == "budget"
