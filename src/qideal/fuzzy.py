@@ -9,9 +9,10 @@ built from.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from functools import partial, reduce
-from itertools import compress
+from functools import reduce
+from itertools import compress, repeat
 from operator import and_, getitem, itemgetter
 
 from .errors import (
@@ -26,6 +27,9 @@ from .qorder import QOrderedSet
 DEFAULT_BUDGET = 5_000_000
 
 
+# Enumeration builds instances in bulk (_fuzzy_sets) without calling
+# __init__, so the class must stay a plain record: no __post_init__, no
+# defaults, no field that construction would compute or check.
 @dataclass(frozen=True, slots=True)
 class FuzzySet:
     base: QOrderedSet
@@ -37,6 +41,16 @@ class FuzzySet:
     def as_dict(self):
         lab = self.base.quantale.elements.__getitem__
         return {e: lab(v) for e, v in zip(self.base.elements, self.values)}
+
+
+def _fuzzy_sets(A, value_tuples):
+    """FuzzySet(A, v) for each v of the sequence value_tuples, in order.
+    The objects are made and their slots filled by C-level loops over
+    the slot descriptors, with no Python call per set."""
+    sets = tuple(map(object.__new__, repeat(FuzzySet, len(value_tuples))))
+    deque(map(FuzzySet.base.__set__, sets, repeat(A)), 0)
+    deque(map(FuzzySet.values.__set__, sets, value_tuples), 0)
+    return sets
 
 
 def fuzzy_set(base, values):
@@ -382,7 +396,7 @@ def enumerate_monotone_sets(A, kind, budget=None):
     if kind not in ("lower", "upper"):
         raise ValueError(f"unknown kind {kind!r}")
     budget = DEFAULT_BUDGET if budget is None else budget
-    return tuple(map(partial(FuzzySet, A), _monotone_value_tuples(A, kind, budget)))
+    return _fuzzy_sets(A, _monotone_value_tuples(A, kind, budget))
 
 
 def classify_sampled(order, fn, grid=129, tolerance=None):

@@ -129,20 +129,51 @@ def _ideal_precondition(phi, inhabited=None):
 
 
 def _threshold_plan(q, index, lower):
-    """What _threshold_break derives from the base and kind alone: the
-    index's columns (above each value at each point for lower sets,
+    """What the threshold deciders derive from the base and kind alone:
+    the index's columns (above each value at each point for lower sets,
     below it for upper sets), the bound table (reach[c] ANDs, over x,
     the column at phi(x) & c, or at phi(x) -> c), the values c that miss
-    each threshold u, the degree's table and gather, and the fold's
-    operation and table."""
+    each threshold u, the fold's operation, and for the witness the
+    degree's table and gather and the fold's table."""
     values = range(q.n)
     misses = tuple(tuple(c for c in values if not (q.leq[c][u] if lower else q.leq[u][c]))
                    for u in values)
     if lower:
-        return (index.masks(True), q.tensor_table, misses,
-                q.res_table, q.meet_all, "join", q.join_table)
-    return (index.masks(False), q.res_table, misses,
-            q.tensor_table, q.join_all, "meet", q.meet_table)
+        return (index.masks(True), q.tensor_table, misses, "join",
+                q.res_table, q.meet_all, q.join_table)
+    return (index.masks(False), q.res_table, misses, "meet",
+            q.tensor_table, q.join_all, q.meet_table)
+
+
+def _planned_index(A, kind, budget):
+    """The index over A's lower (upper) sets with its threshold plan,
+    both built on the first call."""
+    index = _set_index(A, kind, budget)
+    if index.plan is None:
+        index.plan = _threshold_plan(A.quantale, index, kind == "lower")
+    return index
+
+
+def _first_break(index, vals):
+    """The flag half of _threshold_break, for the inhabited lower set
+    with value tuple vals on the planned index: the mask of the first
+    threshold's sets whose fold is not one of them, or None when every
+    threshold passes.  Builds no witness."""
+    columns, bound, misses, op = index.plan[:4]
+    at = (map(col.__getitem__, bound[a]) for col, a in zip(columns, vals))
+    reach = tuple(next(at))
+    for masks in at:
+        reach = tuple(map(and_, reach, masks))
+    full, fold = index.full, index.fold
+    seen = {0, full}
+    for miss in misses:
+        inside = full ^ reduce(or_, map(reach.__getitem__, miss), 0)
+        if inside in seen:
+            continue
+        seen.add(inside)
+        if not inside >> fold(inside, op) & 1:
+            return inside
+    return None
 
 
 def _threshold_break(phi, kind, budget):
@@ -158,37 +189,25 @@ def _threshold_break(phi, kind, budget):
     (d(psi) <= c), are those above (below) one value vector.  A set
     misses the threshold u iff it lies in reach[c] for some c that
     misses u (take c = d(psi)), so the sets passing u are the complement
-    of an OR of reach masks.  They pass together iff their fold passes.
-    Folds of longer prefixes only grow (shrink), and once one misses u
-    every longer one does, so the index's bisection finds the first
-    break.  A threshold whose sets are none, all (the sets are closed
-    under the fold) or those of an earlier threshold cannot break.
+    of an OR of reach masks.  They pass together iff their fold passes
+    (_first_break finds the first threshold where it does not).  Folds
+    of longer prefixes only grow (shrink), and once one misses u every
+    longer one does, so the index's bisection finds the first break.  A
+    threshold whose sets are none, all (the sets are closed under the
+    fold) or those of an earlier threshold cannot break.
     """
-    A, vals = phi.base, phi.values
-    index = _set_index(A, kind, budget)
-    if index.plan is None:
-        index.plan = _threshold_plan(A.quantale, index, kind == "lower")
-    columns, bound, misses, table, gather, op, fold = index.plan
-    at = (map(col.__getitem__, bound[a]) for col, a in zip(columns, vals))
-    reach = tuple(next(at))
-    for masks in at:
-        reach = tuple(map(and_, reach, masks))
-    full = index.full
-    seen = {0, full}
-    for miss in misses:
-        inside = full ^ reduce(or_, map(reach.__getitem__, miss), 0)
-        if inside in seen:
-            continue
-        seen.add(inside)
-        hit = index.break_in(inside, op)
-        if hit is not None:
-            rows = [table[a] for a in vals]
+    vals = phi.values
+    index = _planned_index(phi.base, kind, budget)
+    inside = _first_break(index, vals)
+    if inside is None:
+        return None
+    op, table, gather, fold = index.plan[3:]
+    rows = [table[a] for a in vals]
 
-            def d(vec):
-                return gather(set(map(getitem, rows, vec)))
-            acc, v, out = hit
-            return acc, v, d(out), fold[d(acc)][d(v)]
-    return None
+    def d(vec):
+        return gather(set(map(getitem, rows, vec)))
+    acc, v, out = index.break_in(inside, op)
+    return acc, v, d(out), fold[d(acc)][d(v)]
 
 
 def _verdict(A, hit, keys):
@@ -311,9 +330,10 @@ def enumerate_ideals(A, which="fc", budget=None):
     """All lower sets of the named class, in enumeration order.  The
     lower tag skips the class filter (and the inhabitedness demand the
     three proper classes make).  Flat and irreducible decide each lower
-    set on the index of the upper (lower) sets, with |Q| reach masks of
-    n ANDs and |Q| thresholds of up to |Q| ORs; those mask operations
-    are charged against the budget before any set is decided."""
+    set's flag alone (_first_break, no witness) on the index of the
+    upper (lower) sets, with |Q| reach masks of n ANDs and |Q|
+    thresholds of up to |Q| ORs; those mask operations are charged
+    against the budget before any set is decided."""
     tag = ideal_class_tag(which)
     budget = DEFAULT_BUDGET if budget is None else budget
     lowers = enumerate_monotone_sets(A, "lower", budget=budget)
@@ -322,11 +342,13 @@ def enumerate_ideals(A, which="fc", budget=None):
     if tag == "fc":
         return tuple(p for p in lowers
                      if _inhabited(A, p.values) and _forward_cauchy(p)[0])
-    body, kind = (_flat, "upper") if tag == "flat" else (_irreducible, "lower")
     q = A.quantale
     _charge(len(lowers) * q.n * (A.n + q.n), budget, "decider mask operations")
-    return tuple(p for p in lowers
-                 if _inhabited(A, p.values) and body(p, budget)[0])
+    inhabited = [p for p in lowers if _inhabited(A, p.values)]
+    if not inhabited:
+        return ()
+    index = _planned_index(A, "upper" if tag == "flat" else "lower", budget)
+    return tuple(p for p in inhabited if _first_break(index, p.values) is None)
 
 
 def sequence_generated_ideals(A, bound=4):

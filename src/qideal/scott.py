@@ -25,6 +25,7 @@ from .fuzzy import (
     DEFAULT_BUDGET,
     FuzzySet,
     _charge,
+    _fuzzy_sets,
     _lower_violation,
     _memoized,
     _monotone_value_tuples,
@@ -119,8 +120,7 @@ def generate_scott_structure(A, mode, which=None, budget=None):
     (see _member_values and check_structure_axioms)."""
     mode = _mode_tag(mode)
     tag = ideal_class_tag(which if which is not None else _default_class(mode))
-    members = tuple(FuzzySet(A, vals)
-                    for vals in _member_values(A, mode, tag, budget))
+    members = _fuzzy_sets(A, _member_values(A, mode, tag, budget))
     S = ScottStructure(A, mode, tag, members, {}, False, False, False)
     report = check_structure_axioms(S, budget)
     S.axioms = report["flags"]

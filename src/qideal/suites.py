@@ -576,20 +576,21 @@ def _suite_classical_degeneration(params, seed, budget, tolerance):
     return [line], witnesses, {"posets": len(posets), "ideals_checked": ideals}
 
 
+# name -> (the suite, the names of the parameters it reads)
 _REGISTRY = {
-    **{name: partial(_inclusion_suite, *row)
+    **{name: (partial(_inclusion_suite, *row), ())
        for name, row in _INCLUSION_SUITES.items()},
-    "BOOLEAN4_COUNTEREXAMPLE": _suite_boolean4_counterexample,
-    "GODEL_FLAT_NOT_IRR": _suite_godel_flat_not_irr,
-    "COR312_FAMILIES": _suite_cor312_families,
-    **{f"SATURATION_{tag.upper()}": partial(_saturation_suite, tag)
+    "BOOLEAN4_COUNTEREXAMPLE": (_suite_boolean4_counterexample, ()),
+    "GODEL_FLAT_NOT_IRR": (_suite_godel_flat_not_irr, ("n", "b", "a")),
+    "COR312_FAMILIES": (_suite_cor312_families, ("grid",)),
+    **{f"SATURATION_{tag.upper()}": (partial(_saturation_suite, tag), ())
        for tag in ("fc", "flat", "irr")},
-    "THM42_FREE": _suite_thm42_free,
-    "SCOTT_AXIOMS": _suite_scott_axioms,
-    "PROP57_EQUIV": _suite_prop57_equiv,
-    "EX58_CHARACTERIZATION": _suite_ex58_characterization,
-    "EX510_GENERATION": _suite_ex510_generation,
-    "CLASSICAL_DEGENERATION": _suite_classical_degeneration,
+    "THM42_FREE": (_suite_thm42_free, ()),
+    "SCOTT_AXIOMS": (_suite_scott_axioms, ("phases", "max_points")),
+    "PROP57_EQUIV": (_suite_prop57_equiv, ()),
+    "EX58_CHARACTERIZATION": (_suite_ex58_characterization, ("tnorm", "grid")),
+    "EX510_GENERATION": (_suite_ex510_generation, ("grid", "shift", "tnorm")),
+    "CLASSICAL_DEGENERATION": (_suite_classical_degeneration, ("max_points",)),
 }
 
 
@@ -601,17 +602,23 @@ def run_suite(name, seed=None, budget=None, tolerance=None, **params):
     """Execute one named suite and return its SuiteResult.  Verdicts:
     pass, fail (claim violated, witnesses attached), finding (claim
     holds but an asserted side condition failed), budget (enumeration
-    gave up, or a grid parameter was too coarse to sample).  A run that
-    checks no instance is refused with ValueError."""
+    gave up, or a grid parameter was too coarse to sample).  A parameter
+    the suite does not read, and a run that checks no instance, are
+    refused with ValueError."""
     key = str(name).upper().replace("-", "_")
     if key not in _REGISTRY:
         raise UnknownSuite(name, suite_names())
+    suite, known = _REGISTRY[key]
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise ValueError(f"{key} reads no parameter {', '.join(unknown)}; "
+                         f"its parameters are {', '.join(known) or 'none'}")
     seed = DEFAULT_SEED if seed is None else int(seed) & (2 ** 64 - 1)
     start = time.perf_counter()
     try:
         # a suite returns (instances, witnesses, details), and a suite
         # that can end in a finding appends whether it did
-        instances, witnesses, details, *finding = _REGISTRY[key](
+        instances, witnesses, details, *finding = suite(
             params, seed, budget, tolerance)
     except (BudgetExceeded, GridTooCoarse) as e:
         return SuiteResult(key, [], "budget", [{"budget": str(e)}],

@@ -215,6 +215,12 @@ def test_check_params(capsys):
     assert code == 2 and "max_points" in err
 
 
+def test_check_refuses_a_misspelt_param(capsys):
+    code, report, err = run(capsys, "check", "COR312_FAMILIES", "--param", "gird=5")
+    assert code == 2 and report is None
+    assert "gird" in err and "its parameters are grid" in err
+
+
 def test_search_found_writes_witness(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, report, err = run(capsys, "search-counterexample",

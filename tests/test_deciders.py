@@ -20,9 +20,9 @@ from qideal.fuzzy import (
     yoneda,
 )
 from qideal.ideals import (
-    _flat,
+    _first_break,
     _forward_cauchy,
-    _irreducible,
+    _planned_index,
     _threshold_break,
     classify_ideal,
     enumerate_ideals,
@@ -163,6 +163,16 @@ def replay_irreducible(phi, w):
     assert q.leq[rhs][lhs] and lhs != rhs
 
 
+def assert_flag_only_enumeration_matches_classify(A):
+    """Flat and irreducible enumeration decide flags without witnesses;
+    they keep exactly the lower sets whose report sets the flag, in
+    enumeration order."""
+    reports = [(phi, classify_ideal(phi)) for phi in enumerate_ideals(A, "lower")]
+    for cls, field in (("flat", "flat"), ("irr", "irreducible")):
+        assert enumerate_ideals(A, cls) == tuple(
+            phi for phi, rep in reports if getattr(rep, field)), (A.catalog, cls)
+
+
 def assert_matches_oracles(A):
     frame = A.quantale.is_frame
     for phi in enumerate_ideals(A, "lower"):
@@ -189,6 +199,7 @@ def assert_matches_oracles(A):
         assert (rep.witnesses.get("flat"), rep.witnesses.get("irreducible")) == (wf, wi)
         if inhabited(phi):
             assert (rep.forward_cauchy, rep.witnesses.get("forward_cauchy")) == fc
+    assert_flag_only_enumeration_matches_classify(A)
 
 
 @pytest.mark.parametrize("q", [boolean4(), lukasiewicz_chain(3), godel_chain(4)],
@@ -216,6 +227,18 @@ def test_threshold_equals_both_oracles_on_dL_over_godel4():
 @given(st.sampled_from(RANDOM_BASES), st.integers(3, 4), st.integers(0, 2 ** 32))
 def test_random_orders(q, n, seed):
     assert_matches_oracles(random_qorder(q, n, random.Random(seed)))
+
+
+@pytest.mark.parametrize("A", [
+    *(standard_qorder(lukasiewicz_chain(k), name) for k in range(7, 11) for name in ("dL", "dR")),
+    standard_qorder(lukasiewicz_chain(3), "discrete", n=4),
+    *(standard_qorder(boolean4(), "discrete", n=n) for n in range(1, 5))],
+    ids=[*(f"{name}/L{k}" for k in range(7, 11) for name in ("dL", "dR")),
+         "discrete-4/L3", *(f"discrete-{n}/boolean4" for n in range(1, 5))])
+def test_flag_only_enumeration_beyond_the_oracles(A):
+    """The bases too large for the pair oracles; assert_matches_oracles
+    covers the rest."""
+    assert_flag_only_enumeration_matches_classify(A)
 
 
 def test_lukasiewicz10_classes_are_the_principal_ideals():
@@ -250,21 +273,23 @@ def test_the_index_is_built_by_the_first_decider_call(monkeypatch):
                          ids=["dL/L5", "dR/G4", "dL/boolean4"])
 def test_a_decider_call_tests_no_threshold_that_cannot_break(A, monkeypatch):
     """No empty mask, no full mask (the sets are closed under the fold)
-    and no mask twice within one call: none of these can break."""
+    and no mask twice within one call: none of these can break.  The
+    thresholds are tested by _first_break, one fold each."""
     tested = []
-    break_in = fuzzy._SetIndex.break_in
+    fold = fuzzy._SetIndex.fold
 
     def spy(index, inside, op):
         tested.append((inside, index.full))
-        return break_in(index, inside, op)
-    monkeypatch.setattr(fuzzy._SetIndex, "break_in", spy)
+        return fold(index, inside, op)
+    monkeypatch.setattr(fuzzy._SetIndex, "fold", spy)
     calls = 0
     for phi in enumerate_ideals(A, "lower"):
         if not inhabited(phi):
             continue
-        for decider in (_flat, _irreducible):
+        for kind in ("upper", "lower"):
+            index = _planned_index(A, kind, DEFAULT_BUDGET)
             tested.clear()
-            decider(phi, DEFAULT_BUDGET)
+            _first_break(index, phi.values)
             masks = [inside for inside, _ in tested]
             assert all(0 != inside != full for inside, full in tested), phi.values
             assert len(set(masks)) == len(masks), phi.values

@@ -235,5 +235,5 @@ def test_lukasiewicz8_work_count(monkeypatch, name):
         enumerate_ideals(A, "irr")
     with pytest.raises(BudgetExceeded, match=f"^{count} decider mask operations"):
         enumerate_ideals(A, "irr", budget=count - 1)
-    monkeypatch.setattr(ideals, "_irreducible", lambda phi, budget: (False, None))
+    monkeypatch.setattr(ideals, "_first_break", lambda index, vals: 1)
     assert enumerate_ideals(A, "irr", budget=count) == ()

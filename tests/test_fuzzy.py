@@ -1,6 +1,8 @@
 """Fuzzy lower/upper sets: degrees, transport, suprema, enumeration."""
 
+import copy
 import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from qideal.errors import (
 )
 from qideal.fuzzy import (
     FuzzySet,
+    _monotone_value_tuples,
     classify_fuzzy_set,
     classify_sampled,
     constant_fuzzy_set,
@@ -44,6 +47,7 @@ from qideal.quantale import (
     interval_quantale,
     lukasiewicz_chain,
 )
+from qideal.scott import generate_scott_structure, is_scott_member
 
 L3 = lukasiewicz_chain(3)
 DL3 = standard_qorder(L3, "dL")
@@ -183,6 +187,35 @@ def test_enumerated_sets_are_slotted_frozen_values():
     assert phi != FuzzySet(A, (0, 0))
     assert phi.as_dict() == {"a": Fraction(1), "b": Fraction(1)}
     assert phi.value("b") == 1
+
+
+@pytest.mark.parametrize("A", [standard_qorder(lukasiewicz_chain(6), "dL"),
+                               standard_qorder(boolean4(), "discrete", n=3)],
+                         ids=["dL/L6", "discrete-3/boolean4"])
+def test_bulk_built_sets_equal_constructed_ones(A):
+    """The sets enumeration builds without calling __init__ are the
+    FuzzySet(A, v) of their value tuples in every respect (the test
+    above checks that they stay frozen and slotted)."""
+    for kind in ("lower", "upper"):
+        built = enumerate_monotone_sets(A, kind)
+        made = tuple(FuzzySet(A, v) for v in _monotone_value_tuples(A, kind, 10 ** 6))
+        assert len(built) == len(made) > 1
+        for phi, psi in zip(built, made):
+            assert phi == psi and hash(phi) == hash(psi) and repr(phi) == repr(psi)
+            assert type(phi) is FuzzySet and phi.base is A
+        phi = built[len(built) // 2]
+        assert copy.copy(phi) == phi and pickle.loads(pickle.dumps(phi)) == phi
+
+
+@pytest.mark.parametrize("mode, kind", [("topology", "upper"), ("cotopology", "lower")])
+def test_scott_members_are_the_sets_that_pass_membership(mode, kind):
+    A = standard_qorder(lukasiewicz_chain(6), "dL")
+    members = generate_scott_structure(A, mode).members
+    expected = tuple(psi for psi in enumerate_monotone_sets(A, kind)
+                     if is_scott_member(psi, mode)[0])
+    assert len(expected) > 1
+    assert members == expected and list(map(repr, members)) == list(map(repr, expected))
+    assert all(m.base is A for m in members)
 
 
 def test_classify_sampled_on_the_interval():

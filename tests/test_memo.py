@@ -78,13 +78,13 @@ def test_scott_members_share_one_context(monkeypatch):
     flat ideals: each lower set is decided once, not once per test."""
     monkeypatch.setattr(fuzzy, "_MEMO", {})
     decided = []
-    flat = ideals._flat
+    first_break = ideals._first_break
 
-    def counted(phi, budget):
-        decided.append(phi.values)
-        return flat(phi, budget)
+    def counted(index, vals):
+        decided.append(vals)
+        return first_break(index, vals)
 
-    monkeypatch.setattr(ideals, "_flat", counted)
+    monkeypatch.setattr(ideals, "_first_break", counted)
     A = standard_qorder(lukasiewicz_chain(6), "dL")
     uppers = enumerate_monotone_sets(A, "upper")
     assert all(is_scott_member(psi, "topology")[0] for psi in uppers)

@@ -104,6 +104,16 @@ def test_a_run_that_checks_nothing_is_refused(name, params):
         run_suite(name, **params)
 
 
+@pytest.mark.parametrize("name, params, allowed", [
+    ("COR312_FAMILIES", {"gird": 5}, "grid"),
+    ("SCOTT_AXIOMS", {"phases": "duality", "max_point": 3}, "phases, max_points"),
+    ("FC_SUBSET_IRR", {"grid": 129}, "none"),
+])
+def test_a_parameter_the_suite_does_not_read_is_refused(name, params, allowed):
+    with pytest.raises(ValueError, match=f"its parameters are {allowed}$"):
+        run_suite(name, **params)
+
+
 def test_summary_mentions_verdict_and_counts():
     res = run_suite("BOOLEAN4_COUNTEREXAMPLE")
     text = res.summary()
