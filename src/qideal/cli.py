@@ -15,7 +15,6 @@ import sys
 from .errors import (
     BudgetExceeded,
     GridTooCoarse,
-    PowerTooLarge,
     QidealError,
     UnknownSuite,
     ValidationError,
@@ -115,8 +114,7 @@ def _cmd_enumerate(args):
 
 def _cmd_scott(args):
     order = _load_arg(args.qorder, args.budget, load_qorder)
-    mode = {"top": "topology", "cotop": "cotopology"}[args.mode]
-    S = generate_scott_structure(order, mode, which=args.cls,
+    S = generate_scott_structure(order, args.mode, which=args.cls,
                                  budget=args.budget)
     report = {"mode": S.mode, "class": S.class_tag,
               "count": len(S.members),
@@ -246,7 +244,7 @@ def main(argv=None):
     except UnknownSuite as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (BudgetExceeded, PowerTooLarge, GridTooCoarse) as e:
+    except (BudgetExceeded, GridTooCoarse) as e:
         print(f"budget: {e}", file=sys.stderr)
         return 2
     except ValidationError as e:

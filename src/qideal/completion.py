@@ -8,9 +8,9 @@ when weighted joins of class weights land back in the class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import BaseMismatch, BudgetExceeded, NotLower
+from .errors import BaseMismatch, NotLower, _charge
 from .fuzzy import FuzzySet, _lower_violation, _sub_idx, suprema
 from .ideals import enumerate_ideals, ideal_class_tag
 from .qorder import QMap, QOrderedSet
@@ -22,7 +22,8 @@ class IdealSpace:
 
     Carrier labels are phi0, phi1, ... in enumeration order.  The
     principal-ideal embedding of the base is kept as a map; building the
-    space rechecks that it is fully faithful.
+    space rechecks that it is fully faithful.  positions maps each
+    member's value tuple to its carrier index.
     """
 
     base: QOrderedSet
@@ -30,25 +31,19 @@ class IdealSpace:
     carrier: tuple
     space: QOrderedSet
     yoneda_map: QMap
+    positions: dict = field(repr=False, compare=False)
 
     @property
     def n(self):
         return len(self.carrier)
 
-    def _positions(self):
-        pos = getattr(self, "_pos", None)
-        if pos is None:
-            pos = {p.values: i for i, p in enumerate(self.carrier)}
-            self._pos = pos
-        return pos
-
     def index_of(self, phi):
         vals = phi.values if isinstance(phi, FuzzySet) else tuple(phi)
-        return self._positions()[vals]
+        return self.positions[vals]
 
     def contains(self, phi):
         vals = phi.values if isinstance(phi, FuzzySet) else tuple(phi)
-        return vals in self._positions()
+        return vals in self.positions
 
     def member_label(self, phi):
         return self.space.elements[self.index_of(phi)]
@@ -56,9 +51,11 @@ class IdealSpace:
 
 def ideal_space(A, which="flat", budget=None):
     """Build the ideal space of A for the named class (fc, flat,
-    irreducible, or lower for every lower set)."""
+    irreducible, or lower for every lower set).  Its hom table, n table
+    lookups per pair of members, is charged before it is built."""
     tag = ideal_class_tag(which)
     carrier = enumerate_ideals(A, tag, budget=budget)
+    _charge(len(carrier) ** 2 * A.n, budget, "ideal-space hom lookups")
     labels = tuple(f"phi{i}" for i in range(len(carrier)))
     hom = tuple(tuple(_sub_idx(A, p.values, r.values) for r in carrier)
                 for p in carrier)
@@ -79,9 +76,7 @@ def ideal_space(A, which="flat", budget=None):
             if hom[mapping[a]][mapping[b]] != A.hom[a][b]:
                 raise RuntimeError(
                     "principal-ideal embedding is not fully faithful")
-    S = IdealSpace(A, tag, carrier, space, QMap(A, space, tuple(mapping)))
-    S._pos = pos
-    return S
+    return IdealSpace(A, tag, carrier, space, QMap(A, space, tuple(mapping)), pos)
 
 
 def weighted_join(S, lam):
@@ -112,15 +107,15 @@ def weighted_join(S, lam):
     return out
 
 
-def check_saturation(A, which="flat", budget=None, cap=512):
+def check_saturation(A, which="flat", budget=None):
     """Weighted joins of class weights over the ideal space must land
-    back in the class; reports every weight that escapes."""
+    back in the class; reports every weight that escapes.  Each weighted
+    join reads n values per member and its recheck |S| more, and all of
+    them are charged before the first join."""
     tag = ideal_class_tag(which)
     S = ideal_space(A, tag, budget=budget)
-    if S.n > cap:
-        raise BudgetExceeded(S.n, cap,
-                             what="ideal-space members before the second level")
     weights = enumerate_ideals(S.space, tag, budget=budget)
+    _charge(len(weights) * S.n * (S.n + A.n), budget, "weighted-join lookups")
     violations = []
     for lam in weights:
         w = weighted_join(S, lam)
@@ -135,7 +130,8 @@ def check_completeness_continuity(A, which="flat", budget=None):
     """complete: every class ideal has a supremum in the base.
     continuous: additionally, taking suprema has a left adjoint into the
     ideal space.  The adjunction identity fixes each image on its own,
-    so the adjoint search runs element by element over the members."""
+    so the adjoint search runs element by element over the members; its
+    |S| lookups per (point, member) pair are charged before it starts."""
     tag = ideal_class_tag(which)
     S = ideal_space(A, tag, budget=budget)
     report = {"class": tag, "space": S, "witnesses": {},
@@ -150,6 +146,7 @@ def check_completeness_continuity(A, which="flat", budget=None):
         sup_idx.append(A.index(sups[0]))
     report["sup"] = {S.space.elements[i]: A.elements[sup_idx[i]]
                      for i in range(S.n)}
+    _charge(A.n * S.n ** 2, budget, "adjoint search lookups")
     adjoint = []
     for a in range(A.n):
         cand = None

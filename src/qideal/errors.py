@@ -1,8 +1,12 @@
 """Error taxonomy shared by every module.
 
 Validation errors carry the violated law and a witness that reproduces the
-violation; resource errors carry the size that overflowed.
+violation; resource errors carry the size that overflowed.  Every
+refusal of work goes through _charge, the one place where a budget of
+None means DEFAULT_BUDGET.
 """
+
+DEFAULT_BUDGET = 5_000_000
 
 
 class QidealError(Exception):
@@ -79,19 +83,21 @@ class DecompositionMismatch(ValidationError):
     pass
 
 
-class PowerTooLarge(QidealError):
-    def __init__(self, count, budget):
-        self.count = count
-        self.budget = budget
-        super().__init__(f"power carrier would have {count} elements (budget {budget})")
-
-
 class BudgetExceeded(QidealError):
-    def __init__(self, count, budget, what="elementary pair checks"):
+    def __init__(self, count, budget, what):
         self.count = count
         self.budget = budget
         self.what = what
         super().__init__(f"{count} {what} exceed the budget of {budget}")
+
+
+def _charge(count, budget, what):
+    """Refuse work of count units, named by what, over the budget (None
+    for DEFAULT_BUDGET), before the work starts."""
+    if budget is None:
+        budget = DEFAULT_BUDGET
+    if count > budget:
+        raise BudgetExceeded(count, budget, what)
 
 
 class GridTooCoarse(QidealError):

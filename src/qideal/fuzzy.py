@@ -15,16 +15,15 @@ from functools import reduce
 from itertools import compress, repeat
 from operator import and_, getitem, itemgetter
 
-from .errors import (
+from .errors import (  # noqa: F401  (DEFAULT_BUDGET is re-exported)
+    DEFAULT_BUDGET,
     BaseMismatch,
-    BudgetExceeded,
     NotLower,
     NotUpper,
     ShapeMismatch,
+    _charge,
 )
 from .qorder import QOrderedSet
-
-DEFAULT_BUDGET = 5_000_000
 
 
 # Enumeration builds instances in bulk (_fuzzy_sets) without calling
@@ -216,12 +215,6 @@ def suprema(phi):
 _MEMO = {}
 
 
-def _charge(count, budget, what):
-    """Refuse work of count units, named by what, over the budget."""
-    if count > budget:
-        raise BudgetExceeded(count, budget, what=what)
-
-
 def _memoized(A, key, build):
     """The value kept for A under key, made by build() on the first
     call.  A build that raises keeps nothing.  The build may memoize
@@ -324,18 +317,17 @@ class _SetIndex:
         self.plan = None
 
     def masks(self, up):
-        """columns[up], built on the first call."""
+        """columns[up], built on the first call.  A point's values, last
+        set first, become one string with a character per value index;
+        translating it by the row of b (digit 1 where the value passes
+        b) spells the column's mask in binary, in linear time."""
         cols = self.columns.get(up)
         if cols is None:
             rows = self.q.leq if up else tuple(zip(*self.q.leq))
-            cols = []
-            for col in zip(*self.sets):
-                at = [0] * self.q.n     # at[v]: the sets with value v at x
-                for i, v in enumerate(col):
-                    at[v] |= 1 << i
-                cols.append(tuple(sum(s for s, ok in zip(at, row) if ok)
-                                  for row in rows))
-            cols = self.columns[up] = tuple(cols)
+            digits = [tuple("1" if ok else "0" for ok in row) for row in rows]
+            cols = self.columns[up] = tuple(
+                tuple(int(text.translate(row), 2) for row in digits)
+                for text in ("".join(map(chr, reversed(col))) for col in zip(*self.sets)))
         return cols
 
     def above(self, w):
@@ -395,7 +387,6 @@ def enumerate_monotone_sets(A, kind, budget=None):
     values the enumeration tries."""
     if kind not in ("lower", "upper"):
         raise ValueError(f"unknown kind {kind!r}")
-    budget = DEFAULT_BUDGET if budget is None else budget
     return _fuzzy_sets(A, _monotone_value_tuples(A, kind, budget))
 
 
@@ -439,10 +430,9 @@ def intersection_inclusion_identities(A, budget=None):
     before any is checked.
     """
     q = A.quantale
-    limit = DEFAULT_BUDGET if budget is None else budget
-    lowers = _monotone_value_tuples(A, "lower", limit)
-    uppers = _monotone_value_tuples(A, "upper", limit)
-    _charge(len(lowers) * (len(uppers) + len(lowers)) * q.n, limit, "pairs checked")
+    lowers = _monotone_value_tuples(A, "lower", budget)
+    uppers = _monotone_value_tuples(A, "upper", budget)
+    _charge(len(lowers) * (len(uppers) + len(lowers)) * q.n, budget, "pairs checked")
     dn = all(q.neg_vector[q.neg_vector[i]] == i for i in range(q.n))
     res, meet, neg = q.res_table, q.meet_table, q.neg_vector
     lab = q.elements.__getitem__
@@ -481,10 +471,9 @@ def kan_transport_identity(f, budget=None):
     q = A.quantale
     if B.quantale is not q:
         raise BaseMismatch("map endpoints live over different quantales")
-    limit = DEFAULT_BUDGET if budget is None else budget
-    sources = _monotone_value_tuples(A, "lower", limit)
-    targets = _monotone_value_tuples(B, "lower", limit)
-    _charge(len(sources) * len(targets), limit, "pairs checked")
+    sources = _monotone_value_tuples(A, "lower", budget)
+    targets = _monotone_value_tuples(B, "lower", budget)
+    _charge(len(sources) * len(targets), budget, "pairs checked")
     lab = q.elements.__getitem__
     fwds = [(pv, transport(f, FuzzySet(A, pv), "forward").values)
             for pv in sources]

@@ -16,11 +16,9 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_, getitem, or_
 
-from .errors import NotForwardCauchy, ShapeMismatch
+from .errors import NotForwardCauchy, ShapeMismatch, _charge
 from .fuzzy import (
-    DEFAULT_BUDGET,
     FuzzySet,
-    _charge,
     _inhabited,
     _lower_violation,
     _memoized,
@@ -223,8 +221,7 @@ def is_flat(phi, budget=None):
     """Decide whether tensoring with phi distributes over binary meets of
     upper sets.  Returns (flag, witness); a failure witness carries the
     two upper sets and both sides of the broken equation."""
-    return _ideal_precondition(phi) or _flat(
-        phi, DEFAULT_BUDGET if budget is None else budget)
+    return _ideal_precondition(phi) or _flat(phi, budget)
 
 
 def _flat(phi, budget):
@@ -249,8 +246,7 @@ def is_irreducible(phi, budget=None):
     binary joins of lower sets.  Returns (flag, witness); a failure
     witness carries the two lower sets and both sides of the broken
     equation."""
-    return _ideal_precondition(phi) or _irreducible(
-        phi, DEFAULT_BUDGET if budget is None else budget)
+    return _ideal_precondition(phi) or _irreducible(phi, budget)
 
 
 def _irreducible(phi, budget):
@@ -317,7 +313,6 @@ def classify_ideal(phi, budget=None):
     fails all three with the same reason."""
     inhabited = _inhabited(phi.base, phi.values)
     pre = _ideal_precondition(phi, inhabited)
-    budget = DEFAULT_BUDGET if budget is None else budget
     flat = pre or _flat(phi, budget)
     irr = pre or _irreducible(phi, budget)
     fc = pre or _forward_cauchy(phi)
@@ -335,7 +330,6 @@ def enumerate_ideals(A, which="fc", budget=None):
     thresholds of up to |Q| ORs; those mask operations are charged
     against the budget before any set is decided."""
     tag = ideal_class_tag(which)
-    budget = DEFAULT_BUDGET if budget is None else budget
     lowers = enumerate_monotone_sets(A, "lower", budget=budget)
     if tag == "lower":
         return lowers

@@ -17,10 +17,11 @@ map        {"source": qorder, "target": qorder, "mapping": {...} | [...]}
 sequence   {"order": qorder, "cycle": [...], "prefix": [...]}
 
 The instance kind is inferred from the keys, so one loader serves the
-whole command line.  Sizes are charged against the budget (default
-fuzzy.DEFAULT_BUDGET) before any table is built: a chain or table
-quantale on n elements costs n**3 law checks, a discrete order on n
-points n**2 hom entries.
+whole command line.  Sizes are charged against the caller's budget
+before any table is built: a chain or table quantale on n elements
+costs n**3 law checks, a discrete order on n points n**2 hom entries,
+and the power construction charges its own hom lookups.  An instance
+carries no budget of its own.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import os
 import re
 from fractions import Fraction
 
-from .fuzzy import DEFAULT_BUDGET, FuzzySet, _charge, fuzzy_set
+from .errors import _charge
+from .fuzzy import FuzzySet, fuzzy_set
 from .ideals import EventuallyPeriodicSequence, periodic_sequence
 from .qorder import QMap, QOrderedSet, build_qmap, build_qorder, crisp_qorder, standard_qorder
 from .quantale import (
@@ -72,7 +74,7 @@ def _resolve(data, base_dir):
 def _charge_size(size, budget, what, power):
     """Refuse an instance whose size, raised to power, passes the budget."""
     if isinstance(size, int):
-        _charge(size ** power, DEFAULT_BUDGET if budget is None else budget, what)
+        _charge(size ** power, budget, what)
 
 
 def load_quantale(data, base_dir=None, budget=None):
@@ -107,11 +109,13 @@ def load_qorder(data, base_dir=None, budget=None):
     base = load_quantale(data["base"], base_dir, budget)
     if "name" in data:
         params = {k: v for k, v in data.items() if k not in ("base", "name")}
+        if "budget" in params:
+            raise ValueError("an instance cannot set a budget; the caller's applies")
         if "labels" in params:
             params["labels"] = [parse_label(e) for e in params["labels"]]
         elif data["name"] == "discrete":
             _charge_size(params.get("n"), budget, "hom entries", 2)
-        return standard_qorder(base, data["name"], **params)
+        return standard_qorder(base, data["name"], budget=budget, **params)
     elements = [parse_label(e) for e in data["elements"]]
     if "crisp_leq" in data:
         return crisp_qorder(base, elements, [[bool(v) for v in row]

@@ -14,14 +14,12 @@ from dataclasses import dataclass, field
 
 from .errors import (
     EmptyCarrier,
-    PowerTooLarge,
     QuantaleMismatch,
     ShapeMismatch,
     ValidationError,
+    _charge,
 )
 from .quantale import FiniteQuantale, IntervalQuantale, label_index
-
-DEFAULT_POWER_BUDGET = 1024
 
 
 @dataclass(frozen=True)
@@ -146,7 +144,8 @@ def standard_qorder(q, name, **params):
     dL: carrier Q with hom p -> r.  dR: carrier Q with hom r -> p.
     discrete: n points (or explicit labels), hom 1 on the diagonal and 0
     off it.  power: all maps from a label set into Q, ordered by pointwise
-    inclusion degree; raises PowerTooLarge past the enumeration budget.
+    inclusion degree; its count**2 * k hom lookups, for count = |Q|**k
+    maps on k labels, are charged against params budget first.
     opposite: pass base=A.  point: the one-element order.
     """
     if name == "dL":
@@ -171,17 +170,12 @@ def standard_qorder(q, name, **params):
                            _index={e: i for i, e in enumerate(labels)})
     if name == "power":
         labels = params.get("labels")
-        if labels is None:
-            labels = tuple(f"x{i}" for i in range(params["n"]))
-        k = len(labels)
-        if k == 0:
+        k = params["n"] if labels is None else len(labels)
+        if k <= 0:
             raise EmptyCarrier(detail="power over an empty label set")
-        budget = params.get("budget")
-        if budget is None:
-            budget = DEFAULT_POWER_BUDGET
-        count = q.n ** k
-        if count > budget:
-            raise PowerTooLarge(count, budget)
+        _charge(q.n ** (2 * k) * k, params.get("budget"), "power hom lookups")
+        if labels is None:
+            labels = tuple(f"x{i}" for i in range(k))
         carrier = [tuple(q.elements[i] for i in vec)
                    for vec in itertools.product(range(q.n), repeat=k)]
         vecs = list(itertools.product(range(q.n), repeat=k))

@@ -20,11 +20,10 @@ from .errors import (
     GridTooCoarse,
     ShapeMismatch,
     ValidationError,
+    _charge,
 )
 from .fuzzy import (
-    DEFAULT_BUDGET,
     FuzzySet,
-    _charge,
     _fuzzy_sets,
     _lower_violation,
     _memoized,
@@ -151,9 +150,8 @@ def check_structure_axioms(S, budget=None):
     """
     A, q = S.base, S.base.quantale
     vecs = [p.values for p in S.members]
-    limit = DEFAULT_BUDGET if budget is None else budget
     kind = "upper" if S.mode == "topology" else "lower"
-    index = _set_index(A, kind, limit)
+    index = _set_index(A, kind, budget)
     family = 0
     for v in vecs:
         at = index.positions.get(v)
@@ -161,7 +159,7 @@ def check_structure_axioms(S, budget=None):
             raise ValidationError(f"member is not a fuzzy {kind} set of the base",
                                   witness=FuzzySet(A, v).as_dict())
         family |= 1 << at
-    _charge(2 * len(index.sets) * A.n + 2 * q.n * len(vecs), limit,
+    _charge(2 * len(index.sets) * A.n + 2 * q.n * len(vecs), budget,
             "closure mask operations and scalings")
     have = set(vecs)
     flags, wits = {}, {}
@@ -217,11 +215,10 @@ def _member_values(B, mode, tag, budget):
     enumeration order.  Each upper (lower) set is checked against every
     ideal of the context; those (set, ideal) pairs are charged against
     the budget before any is checked."""
-    limit = DEFAULT_BUDGET if budget is None else budget
     ctx = _scott_context(B, tag, budget)
     sets = _monotone_value_tuples(B, "upper" if mode == "topology" else "lower",
-                                  limit)
-    _charge(len(sets) * len(ctx), limit, "pairs checked")
+                                  budget)
+    _charge(len(sets) * len(ctx), budget, "pairs checked")
     return tuple(vals for vals in sets
                  if _member_violation(B, vals, mode, ctx) is None)
 

@@ -18,8 +18,8 @@ from fractions import Fraction
 from functools import partial
 
 from .completion import check_completeness_continuity, check_saturation, ideal_space
-from .errors import BudgetExceeded, DecompositionMismatch, GridTooCoarse, UnknownSuite
-from .fuzzy import DEFAULT_BUDGET, FuzzySet, _charge, _memoized, classify_sampled, fuzzy_set, transport
+from .errors import BudgetExceeded, DecompositionMismatch, GridTooCoarse, UnknownSuite, _charge
+from .fuzzy import FuzzySet, _memoized, classify_sampled, fuzzy_set, transport
 from .ideals import (
     approach_terms,
     classify_ideal,
@@ -85,8 +85,7 @@ def _qorders(q, labels, budget, separated=False):
     charged against the budget by the call, before the first is tried."""
     n = len(labels)
     off = [(i, j) for i in range(n) for j in range(n) if i != j]
-    _charge(q.n ** len(off), DEFAULT_BUDGET if budget is None else budget,
-            "hom tables tried")
+    _charge(q.n ** len(off), budget, "hom tables tried")
     index = {e: i for i, e in enumerate(labels)}
 
     def tables():

@@ -202,6 +202,24 @@ def test_instance_sizes_are_charged_against_the_budget(capsys):
     assert run(capsys, "--budget", "9", "validate", discrete)[0] == 0
 
 
+POWER3 = '{"base": %s, "name": "power", "n": 3}' % LUK3
+
+
+def test_budget_reaches_the_power_construction(capsys):
+    """27 maps on 3 labels, 27 * 27 * 3 hom lookups."""
+    code, _, err = run(capsys, "--budget", "100", "validate", POWER3)
+    assert code == 2 and "2187 power hom lookups exceed the budget of 100" in err
+    code, report, _ = run(capsys, "--budget", "2187", "validate", POWER3)
+    assert code == 0 and report["valid"]
+
+
+@pytest.mark.parametrize("name", ["power", "dL"])
+def test_an_instance_cannot_set_its_own_budget(capsys, name):
+    order = '{"base": %s, "name": "%s", "n": 3, "budget": 100000}' % (LUK3, name)
+    code, report, err = run(capsys, "validate", order)
+    assert code == 2 and report is None and "budget" in err
+
+
 def test_check_params(capsys):
     code, report, _ = run(capsys, "check", "SCOTT_AXIOMS",
                           "--param", "phases=duality")

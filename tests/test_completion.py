@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qideal import completion
 from qideal.completion import (
     check_completeness_continuity,
     check_saturation,
@@ -79,8 +80,26 @@ def test_saturation_on_small_bases(which, make):
 
 
 def test_saturation_cap():
-    with pytest.raises(BudgetExceeded):
-        check_saturation(two_chain(L3), "flat", cap=1)
+    """The 20 weights on the 6 lower sets each read 6 * (6 + 2) values,
+    charged before the first weighted join."""
+    with pytest.raises(BudgetExceeded, match="^960 weighted-join lookups exceed the budget of 959$"):
+        check_saturation(two_chain(L3), "lower", budget=959)
+    assert check_saturation(two_chain(L3), "lower", budget=960)["weights_checked"] == 20
+
+
+def test_ideal_space_charges_its_hom_table():
+    with pytest.raises(BudgetExceeded, match="^72 ideal-space hom lookups exceed the budget of 71$"):
+        ideal_space(two_chain(L3), "lower", budget=71)
+    assert ideal_space(two_chain(L3), "lower", budget=72).n == 6
+
+
+def test_saturation_is_refused_before_the_ideal_space_is_built(monkeypatch):
+    def lookup(*args):
+        pytest.fail("an ideal-space hom entry was computed over the budget")
+    monkeypatch.setattr(completion, "_sub_idx", lookup)
+    A = standard_qorder(lukasiewicz_chain(10), "dL")
+    with pytest.raises(BudgetExceeded, match="ideal-space hom lookups"):
+        check_saturation(A, "lower")
 
 
 def test_completeness_failure_has_a_witness():

@@ -163,6 +163,24 @@ def replay_irreducible(phi, w):
     assert q.leq[rhs][lhs] and lhs != rhs
 
 
+def masks_oracle(A, kind, up):
+    """The index columns set by set: bit i of [x][b] when b <= sets[i][x]
+    (up) or sets[i][x] <= b."""
+    leq = A.quantale.leq
+    sets = _monotone_value_tuples(A, kind, DEFAULT_BUDGET)
+    return tuple(tuple(sum(1 << i for i, vec in enumerate(sets)
+                           if (leq[b][vec[x]] if up else leq[vec[x]][b]))
+                       for b in range(A.quantale.n))
+                 for x in range(A.n))
+
+
+def assert_masks_match_oracle(A):
+    for kind in ("lower", "upper"):
+        index = fuzzy._set_index(A, kind, DEFAULT_BUDGET)
+        for up in (True, False):
+            assert index.masks(up) == masks_oracle(A, kind, up), (A.catalog, kind, up)
+
+
 def assert_flag_only_enumeration_matches_classify(A):
     """Flat and irreducible enumeration decide flags without witnesses;
     they keep exactly the lower sets whose report sets the flag, in
@@ -200,6 +218,7 @@ def assert_matches_oracles(A):
         if inhabited(phi):
             assert (rep.forward_cauchy, rep.witnesses.get("forward_cauchy")) == fc
     assert_flag_only_enumeration_matches_classify(A)
+    assert_masks_match_oracle(A)
 
 
 @pytest.mark.parametrize("q", [boolean4(), lukasiewicz_chain(3), godel_chain(4)],
@@ -239,6 +258,7 @@ def test_flag_only_enumeration_beyond_the_oracles(A):
     """The bases too large for the pair oracles; assert_matches_oracles
     covers the rest."""
     assert_flag_only_enumeration_matches_classify(A)
+    assert_masks_match_oracle(A)
 
 
 def test_lukasiewicz10_classes_are_the_principal_ideals():

@@ -4,10 +4,11 @@ budget refusal or report depends on whether it is warm or empty."""
 import pytest
 
 from qideal import fuzzy, ideals
+from qideal.completion import check_saturation, ideal_space
 from qideal.errors import BudgetExceeded
 from qideal.fuzzy import _inhabited, _monotone_value_tuples, enumerate_monotone_sets
 from qideal.ideals import enumerate_ideals
-from qideal.qorder import standard_qorder
+from qideal.qorder import crisp_qorder, standard_qorder
 from qideal.quantale import lukasiewicz_chain
 from qideal.scott import generate_scott_structure, is_scott_member
 from qideal.suites import run_suite
@@ -46,6 +47,32 @@ def cold_and_warm(monkeypatch, call, budgets):
 # operations for the 20 lower sets, 2 * 20 * 4 mask ANDs and 2 * 4 * 20
 # scalings for the axioms of a 20-member family among 20 sets
 DL4_BUDGETS = (0, 95, 96, 319, 320, 639, 640, 5_000)
+
+
+# the 6 lower sets of a two-point chain over Łukasiewicz-3: 6 * 6 * 2
+# ideal-space hom lookups, 129 candidate values tried on the space, and
+# 20 weights * 6 * (6 + 2) weighted-join lookups
+CHAIN = crisp_qorder(lukasiewicz_chain(3), ("a", "b"), ((True, True), (False, True)))
+CHAIN_BUDGETS = (0, 71, 72, 128, 129, 959, 960)
+
+
+def test_ideal_space_refuses_alike_warm_and_cold(monkeypatch):
+    def call(budget):
+        S = ideal_space(CHAIN, "lower", budget=budget)
+        return ("space", S.space.hom)
+    cold, warm = cold_and_warm(monkeypatch, call, CHAIN_BUDGETS)
+    assert cold == warm
+
+
+def test_saturation_refuses_alike_warm_and_cold(monkeypatch):
+    def call(budget):
+        rep = check_saturation(CHAIN, "lower", budget=budget)
+        return ("saturation", rep["weights_checked"], rep["saturated"])
+    cold, warm = cold_and_warm(monkeypatch, call, CHAIN_BUDGETS)
+    assert cold == warm
+    assert [o[1] for o in cold] == ["candidate values tried", "ideal-space hom lookups",
+                                    "candidate values tried", "candidate values tried",
+                                    "weighted-join lookups", "weighted-join lookups", 20]
 
 
 @pytest.mark.parametrize("cls", ["flat", "irr"])

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qideal.errors import (
+    BudgetExceeded,
     EmptyCarrier,
-    PowerTooLarge,
     QuantaleMismatch,
     ShapeMismatch,
     ValidationError,
@@ -90,10 +90,21 @@ def test_power_order_is_pointwise():
 
 
 def test_power_order_budget():
-    with pytest.raises(PowerTooLarge):
+    with pytest.raises(BudgetExceeded):
         standard_qorder(lukasiewicz_chain(6), "power", n=5, budget=100)
-    with pytest.raises(PowerTooLarge):
+    with pytest.raises(BudgetExceeded):
         standard_qorder(lukasiewicz_chain(2), "power", n=1, budget=0)
+
+
+def test_power_order_charges_its_hom_lookups():
+    """|Q|^k maps on k labels make (|Q|^k)^2 * k lookups: 4 for Ł2 on
+    one label."""
+    q = lukasiewicz_chain(2)
+    with pytest.raises(BudgetExceeded, match="^4 power hom lookups exceed the budget of 3$"):
+        standard_qorder(q, "power", n=1, budget=3)
+    assert standard_qorder(q, "power", n=1, budget=4).n == 2
+    with pytest.raises(BudgetExceeded, match="power hom lookups"):
+        standard_qorder(q, "power", labels=[f"y{i}" for i in range(12)])
 
 
 def test_standard_qorder_rejects_unknown_name():
