@@ -21,6 +21,7 @@ from .errors import (  # noqa: F401  (DEFAULT_BUDGET is re-exported)
     NotLower,
     NotUpper,
     ShapeMismatch,
+    _RECORDS,
     _charge,
 )
 from .qorder import QOrderedSet
@@ -209,9 +210,10 @@ def suprema(phi):
 # base -> {key: value}: what is derived from a base, kept for the life
 # of the process: the walks under "lower"/"upper", their set indexes
 # under ("index", kind), the forward-Cauchy dominance masks under
-# "dominance", the Scott contexts under ("scott", tag, budget), the
-# censuses under ("census", budget).  Entries that depend on a budget
-# keep it in their key; the walks replay theirs (_monotone_value_tuples).
+# "dominance", the Scott contexts under ("scott", tag), the suites'
+# censuses under "census".  No key holds a budget: the walks replay the
+# count they tried (_monotone_value_tuples), and the contexts and
+# censuses every charge their build made (_charged).
 _MEMO = {}
 
 
@@ -225,6 +227,32 @@ def _memoized(A, key, build):
         _MEMO.setdefault(A, {})[key] = value
         return value
     return entries[key]
+
+
+def _kept(A, key):
+    """The value kept for A under key, or None; builds nothing."""
+    return _MEMO.get(A, {}).get(key)
+
+
+def _charged(A, key, build, budget):
+    """_memoized for a build that charges the budget.  The value is kept
+    with the charges its build made (errors._RECORDS), and a later call
+    replays them against its own budget in order, so any budget refuses
+    or admits it as a build would."""
+    entries = _MEMO.get(A)
+    if entries is not None and key in entries:
+        value, charges = entries[key]
+        for count, what in charges:
+            _charge(count, budget, what)
+        return value
+    charges = []
+    _RECORDS.append(charges)
+    try:
+        value = build()
+    finally:
+        _RECORDS.pop()      # records nest, so the last one is this build's
+    _MEMO.setdefault(A, {})[key] = value, tuple(charges)
+    return value
 
 
 def _walk(A, kind, budget):

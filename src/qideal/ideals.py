@@ -20,6 +20,7 @@ from .errors import NotForwardCauchy, ShapeMismatch, _charge
 from .fuzzy import (
     FuzzySet,
     _inhabited,
+    _kept,
     _lower_violation,
     _memoized,
     _set_index,
@@ -113,9 +114,12 @@ def ideal_from_sequence(s):
 
 def _ideal_precondition(phi, inhabited=None):
     """None when phi is lower and inhabited, else (False, reason dict).
-    inhabited, when given, is _inhabited(phi.base, phi.values)."""
+    inhabited, when given, is _inhabited(phi.base, phi.values).  A set
+    that the memoized index of A's lower sets holds is lower."""
     A = phi.base
-    w = _lower_violation(A, phi.values)
+    index = _kept(A, ("index", "lower"))
+    w = (None if index is not None and phi.values in index.positions
+         else _lower_violation(A, phi.values))
     if w is not None:
         return False, {"reason": "not a lower set",
                        "pair": (A.elements[w[0]], A.elements[w[1]])}
@@ -143,13 +147,18 @@ def _threshold_plan(q, index, lower):
             q.tensor_table, q.join_all, q.meet_table)
 
 
-def _planned_index(A, kind, budget):
-    """The index over A's lower (upper) sets with its threshold plan,
-    both built on the first call."""
-    index = _set_index(A, kind, budget)
+def _planned(A, kind, index):
+    """The index over A's lower (upper) sets, its threshold plan built
+    on the first call."""
     if index.plan is None:
         index.plan = _threshold_plan(A.quantale, index, kind == "lower")
     return index
+
+
+def _planned_index(A, kind, budget):
+    """The index over A's lower (upper) sets with its threshold plan,
+    both built on the first call."""
+    return _planned(A, kind, _set_index(A, kind, budget))
 
 
 def _first_break(index, vals):
@@ -174,12 +183,52 @@ def _first_break(index, vals):
     return None
 
 
+def _passes(A, kind, vals):
+    """Whether the inhabited lower set phi with value tuple vals passes
+    every threshold of the generator decider on A's lower sets (kind
+    lower, irreducible) or upper sets (kind upper, flat).  Needs a
+    distributive lattice; reads only the quantale's PrimeTables and A.
+
+    Irreducible: with s(psi) = sub(phi, psi), a meet-irreducible u is
+    meet-prime, so s(psi) <= u iff phi(y) -> psi(y) <= u at some y, iff
+    psi(y) <= w for a maximal such w: a generator of phi(y) at u, and
+    (y, w) a cell of u.  The largest lower set with psi(y) <= w is the
+    row M[y][w](x) = A(y,x) -> w (psi(x) & A(y,x) <= psi(y) and
+    residuation; it is lower by transitivity and takes w at y, as A(y,y)
+    is the unit).  So G_u = {psi : s(psi) <= u} is the union of the
+    principal down-sets of the rows of its cells, and its join J is
+    their pointwise join.  Every element is the meet of the
+    meet-irreducibles above it, so the threshold test of _irreducible
+    needs only these u; and J lies in G_u iff some cell (y, w) has
+    J(y) <= w, that is M[x][v](y) <= w for every cell (x, v).  Flat is
+    the dual: join-irreducible thresholds j, the minimal b with j <=
+    phi(y) & b, rows N[y][b](x) = b & A(y,x) (the smallest upper set
+    with psi(y) >= b), pointwise meets, and K(y) >= b."""
+    _, gens, table, keeps = getattr(A.quantale.prime_tables, kind)
+    hom = A.hom
+    # at_k[y]: the generators of phi(y) at one threshold
+    for at_k in zip(*map(gens.__getitem__, vals)):
+        cells = [(y, w) for y, at in enumerate(at_k) for w in at]
+        if cells and not any(all(keeps[table[hom[x][y]][v]][w] for x, v in cells)
+                             for y, w in cells):
+            return False
+    return True
+
+
 def _threshold_break(phi, kind, budget):
     """The decision behind _irreducible (kind lower) and _flat (kind upper).
     d is the inclusion degree out of phi (the tensor degree with phi),
     sets fold by join (meet), and d passes the threshold u when d <= u
     (d >= u).  Returns None, or the first break of the proofs' fold:
     (acc, psi, d(acc . psi), d(acc) . d(psi)).
+
+    On a distributive lattice the flag comes first, charged thresholds
+    times n generator rows: from the set index when it is already
+    memoized (at small m a mask decision costs what a generator one
+    does, and a break needs the index for its witness anyway), else by
+    _passes, which needs no set universe.  A break, and every
+    decision on a lattice that is not distributive, goes on to the
+    index.
 
     The sets are the bits of masks of the set index.  By residuation c
     <= d(psi) iff phi(x) & c <= psi(x) at every x (d(psi) <= c iff
@@ -194,11 +243,26 @@ def _threshold_break(phi, kind, budget):
     threshold whose sets are none, all (the sets are closed under the
     fold) or those of an earlier threshold cannot break.
     """
-    vals = phi.values
-    index = _planned_index(phi.base, kind, budget)
-    inside = _first_break(index, vals)
+    A, vals = phi.base, phi.values
+    inside = None
+    primes = A.quantale.prime_tables
+    if primes.distributive:
+        _charge(len(getattr(primes, kind).thresholds) * A.n, budget,
+                "generator rows joined")
+        kept = _kept(A, ("index", kind))
+        if kept is None:
+            if _passes(A, kind, vals):
+                return None
+        else:
+            inside = _first_break(_planned(A, kind, kept), vals)
+            if inside is None:
+                return None
+    # builds the index, or replays the walk's charge as a build would
+    index = _planned_index(A, kind, budget)
     if inside is None:
-        return None
+        inside = _first_break(index, vals)
+        if inside is None:
+            return None
     op, table, gather, fold = index.plan[3:]
     rows = [table[a] for a in vals]
 
@@ -325,10 +389,11 @@ def enumerate_ideals(A, which="fc", budget=None):
     """All lower sets of the named class, in enumeration order.  The
     lower tag skips the class filter (and the inhabitedness demand the
     three proper classes make).  Flat and irreducible decide each lower
-    set's flag alone (_first_break, no witness) on the index of the
-    upper (lower) sets, with |Q| reach masks of n ANDs and |Q|
-    thresholds of up to |Q| ORs; those mask operations are charged
-    against the budget before any set is decided."""
+    set's flag alone, with no witness.  On a distributive lattice that is
+    _passes, thresholds times n generator rows per set; else
+    _first_break on the index of the upper (lower) sets, with |Q|
+    reach masks of n ANDs and |Q| thresholds of up to |Q| ORs.  Either
+    count is charged against the budget before any set is decided."""
     tag = ideal_class_tag(which)
     lowers = enumerate_monotone_sets(A, "lower", budget=budget)
     if tag == "lower":
@@ -336,12 +401,19 @@ def enumerate_ideals(A, which="fc", budget=None):
     if tag == "fc":
         return tuple(p for p in lowers
                      if _inhabited(A, p.values) and _forward_cauchy(p)[0])
+    kind = "upper" if tag == "flat" else "lower"
+    primes = A.quantale.prime_tables
+    if primes.distributive:
+        _charge(len(lowers) * len(getattr(primes, kind).thresholds) * A.n, budget,
+                "generator rows joined")
+        return tuple(p for p in lowers
+                     if _inhabited(A, p.values) and _passes(A, kind, p.values))
     q = A.quantale
     _charge(len(lowers) * q.n * (A.n + q.n), budget, "decider mask operations")
     inhabited = [p for p in lowers if _inhabited(A, p.values)]
     if not inhabited:
         return ()
-    index = _planned_index(A, "upper" if tag == "flat" else "lower", budget)
+    index = _planned_index(A, kind, budget)
     return tuple(p for p in inhabited if _first_break(index, p.values) is None)
 
 

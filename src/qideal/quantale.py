@@ -15,6 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     ChainNotClosed,
@@ -123,6 +125,73 @@ class FiniteQuantale:
     @property
     def is_frame(self):
         return self.tensor_table == self.meet_table
+
+    @cached_property
+    def prime_tables(self):
+        """The thresholds and generator values of the flat and irreducible
+        deciders (PrimeTables), derived on first use."""
+        return _prime_tables(self)
+
+
+class PrimeSide(NamedTuple):
+    """One decider's share of PrimeTables: its thresholds, generators[a][k]
+    (the maximal b with a -> b <= thresholds[k] for the irreducible
+    decider, the minimal b with thresholds[k] <= a & b for the flat one;
+    empty when no b qualifies), the table its generator rows read (the
+    row of a point y and value w takes table[A(y,x)][w] at x), and keeps,
+    with keeps[v][w] when a row value v stays within the class of w
+    (v <= w for the irreducible decider, v >= w for the flat one)."""
+
+    thresholds: tuple
+    generators: tuple
+    table: tuple
+    keeps: tuple
+
+
+class PrimeTables(NamedTuple):
+    """What the generator deciders read off a finite quantale.
+
+    In a finite distributive lattice every meet-irreducible element u is
+    meet-prime (a meet lies below u iff one of its terms does) and every
+    join-irreducible j is join-prime (Birkhoff; Davey and Priestley,
+    Introduction to Lattices and Order, ch. 5), and every element is the
+    meet of the meet-irreducibles above it and the join of the
+    join-irreducibles below it.  lower holds the irreducible decider's
+    side, with the meet-irreducible thresholds and the residuation
+    table; upper the flat decider's, with the join-irreducible
+    thresholds and the tensor table.
+    """
+
+    distributive: bool
+    lower: PrimeSide
+    upper: PrimeSide
+
+
+def _prime_tables(q):
+    """PrimeTables of the finite quantale q, by exhaustive search."""
+    rng = range(q.n)
+    leq, join, meet = q.leq, q.join_table, q.meet_table
+    geq = tuple(zip(*leq))
+    distributive = all(meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
+                       for a in rng for b in rng for c in rng)
+
+    def side(thresholds, fits, table, keeps):
+        """The side whose generators for a and threshold t are the b with
+        fits(a, b, t) that keep no other such value."""
+        def extremes(t, a):
+            pick = [b for b in rng if fits(a, b, t)]
+            return tuple(b for b in pick if not any(c != b and keeps[b][c] for c in pick))
+        return PrimeSide(thresholds, tuple(tuple(extremes(t, a) for t in thresholds)
+                                           for a in rng), table, keeps)
+
+    meet_irr = tuple(u for u in rng if u != q.top and u != q.meet_all(
+        v for v in rng if leq[u][v] and v != u))
+    join_irr = tuple(j for j in rng if j != q.bottom and j != q.join_all(
+        v for v in rng if leq[v][j] and v != j))
+    return PrimeTables(
+        distributive,
+        side(meet_irr, lambda a, b, u: leq[q.res_table[a][b]][u], q.res_table, leq),
+        side(join_irr, lambda a, b, j: leq[j][q.tensor_table[a][b]], q.tensor_table, geq))
 
 
 def build_finite_quantale(elements, leq, tensor, unit, catalog=None):

@@ -24,9 +24,9 @@ from .errors import (
 )
 from .fuzzy import (
     FuzzySet,
+    _charged,
     _fuzzy_sets,
     _lower_violation,
-    _memoized,
     _monotone_value_tuples,
     _set_index,
     _sub_idx,
@@ -55,7 +55,7 @@ def _default_class(mode):
 def _scott_context(A, tag, budget):
     """Class ideals of A paired with all their suprema (as indices);
     ideals without a supremum impose no condition and are dropped.
-    Memoized per base."""
+    Memoized per base and class, with the charges of its build."""
     def build():
         out = []
         for p in enumerate_ideals(A, tag, budget=budget):
@@ -63,7 +63,7 @@ def _scott_context(A, tag, budget):
             if sups:
                 out.append((p.values, tuple(A.index(s) for s in sups)))
         return tuple(out)
-    return _memoized(A, ("scott", tag, budget), build)
+    return _charged(A, ("scott", tag), build, budget)
 
 
 def _member_violation(A, vals, mode, ctx):

@@ -13,13 +13,14 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
 from .completion import check_completeness_continuity, check_saturation, ideal_space
 from .errors import BudgetExceeded, DecompositionMismatch, GridTooCoarse, UnknownSuite, _charge
-from .fuzzy import FuzzySet, _memoized, classify_sampled, fuzzy_set, transport
+from .fuzzy import FuzzySet, _charged, _inhabited, classify_sampled, fuzzy_set, transport
 from .ideals import (
     approach_terms,
     classify_ideal,
@@ -119,11 +120,23 @@ def _full_battery(seed, budget):
     return tuple(itertools.islice(_battery(seed, budget), 41 + 50))
 
 
+# the flags of an IdealReport, without its witnesses
+_Flags = namedtuple("_Flags", "inhabited flat irreducible forward_cauchy")
+
+
 def _census(A, budget):
-    """Every lower set of A with its ideal report, memoized per base."""
-    return _memoized(A, ("census", budget), lambda: tuple(
-        (phi, classify_ideal(phi, budget=budget))
-        for phi in enumerate_ideals(A, "lower", budget=budget)))
+    """Every lower set of A with its _Flags, memoized per base with the
+    charges of its build.  The flags come from the class enumerations,
+    so no witness is built; _ideal_witness builds one for a reported
+    ideal."""
+    def build():
+        lowers = enumerate_ideals(A, "lower", budget=budget)
+        flat, irr, fc = ({p.values for p in enumerate_ideals(A, tag, budget=budget)}
+                         for tag in ("flat", "irr", "fc"))
+        return tuple((phi, _Flags(_inhabited(A, phi.values), phi.values in flat,
+                                  phi.values in irr, phi.values in fc))
+                      for phi in lowers)
+    return _charged(A, "census", build, budget)
 
 
 def _saturation_battery():
@@ -157,11 +170,12 @@ def _leq(P):
 
 
 def _flags(rep):
-    return dict(zip(("inhabited", "flat", "irreducible", "forward_cauchy"),
-                    rep.flags()))
+    return _Flags(*rep.flags())._asdict()
 
 
-def _ideal_witness(desc, phi, rep, reason):
+def _ideal_witness(desc, phi, reason, budget):
+    """A reported ideal with its flags and their witnesses."""
+    rep = classify_ideal(phi, budget=budget)
     return {"instance": desc, "reason": reason,
             "ideal": dump_instance(phi), "flags": _flags(rep),
             "witnesses": rep.witnesses}
@@ -174,10 +188,10 @@ def _inclusion_suite(keep_base, offend, reason, params, seed, budget, tolerance)
         if not keep_base(A.quantale):
             continue
         instances.append(desc)
-        for phi, rep in _census(A, budget):
+        for phi, flags in _census(A, budget):
             ideals += 1
-            if offend(rep):
-                witnesses.append(_ideal_witness(desc, phi, rep, reason))
+            if offend(flags):
+                witnesses.append(_ideal_witness(desc, phi, reason, budget))
     return instances, witnesses, {"ideals_checked": ideals, "seed": seed}
 
 
@@ -212,8 +226,8 @@ def _suite_boolean4_counterexample(params, seed, budget, tolerance):
     expected = (True, True, True, False)
     witnesses = []
     if rep.flags() != expected:
-        witnesses.append(_ideal_witness("discrete-2 over boolean4", phi, rep,
-                                        f"expected flags {expected}"))
+        witnesses.append(_ideal_witness("discrete-2 over boolean4", phi,
+                                        f"expected flags {expected}", budget))
     details = {"flags": _flags(rep),
                "forward_cauchy_witness": rep.witnesses.get("forward_cauchy")}
     return ["discrete-2 over boolean4"], witnesses, details
@@ -232,8 +246,8 @@ def _suite_godel_flat_not_irr(params, seed, budget, tolerance):
     witnesses = []
     if not (rep.flat and not rep.irreducible and not rep.forward_cauchy):
         witnesses.append(_ideal_witness(
-            f"dL over godel-{n}", phi, rep,
-            "expected flat, not irreducible, not forward Cauchy"))
+            f"dL over godel-{n}", phi,
+            "expected flat, not irreducible, not forward Cauchy", budget))
     details = {"n": n, "b": str(b), "a": str(a),
                "irreducible_witness": rep.witnesses.get("irreducible"),
                "forward_cauchy_witness": rep.witnesses.get("forward_cauchy")}
@@ -561,17 +575,17 @@ def _suite_classical_degeneration(params, seed, budget, tolerance):
     ideals = 0
     for P in posets:
         n, leq = P.n, _leq(P)
-        for phi, rep in _census(P, budget):
+        for phi, flags in _census(P, budget):
             ideals += 1
             S = [i for i in range(n) if phi.values[i] == P.quantale.unit]
             directed = bool(S) and all(
                 any(leq[x][z] and leq[y][z] for z in S)
                 for x in S for y in S)
-            if not (rep.flat == rep.irreducible == rep.forward_cauchy == directed):
+            if not (flags.flat == flags.irreducible == flags.forward_cauchy == directed):
                 witnesses.append(_ideal_witness(
-                    f"crisp poset on {n} points (leq {leq})", phi, rep,
+                    f"crisp poset on {n} points (leq {leq})", phi,
                     "class verdicts differ from the classical "
-                    f"directed-lower-set test ({directed})"))
+                    f"directed-lower-set test ({directed})", budget))
     return [line], witnesses, {"posets": len(posets), "ideals_checked": ideals}
 
 
@@ -655,9 +669,10 @@ def search_counterexample(shape, seed=None, budget=None, limit=200):
     checked = {"instances": 0, "ideals": 0}
     for desc, A in itertools.islice(_battery(seed, budget), limit):
         checked["instances"] += 1
-        for phi, rep in _census(A, budget):
+        for phi, flags in _census(A, budget):
             checked["ideals"] += 1
-            if getattr(rep, have_f) and not getattr(rep, want_f):
+            if getattr(flags, have_f) and not getattr(flags, want_f):
+                rep = classify_ideal(phi, budget=budget)
                 return {"found": True, "shape": f"{have_tag}-not-{want_tag}",
                         "instance": desc, "seed": seed,
                         "ideal": dump_instance(phi), "flags": _flags(rep),

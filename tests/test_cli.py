@@ -93,12 +93,12 @@ def test_enumerate_lukasiewicz8_classes(capsys):
     for cls in ("irr", "flat"):
         code, report, _ = run(capsys, "enumerate", dl8, "--class", cls)
         assert code == 0 and report["count"] == 8
-    # 576 lower sets, each deciding on 8 reach masks of 8 ANDs and 8
-    # thresholds of up to 8 ORs: 576 * 8 * (8 + 8) = 73,728
-    code, _, err = run(capsys, "--budget", "73727", "enumerate", dl8,
+    # 576 lower sets, each joining the 8 generator rows of each of its 7
+    # thresholds: 576 * 7 * 8 = 32,256
+    code, _, err = run(capsys, "--budget", "32255", "enumerate", dl8,
                        "--class", "irr")
-    assert code == 2 and "73728 decider mask operations" in err
-    code, report, _ = run(capsys, "--budget", "73728", "enumerate", dl8,
+    assert code == 2 and "32256 generator rows joined" in err
+    code, report, _ = run(capsys, "--budget", "32256", "enumerate", dl8,
                           "--class", "irr")
     assert code == 0 and report["count"] == 8
 

@@ -7,6 +7,7 @@ pair."""
 
 import itertools
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from qideal.fuzzy import (
 from qideal.ideals import (
     _first_break,
     _forward_cauchy,
+    _passes,
     _planned_index,
     _threshold_break,
     classify_ideal,
@@ -31,7 +33,13 @@ from qideal.ideals import (
     is_irreducible,
 )
 from qideal.qorder import build_qorder, random_qorder, standard_qorder
-from qideal.quantale import boolean4, godel_chain, lukasiewicz_chain
+from qideal.quantale import (
+    FiniteQuantale,
+    _prime_tables,
+    boolean4,
+    godel_chain,
+    lukasiewicz_chain,
+)
 from test_enumeration import RANDOM_BASES
 
 
@@ -191,6 +199,19 @@ def assert_flag_only_enumeration_matches_classify(A):
             phi for phi, rep in reports if getattr(rep, field)), (A.catalog, cls)
 
 
+def assert_generators_match_first_break(A):
+    """The generator flags equal the index flags on every inhabited lower
+    set, for both kinds."""
+    unit = A.quantale.unit
+    lowers = [v for v in _monotone_value_tuples(A, "lower", DEFAULT_BUDGET)
+              if A.quantale.join_all(v) == unit]
+    assert A.quantale.prime_tables.distributive, A.catalog
+    for kind in ("lower", "upper"):
+        index = _planned_index(A, kind, DEFAULT_BUDGET)
+        assert ([_passes(A, kind, v) for v in lowers]
+                == [_first_break(index, v) is None for v in lowers]), (A.catalog, kind)
+
+
 def assert_matches_oracles(A):
     frame = A.quantale.is_frame
     for phi in enumerate_ideals(A, "lower"):
@@ -219,6 +240,7 @@ def assert_matches_oracles(A):
             assert (rep.forward_cauchy, rep.witnesses.get("forward_cauchy")) == fc
     assert_flag_only_enumeration_matches_classify(A)
     assert_masks_match_oracle(A)
+    assert_generators_match_first_break(A)
 
 
 @pytest.mark.parametrize("q", [boolean4(), lukasiewicz_chain(3), godel_chain(4)],
@@ -261,6 +283,66 @@ def test_flag_only_enumeration_beyond_the_oracles(A):
     assert_masks_match_oracle(A)
 
 
+@pytest.mark.parametrize("k", range(7, 13))
+def test_generator_flags_beyond_the_oracles(k):
+    for name in ("dL", "dR"):
+        assert_generators_match_first_break(standard_qorder(lukasiewicz_chain(k), name))
+
+
+def two_point_battery():
+    for q in (boolean4(), lukasiewicz_chain(3), godel_chain(4)):
+        one = q.elements[q.unit]
+        for ab, ba in itertools.product(q.elements, repeat=2):
+            yield build_qorder(q, ("a", "b"), [[one, ab], [ba, one]])
+
+
+def decisions(A):
+    """Flat and irreducible enumeration, and every lower set's report
+    with its witnesses, each report from an empty memo so that its flags
+    come from the generators where the lattice is distributive."""
+    enumerated = [[p.values for p in enumerate_ideals(A, cls)] for cls in ("flat", "irr")]
+    reports = []
+    for phi in enumerate_ideals(A, "lower"):
+        fuzzy._MEMO.clear()
+        rep = classify_ideal(phi)
+        reports.append((rep.flags(), rep.witnesses, is_flat(phi), is_irreducible(phi)))
+    return enumerated, reports
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(RANDOM_BASES), st.integers(3, 4), st.integers(0, 2 ** 32))
+def test_the_fallback_decides_as_the_generators_on_random_orders(q, n, seed):
+    assert_fallback_decides_as_the_generators([random_qorder(q, n, random.Random(seed))])
+
+
+def test_the_fallback_decides_as_the_generators_on_two_points():
+    assert_fallback_decides_as_the_generators(two_point_battery())
+
+
+def assert_fallback_decides_as_the_generators(bases):
+    """With the distributive flag patched off every flag comes from the
+    set index (the route of a lattice that is not distributive); flags,
+    enumerations and witnesses stay the same."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fuzzy, "_MEMO", {})
+        for A in bases:
+            generated = decisions(A)
+            with pytest.MonkeyPatch.context() as off:
+                off.setattr(FiniteQuantale, "prime_tables", property(
+                    lambda q: _prime_tables(q)._replace(distributive=False)))
+                fuzzy._MEMO.clear()
+                assert decisions(A) == generated, A.catalog
+
+
+def test_a_principal_ideal_of_lukasiewicz20_needs_no_set_universe(monkeypatch):
+    monkeypatch.setattr(fuzzy, "_MEMO", {})
+    A = standard_qorder(lukasiewicz_chain(20), "dL")
+    rep = classify_ideal(yoneda(A, A.elements[7]))
+    assert rep.flags() == (True, True, True, True)
+    assert not any(key in fuzzy._MEMO[A] for key in
+                   ("lower", "upper", ("index", "lower"), ("index", "upper")))
+
+
 def test_lukasiewicz10_classes_are_the_principal_ideals():
     A = standard_qorder(lukasiewicz_chain(10), "dL")
     principal = {yoneda(A, a).values for a in A.elements}
@@ -270,19 +352,25 @@ def test_lukasiewicz10_classes_are_the_principal_ideals():
 
 
 def test_the_index_is_built_by_the_first_decider_call(monkeypatch):
+    """On a distributive lattice a True flag keeps nothing; the first
+    False flag of a kind builds that kind's index for its witness, and
+    every later call reuses it."""
     monkeypatch.setattr(fuzzy, "_MEMO", {})
     A = standard_qorder(lukasiewicz_chain(4), "dR")
     lowers = enumerate_monotone_sets(A, "lower")
     enumerate_monotone_sets(A, "upper")
     assert set(fuzzy._MEMO[A]) == {"lower", "upper"}
-    phi = lowers[-1]
-    is_irreducible(phi)
+    assert lowers[-1] == yoneda(A, A.elements[0])
+    assert is_irreducible(lowers[-1])[0] and is_flat(lowers[-1])[0]
+    assert set(fuzzy._MEMO[A]) == {"lower", "upper"}
+    phi = lowers[-3]
+    assert not is_irreducible(phi)[0]
     assert set(fuzzy._MEMO[A]) == {"lower", "upper", ("index", "lower")}
-    is_flat(phi)
+    assert not is_flat(phi)[0]
     index = fuzzy._MEMO[A]["index", "upper"]
     assert index.sets is fuzzy._MEMO[A]["upper"][0] and index.columns
     assert all(len(columns) == A.n for columns in index.columns.values())
-    is_flat(lowers[-2])
+    is_flat(lowers[-4])
     assert fuzzy._MEMO[A]["index", "upper"] is index
     assert list(fuzzy._MEMO) == [A] and len(fuzzy._MEMO[A]) == 4
 
@@ -326,3 +414,16 @@ def test_precondition_is_one_reason_under_every_key():
     assert rep.witnesses == dict.fromkeys(("flat", "irreducible", "forward_cauchy"),
                                           reason)
     assert is_flat(fuzzy_set(A, (0, 0, 1))) == (False, reason)
+
+
+def test_the_lower_index_vouches_only_for_the_sets_it_holds(monkeypatch):
+    """With the index of the lower sets memoized, a set it holds is lower
+    without a pair scan, and a set it lacks keeps its witness pair."""
+    monkeypatch.setattr(fuzzy, "_MEMO", {})
+    A = standard_qorder(lukasiewicz_chain(3), "dL")
+    cold = classify_ideal(fuzzy_set(A, (0, 0, 1)))
+    _planned_index(A, "lower", DEFAULT_BUDGET)
+    warm = classify_ideal(fuzzy_set(A, (0, 0, 1)))
+    assert warm == cold and warm.witnesses["flat"]["pair"] == (A.elements[0], A.elements[2])
+    assert all(classify_ideal(phi).flags() == (True,) * 4
+               for phi in map(partial(yoneda, A), A.elements))

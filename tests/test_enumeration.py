@@ -225,15 +225,15 @@ def test_lukasiewicz8_work_count(monkeypatch, name):
     principal = {yoneda(A, a).values for a in A.elements}
     for cls in ("irr", "flat"):
         assert {p.values for p in enumerate_ideals(A, cls)} == principal
-    # 61,440 lower sets, each deciding on 14 reach masks of 14 ANDs and 14
-    # thresholds of up to 14 ORs: refused before deciding, and admitted
-    # at exactly that count (the decider is stubbed, the charge is not)
+    # 61,440 lower sets, each joining the 14 generator rows of each of its
+    # 13 thresholds: refused before deciding, and admitted at exactly
+    # that count (the decider is stubbed, the charge is not)
     monkeypatch.setattr(fuzzy, "_MEMO", {})
     A = standard_qorder(lukasiewicz_chain(14), name)
-    count = 61_440 * 14 * (14 + 14)
-    with pytest.raises(BudgetExceeded, match=f"^{count} decider mask operations"):
+    count = 61_440 * 13 * 14
+    with pytest.raises(BudgetExceeded, match=f"^{count} generator rows joined"):
         enumerate_ideals(A, "irr")
-    with pytest.raises(BudgetExceeded, match=f"^{count} decider mask operations"):
+    with pytest.raises(BudgetExceeded, match=f"^{count} generator rows joined"):
         enumerate_ideals(A, "irr", budget=count - 1)
-    monkeypatch.setattr(ideals, "_first_break", lambda index, vals: 1)
+    monkeypatch.setattr(ideals, "_passes", lambda A, kind, vals: False)
     assert enumerate_ideals(A, "irr", budget=count) == ()

@@ -43,10 +43,11 @@ def cold_and_warm(monkeypatch, call, budgets):
     return cold, warm
 
 
-# 96 candidate values tried per walk, 20 * 4 * (4 + 4) decider mask
-# operations for the 20 lower sets, 2 * 20 * 4 mask ANDs and 2 * 4 * 20
-# scalings for the axioms of a 20-member family among 20 sets
-DL4_BUDGETS = (0, 95, 96, 319, 320, 639, 640, 5_000)
+# 96 candidate values tried per walk, 20 * 3 * 4 generator rows joined
+# for the 20 lower sets (3 thresholds of 4 rows), 2 * 20 * 4 mask ANDs
+# and 2 * 4 * 20 scalings for the axioms of a 20-member family among 20
+# sets
+DL4_BUDGETS = (0, 95, 96, 239, 240, 319, 320, 5_000)
 
 
 # the 6 lower sets of a two-point chain over Łukasiewicz-3: 6 * 6 * 2
@@ -96,8 +97,10 @@ def test_census_suite_refuses_alike_warm_and_cold(monkeypatch):
     def call(budget):
         res = run_suite("FC_SUBSET_IRR", budget=budget)
         return (res.verdict, res.details)
-    cold, warm = cold_and_warm(monkeypatch, call, (1, 10, 40, 80, 200))
+    # the largest census charge is 279 generator rows joined
+    cold, warm = cold_and_warm(monkeypatch, call, (1, 10, 40, 80, 200, 278, 279))
     assert cold == warm
+    assert [o[0] for o in cold[-2:]] == ["budget", "pass"]
 
 
 def test_scott_members_share_one_context(monkeypatch):
@@ -105,13 +108,13 @@ def test_scott_members_share_one_context(monkeypatch):
     flat ideals: each lower set is decided once, not once per test."""
     monkeypatch.setattr(fuzzy, "_MEMO", {})
     decided = []
-    first_break = ideals._first_break
+    passes = ideals._passes
 
-    def counted(index, vals):
+    def counted(A, kind, vals):
         decided.append(vals)
-        return first_break(index, vals)
+        return passes(A, kind, vals)
 
-    monkeypatch.setattr(ideals, "_first_break", counted)
+    monkeypatch.setattr(ideals, "_passes", counted)
     A = standard_qorder(lukasiewicz_chain(6), "dL")
     uppers = enumerate_monotone_sets(A, "upper")
     assert all(is_scott_member(psi, "topology")[0] for psi in uppers)
@@ -140,3 +143,42 @@ def test_equal_bases_built_apart_share_one_entry(monkeypatch):
     dR = standard_qorder(lukasiewicz_chain(4), "dR")
     enumerate_monotone_sets(dR, "lower")
     assert len(fuzzy._MEMO) == 2
+
+
+def test_one_scott_context_serves_every_spelling_of_the_budget(monkeypatch):
+    """budget=None and the default it stands for share one context:
+    each lower set is decided once, and a later call replays the charges
+    its build made against its own budget."""
+    monkeypatch.setattr(fuzzy, "_MEMO", {})
+    decided = []
+    passes = ideals._passes
+
+    def counted(A, kind, vals):
+        decided.append(vals)
+        return passes(A, kind, vals)
+
+    monkeypatch.setattr(ideals, "_passes", counted)
+    A = standard_qorder(lukasiewicz_chain(10), "dL")
+    members = [generate_scott_structure(A, "topology", budget=budget).members
+               for budget in (None, fuzzy.DEFAULT_BUDGET)]
+    assert members[0] == members[1]
+    assert [key for key in fuzzy._MEMO[A] if key[0] == "scott"] == [("scott", "flat")]
+    lowers = enumerate_monotone_sets(A, "lower")
+    assert decided == [p.values for p in lowers if _inhabited(A, p.values)]
+    # 9 thresholds of 10 rows per lower set, refused one short of that
+    count = len(lowers) * 9 * 10
+    with pytest.raises(BudgetExceeded, match=f"^{count} generator rows joined"):
+        generate_scott_structure(A, "topology", budget=count - 1)
+    assert len(decided) < len(lowers)
+
+
+@pytest.mark.parametrize("name", ["FC_SUBSET_IRR", "FC_SUBSET_FLAT", "IRR_SUBSET_FLAT_PRELINEAR",
+                                  "FLAT_EQ_IRR_DOUBLENEG", "LINEAR_IRR_EQ_FC",
+                                  "CLASSICAL_DEGENERATION"])
+def test_class_comparisons_build_no_set_universe(monkeypatch, name):
+    """The census keeps flags from the lower walk and the generators: no
+    upper walk and no set index on any base."""
+    monkeypatch.setattr(fuzzy, "_MEMO", {})
+    assert run_suite(name).verdict == "pass"
+    kept = {key for entries in fuzzy._MEMO.values() for key in entries}
+    assert kept == {"lower", "dominance", "census"}

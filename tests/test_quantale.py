@@ -167,3 +167,84 @@ def test_standard_quantale_catalog():
     assert standard_quantale("lukasiewicz_chain", n=3).n == 3
     with pytest.raises(ValueError):
         standard_quantale("no-such-thing")
+
+
+def labelled_primes(q):
+    """prime_tables with every element index replaced by its label."""
+    t = q.prime_tables
+    lab = q.elements.__getitem__
+
+    def side(s):
+        return {"thresholds": [str(lab(u)) for u in s.thresholds],
+                "generators": [[[str(lab(b)) for b in gens] for gens in row]
+                               for row in s.generators]}
+    return {"distributive": t.distributive, "lower": side(t.lower), "upper": side(t.upper)}
+
+
+def test_prime_tables_of_boolean4():
+    # a -> c = (not a) v c, and j <= a ^ c
+    assert labelled_primes(boolean4()) == {
+        "distributive": True,
+        "lower": {"thresholds": ["a", "b"],
+                  "generators": [[[], []], [[], ["b"]], [["a"], []], [["a"], ["b"]]]},
+        "upper": {"thresholds": ["a", "b"],
+                  "generators": [[[], []], [["a"], []], [[], ["b"]], [["a"], ["b"]]]}}
+
+
+def test_prime_tables_of_lukasiewicz4():
+    # a -> c <= u iff c <= u + a - 1, and j <= a & c iff c >= j - a + 1
+    assert labelled_primes(lukasiewicz_chain(4)) == {
+        "distributive": True,
+        "lower": {"thresholds": ["0", "1/3", "2/3"],
+                  "generators": [[[], [], []], [[], [], ["0"]], [[], ["0"], ["1/3"]],
+                                 [["0"], ["1/3"], ["2/3"]]]},
+        "upper": {"thresholds": ["1/3", "2/3", "1"],
+                  "generators": [[[], [], []], [["1"], [], []], [["2/3"], ["1"], []],
+                                 [["1/3"], ["2/3"], ["1"]]]}}
+
+
+def test_prime_tables_of_l3_times_l2():
+    from test_enumeration import l3_times_l2
+
+    # the product of the chains 0 < 1 < 2 and 0 < 1, labelled by the pair
+    assert labelled_primes(l3_times_l2()) == {
+        "distributive": True,
+        "lower": {"thresholds": ["01", "11", "20"],
+                  "generators": [[[], [], []], [[], [], ["20"]], [[], ["01"], []],
+                                 [[], ["01"], ["20"]], [["01"], ["11"], []],
+                                 [["01"], ["11"], ["20"]]]},
+        "upper": {"thresholds": ["01", "10", "20"],
+                  "generators": [[[], [], []], [["01"], [], []], [[], ["20"], []],
+                                 [["01"], ["20"], []], [[], ["10"], ["20"]],
+                                 [["01"], ["10"], ["20"]]]}}
+
+
+@pytest.mark.parametrize("q", [*ALL_CHAINS, boolean4()],
+                         ids=[*(f"{q.catalog[0]}-{q.n}" for q in ALL_CHAINS), "boolean4"])
+def test_prime_tables_from_the_definitions(q):
+    """Irreducible thresholds are exactly the prime ones, every element is
+    the meet (join) of those above (below) it, the generator values are
+    the maximal (minimal) solutions, and each side reads its own table
+    and order."""
+    t, rng, leq = q.prime_tables, range(q.n), q.leq
+    assert t.distributive
+    meet_prime = [u for u in rng if u != q.top and all(
+        leq[a][u] or leq[b][u] for a in rng for b in rng if leq[q.meet(a, b)][u])]
+    join_prime = [j for j in rng if j != q.bottom and all(
+        leq[j][a] or leq[j][b] for a in rng for b in rng if leq[j][q.join(a, b)])]
+    assert list(t.lower.thresholds) == meet_prime
+    assert list(t.upper.thresholds) == join_prime
+    for v in rng:
+        assert q.meet_all(u for u in meet_prime if leq[v][u]) == v
+        assert q.join_all(j for j in join_prime if leq[j][v]) == v
+    for a in rng:
+        for k, u in enumerate(meet_prime):
+            fits = [b for b in rng if leq[q.residuate(a, b)][u]]
+            assert set(t.lower.generators[a][k]) == {
+                b for b in fits if all(c == b or not leq[b][c] for c in fits)}
+        for k, j in enumerate(join_prime):
+            fits = [b for b in rng if leq[j][q.tensor(a, b)]]
+            assert set(t.upper.generators[a][k]) == {
+                b for b in fits if all(c == b or not leq[c][b] for c in fits)}
+    assert (t.lower.table, t.lower.keeps) == (q.res_table, q.leq)
+    assert (t.upper.table, t.upper.keeps) == (q.tensor_table, tuple(zip(*q.leq)))

@@ -19,6 +19,9 @@ ALL_SUITES = suite_names()
 # every suite's report at the default seed and budget, less its elapsed time
 REPORTS = json.loads((Path(__file__).parent / "data" / "suite_reports.json")
                      .read_text(encoding="utf-8"))
+# the found reports of two searches at the default seed, witnesses included
+SEARCHES = json.loads((Path(__file__).parent / "data" / "search_reports.json")
+                      .read_text(encoding="utf-8"))
 
 
 def test_registry_shape():
@@ -136,6 +139,13 @@ def test_search_finds_flat_not_irreducible():
     phi = load_instance(rep["ideal"])
     again = classify_ideal(phi)
     assert again.flat and not again.irreducible
+
+
+@pytest.mark.parametrize("shape", sorted(SEARCHES))
+def test_search_reports_are_pinned(shape):
+    """The census keeps flags only; the reported ideal's witnesses are
+    built for it alone and match the pinned bytes."""
+    assert json.loads(json.dumps(search_counterexample(shape))) == SEARCHES[shape]
 
 
 def test_search_exhausts_without_a_hit():
