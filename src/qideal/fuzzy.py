@@ -208,12 +208,12 @@ def suprema(phi):
 
 
 # base -> {key: value}: what is derived from a base, kept for the life
-# of the process: the walks under "lower"/"upper", their set indexes
-# under ("index", kind), the forward-Cauchy dominance masks under
-# "dominance", the Scott contexts under ("scott", tag), the suites'
-# censuses under "census".  No key holds a budget: the walks replay the
-# count they tried (_monotone_value_tuples), and the contexts and
-# censuses every charge their build made (_charged).
+# of the process: the walks under "lower"/"upper", the set indexes of
+# the Scott axioms under ("index", kind), the forward-Cauchy dominance
+# masks under "dominance", the Scott contexts under ("scott", tag), the
+# suites' censuses under "census".  No key holds a budget: the walks
+# replay the count they tried (_monotone_value_tuples), and the contexts
+# and censuses every charge their build made (_charged).
 _MEMO = {}
 
 
@@ -227,11 +227,6 @@ def _memoized(A, key, build):
         _MEMO.setdefault(A, {})[key] = value
         return value
     return entries[key]
-
-
-def _kept(A, key):
-    """The value kept for A under key, or None; builds nothing."""
-    return _MEMO.get(A, {}).get(key)
 
 
 def _charged(A, key, build, budget):
@@ -330,19 +325,15 @@ class _SetIndex:
     standing for sets[i]: columns[True][x][b] holds the sets with b <=
     their value at x, columns[False][x][b] those with their value at x
     <= b, each built on first use.  The sets are closed under pointwise
-    joins and meets, so a fold of a mask is a set again.  plan holds
-    what the threshold deciders derive from the base and kind alone
-    (ideals._threshold_plan), built by their first call."""
+    joins and meets, so a fold of a mask is a set again."""
 
-    __slots__ = ("q", "values", "sets", "positions", "full", "columns", "folds",
-                 "plan")
+    __slots__ = ("q", "values", "sets", "positions", "full", "columns", "folds")
 
     def __init__(self, q, sets):
         self.q, self.values, self.sets = q, range(q.n), sets
         self.positions = {vec: i for i, vec in enumerate(sets)}
         self.full = (1 << len(sets)) - 1
         self.columns, self.folds = {}, {"join": {}, "meet": {}}
-        self.plan = None
 
     def masks(self, up):
         """columns[up], built on the first call.  A point's values, last

@@ -13,17 +13,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_, getitem, or_
+from operator import getitem
 
 from .errors import NotForwardCauchy, ShapeMismatch, _charge
 from .fuzzy import (
     FuzzySet,
     _inhabited,
-    _kept,
     _lower_violation,
     _memoized,
-    _set_index,
+    _monotone_value_tuples,
     enumerate_monotone_sets,
 )
 
@@ -114,12 +112,9 @@ def ideal_from_sequence(s):
 
 def _ideal_precondition(phi, inhabited=None):
     """None when phi is lower and inhabited, else (False, reason dict).
-    inhabited, when given, is _inhabited(phi.base, phi.values).  A set
-    that the memoized index of A's lower sets holds is lower."""
+    inhabited, when given, is _inhabited(phi.base, phi.values)."""
     A = phi.base
-    index = _kept(A, ("index", "lower"))
-    w = (None if index is not None and phi.values in index.positions
-         else _lower_violation(A, phi.values))
+    w = _lower_violation(A, phi.values)
     if w is not None:
         return False, {"reason": "not a lower set",
                        "pair": (A.elements[w[0]], A.elements[w[1]])}
@@ -130,64 +125,11 @@ def _ideal_precondition(phi, inhabited=None):
     return None
 
 
-def _threshold_plan(q, index, lower):
-    """What the threshold deciders derive from the base and kind alone:
-    the index's columns (above each value at each point for lower sets,
-    below it for upper sets), the bound table (reach[c] ANDs, over x,
-    the column at phi(x) & c, or at phi(x) -> c), the values c that miss
-    each threshold u, the fold's operation, and for the witness the
-    degree's table and gather and the fold's table."""
-    values = range(q.n)
-    misses = tuple(tuple(c for c in values if not (q.leq[c][u] if lower else q.leq[u][c]))
-                   for u in values)
-    if lower:
-        return (index.masks(True), q.tensor_table, misses, "join",
-                q.res_table, q.meet_all, q.join_table)
-    return (index.masks(False), q.res_table, misses, "meet",
-            q.tensor_table, q.join_all, q.meet_table)
-
-
-def _planned(A, kind, index):
-    """The index over A's lower (upper) sets, its threshold plan built
-    on the first call."""
-    if index.plan is None:
-        index.plan = _threshold_plan(A.quantale, index, kind == "lower")
-    return index
-
-
-def _planned_index(A, kind, budget):
-    """The index over A's lower (upper) sets with its threshold plan,
-    both built on the first call."""
-    return _planned(A, kind, _set_index(A, kind, budget))
-
-
-def _first_break(index, vals):
-    """The flag half of _threshold_break, for the inhabited lower set
-    with value tuple vals on the planned index: the mask of the first
-    threshold's sets whose fold is not one of them, or None when every
-    threshold passes.  Builds no witness."""
-    columns, bound, misses, op = index.plan[:4]
-    at = (map(col.__getitem__, bound[a]) for col, a in zip(columns, vals))
-    reach = tuple(next(at))
-    for masks in at:
-        reach = tuple(map(and_, reach, masks))
-    full, fold = index.full, index.fold
-    seen = {0, full}
-    for miss in misses:
-        inside = full ^ reduce(or_, map(reach.__getitem__, miss), 0)
-        if inside in seen:
-            continue
-        seen.add(inside)
-        if not inside >> fold(inside, op) & 1:
-            return inside
-    return None
-
-
-def _passes(A, kind, vals):
-    """Whether the inhabited lower set phi with value tuple vals passes
-    every threshold of the generator decider on A's lower sets (kind
-    lower, irreducible) or upper sets (kind upper, flat).  Needs a
-    distributive lattice; reads only the quantale's PrimeTables and A.
+def _failing_threshold(A, kind, vals):
+    """The position in A.quantale.prime_tables of the first threshold
+    that the inhabited lower set phi with value tuple vals fails on the
+    generator decider for A's lower sets (kind lower, irreducible) or
+    upper sets (kind upper, flat), or None.  Needs a distributive lattice.
 
     Irreducible: with s(psi) = sub(phi, psi), a meet-irreducible u is
     meet-prime, so s(psi) <= u iff phi(y) -> psi(y) <= u at some y, iff
@@ -206,73 +148,71 @@ def _passes(A, kind, vals):
     with psi(y) >= b), pointwise meets, and K(y) >= b."""
     _, gens, table, keeps = getattr(A.quantale.prime_tables, kind)
     hom = A.hom
-    # at_k[y]: the generators of phi(y) at one threshold
-    for at_k in zip(*map(gens.__getitem__, vals)):
+    # at_k[y]: the generators of phi(y) at threshold k
+    for k, at_k in enumerate(zip(*map(gens.__getitem__, vals))):
         cells = [(y, w) for y, at in enumerate(at_k) for w in at]
         if cells and not any(all(keeps[table[hom[x][y]][v]][w] for x, v in cells)
                              for y, w in cells):
-            return False
-    return True
+            return k
+    return None
 
 
-def _threshold_break(phi, kind, budget):
-    """The decision behind _irreducible (kind lower) and _flat (kind upper).
-    d is the inclusion degree out of phi (the tensor degree with phi),
-    sets fold by join (meet), and d passes the threshold u when d <= u
-    (d >= u).  Returns None, or the first break of the proofs' fold:
-    (acc, psi, d(acc . psi), d(acc) . d(psi)).
-
-    On a distributive lattice the flag comes first, charged thresholds
-    times n generator rows: from the set index when it is already
-    memoized (at small m a mask decision costs what a generator one
-    does, and a break needs the index for its witness anyway), else by
-    _passes, which needs no set universe.  A break, and every
-    decision on a lattice that is not distributive, goes on to the
-    index.
-
-    The sets are the bits of masks of the set index.  By residuation c
-    <= d(psi) iff phi(x) & c <= psi(x) at every x (d(psi) <= c iff
-    psi(x) <= phi(x) -> c), so reach[c], the sets with c <= d(psi)
-    (d(psi) <= c), are those above (below) one value vector.  A set
-    misses the threshold u iff it lies in reach[c] for some c that
-    misses u (take c = d(psi)), so the sets passing u are the complement
-    of an OR of reach masks.  They pass together iff their fold passes
-    (_first_break finds the first threshold where it does not).  Folds
-    of longer prefixes only grow (shrink), and once one misses u every
-    longer one does, so the index's bisection finds the first break.  A
-    threshold whose sets are none, all (the sets are closed under the
-    fold) or those of an earlier threshold cannot break.
-    """
-    A, vals = phi.base, phi.values
-    inside = None
+def _route(A, kind, decisions, budget):
+    """Charges that many flat (kind upper) or irreducible (kind lower)
+    decisions on A, and returns the sets _break makes them over: None on
+    a distributive lattice, n generator rows per threshold a decision;
+    else A's m upper (lower) sets, |Q| * m * n set entries a decision."""
     primes = A.quantale.prime_tables
     if primes.distributive:
-        _charge(len(getattr(primes, kind).thresholds) * A.n, budget,
+        _charge(decisions * len(getattr(primes, kind).thresholds) * A.n, budget,
                 "generator rows joined")
-        kept = _kept(A, ("index", kind))
-        if kept is None:
-            if _passes(A, kind, vals):
-                return None
-        else:
-            inside = _first_break(_planned(A, kind, kept), vals)
-            if inside is None:
-                return None
-    # builds the index, or replays the walk's charge as a build would
-    index = _planned_index(A, kind, budget)
-    if inside is None:
-        inside = _first_break(index, vals)
-        if inside is None:
-            return None
-    op, table, gather, fold = index.plan[3:]
-    rows = [table[a] for a in vals]
+        return None
+    sets = _monotone_value_tuples(A, kind, budget)
+    _charge(decisions * A.quantale.n * len(sets) * A.n, budget, "set entries folded")
+    return sets
+
+
+def _break(A, kind, vals, sets):
+    """The decision behind _irreducible (kind lower) and _flat (kind
+    upper) for the inhabited lower set with value tuple vals: None, or
+    the first break (acc, psi, d(acc . psi), d(acc) . d(psi)) of a
+    threshold's left-to-right fold of members, d and the fold as in
+    their proofs.  With sets None, the threshold is the first one that
+    _failing_threshold finds, its members its generator rows by point
+    and then value; else each value in index order is a threshold, its
+    members the sets whose degree passes it."""
+    q = A.quantale
+    thresholds, gens, table, keeps = getattr(q.prime_tables, kind)
+    fold, gather = ((q.join_table, q.meet_all) if kind == "lower"
+                    else (q.meet_table, q.join_all))
+    terms = [table[a] for a in vals]
 
     def d(vec):
-        return gather(set(map(getitem, rows, vec)))
-    acc, v, out = index.break_in(inside, op)
-    return acc, v, d(out), fold[d(acc)][d(v)]
+        return gather(map(getitem, terms, vec))
+    if sets is None:
+        k = _failing_threshold(A, kind, vals)
+        if k is None:
+            return None
+        folds = [(thresholds[k], [tuple(table[h][w] for h in A.hom[y])
+                                  for y, a in enumerate(vals) for w in gens[a][k]])]
+    else:
+        degrees = list(map(d, sets))
+        folds = ((u, [v for v, e in zip(sets, degrees) if keeps[e][u]]) for u in range(q.n))
+    for u, members in folds:
+        acc = members[0] if members else None
+        for psi in members[1:]:
+            out = tuple(fold[a][b] for a, b in zip(acc, psi))
+            if not keeps[d(out)][u]:
+                return acc, psi, d(out), fold[d(acc)][d(psi)]
+            acc = out
+    return None
 
 
-def _verdict(A, hit, keys):
+def _threshold_verdict(phi, kind, budget, keys):
+    """(flag, witness) of _break for one decision, charged before it is
+    made; keys name the witness's two sets and two sides."""
+    A = phi.base
+    hit = _break(A, kind, phi.values, _route(A, kind, 1, budget))
     if hit is None:
         return True, None
     v1, v2, lhs, rhs = hit
@@ -300,9 +240,8 @@ def _flat(phi, budget):
     the member psi that first takes the running meet acc out has
     t(acc ^ psi) not >= r but t(acc) ^ t(psi) >= r: a strict violation.
     """
-    hit = _threshold_break(phi, "upper", budget)
-    return _verdict(phi.base, hit, ("psi1", "psi2", "tensor_with_meet",
-                                     "meet_of_tensors"))
+    return _threshold_verdict(phi, "upper", budget, ("psi1", "psi2", "tensor_with_meet",
+                                                     "meet_of_tensors"))
 
 
 def is_irreducible(phi, budget=None):
@@ -325,9 +264,8 @@ def _irreducible(phi, budget):
     the member psi that first takes the running join acc out has
     s(acc v psi) not <= u but s(acc) v s(psi) <= u: a strict violation.
     """
-    hit = _threshold_break(phi, "lower", budget)
-    return _verdict(phi.base, hit, ("phi1", "phi2", "sub_of_join",
-                                    "join_of_subs"))
+    return _threshold_verdict(phi, "lower", budget, ("phi1", "phi2", "sub_of_join",
+                                                     "join_of_subs"))
 
 
 def is_forward_cauchy(phi):
@@ -389,11 +327,9 @@ def enumerate_ideals(A, which="fc", budget=None):
     """All lower sets of the named class, in enumeration order.  The
     lower tag skips the class filter (and the inhabitedness demand the
     three proper classes make).  Flat and irreducible decide each lower
-    set's flag alone, with no witness.  On a distributive lattice that is
-    _passes, thresholds times n generator rows per set; else
-    _first_break on the index of the upper (lower) sets, with |Q|
-    reach masks of n ANDs and |Q| thresholds of up to |Q| ORs.  Either
-    count is charged against the budget before any set is decided."""
+    set's flag, charged by _route before any set is decided: on a
+    distributive lattice by _failing_threshold alone, with no witness;
+    else by _break over the upper (lower) sets."""
     tag = ideal_class_tag(which)
     lowers = enumerate_monotone_sets(A, "lower", budget=budget)
     if tag == "lower":
@@ -402,19 +338,10 @@ def enumerate_ideals(A, which="fc", budget=None):
         return tuple(p for p in lowers
                      if _inhabited(A, p.values) and _forward_cauchy(p)[0])
     kind = "upper" if tag == "flat" else "lower"
-    primes = A.quantale.prime_tables
-    if primes.distributive:
-        _charge(len(lowers) * len(getattr(primes, kind).thresholds) * A.n, budget,
-                "generator rows joined")
-        return tuple(p for p in lowers
-                     if _inhabited(A, p.values) and _passes(A, kind, p.values))
-    q = A.quantale
-    _charge(len(lowers) * q.n * (A.n + q.n), budget, "decider mask operations")
-    inhabited = [p for p in lowers if _inhabited(A, p.values)]
-    if not inhabited:
-        return ()
-    index = _planned_index(A, kind, budget)
-    return tuple(p for p in inhabited if _first_break(index, p.values) is None)
+    sets = _route(A, kind, len(lowers), budget)
+    fails = ((lambda vals: _failing_threshold(A, kind, vals)) if sets is None
+             else lambda vals: _break(A, kind, vals, sets))
+    return tuple(p for p in lowers if _inhabited(A, p.values) and fails(p.values) is None)
 
 
 def sequence_generated_ideals(A, bound=4):

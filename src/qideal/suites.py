@@ -184,8 +184,10 @@ def _ideal_witness(desc, phi, reason, budget):
 def _inclusion_suite(keep_base, offend, reason, params, seed, budget, tolerance):
     instances, witnesses = [], []
     ideals = 0
-    for desc, A in _full_battery(seed, budget):
-        if not keep_base(A.quantale):
+    battery = _full_battery(seed, budget)
+    kept = {q: keep_base(q) for q in {A.quantale for _, A in battery}}
+    for desc, A in battery:
+        if not kept[A.quantale]:
             continue
         instances.append(desc)
         for phi, flags in _census(A, budget):

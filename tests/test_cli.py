@@ -6,6 +6,7 @@ import pytest
 
 from qideal import io
 from qideal.cli import main
+from test_quantale import M3_WITH_TOP
 
 LUK3 = '{"kind": "chain", "tnorm": "lukasiewicz", "n": 3}'
 DL3 = '{"base": %s, "name": "dL"}' % LUK3
@@ -101,6 +102,16 @@ def test_enumerate_lukasiewicz8_classes(capsys):
     code, report, _ = run(capsys, "--budget", "32256", "enumerate", dl8,
                           "--class", "irr")
     assert code == 0 and report["count"] == 8
+
+
+def test_enumerate_over_a_lattice_that_is_not_distributive(capsys):
+    dl = json.dumps({"base": M3_WITH_TOP, "name": "dL"})
+    code, report, _ = run(capsys, "enumerate", dl, "--class", "flat")
+    assert code == 0 and report["count"] == 6
+    # 226 lower sets, each folding the 233 upper sets of 6 entries at each
+    # of 6 values: 226 * 6 * 233 * 6 = 1,895,688
+    code, _, err = run(capsys, "--budget", "1895687", "enumerate", dl, "--class", "flat")
+    assert code == 2 and "1895688 set entries folded" in err
 
 
 def test_scott(capsys):

@@ -1,13 +1,14 @@
 """The threshold deciders for flat and irreducible ideals against the
 pair scans they replaced and the meet shortcut for frames, with every
-failure witness replayed from the definitions; the bitset kernel against
-the per-set fold it replaced, break for break; the forward-Cauchy
-dominance masks against the pointwise loop they replaced, pair for
-pair."""
+failure witness replayed from the definitions and equal, break for
+break, to a generator-row fold written from the row formulas (on a
+distributive lattice) or to the per-set fold over every set (on any
+other); the Scott axioms' set index against a per-set build; the
+forward-Cauchy dominance masks against the pointwise loop they replaced,
+pair for pair."""
 
 import itertools
 import random
-from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,17 +16,13 @@ from hypothesis import given, settings, strategies as st
 from qideal import fuzzy
 from qideal.fuzzy import (
     DEFAULT_BUDGET,
+    FuzzySet,
     _monotone_value_tuples,
-    enumerate_monotone_sets,
     fuzzy_set,
     yoneda,
 )
 from qideal.ideals import (
-    _first_break,
     _forward_cauchy,
-    _passes,
-    _planned_index,
-    _threshold_break,
     classify_ideal,
     enumerate_ideals,
     is_flat,
@@ -41,6 +38,7 @@ from qideal.quantale import (
     lukasiewicz_chain,
 )
 from test_enumeration import RANDOM_BASES
+from test_quantale import m3_with_top
 
 
 def sub(q, v1, v2):
@@ -105,9 +103,9 @@ def meet_shortcut(phi):
 
 
 def fold_oracle(phi, kind):
-    """The scan the bitset kernel replaced: the degree of every set, one
-    test per threshold, and on failure the left-to-right fold of the
-    threshold's sets up to its first break (acc, psi, d(acc . psi),
+    """The threshold test over every set: the degree of every set, one
+    test per value u, and on failure the left-to-right fold of the sets
+    that pass u up to its first break (acc, psi, d(acc . psi),
     d(acc) . d(psi))."""
     q = phi.base.quantale
     sets = _monotone_value_tuples(phi.base, kind, DEFAULT_BUDGET)
@@ -132,6 +130,68 @@ def fold_oracle(phi, kind):
                 return acc, v, d(out), fold[d(acc)][d(v)]
             acc = out
     return None
+
+
+def generator_oracle(phi, kind):
+    """The generator-row fold, for a distributive lattice.  Irreducible
+    (kind lower): for each meet-irreducible u in index order, the rows
+    A(y,x) -> w of the cells (y, w), in point and then value order, with
+    w maximal in {b : phi(y) -> b <= u}, folded left to right by join up
+    to the first that takes the fold's inclusion degree from phi above
+    u: (acc, row, d(acc v row), d(acc) v d(row)).  Flat (kind upper) is
+    the dual: join-irreducible j, w minimal in {b : j <= phi(y) & b},
+    rows w & A(y,x), meets, and the tensor degree falling below j."""
+    A, q = phi.base, phi.base.quantale
+    vals, values = phi.values, range(q.n)
+    if kind == "lower":
+        degree, fold, gather, within = sub, q.join_table, q.meet_all, q.leq
+
+        def row(y, w):
+            return tuple(q.res_table[A.hom[y][x]][w] for x in range(A.n))
+    else:
+        degree, fold, gather, within = tensor, q.meet_table, q.join_all, tuple(zip(*q.leq))
+
+        def row(y, w):
+            return tuple(q.tensor_table[w][A.hom[y][x]] for x in range(A.n))
+
+    def d(vec):
+        return degree(q, vals, vec)
+
+    for u in values:
+        # u is meet- (join-) irreducible: not the meet (join) of the
+        # elements strictly above (below) it, so never the top (bottom)
+        if gather(v for v in values if within[u][v] and v != u) == u:
+            continue
+        cells = []
+        for y, a in enumerate(vals):
+            # degree over one point: phi(y) -> b (phi(y) & b)
+            fit = [b for b in values if within[degree(q, (a,), (b,))][u]]
+            cells += [(y, w) for w in fit if not any(c != w and within[w][c] for c in fit)]
+        rows = [row(y, w) for y, w in cells]
+        acc = rows[0] if rows else None
+        for r in rows[1:]:
+            out = pointwise(fold, acc, r)
+            if not within[d(out)][u]:
+                return acc, r, d(out), fold[d(acc)][d(r)]
+            acc = out
+    return None
+
+
+# the witness keys of the irreducible (kind lower) and flat (kind upper) deciders
+WITNESS_KEYS = {"lower": ("phi1", "phi2", "sub_of_join", "join_of_subs"),
+                "upper": ("psi1", "psi2", "tensor_with_meet", "meet_of_tensors")}
+
+
+def oracle_witness(oracle, phi, kind):
+    """The oracle's break for phi in the form of the decider's witness,
+    or None when there is none."""
+    hit = oracle(phi, kind)
+    if hit is None:
+        return None
+    A, lab = phi.base, phi.base.quantale.elements.__getitem__
+    v1, v2, lhs, rhs = hit
+    return dict(zip(WITNESS_KEYS[kind], (FuzzySet(A, v1).as_dict(), FuzzySet(A, v2).as_dict(),
+                                         lab(lhs), lab(rhs))))
 
 
 def fc_oracle(phi):
@@ -183,8 +243,12 @@ def masks_oracle(A, kind, up):
 
 
 def assert_masks_match_oracle(A):
+    """The Scott axioms' index: kept per base and kind, over the walk's
+    own tuple of sets, with the columns of masks_oracle."""
     for kind in ("lower", "upper"):
         index = fuzzy._set_index(A, kind, DEFAULT_BUDGET)
+        assert fuzzy._set_index(A, kind, DEFAULT_BUDGET) is index
+        assert index.sets is _monotone_value_tuples(A, kind, DEFAULT_BUDGET)
         for up in (True, False):
             assert index.masks(up) == masks_oracle(A, kind, up), (A.catalog, kind, up)
 
@@ -199,21 +263,10 @@ def assert_flag_only_enumeration_matches_classify(A):
             phi for phi, rep in reports if getattr(rep, field)), (A.catalog, cls)
 
 
-def assert_generators_match_first_break(A):
-    """The generator flags equal the index flags on every inhabited lower
-    set, for both kinds."""
-    unit = A.quantale.unit
-    lowers = [v for v in _monotone_value_tuples(A, "lower", DEFAULT_BUDGET)
-              if A.quantale.join_all(v) == unit]
-    assert A.quantale.prime_tables.distributive, A.catalog
-    for kind in ("lower", "upper"):
-        index = _planned_index(A, kind, DEFAULT_BUDGET)
-        assert ([_passes(A, kind, v) for v in lowers]
-                == [_first_break(index, v) is None for v in lowers]), (A.catalog, kind)
-
-
 def assert_matches_oracles(A):
     frame = A.quantale.is_frame
+    break_oracle = (generator_oracle if A.quantale.prime_tables.distributive
+                    else fold_oracle)
     for phi in enumerate_ideals(A, "lower"):
         flat, wf = is_flat(phi)
         irr, wi = is_irreducible(phi)
@@ -226,9 +279,8 @@ def assert_matches_oracles(A):
         if not irr and inhabited(phi):
             replay_irreducible(phi, wi)
         if inhabited(phi):
-            for kind in ("lower", "upper"):
-                assert (_threshold_break(phi, kind, DEFAULT_BUDGET)
-                        == fold_oracle(phi, kind)), (A.catalog, phi.values, kind)
+            expected = [oracle_witness(break_oracle, phi, kind) for kind in ("lower", "upper")]
+            assert [wi, wf] == expected, (A.catalog, phi.values)
         fc = fc_oracle(phi)
         assert _forward_cauchy(phi) == fc, (A.catalog, phi.values)
         if inhabited(phi):
@@ -240,15 +292,13 @@ def assert_matches_oracles(A):
             assert (rep.forward_cauchy, rep.witnesses.get("forward_cauchy")) == fc
     assert_flag_only_enumeration_matches_classify(A)
     assert_masks_match_oracle(A)
-    assert_generators_match_first_break(A)
 
 
 @pytest.mark.parametrize("q", [boolean4(), lukasiewicz_chain(3), godel_chain(4)],
                          ids=["boolean4", "L3", "G4"])
 def test_every_two_point_order(q):
-    one = q.elements[q.unit]
-    for ab, ba in itertools.product(q.elements, repeat=2):
-        assert_matches_oracles(build_qorder(q, ("a", "b"), [[one, ab], [ba, one]]))
+    for A in two_point_orders(q):
+        assert_matches_oracles(A)
 
 
 @pytest.mark.parametrize("k", range(2, 7))
@@ -285,28 +335,43 @@ def test_flag_only_enumeration_beyond_the_oracles(A):
 
 @pytest.mark.parametrize("k", range(7, 13))
 def test_generator_flags_beyond_the_oracles(k):
+    """On a chain the flat and the irreducible ideals of dL and dR are
+    the principal ones (Cor. 3.12)."""
     for name in ("dL", "dR"):
-        assert_generators_match_first_break(standard_qorder(lukasiewicz_chain(k), name))
+        A = standard_qorder(lukasiewicz_chain(k), name)
+        principal = {yoneda(A, a).values for a in A.elements}
+        for cls in ("irr", "flat"):
+            assert {p.values for p in enumerate_ideals(A, cls)} == principal, (name, cls)
 
 
-def two_point_battery():
-    for q in (boolean4(), lukasiewicz_chain(3), godel_chain(4)):
-        one = q.elements[q.unit]
-        for ab, ba in itertools.product(q.elements, repeat=2):
-            yield build_qorder(q, ("a", "b"), [[one, ab], [ba, one]])
+def two_point_orders(q):
+    one = q.elements[q.unit]
+    for ab, ba in itertools.product(q.elements, repeat=2):
+        yield build_qorder(q, ("a", "b"), [[one, ab], [ba, one]])
+
+
+def test_every_base_of_m3_with_a_top():
+    """A quantale whose lattice is not distributive, so every flat and
+    irreducible decision folds over all the sets: its 36 two-point
+    orders, discrete-2 and dL."""
+    q = m3_with_top()
+    assert not q.prime_tables.distributive
+    bases = [*two_point_orders(q), standard_qorder(q, "discrete", n=2),
+             standard_qorder(q, "dL")]
+    for A in bases:
+        assert_matches_oracles(A)
+    reports = [classify_ideal(phi) for A in bases for phi in enumerate_ideals(A, "lower")]
+    assert (len(reports), sum(r.inhabited and not r.flat for r in reports),
+            sum(r.inhabited and not r.irreducible for r in reports)) == (1192, 129, 129)
 
 
 def decisions(A):
-    """Flat and irreducible enumeration, and every lower set's report
-    with its witnesses, each report from an empty memo so that its flags
-    come from the generators where the lattice is distributive."""
+    """Flat and irreducible enumeration, and every lower set's flags
+    from classify_ideal, is_flat and is_irreducible."""
     enumerated = [[p.values for p in enumerate_ideals(A, cls)] for cls in ("flat", "irr")]
-    reports = []
-    for phi in enumerate_ideals(A, "lower"):
-        fuzzy._MEMO.clear()
-        rep = classify_ideal(phi)
-        reports.append((rep.flags(), rep.witnesses, is_flat(phi), is_irreducible(phi)))
-    return enumerated, reports
+    flags = [(classify_ideal(phi).flags(), is_flat(phi)[0], is_irreducible(phi)[0])
+             for phi in enumerate_ideals(A, "lower")]
+    return enumerated, flags
 
 
 @settings(max_examples=15, deadline=None)
@@ -316,13 +381,15 @@ def test_the_fallback_decides_as_the_generators_on_random_orders(q, n, seed):
 
 
 def test_the_fallback_decides_as_the_generators_on_two_points():
-    assert_fallback_decides_as_the_generators(two_point_battery())
+    assert_fallback_decides_as_the_generators(
+        A for q in (boolean4(), lukasiewicz_chain(3), godel_chain(4))
+        for A in two_point_orders(q))
 
 
 def assert_fallback_decides_as_the_generators(bases):
     """With the distributive flag patched off every flag comes from the
-    set index (the route of a lattice that is not distributive); flags,
-    enumerations and witnesses stay the same."""
+    fold over all the sets (the route of a lattice that is not
+    distributive); flags and enumerations stay the same."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fuzzy, "_MEMO", {})
         for A in bases:
@@ -330,7 +397,6 @@ def assert_fallback_decides_as_the_generators(bases):
             with pytest.MonkeyPatch.context() as off:
                 off.setattr(FiniteQuantale, "prime_tables", property(
                     lambda q: _prime_tables(q)._replace(distributive=False)))
-                fuzzy._MEMO.clear()
                 assert decisions(A) == generated, A.catalog
 
 
@@ -343,66 +409,31 @@ def test_a_principal_ideal_of_lukasiewicz20_needs_no_set_universe(monkeypatch):
                    ("lower", "upper", ("index", "lower"), ("index", "upper")))
 
 
+def test_a_non_ideal_of_lukasiewicz20_needs_no_set_universe(monkeypatch):
+    """phi(x) = (x -> 2/19) v 10/19 is lower and inhabited but not
+    principal, so on a chain it is neither flat nor irreducible.  Its
+    witnesses come from generator rows and replay, and no decider call
+    keeps a walk or a set index."""
+    monkeypatch.setattr(fuzzy, "_MEMO", {})
+    A = standard_qorder(lukasiewicz_chain(20), "dL")
+    phi = fuzzy_set(A, [f"{max(min(19, 21 - k), 10)}/19" for k in range(20)])
+    rep = classify_ideal(phi)
+    assert rep.flags() == (True, False, False, False)
+    assert is_flat(phi) == (False, rep.witnesses["flat"])
+    assert is_irreducible(phi) == (False, rep.witnesses["irreducible"])
+    replay_flat(phi, rep.witnesses["flat"])
+    replay_irreducible(phi, rep.witnesses["irreducible"])
+    assert rep.witnesses["irreducible"] == oracle_witness(generator_oracle, phi, "lower")
+    assert rep.witnesses["flat"] == oracle_witness(generator_oracle, phi, "upper")
+    assert set(fuzzy._MEMO[A]) == {"dominance"}
+
+
 def test_lukasiewicz10_classes_are_the_principal_ideals():
     A = standard_qorder(lukasiewicz_chain(10), "dL")
     principal = {yoneda(A, a).values for a in A.elements}
     for cls in ("irr", "flat"):
         found = enumerate_ideals(A, cls, budget=8_000_000)
         assert {p.values for p in found} == principal and len(found) == 10
-
-
-def test_the_index_is_built_by_the_first_decider_call(monkeypatch):
-    """On a distributive lattice a True flag keeps nothing; the first
-    False flag of a kind builds that kind's index for its witness, and
-    every later call reuses it."""
-    monkeypatch.setattr(fuzzy, "_MEMO", {})
-    A = standard_qorder(lukasiewicz_chain(4), "dR")
-    lowers = enumerate_monotone_sets(A, "lower")
-    enumerate_monotone_sets(A, "upper")
-    assert set(fuzzy._MEMO[A]) == {"lower", "upper"}
-    assert lowers[-1] == yoneda(A, A.elements[0])
-    assert is_irreducible(lowers[-1])[0] and is_flat(lowers[-1])[0]
-    assert set(fuzzy._MEMO[A]) == {"lower", "upper"}
-    phi = lowers[-3]
-    assert not is_irreducible(phi)[0]
-    assert set(fuzzy._MEMO[A]) == {"lower", "upper", ("index", "lower")}
-    assert not is_flat(phi)[0]
-    index = fuzzy._MEMO[A]["index", "upper"]
-    assert index.sets is fuzzy._MEMO[A]["upper"][0] and index.columns
-    assert all(len(columns) == A.n for columns in index.columns.values())
-    is_flat(lowers[-4])
-    assert fuzzy._MEMO[A]["index", "upper"] is index
-    assert list(fuzzy._MEMO) == [A] and len(fuzzy._MEMO[A]) == 4
-
-
-@pytest.mark.parametrize("A", [standard_qorder(lukasiewicz_chain(5), "dL"),
-                               standard_qorder(godel_chain(4), "dR"),
-                               standard_qorder(boolean4(), "dL")],
-                         ids=["dL/L5", "dR/G4", "dL/boolean4"])
-def test_a_decider_call_tests_no_threshold_that_cannot_break(A, monkeypatch):
-    """No empty mask, no full mask (the sets are closed under the fold)
-    and no mask twice within one call: none of these can break.  The
-    thresholds are tested by _first_break, one fold each."""
-    tested = []
-    fold = fuzzy._SetIndex.fold
-
-    def spy(index, inside, op):
-        tested.append((inside, index.full))
-        return fold(index, inside, op)
-    monkeypatch.setattr(fuzzy._SetIndex, "fold", spy)
-    calls = 0
-    for phi in enumerate_ideals(A, "lower"):
-        if not inhabited(phi):
-            continue
-        for kind in ("upper", "lower"):
-            index = _planned_index(A, kind, DEFAULT_BUDGET)
-            tested.clear()
-            _first_break(index, phi.values)
-            masks = [inside for inside, _ in tested]
-            assert all(0 != inside != full for inside, full in tested), phi.values
-            assert len(set(masks)) == len(masks), phi.values
-            calls += len(masks)
-    assert calls
 
 
 def test_precondition_is_one_reason_under_every_key():
@@ -414,16 +445,3 @@ def test_precondition_is_one_reason_under_every_key():
     assert rep.witnesses == dict.fromkeys(("flat", "irreducible", "forward_cauchy"),
                                           reason)
     assert is_flat(fuzzy_set(A, (0, 0, 1))) == (False, reason)
-
-
-def test_the_lower_index_vouches_only_for_the_sets_it_holds(monkeypatch):
-    """With the index of the lower sets memoized, a set it holds is lower
-    without a pair scan, and a set it lacks keeps its witness pair."""
-    monkeypatch.setattr(fuzzy, "_MEMO", {})
-    A = standard_qorder(lukasiewicz_chain(3), "dL")
-    cold = classify_ideal(fuzzy_set(A, (0, 0, 1)))
-    _planned_index(A, "lower", DEFAULT_BUDGET)
-    warm = classify_ideal(fuzzy_set(A, (0, 0, 1)))
-    assert warm == cold and warm.witnesses["flat"]["pair"] == (A.elements[0], A.elements[2])
-    assert all(classify_ideal(phi).flags() == (True,) * 4
-               for phi in map(partial(yoneda, A), A.elements))

@@ -235,5 +235,5 @@ def test_lukasiewicz8_work_count(monkeypatch, name):
         enumerate_ideals(A, "irr")
     with pytest.raises(BudgetExceeded, match=f"^{count} generator rows joined"):
         enumerate_ideals(A, "irr", budget=count - 1)
-    monkeypatch.setattr(ideals, "_passes", lambda A, kind, vals: False)
+    monkeypatch.setattr(ideals, "_failing_threshold", lambda A, kind, vals: 0)
     assert enumerate_ideals(A, "irr", budget=count) == ()

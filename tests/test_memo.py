@@ -108,13 +108,13 @@ def test_scott_members_share_one_context(monkeypatch):
     flat ideals: each lower set is decided once, not once per test."""
     monkeypatch.setattr(fuzzy, "_MEMO", {})
     decided = []
-    passes = ideals._passes
+    failing = ideals._failing_threshold
 
     def counted(A, kind, vals):
         decided.append(vals)
-        return passes(A, kind, vals)
+        return failing(A, kind, vals)
 
-    monkeypatch.setattr(ideals, "_passes", counted)
+    monkeypatch.setattr(ideals, "_failing_threshold", counted)
     A = standard_qorder(lukasiewicz_chain(6), "dL")
     uppers = enumerate_monotone_sets(A, "upper")
     assert all(is_scott_member(psi, "topology")[0] for psi in uppers)
@@ -151,13 +151,13 @@ def test_one_scott_context_serves_every_spelling_of_the_budget(monkeypatch):
     its build made against its own budget."""
     monkeypatch.setattr(fuzzy, "_MEMO", {})
     decided = []
-    passes = ideals._passes
+    failing = ideals._failing_threshold
 
     def counted(A, kind, vals):
         decided.append(vals)
-        return passes(A, kind, vals)
+        return failing(A, kind, vals)
 
-    monkeypatch.setattr(ideals, "_passes", counted)
+    monkeypatch.setattr(ideals, "_failing_threshold", counted)
     A = standard_qorder(lukasiewicz_chain(10), "dL")
     members = [generate_scott_structure(A, "topology", budget=budget).members
                for budget in (None, fuzzy.DEFAULT_BUDGET)]

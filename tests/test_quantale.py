@@ -12,6 +12,7 @@ from qideal.errors import (
     NotIntegral,
     ShapeMismatch,
 )
+from qideal.io import load_quantale
 from qideal.quantale import (
     boolean4,
     build_finite_quantale,
@@ -30,6 +31,22 @@ from qideal.quantale import (
 
 ALL_CHAINS = [f(n) for f in (lukasiewicz_chain, godel_chain,
                              nilpotent_minimum_chain) for n in range(2, 7)]
+
+# M3 with a top adjoined, 0 < l1, l2, l3 < m < 1, whose tensor is 0 below
+# the top: the ideals of F2[x,y]/(x,y)^2 under their product.  Its
+# lattice is not distributive: l1 ^ (l2 v l3) = l1, (l1 ^ l2) v (l1 ^ l3) = 0.
+_M3_RANKS = {"0": 0, "l1": 1, "l2": 1, "l3": 1, "m": 2, "1": 3}
+M3_WITH_TOP = {
+    "kind": "table",
+    "elements": list(_M3_RANKS),
+    "leq": [[a == b or _M3_RANKS[a] < _M3_RANKS[b] for b in _M3_RANKS] for a in _M3_RANKS],
+    "tensor": [[b if a == "1" else a if b == "1" else "0" for b in _M3_RANKS]
+               for a in _M3_RANKS],
+    "unit": "1"}
+
+
+def m3_with_top():
+    return load_quantale(M3_WITH_TOP)
 
 
 def test_boolean4_structure():
@@ -217,6 +234,22 @@ def test_prime_tables_of_l3_times_l2():
                   "generators": [[[], [], []], [["01"], [], []], [[], ["20"], []],
                                  [["01"], ["20"], []], [[], ["10"], ["20"]],
                                  [["01"], ["10"], ["20"]]]}}
+
+
+def test_prime_tables_of_m3_with_a_top():
+    # a -> c is 1 when a <= c, else m (a below the top); j <= a & c needs c = 1
+    assert labelled_primes(m3_with_top()) == {
+        "distributive": False,
+        "lower": {"thresholds": ["l1", "l2", "l3", "m"],
+                  "generators": [[[], [], [], []], [[], [], [], ["l2", "l3"]],
+                                 [[], [], [], ["l1", "l3"]], [[], [], [], ["l1", "l2"]],
+                                 [[], [], [], ["l1", "l2", "l3"]],
+                                 [["l1"], ["l2"], ["l3"], ["m"]]]},
+        "upper": {"thresholds": ["l1", "l2", "l3", "1"],
+                  "generators": [[[], [], [], []], [["1"], [], [], []],
+                                 [[], ["1"], [], []], [[], [], ["1"], []],
+                                 [["1"], ["1"], ["1"], []],
+                                 [["l1"], ["l2"], ["l3"], ["1"]]]}}
 
 
 @pytest.mark.parametrize("q", [*ALL_CHAINS, boolean4()],

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from qideal import suites
 from qideal.errors import UnknownSuite
 from qideal.ideals import classify_ideal
 from qideal.io import load_instance
@@ -44,9 +45,19 @@ def test_every_suite_passes(name):
 def test_godel_witness_is_the_first_break_of_the_fold():
     w = run_suite("GODEL_FLAT_NOT_IRR").to_json()["details"]["irreducible_witness"]
     assert w == {
-        "phi1": {"0": "3/4", "1/4": "1/2", "1/2": "1/2", "3/4": "1/2", "1": "1/2"},
-        "phi2": {"0": "3/4", "1/4": "3/4", "1/2": "1/4", "3/4": "1/4", "1": "1/4"},
-        "sub_of_join": "3/4", "join_of_subs": "1/2"}
+        "phi1": {"0": "1", "1/4": "1/2", "1/2": "1/2", "3/4": "1/2", "1": "1/2"},
+        "phi2": {"0": "1", "1/4": "1", "1/2": "1/4", "3/4": "1/4", "1": "1/4"},
+        "sub_of_join": "1", "join_of_subs": "1/2"}
+
+
+def test_an_inclusion_suite_reads_each_quantale_once(monkeypatch):
+    """The property filter runs once per quantale of the battery (three),
+    not once per base (91)."""
+    seen = []
+    properties = suites.quantale_properties
+    monkeypatch.setattr(suites, "quantale_properties", lambda q: seen.append(q) or properties(q))
+    assert run_suite("IRR_SUBSET_FLAT_PRELINEAR").verdict == "pass"
+    assert len(seen) == 3
 
 
 def test_results_are_deterministic():
