@@ -21,7 +21,7 @@ from .errors import (
 )
 from .fuzzy import FuzzySet, classify_fuzzy_set, fuzzy_set
 from .ideals import classify_ideal, enumerate_ideals, is_forward_cauchy_sequence, settling_violation
-from .io import jsonable, load_instance, load_qorder, parse_label
+from .io import jsonable, load_instance, load_qorder, parse_labels
 from .qorder import QMap, QOrderedSet, validate_qorder
 from .quantale import FiniteQuantale, IntervalQuantale, quantale_properties
 from .scott import generate_scott_structure
@@ -83,11 +83,7 @@ def _cmd_classify(args):
             data = json.load(fh)
     if isinstance(data, dict) and "values" in data:
         data = data["values"]
-    if isinstance(data, dict):
-        data = {parse_label(k): parse_label(v) for k, v in data.items()}
-    else:
-        data = [parse_label(v) for v in data]
-    phi = fuzzy_set(order, data)
+    phi = fuzzy_set(order, parse_labels(data))
     shape = classify_fuzzy_set(phi)
     rep = classify_ideal(phi, budget=args.budget)
     report = {"values": phi.as_dict(), "shape": shape,

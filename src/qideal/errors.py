@@ -91,26 +91,22 @@ class BudgetExceeded(QidealError):
         super().__init__(f"{count} {what} exceed the budget of {budget}")
 
 
-# the open records of fuzzy._charged: each is a list of (count, what)
-# that every admitted charge is added to
+# the open records of fuzzy._memoized: each is a list of (count, what)
+# that every admitted charge is appended to
 _RECORDS = []
 
 
 def _charge(count, budget, what):
     """Refuse work of count units, named by what, over the budget (None
     for DEFAULT_BUDGET), before the work starts.  An admitted charge is
-    added to each open record; a run of charges with the same what (a
-    walk charges as it goes) is kept as its largest, which refuses every
-    budget that the first of them over it would."""
+    appended to each open record, as it is: fuzzy._memoized merges the
+    record once, when it keeps its build."""
     if budget is None:
         budget = DEFAULT_BUDGET
     if count > budget:
         raise BudgetExceeded(count, budget, what)
     for record in _RECORDS:
-        if record and record[-1][1] == what:
-            record[-1] = (max(record[-1][0], count), what)
-        else:
-            record.append((count, what))
+        record.append((count, what))
 
 
 class GridTooCoarse(QidealError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, repeat
+from itertools import compress, groupby, repeat
 from operator import and_, getitem, itemgetter
 
 from .errors import (  # noqa: F401  (DEFAULT_BUDGET is re-exported)
@@ -104,7 +104,8 @@ def _upper_violation(A, vals):
 
 
 def _inhabited(A, vals):
-    return A.quantale.join_all(vals) == A.quantale.unit
+    q = A.quantale
+    return q.unit in vals if q.unit_join_irreducible else q.join_all(vals) == q.unit
 
 
 def classify_fuzzy_set(phi):
@@ -207,46 +208,41 @@ def suprema(phi):
     return tuple(A.elements[a] for a in range(A.n) if A.hom[a] == target)
 
 
-# base -> {key: value}: what is derived from a base, kept for the life
-# of the process: the walks under "lower"/"upper", the set indexes of
-# the Scott axioms under ("index", kind), the forward-Cauchy dominance
-# masks under "dominance", the Scott contexts under ("scott", tag), the
-# suites' censuses under "census".  No key holds a budget: the walks
-# replay the count they tried (_monotone_value_tuples), and the contexts
-# and censuses every charge their build made (_charged).
+# base -> {key: (value, charges)}: what is derived from a base, kept for
+# the life of the process with the charges its build made: the walks
+# under "lower"/"upper", the set indexes of the Scott axioms under
+# ("index", kind), the forward-Cauchy dominance masks under "dominance",
+# the Scott contexts under ("scott", tag), the suites' censuses under
+# "census".  No key holds a budget: every hit replays its charges
+# (_memoized).
 _MEMO = {}
 
 
-def _memoized(A, key, build):
+def _memoized(A, key, build, budget):
     """The value kept for A under key, made by build() on the first
-    call.  A build that raises keeps nothing.  The build may memoize
-    other keys of A, so A's entry is looked up again after it."""
-    entries = _MEMO.get(A)
-    if entries is None or key not in entries:
-        value = build()
-        _MEMO.setdefault(A, {})[key] = value
-        return value
-    return entries[key]
-
-
-def _charged(A, key, build, budget):
-    """_memoized for a build that charges the budget.  The value is kept
-    with the charges its build made (errors._RECORDS), and a later call
-    replays them against its own budget in order, so any budget refuses
-    or admits it as a build would."""
+    call.  The value is kept with the charges its build made
+    (errors._RECORDS), and a later call replays them against its own
+    budget in order, so any budget refuses or admits it as a build
+    would.  A run of charges with the same what (a walk charges as it
+    goes) is kept as its largest, which refuses every budget that the
+    first of them over it would.  A build that raises keeps nothing.
+    The build may memoize other keys of A, so A's entry is looked up
+    again after it."""
     entries = _MEMO.get(A)
     if entries is not None and key in entries:
         value, charges = entries[key]
         for count, what in charges:
             _charge(count, budget, what)
         return value
-    charges = []
-    _RECORDS.append(charges)
+    record = []
+    _RECORDS.append(record)
     try:
         value = build()
     finally:
         _RECORDS.pop()      # records nest, so the last one is this build's
-    _MEMO.setdefault(A, {})[key] = value, tuple(charges)
+    charges = tuple((max(map(itemgetter(0), run)), what)
+                    for what, run in groupby(record, itemgetter(1)))
+    _MEMO.setdefault(A, {})[key] = value, charges
     return value
 
 
@@ -256,12 +252,12 @@ def _walk(A, kind, budget):
     coordinates already fixed satisfies the condition.  The conditions
     are pairwise, so a rejected prefix has no monotone completion and
     the pruning is exact; the output is in the lexicographic order of
-    itertools.product.  Returns the tuples and the count of values
-    tried, and raises BudgetExceeded once that count passes the budget.
-    A node's state, the masks of the values still admissible at the
-    coordinates after its prefix, fixes its completions and the values
-    tried below it, so a state met again re-prefixes the block of out
-    it emitted the first time and charges what that visit tried."""
+    itertools.product.  A node's state, the masks of the values still
+    admissible at the coordinates after its prefix, fixes its
+    completions, so a state met again re-prefixes the block of out it
+    emitted the first time.  The walk charges what it does, |Q| values
+    tried per node and n values written per set (a copied one too),
+    each before it is done."""
     q = A.quantale
     n, m = A.n, q.n
     leq, tens, res, hom = q.leq, q.tensor_table, q.res_table, A.hom
@@ -278,18 +274,20 @@ def _walk(A, kind, budget):
     after = [[tuple(up[tens[lift[k][j]][u]] & down[res[lift[j][k]][u]] for k in range(j + 1, n))
               for u in values] for j in range(n)]
     out = []
-    seen = {}       # state -> (first, last, tried): its block of out
-    tried = 0
+    seen = {}       # state -> (first, last): its block of out
+    done = 0
 
     def extend(prefix, state):
-        nonlocal tried
-        i, first, before = len(prefix), len(out), tried
-        tried += m
-        _charge(tried, budget, "candidate values tried")
+        nonlocal done
+        i, first = len(prefix), len(out)
         mask, rest = state[0], state[1:]
         if not rest:
+            done += m + n * mask.bit_count()
+            _charge(done, budget, "walk values tried and written")
             out.extend([prefix + (v,) for v in values if mask >> v & 1])
         else:
+            done += m
+            _charge(done, budget, "walk values tried and written")
             step, cut = after[i], itemgetter(slice(i + 1, None))
             for v in values:
                 if mask >> v & 1:
@@ -298,26 +296,22 @@ def _walk(A, kind, budget):
                     if block is None:
                         extend(head, child)
                     else:
-                        tried += block[2]
-                        _charge(tried, budget, "candidate values tried")
+                        done += n * (block[1] - block[0])
+                        _charge(done, budget, "walk values tried and written")
                         out.extend(map(head.__add__, map(cut, out[block[0]:block[1]])))
-        seen[state] = (first, len(out), tried - before)
+        seen[state] = (first, len(out))
 
     try:
         extend((), own)
     finally:
         del extend      # the closure refers to itself: free out and seen now
-    return tuple(out), tried
+    return tuple(out)
 
 
 def _monotone_value_tuples(A, kind, budget):
     """Value tuples of every lower (or upper) set of A, from the walk
-    memoized per base together with the number of candidate values it
-    tried.  The budget is checked against that number on every call, so
-    the verdict does not depend on what is memoized."""
-    sets, tried = _memoized(A, kind, lambda: _walk(A, kind, budget))
-    _charge(tried, budget, "candidate values tried")
-    return sets
+    memoized per base with its charges."""
+    return _memoized(A, kind, lambda: _walk(A, kind, budget), budget)
 
 
 class _SetIndex:
@@ -395,15 +389,16 @@ class _SetIndex:
 
 def _set_index(A, kind, budget):
     """The index over A's lower (upper) sets, built on the first call
-    and kept beside the walk, whose budget it replays."""
-    sets = _monotone_value_tuples(A, kind, budget)
-    return _memoized(A, ("index", kind), lambda: _SetIndex(A.quantale, sets))
+    and kept with the walk's charges."""
+    return _memoized(A, ("index", kind),
+                     lambda: _SetIndex(A.quantale, _monotone_value_tuples(A, kind, budget)),
+                     budget)
 
 
 def enumerate_monotone_sets(A, kind, budget=None):
     """All fuzzy lower (or upper) sets of A, lexicographic in the carrier
-    order by quantale element index.  The budget bounds the candidate
-    values the enumeration tries."""
+    order by quantale element index.  The budget bounds the values the
+    walk tries and writes (_walk)."""
     if kind not in ("lower", "upper"):
         raise ValueError(f"unknown kind {kind!r}")
     return _fuzzy_sets(A, _monotone_value_tuples(A, kind, budget))

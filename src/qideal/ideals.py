@@ -287,7 +287,7 @@ def _forward_cauchy(phi):
     A, vals = phi.base, phi.values
     unit = A.quantale.unit
     tops = sum(1 << z for z, v in enumerate(vals) if v == unit)
-    doms = list(map(getitem, _memoized(A, "dominance", lambda: _dominance(A)), vals))
+    doms = list(map(getitem, _memoized(A, "dominance", lambda: _dominance(A), None), vals))
     for x, dx in enumerate(doms):
         dx &= tops
         for y, dy in enumerate(doms):
@@ -344,9 +344,12 @@ def enumerate_ideals(A, which="fc", budget=None):
     return tuple(p for p in lowers if _inhabited(A, p.values) and fails(p.values) is None)
 
 
-def sequence_generated_ideals(A, bound=4):
+def sequence_generated_ideals(A, bound=4, budget=None):
     """Distinct ideals produced by every settling eventually periodic
-    sequence whose prefix plus one period has at most bound terms."""
+    sequence whose prefix plus one period has at most bound terms.  The
+    t * n**t sequences of each length t are charged before the first is
+    tried."""
+    _charge(sum(t * A.n ** t for t in range(1, bound + 1)), budget, "sequences tried")
     seen = {}
     for total in range(1, bound + 1):
         for cut in range(total):
@@ -368,7 +371,7 @@ def compare_fc_routes(A, bound=4, budget=None):
     finding to report, not an internal error.
     """
     decided = {phi.values for phi in enumerate_ideals(A, "fc", budget=budget)}
-    generated = {phi.values for phi in sequence_generated_ideals(A, bound)}
+    generated = {phi.values for phi in sequence_generated_ideals(A, bound, budget)}
     return {
         "agree": decided == generated,
         "decider_count": len(decided),

@@ -59,6 +59,14 @@ def parse_label(v):
     return v
 
 
+def parse_labels(data):
+    """A JSON object of labels to labels, or an array of labels, with
+    every label parsed by parse_label."""
+    if isinstance(data, dict):
+        return {parse_label(k): parse_label(v) for k, v in data.items()}
+    return [parse_label(v) for v in data]
+
+
 def unparse_label(v):
     return str(v) if isinstance(v, Fraction) else v
 
@@ -127,24 +135,14 @@ def load_qorder(data, base_dir=None, budget=None):
 def load_fuzzy_set(data, base_dir=None, budget=None):
     data, base_dir = _resolve(data, base_dir)
     order = load_qorder(data["order"], base_dir, budget)
-    values = data["values"]
-    if isinstance(values, dict):
-        values = {parse_label(k): parse_label(v) for k, v in values.items()}
-    else:
-        values = [parse_label(v) for v in values]
-    return fuzzy_set(order, values)
+    return fuzzy_set(order, parse_labels(data["values"]))
 
 
 def load_qmap(data, base_dir=None, budget=None):
     data, base_dir = _resolve(data, base_dir)
     source = load_qorder(data["source"], base_dir, budget)
     target = load_qorder(data["target"], base_dir, budget)
-    mapping = data["mapping"]
-    if isinstance(mapping, dict):
-        mapping = {parse_label(k): parse_label(v) for k, v in mapping.items()}
-    else:
-        mapping = [parse_label(v) for v in mapping]
-    return build_qmap(source, target, mapping)
+    return build_qmap(source, target, parse_labels(data["mapping"]))
 
 
 def load_sequence(data, base_dir=None, budget=None):

@@ -127,6 +127,13 @@ class FiniteQuantale:
         return self.tensor_table == self.meet_table
 
     @cached_property
+    def unit_join_irreducible(self):
+        """Whether the unit, the top, is no join of the elements below
+        it: then a nonempty family joins to the unit iff the unit is one
+        of its members.  True on every chain, False on boolean4."""
+        return self.unit != self.join_all(v for v in range(self.n) if v != self.unit)
+
+    @cached_property
     def prime_tables(self):
         """The thresholds and generator values of the flat and irreducible
         deciders (PrimeTables), derived on first use."""

@@ -24,9 +24,9 @@ from .errors import (
 )
 from .fuzzy import (
     FuzzySet,
-    _charged,
     _fuzzy_sets,
     _lower_violation,
+    _memoized,
     _monotone_value_tuples,
     _set_index,
     _sub_idx,
@@ -63,7 +63,7 @@ def _scott_context(A, tag, budget):
             if sups:
                 out.append((p.values, tuple(A.index(s) for s in sups)))
         return tuple(out)
-    return _charged(A, ("scott", tag), build, budget)
+    return _memoized(A, ("scott", tag), build, budget)
 
 
 def _member_violation(A, vals, mode, ctx):

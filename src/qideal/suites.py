@@ -20,7 +20,7 @@ from functools import partial
 
 from .completion import check_completeness_continuity, check_saturation, ideal_space
 from .errors import BudgetExceeded, DecompositionMismatch, GridTooCoarse, UnknownSuite, _charge
-from .fuzzy import FuzzySet, _charged, _inhabited, classify_sampled, fuzzy_set, transport
+from .fuzzy import FuzzySet, _inhabited, _memoized, classify_sampled, fuzzy_set, transport
 from .ideals import (
     approach_terms,
     classify_ideal,
@@ -136,7 +136,7 @@ def _census(A, budget):
         return tuple((phi, _Flags(_inhabited(A, phi.values), phi.values in flat,
                                   phi.values in irr, phi.values in fc))
                       for phi in lowers)
-    return _charged(A, "census", build, budget)
+    return _memoized(A, "census", build, budget)
 
 
 def _saturation_battery():

@@ -5,7 +5,7 @@ break, to a generator-row fold written from the row formulas (on a
 distributive lattice) or to the per-set fold over every set (on any
 other); the Scott axioms' set index against a per-set build; the
 forward-Cauchy dominance masks against the pointwise loop they replaced,
-pair for pair."""
+pair for pair; inhabitedness against the join of the values."""
 
 import itertools
 import random
@@ -17,6 +17,7 @@ from qideal import fuzzy
 from qideal.fuzzy import (
     DEFAULT_BUDGET,
     FuzzySet,
+    _inhabited,
     _monotone_value_tuples,
     fuzzy_set,
     yoneda,
@@ -292,6 +293,26 @@ def assert_matches_oracles(A):
             assert (rep.forward_cauchy, rep.witnesses.get("forward_cauchy")) == fc
     assert_flag_only_enumeration_matches_classify(A)
     assert_masks_match_oracle(A)
+    assert_inhabited_matches_the_join(A)
+
+
+def assert_inhabited_matches_the_join(A):
+    """_inhabited, whichever test the quantale picks, says whether the
+    values join to the unit, on every lower and upper set."""
+    q = A.quantale
+    for kind in ("lower", "upper"):
+        for vals in _monotone_value_tuples(A, kind, DEFAULT_BUDGET):
+            assert _inhabited(A, vals) == (q.join_all(vals) == q.unit), (A.catalog, vals)
+
+
+def test_inhabited_reads_the_unit_only_where_it_is_join_irreducible():
+    b4 = boolean4()
+    assert [q.unit_join_irreducible for q in (b4, m3_with_top(), lukasiewicz_chain(2),
+                                              godel_chain(4))] == [False, True, True, True]
+    # on boolean4 a set can join to the unit without taking it
+    a, b = (b4.elements[i] for i in range(b4.n) if i not in (b4.bottom, b4.unit))
+    A = standard_qorder(b4, "discrete", n=2)
+    assert _inhabited(A, fuzzy_set(A, [a, b]).values)
 
 
 @pytest.mark.parametrize("q", [boolean4(), lukasiewicz_chain(3), godel_chain(4)],

@@ -253,8 +253,12 @@ def test_identity_checks_charge_pairs_not_candidates():
     # 24 lower sets times 48 lower and upper sets times 2 values
     with pytest.raises(BudgetExceeded, match="2304 pairs checked"):
         intersection_inclusion_identities(chain, budget=2303)
-    with pytest.raises(BudgetExceeded, match="576 pairs checked"):
-        kan_transport_identity(identity_qmap(chain), budget=575)
+    # the chain's 576 transport pairs cost less than its 642 walk values,
+    # so the transport charge is refused on the 48 lower sets of dL over
+    # Łukasiewicz-5, whose walk writes 345
+    dl5 = standard_qorder(lukasiewicz_chain(5), "dL")
+    with pytest.raises(BudgetExceeded, match="2304 pairs checked"):
+        kan_transport_identity(identity_qmap(dl5), budget=2303)
 
 
 @settings(max_examples=20, deadline=None)

@@ -9,6 +9,7 @@ from qideal.errors import (
     NotForwardCauchy,
     ShapeMismatch,
 )
+from qideal import ideals
 from qideal.fuzzy import fuzzy_set, sub_degree, yoneda
 from qideal.ideals import (
     approach_terms,
@@ -134,6 +135,19 @@ def test_sequence_route_matches_the_decider():
         assert rep["decider_count"] == rep["sequence_count"]
         assert rep["only_decider"] == rep["only_sequence"] == []
     assert len(sequence_generated_ideals(DL3, bound=3)) == DL3.n
+
+
+def test_sequences_are_charged_before_the_first_is_tried(monkeypatch):
+    A = standard_qorder(lukasiewicz_chain(8), "dL")
+
+    def tried(s):
+        raise AssertionError("a sequence was tried")
+    monkeypatch.setattr(ideals, "settling_violation", tried)
+    # 1 * 8 + 2 * 8**2 + ... + 7 * 8**7 sequences
+    with pytest.raises(BudgetExceeded, match="^16434824 sequences tried"):
+        sequence_generated_ideals(A, bound=7)
+    with pytest.raises(BudgetExceeded, match="^181896 sequences tried"):
+        compare_fc_routes(A, bound=5, budget=181_895)
 
 
 def test_ideal_preconditions_are_reported():

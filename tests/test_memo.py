@@ -3,7 +3,7 @@ budget refusal or report depends on whether it is warm or empty."""
 
 import pytest
 
-from qideal import fuzzy, ideals
+from qideal import fuzzy, ideals, suites
 from qideal.completion import check_saturation, ideal_space
 from qideal.errors import BudgetExceeded
 from qideal.fuzzy import _inhabited, _monotone_value_tuples, enumerate_monotone_sets
@@ -43,18 +43,18 @@ def cold_and_warm(monkeypatch, call, budgets):
     return cold, warm
 
 
-# 96 candidate values tried per walk, 20 * 3 * 4 generator rows joined
-# for the 20 lower sets (3 thresholds of 4 rows), 2 * 20 * 4 mask ANDs
-# and 2 * 4 * 20 scalings for the axioms of a 20-member family among 20
-# sets
-DL4_BUDGETS = (0, 95, 96, 239, 240, 319, 320, 5_000)
+# 132 walk values tried and written per walk (4 values at each of 13
+# nodes, 4 per each of 20 sets), 20 * 3 * 4 generator rows joined for
+# the 20 lower sets (3 thresholds of 4 rows), 2 * 20 * 4 mask ANDs and
+# 2 * 4 * 20 scalings for the axioms of a 20-member family among 20 sets
+DL4_BUDGETS = (0, 131, 132, 239, 240, 319, 320, 5_000)
 
 
 # the 6 lower sets of a two-point chain over Łukasiewicz-3: 6 * 6 * 2
-# ideal-space hom lookups, 129 candidate values tried on the space, and
-# 20 weights * 6 * (6 + 2) weighted-join lookups
+# ideal-space hom lookups, 186 walk values tried and written on the
+# space, and 20 weights * 6 * (6 + 2) weighted-join lookups
 CHAIN = crisp_qorder(lukasiewicz_chain(3), ("a", "b"), ((True, True), (False, True)))
-CHAIN_BUDGETS = (0, 71, 72, 128, 129, 959, 960)
+CHAIN_BUDGETS = (0, 71, 72, 185, 186, 959, 960)
 
 
 def test_ideal_space_refuses_alike_warm_and_cold(monkeypatch):
@@ -71,8 +71,8 @@ def test_saturation_refuses_alike_warm_and_cold(monkeypatch):
         return ("saturation", rep["weights_checked"], rep["saturated"])
     cold, warm = cold_and_warm(monkeypatch, call, CHAIN_BUDGETS)
     assert cold == warm
-    assert [o[1] for o in cold] == ["candidate values tried", "ideal-space hom lookups",
-                                    "candidate values tried", "candidate values tried",
+    walk = "walk values tried and written"
+    assert [o[1] for o in cold] == [walk, "ideal-space hom lookups", walk, walk,
                                     "weighted-join lookups", "weighted-join lookups", 20]
 
 
@@ -101,6 +101,22 @@ def test_census_suite_refuses_alike_warm_and_cold(monkeypatch):
     cold, warm = cold_and_warm(monkeypatch, call, (1, 10, 40, 80, 200, 278, 279))
     assert cold == warm
     assert [o[0] for o in cold[-2:]] == ["budget", "pass"]
+
+
+def test_a_census_over_a_warm_walk_refuses_as_a_cold_one(monkeypatch):
+    """The census replays the walk's charges whether it walked or found
+    the walk memoized, and the census kept replays them again."""
+    def call(budget):
+        return ("census", suites._census(DL4, budget))
+
+    def over_warm_walk(budget):
+        monkeypatch.setattr(fuzzy, "_MEMO", {})
+        _monotone_value_tuples(DL4, "lower", None)
+        return outcomes(call, [budget])[0]
+    cold, warm = cold_and_warm(monkeypatch, call, DL4_BUDGETS)
+    assert cold == warm == [over_warm_walk(budget) for budget in DL4_BUDGETS]
+    assert [o[1] for o in cold[:4]] == ["walk values tried and written"] * 2 + [
+        "generator rows joined"] * 2
 
 
 def test_scott_members_share_one_context(monkeypatch):

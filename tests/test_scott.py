@@ -116,12 +116,14 @@ def test_classical_coincidence_on_a_crisp_chain():
 
 
 def test_families_charge_the_pairs_they_check():
-    # a 6-point crisp antichain over the 2-chain: 64 upper sets, each
-    # checked against 6 principal ideals, while the walk tries 126 values
+    # the 20 upper sets of dL over Łukasiewicz-4, each checked against
+    # its 20 lower sets, all of which have a supremum, while the walk
+    # tries and writes 132 values
+    with pytest.raises(BudgetExceeded, match="400 pairs checked"):
+        generate_scott_structure(DL4, "topology", "lower", budget=399)
+    # a 6-point crisp antichain over the 2-chain
     A = crisp_qorder(godel_chain(2), tuple(f"p{i}" for i in range(6)),
                      [[i == j for j in range(6)] for i in range(6)])
-    with pytest.raises(BudgetExceeded, match="384 pairs checked"):
-        generate_scott_structure(A, "topology", "fc", budget=383)
     # the axioms: 6 mask ANDs per upper set for meets and for joins, and
     # each member scaled by the 2 quantale values twice
     S = generate_scott_structure(A, "topology", "fc")
