@@ -4,6 +4,9 @@ Arguments that name instances accept either a file path or inline JSON
 (anything starting with "{" or "[").  Reports go to stdout as JSON; a
 human-readable summary goes to stderr.  Exit codes: 0 pass, 1 fail or
 finding, 2 usage error or blown budget.
+
+Each command imports the layers it calls when it runs, so a process
+loads only what its command needs.
 """
 
 from __future__ import annotations
@@ -19,29 +22,30 @@ from .errors import (
     UnknownSuite,
     ValidationError,
 )
-from .fuzzy import FuzzySet, classify_fuzzy_set, fuzzy_set
-from .ideals import classify_ideal, enumerate_ideals, is_forward_cauchy_sequence, settling_violation
-from .io import jsonable, load_instance, load_qorder, parse_labels
-from .qorder import QMap, QOrderedSet, validate_qorder
-from .quantale import FiniteQuantale, IntervalQuantale, quantale_properties
-from .scott import generate_scott_structure
-from .suites import run_suite, search_counterexample, suite_names
 
 
-def _load_arg(text, budget, loader=load_instance):
+def _load_arg(text, budget, loader):
     if text.lstrip().startswith(("{", "[")):
         return loader(json.loads(text), budget=budget)
     return loader(text, budget=budget)
 
 
 def _emit(report, summary_lines):
+    from .io import jsonable
+
     print(json.dumps(jsonable(report), indent=2, sort_keys=True))
     for line in summary_lines:
         print(line, file=sys.stderr)
 
 
 def _cmd_validate(args):
-    obj = _load_arg(args.instance, args.budget)
+    from .fuzzy import FuzzySet, classify_fuzzy_set
+    from .ideals import is_forward_cauchy_sequence, settling_violation
+    from .io import load_instance
+    from .qorder import QMap, QOrderedSet, validate_qorder
+    from .quantale import FiniteQuantale, IntervalQuantale, quantale_properties
+
+    obj = _load_arg(args.instance, args.budget, load_instance)
     if isinstance(obj, (FiniteQuantale, IntervalQuantale)):
         props = quantale_properties(obj)
         report = {"kind": "quantale", "valid": True,
@@ -75,6 +79,10 @@ def _cmd_validate(args):
 
 
 def _cmd_classify(args):
+    from .fuzzy import classify_fuzzy_set, fuzzy_set
+    from .ideals import classify_ideal
+    from .io import load_qorder, parse_labels
+
     order = _load_arg(args.qorder, args.budget, load_qorder)
     raw = args.fuzzyset
     data = json.loads(raw) if raw.lstrip().startswith(("{", "[")) else None
@@ -100,6 +108,9 @@ def _cmd_classify(args):
 
 
 def _cmd_enumerate(args):
+    from .ideals import enumerate_ideals
+    from .io import load_qorder
+
     order = _load_arg(args.qorder, args.budget, load_qorder)
     ideals = enumerate_ideals(order, args.cls, budget=args.budget)
     report = {"class": args.cls, "count": len(ideals),
@@ -109,6 +120,9 @@ def _cmd_enumerate(args):
 
 
 def _cmd_scott(args):
+    from .io import load_qorder
+    from .scott import generate_scott_structure
+
     order = _load_arg(args.qorder, args.budget, load_qorder)
     S = generate_scott_structure(order, args.mode, which=args.cls,
                                  budget=args.budget)
@@ -137,6 +151,8 @@ def _parse_params(pairs):
 
 
 def _cmd_check(args):
+    from .suites import run_suite
+
     result = run_suite(args.suite, seed=args.seed, budget=args.budget,
                        tolerance=args.tolerance, **_parse_params(args.param))
     report = result.to_json()
@@ -158,6 +174,9 @@ def _cmd_check(args):
 
 
 def _cmd_search(args):
+    from .io import jsonable
+    from .suites import search_counterexample
+
     report = search_counterexample(args.shape, seed=args.seed,
                                    budget=args.budget, limit=args.limit)
     lines = [f"search {args.shape}: "
@@ -173,6 +192,17 @@ def _cmd_search(args):
         lines.append(f"witness written to {path}")
     _emit(report, lines)
     return 1 if report["found"] else 0
+
+
+class _SuiteHelp(argparse.HelpFormatter):
+    """Lists the suite names as the help of `check`'s argument, reading
+    the registry only when the help is shown."""
+
+    def _get_help_string(self, action):
+        if action.dest != "suite":
+            return action.help
+        from .suites import suite_names
+        return ", ".join(suite_names())
 
 
 def build_parser():
@@ -212,8 +242,8 @@ def build_parser():
     p.add_argument("--mode", default="top", choices=("top", "cotop"))
     p.set_defaults(fn=_cmd_scott)
 
-    p = sub.add_parser("check", help="run a named suite")
-    p.add_argument("suite", help=", ".join(suite_names()))
+    p = sub.add_parser("check", help="run a named suite", formatter_class=_SuiteHelp)
+    p.add_argument("suite", help="one of the suite names")
     p.add_argument("--param", action="append", metavar="K=V",
                    help="suite parameter, repeatable")
     p.add_argument("--report", default=None,

@@ -8,16 +8,15 @@ when weighted joins of class weights land back in the class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._value import Value
 from .errors import BaseMismatch, NotLower, _charge
 from .fuzzy import FuzzySet, _lower_violation, _sub_idx, suprema
 from .ideals import enumerate_ideals, ideal_class_tag
 from .qorder import QMap, QOrderedSet
 
 
-@dataclass
-class IdealSpace:
+class IdealSpace(Value, fields="base class_tag carrier space yoneda_map positions",
+                 hidden="positions", uncompared="positions"):
     """All class ideals of a base ordered by inclusion degree.
 
     Carrier labels are phi0, phi1, ... in enumeration order.  The
@@ -26,12 +25,9 @@ class IdealSpace:
     member's value tuple to its carrier index.
     """
 
-    base: QOrderedSet
-    class_tag: str
-    carrier: tuple
-    space: QOrderedSet
-    yoneda_map: QMap
-    positions: dict = field(repr=False, compare=False)
+    def __init__(self, base, class_tag, carrier, space, yoneda_map, positions):
+        self.base, self.class_tag, self.carrier, self.space, self.yoneda_map, self.positions = \
+            base, class_tag, carrier, space, yoneda_map, positions
 
     @property
     def n(self):

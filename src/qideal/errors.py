@@ -84,11 +84,16 @@ class DecompositionMismatch(ValidationError):
 
 
 class BudgetExceeded(QidealError):
-    def __init__(self, count, budget, what):
+    """partial: the work was refused part-way, so count is a lower bound
+    on what the whole of it needs."""
+
+    def __init__(self, count, budget, what, partial=False):
         self.count = count
         self.budget = budget
         self.what = what
-        super().__init__(f"{count} {what} exceed the budget of {budget}")
+        self.partial = partial
+        super().__init__(f"{count} {what} exceed the budget of {budget}"
+                         + (" (a lower bound: the work stopped part-way)" if partial else ""))
 
 
 # the open records of fuzzy._memoized: each is a list of (count, what)
@@ -96,15 +101,16 @@ class BudgetExceeded(QidealError):
 _RECORDS = []
 
 
-def _charge(count, budget, what):
+def _charge(count, budget, what, partial=False):
     """Refuse work of count units, named by what, over the budget (None
-    for DEFAULT_BUDGET), before the work starts.  An admitted charge is
-    appended to each open record, as it is: fuzzy._memoized merges the
-    record once, when it keeps its build."""
+    for DEFAULT_BUDGET), before the work starts; partial marks a running
+    count of work that goes on past it.  An admitted charge is appended
+    to each open record, as it is: fuzzy._memoized merges the record
+    once, when it keeps its build."""
     if budget is None:
         budget = DEFAULT_BUDGET
     if count > budget:
-        raise BudgetExceeded(count, budget, what)
+        raise BudgetExceeded(count, budget, what, partial)
     for record in _RECORDS:
         record.append((count, what))
 

@@ -10,11 +10,11 @@ built from.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, groupby, repeat
 from operator import and_, getitem, itemgetter
 
+from ._value import Frozen
 from .errors import (  # noqa: F401  (DEFAULT_BUDGET is re-exported)
     DEFAULT_BUDGET,
     BaseMismatch,
@@ -24,16 +24,22 @@ from .errors import (  # noqa: F401  (DEFAULT_BUDGET is re-exported)
     _RECORDS,
     _charge,
 )
-from .qorder import QOrderedSet
 
 
-# Enumeration builds instances in bulk (_fuzzy_sets) without calling
-# __init__, so the class must stay a plain record: no __post_init__, no
-# defaults, no field that construction would compute or check.
-@dataclass(frozen=True, slots=True)
-class FuzzySet:
-    base: QOrderedSet
-    values: tuple   # quantale indices aligned with base.elements
+class FuzzySet(Frozen, fields="base values"):
+    """values: quantale indices aligned with base.elements.  Enumeration
+    builds instances in bulk (_fuzzy_sets), filling the two slots without
+    calling __init__, so __init__ may only fill them: it computes and
+    checks nothing."""
+
+    __slots__ = ("base", "values")
+
+    def __init__(self, base, values):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "values", values)
+
+    def __reduce__(self):
+        return FuzzySet, (self.base, self.values)
 
     def value(self, label):
         return self.base.quantale.elements[self.values[self.base.index(label)]]
@@ -257,7 +263,8 @@ def _walk(A, kind, budget):
     completions, so a state met again re-prefixes the block of out it
     emitted the first time.  The walk charges what it does, |Q| values
     tried per node and n values written per set (a copied one too),
-    each before it is done."""
+    each before it is done; a refusal names the count where the walk
+    stopped, a lower bound on what it needs."""
     q = A.quantale
     n, m = A.n, q.n
     leq, tens, res, hom = q.leq, q.tensor_table, q.res_table, A.hom
@@ -283,11 +290,11 @@ def _walk(A, kind, budget):
         mask, rest = state[0], state[1:]
         if not rest:
             done += m + n * mask.bit_count()
-            _charge(done, budget, "walk values tried and written")
+            _charge(done, budget, "walk values tried and written", partial=True)
             out.extend([prefix + (v,) for v in values if mask >> v & 1])
         else:
             done += m
-            _charge(done, budget, "walk values tried and written")
+            _charge(done, budget, "walk values tried and written", partial=True)
             step, cut = after[i], itemgetter(slice(i + 1, None))
             for v in values:
                 if mask >> v & 1:
@@ -297,7 +304,7 @@ def _walk(A, kind, budget):
                         extend(head, child)
                     else:
                         done += n * (block[1] - block[0])
-                        _charge(done, budget, "walk values tried and written")
+                        _charge(done, budget, "walk values tried and written", partial=True)
                         out.extend(map(head.__add__, map(cut, out[block[0]:block[1]])))
         seen[state] = (first, len(out))
 

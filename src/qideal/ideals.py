@@ -12,9 +12,9 @@ sequence generation is kept as an independent second route.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import getitem
 
+from ._value import Frozen, Value
 from .errors import NotForwardCauchy, ShapeMismatch, _charge
 from .fuzzy import (
     FuzzySet,
@@ -48,13 +48,11 @@ def ideal_class_tag(name):
         ) from None
 
 
-@dataclass(frozen=True)
-class EventuallyPeriodicSequence:
+class EventuallyPeriodicSequence(Frozen, fields="base prefix cycle"):
     """The infinite sequence prefix . cycle^omega, held as carrier indices."""
 
-    base: object
-    prefix: tuple
-    cycle: tuple
+    def __init__(self, base, prefix, cycle):
+        self._init(base, prefix, cycle)
 
     def term(self, k):
         if k < len(self.prefix):
@@ -296,13 +294,10 @@ def _forward_cauchy(phi):
     return True, None
 
 
-@dataclass
-class IdealReport:
-    inhabited: bool
-    flat: bool
-    irreducible: bool
-    forward_cauchy: bool
-    witnesses: dict
+class IdealReport(Value, fields="inhabited flat irreducible forward_cauchy witnesses"):
+    def __init__(self, inhabited, flat, irreducible, forward_cauchy, witnesses):
+        self.inhabited, self.flat, self.irreducible, self.forward_cauchy, self.witnesses = \
+            inhabited, flat, irreducible, forward_cauchy, witnesses
 
     def flags(self):
         return (self.inhabited, self.flat, self.irreducible,

@@ -10,8 +10,8 @@ checks in the scott module.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
+from ._value import Frozen
 from .errors import (
     EmptyCarrier,
     QuantaleMismatch,
@@ -19,19 +19,18 @@ from .errors import (
     ValidationError,
     _charge,
 )
-from .quantale import FiniteQuantale, IntervalQuantale, label_index
+from .quantale import label_index
 
 
-@dataclass(frozen=True)
-class QOrderedSet:
-    """Finite Q-ordered set: labels plus a hom table of quantale indices."""
+class QOrderedSet(Frozen, fields="quantale elements hom catalog _index",
+                  hidden="_index", uncompared="catalog _index"):
+    """Finite Q-ordered set: labels plus a hom table of quantale indices;
+    hom[i][j] is the quantale index of A(x_i, x_j)."""
 
-    quantale: FiniteQuantale
-    elements: tuple
-    hom: tuple   # hom[i][j]: quantale index of A(x_i, x_j)
-    catalog: tuple | None = field(default=None, compare=False)
-    _index: dict = field(default=None, compare=False, repr=False)
-    _hash: int = field(default=None, init=False, compare=False, repr=False)
+    _hash = None    # hash(hom), kept by __hash__
+
+    def __init__(self, quantale, elements, hom, catalog=None, _index=None):
+        self._init(quantale, elements, hom, catalog, _index)
 
     def __hash__(self):
         # kept for the memo in fuzzy; equal bases have equal homs, and int
@@ -225,11 +224,10 @@ def random_qorder(q, n, rng, labels=None):
                        _index={e: i for i, e in enumerate(labels)})
 
 
-@dataclass(frozen=True)
-class QMap:
-    source: QOrderedSet
-    target: QOrderedSet
-    mapping: tuple   # target indices aligned with source.elements
+class QMap(Frozen, fields="source target mapping"):
+    # mapping: target indices aligned with source.elements
+    def __init__(self, source, target, mapping):
+        self._init(source, target, mapping)
 
     def order_violation(self):
         """First pair with A(x1,x2) not below B(f x1, f x2), or None."""
@@ -306,14 +304,13 @@ def check_map_and_adjunction(f, g=None):
     return out
 
 
-@dataclass(frozen=True)
-class IntervalOrder:
+class IntervalOrder(Frozen, fields="quantale which"):
     """The unit interval under one of its two canonical orders, for the
     sampled interval checks.  which = "dL": hom(p,r) = p -> r; "dR":
     hom(p,r) = r -> p."""
 
-    quantale: IntervalQuantale
-    which: str
+    def __init__(self, quantale, which):
+        self._init(quantale, which)
 
     def hom(self, a, b):
         if self.which == "dL":

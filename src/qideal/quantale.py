@@ -13,11 +13,11 @@ on the unit interval by closed forms only (never float sup-search).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
 
+from ._value import Frozen
 from .errors import (
     ChainNotClosed,
     EmptyCarrier,
@@ -56,8 +56,11 @@ def label_index(index, label):
     raise KeyError(f"label {label!r} is not in the carrier")
 
 
-@dataclass(frozen=True)
-class FiniteQuantale:
+class FiniteQuantale(Frozen, fields="elements leq tensor_table unit join_table meet_table "
+                     "res_table neg_vector bottom top catalog _index",
+                     hidden="join_table meet_table res_table neg_vector _index",
+                     uncompared="join_table meet_table res_table neg_vector bottom top "
+                                "catalog _index"):
     """Integral commutative quantale on an explicit finite lattice.
 
     Elements are addressed by index; ``elements`` holds the labels.  All
@@ -67,20 +70,14 @@ class FiniteQuantale:
     and derives the tables.
     """
 
-    elements: tuple
-    leq: tuple            # leq[i][j]: element i below element j
-    tensor_table: tuple   # tensor_table[i][j]: index of element i & element j
-    unit: int
-    join_table: tuple = field(compare=False, repr=False)
-    meet_table: tuple = field(compare=False, repr=False)
-    res_table: tuple = field(compare=False, repr=False)
-    neg_vector: tuple = field(compare=False, repr=False)
-    bottom: int = field(compare=False)
-    top: int = field(compare=False)
-    catalog: tuple | None = field(default=None, compare=False)
-    _index: dict = field(default=None, compare=False, repr=False)
-
     kind = "finite"
+
+    # leq[i][j]: element i below element j; tensor_table[i][j]: index of
+    # element i & element j
+    def __init__(self, elements, leq, tensor_table, unit, join_table, meet_table,
+                 res_table, neg_vector, bottom, top, catalog=None, _index=None):
+        self._init(elements, leq, tensor_table, unit, join_table, meet_table, res_table,
+                   neg_vector, bottom, top, catalog, _index)
 
     @property
     def n(self):
@@ -140,7 +137,7 @@ class FiniteQuantale:
         return _prime_tables(self)
 
 
-class PrimeSide(NamedTuple):
+class PrimeSide(namedtuple("PrimeSide", "thresholds generators table keeps")):
     """One decider's share of PrimeTables: its thresholds, generators[a][k]
     (the maximal b with a -> b <= thresholds[k] for the irreducible
     decider, the minimal b with thresholds[k] <= a & b for the flat one;
@@ -149,13 +146,10 @@ class PrimeSide(NamedTuple):
     with keeps[v][w] when a row value v stays within the class of w
     (v <= w for the irreducible decider, v >= w for the flat one)."""
 
-    thresholds: tuple
-    generators: tuple
-    table: tuple
-    keeps: tuple
+    __slots__ = ()
 
 
-class PrimeTables(NamedTuple):
+class PrimeTables(namedtuple("PrimeTables", "distributive lower upper")):
     """What the generator deciders read off a finite quantale.
 
     In a finite distributive lattice every meet-irreducible element u is
@@ -169,9 +163,7 @@ class PrimeTables(NamedTuple):
     thresholds and the tensor table.
     """
 
-    distributive: bool
-    lower: PrimeSide
-    upper: PrimeSide
+    __slots__ = ()
 
 
 def _prime_tables(q):
@@ -409,8 +401,7 @@ _INTERVAL_TAGS = ("min", "product", "lukasiewicz", "nilpotent_minimum", "ordinal
 _PIECE_KINDS = ("lukasiewicz", "product")
 
 
-@dataclass(frozen=True)
-class IntervalQuantale:
+class IntervalQuantale(Frozen, fields="tnorm pieces tolerance"):
     """The unit interval under a catalog t-norm, closed-form residuation.
 
     ``pieces`` is only used by the ordinal-sum tag: disjoint open
@@ -419,14 +410,13 @@ class IntervalQuantale:
     the tensor is min.  Comparisons use ``tolerance``.
     """
 
-    tnorm: str
-    pieces: tuple = ()
-    tolerance: float = DEFAULT_TOLERANCE
-
     kind = "interval"
     unit = 1.0
     top = 1.0
     bottom = 0.0
+
+    def __init__(self, tnorm, pieces=(), tolerance=DEFAULT_TOLERANCE):
+        self._init(tnorm, pieces, tolerance)
 
     def leq(self, a, b):
         return a <= b + self.tolerance
@@ -541,17 +531,16 @@ def standard_quantale(name, **params):
     raise ValueError(f"unknown catalog name {name!r}")
 
 
-@dataclass(frozen=True)
-class QuantaleProps:
-    is_integral: bool
-    is_commutative: bool
-    is_prelinear: bool
-    is_divisible: bool
-    has_double_negation: bool
-    is_archimedean: bool | None   # interval backend only
-    idempotents: tuple | None     # None when not a finite set
-    is_meet_continuous: bool
-    is_dually_meet_continuous: bool
+class QuantaleProps(Frozen, fields="is_integral is_commutative is_prelinear is_divisible "
+                    "has_double_negation is_archimedean idempotents is_meet_continuous "
+                    "is_dually_meet_continuous"):
+    # is_archimedean: interval backend only; idempotents: None when not a finite set
+    def __init__(self, is_integral, is_commutative, is_prelinear, is_divisible,
+                 has_double_negation, is_archimedean, idempotents, is_meet_continuous,
+                 is_dually_meet_continuous):
+        self._init(is_integral, is_commutative, is_prelinear, is_divisible,
+                   has_double_negation, is_archimedean, idempotents, is_meet_continuous,
+                   is_dually_meet_continuous)
 
 
 def quantale_properties(q):

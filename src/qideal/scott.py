@@ -13,8 +13,7 @@ they report what held on the sample, never a proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .errors import (
     DecompositionMismatch,
     GridTooCoarse,
@@ -100,16 +99,13 @@ def is_scott_member(psi, mode, which=None, budget=None):
     return w is None, w
 
 
-@dataclass
-class ScottStructure:
-    base: object
-    mode: str
-    class_tag: str
-    members: tuple
-    axioms: dict
-    stratified: bool
-    co_stratified: bool
-    strong: bool
+class ScottStructure(Value, fields="base mode class_tag members axioms stratified "
+                     "co_stratified strong"):
+    def __init__(self, base, mode, class_tag, members, axioms, stratified, co_stratified,
+                 strong):
+        self.base, self.mode, self.class_tag, self.members, self.axioms = \
+            base, mode, class_tag, members, axioms
+        self.stratified, self.co_stratified, self.strong = stratified, co_stratified, strong
 
 
 def generate_scott_structure(A, mode, which=None, budget=None):

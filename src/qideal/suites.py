@@ -14,11 +14,12 @@ import itertools
 import random
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
-from .completion import check_completeness_continuity, check_saturation, ideal_space
+# the suites that use scott or completion import them when they run, so
+# that a process running any other suite loads neither
+from ._value import Value
 from .errors import BudgetExceeded, DecompositionMismatch, GridTooCoarse, UnknownSuite, _charge
 from .fuzzy import FuzzySet, _inhabited, _memoized, classify_sampled, fuzzy_set, transport
 from .ideals import (
@@ -40,25 +41,15 @@ from .quantale import (
     nilpotent_minimum_chain,
     quantale_properties,
 )
-from .scott import (
-    check_open_preimages,
-    cocontinuity_equivalence,
-    generate_scott_structure,
-    interval_dR_scott_closed,
-    verify_ordinal_sum_generation,
-)
 
 DEFAULT_SEED = 20260819
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    instances: list
-    verdict: str
-    witnesses: list
-    elapsed: float
-    details: dict = field(default_factory=dict)
+class SuiteResult(Value, fields="name instances verdict witnesses elapsed details"):
+    def __init__(self, name, instances, verdict, witnesses, elapsed, details=None):
+        self.name, self.instances, self.verdict, self.witnesses, self.elapsed = \
+            name, instances, verdict, witnesses, elapsed
+        self.details = {} if details is None else details
 
     def to_json(self):
         return {"suite": self.name, "verdict": self.verdict,
@@ -326,6 +317,8 @@ def _suite_cor312_families(params, seed, budget, tolerance):
 
 
 def _saturation_suite(tag, params, seed, budget, tolerance):
+    from .completion import check_saturation
+
     instances, witnesses = [], []
     weights = 0
     for desc, A in _saturation_battery():
@@ -338,6 +331,8 @@ def _saturation_suite(tag, params, seed, budget, tolerance):
 
 
 def _suite_thm42_free(params, seed, budget, tolerance):
+    from .completion import check_completeness_continuity, ideal_space
+
     instances, witnesses = [], []
     members = 0
     for desc, A in _saturation_battery():
@@ -381,6 +376,8 @@ _SCOTT_PHASES = ("axioms", "classical", "duality")
 
 
 def _suite_scott_axioms(params, seed, budget, tolerance):
+    from .scott import generate_scott_structure
+
     phases = params.get("phases", _SCOTT_PHASES)
     if not isinstance(phases, (list, tuple)):
         phases = [p.strip() for p in str(phases).split(",") if p.strip()]
@@ -484,6 +481,8 @@ def _suite_scott_axioms(params, seed, budget, tolerance):
 
 
 def _suite_prop57_equiv(params, seed, budget, tolerance):
+    from .scott import check_open_preimages, cocontinuity_equivalence
+
     q = lukasiewicz_chain(3)
     A = crisp_qorder(q, ("p0", "p1", "p2"),
                      tuple(tuple(i <= j for j in range(3)) for i in range(3)))
@@ -512,6 +511,8 @@ def _suite_prop57_equiv(params, seed, budget, tolerance):
 
 
 def _suite_ex58_characterization(params, seed, budget, tolerance):
+    from .scott import interval_dR_scott_closed
+
     tnorm = params.get("tnorm", "lukasiewicz")
     grid = int(params.get("grid", 257))
     q = interval_quantale(tnorm)
@@ -535,6 +536,8 @@ def _suite_ex58_characterization(params, seed, budget, tolerance):
 
 
 def _suite_ex510_generation(params, seed, budget, tolerance):
+    from .scott import verify_ordinal_sum_generation
+
     tol = 1e-9 if tolerance is None else tolerance
     grid = int(params.get("grid", 257))
     shift = float(Fraction(str(params.get("shift", "1/4"))))

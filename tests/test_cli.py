@@ -166,6 +166,16 @@ def test_check_budget_and_unknown(capsys):
     assert "NO_SUCH_SUITE" in err
 
 
+def test_check_help_lists_every_suite(capsys):
+    from qideal.suites import suite_names
+
+    with pytest.raises(SystemExit) as exit_:
+        main(["check", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert exit_.value.code == 0
+    assert ", ".join(suite_names()) in out
+
+
 def test_check_coarse_grid_reports_a_budget_verdict(capsys):
     code, report, err = run(capsys, "check", "EX58_CHARACTERIZATION",
                             "--param", "grid=5")

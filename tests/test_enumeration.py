@@ -213,6 +213,22 @@ def test_budget_counts_walk_values_tried_and_written():
     assert err.value.count > 0 and err.value.budget == 0
 
 
+def test_walk_refusal_says_its_count_is_a_lower_bound():
+    """The walk charges as it goes, so a refusal names the count where it
+    stopped and says so: dL over Lukasiewicz-17 needs 10,031,649 values
+    tried and written, stops at 5,021,494 under the default budget, and
+    under a budget of that count stops again further on."""
+    A = standard_qorder(lukasiewicz_chain(17), "dL")
+    with pytest.raises(BudgetExceeded, match=r"^5021494 walk values tried and written exceed "
+                       r"the budget of 5000000 \(a lower bound: the work stopped part-way\)$"
+                       ) as err:
+        enumerate_ideals(A, "fc")
+    assert err.value.partial
+    with pytest.raises(BudgetExceeded) as err:
+        enumerate_monotone_sets(A, "lower", budget=5_021_494)
+    assert err.value.partial and 5_021_494 < err.value.count <= 10_031_649
+
+
 @pytest.mark.parametrize("name", ["dL", "dR"])
 def test_lukasiewicz8_work_count(monkeypatch, name):
     A = standard_qorder(L8, name)
@@ -223,6 +239,7 @@ def test_lukasiewicz8_work_count(monkeypatch, name):
         with pytest.raises(BudgetExceeded) as err:
             enumerate_monotone_sets(A, kind, budget=0)
         assert err.value.count == 8 * 57 + 8 * 576 == 5_064
+        assert not err.value.partial    # a replayed count is the whole walk's
     principal = {yoneda(A, a).values for a in A.elements}
     for cls in ("irr", "flat"):
         assert {p.values for p in enumerate_ideals(A, cls)} == principal
