@@ -194,13 +194,6 @@ def standard_qorder(q, name, **params):
     raise ValueError(f"unknown standard Q-order {name!r}")
 
 
-def is_separated(A):
-    """No two distinct elements isomorphic (hom 1 both ways)."""
-    n, unit = A.n, A.quantale.unit
-    return all(not (A.hom[i][j] == unit and A.hom[j][i] == unit)
-               for i in range(n) for j in range(i + 1, n))
-
-
 def random_qorder(q, n, rng, labels=None):
     """Seeded random Q-order: random hom, forced-diagonal, then the
     quantale-valued transitive closure (iterate to the fixpoint)."""

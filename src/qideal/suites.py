@@ -21,7 +21,8 @@ from functools import partial
 # that a process running any other suite loads neither
 from ._value import Value
 from .errors import BudgetExceeded, DecompositionMismatch, GridTooCoarse, UnknownSuite, _charge
-from .fuzzy import FuzzySet, _inhabited, _memoized, classify_sampled, fuzzy_set, transport
+from .fuzzy import (FuzzySet, _inhabited, _memoized, _sub_idx, _walk, classify_sampled,
+                    fuzzy_set, transport)
 from .ideals import (
     approach_terms,
     classify_ideal,
@@ -31,8 +32,8 @@ from .ideals import (
     irreducible_interval_ideal,
 )
 from .io import dump_instance, jsonable
-from .qorder import (QOrderedSet, all_qmaps, crisp_qorder, interval_order, is_separated,
-                     qorder_violation, random_qorder, standard_qorder)
+from .qorder import (QOrderedSet, all_qmaps, crisp_qorder, interval_order, random_qorder,
+                     standard_qorder)
 from .quantale import (
     boolean4,
     godel_chain,
@@ -70,25 +71,32 @@ class SuiteResult(Value, fields="name instances verdict witnesses elapsed detail
         return "\n".join(lines)
 
 
-def _qorders(q, labels, budget, separated=False):
-    """Every Q-order on the points labels, in lexicographic order of its
-    off-diagonal hom entries, row by row; with separated, only those in
-    which no two points are isomorphic.  The |Q|^(n(n-1)) tables are
-    charged against the budget by the call, before the first is tried."""
-    n = len(labels)
-    off = [(i, j) for i in range(n) for j in range(n) if i != j]
-    _charge(q.n ** len(off), budget, "hom tables tried")
-    index = {e: i for i, e in enumerate(labels)}
-
-    def tables():
-        for entries in itertools.product(range(q.n), repeat=len(off)):
-            hom = [[q.unit] * n for _ in range(n)]
-            for (i, j), v in zip(off, entries):
-                hom[i][j] = v
-            A = QOrderedSet(q, labels, tuple(map(tuple, hom)), _index=index)
-            if (not separated or is_separated(A)) and qorder_violation(q, A.hom) is None:
-                yield A
-    return tables()
+def _qorder_layers(q, labels, budget, separated):
+    """The Q-orders on labels[:k], k = 1..len(labels), one layer each in
+    lexicographic order of the hom; with separated, no two points are
+    isomorphic.  An order B of layer k grows a point p by a lower set
+    a = A(-, p) and an upper set b = A(p, -) of B with a(x) & b(z) <=
+    B(x, z), that is b(z) <= sub(a, B(-, z)).  A running count charges k
+    hom entries per pair tried and (k+1)^2 per order kept, before each."""
+    unit, leq = q.unit, q.leq
+    layers, done = [(QOrderedSet(q, labels[:1], ((unit,),), _index={labels[0]: 0}),)], 0
+    for k in range(1, len(labels)):
+        index, grown = {e: i for i, e in enumerate(labels[:k + 1])}, []
+        for B in layers[-1]:
+            lowers, uppers = _walk(B, "lower", budget), _walk(B, "upper", budget)
+            done += k * len(lowers) * len(uppers)
+            _charge(done, budget, "hom entries tried and written", partial=True)
+            for a in lowers:
+                bound = [_sub_idx(B, a, col) for col in zip(*B.hom)]
+                for b in uppers:
+                    if all(leq[v][w] for v, w in zip(b, bound)) and not (
+                            separated and any(u == v == unit for u, v in zip(a, b))):
+                        done += (k + 1) ** 2
+                        _charge(done, budget, "hom entries tried and written", partial=True)
+                        hom = (*map(tuple.__add__, B.hom, zip(a)), b + (unit,))
+                        grown.append(QOrderedSet(q, labels[:k + 1], hom, _index=index))
+        layers.append(tuple(sorted(grown, key=lambda A: A.hom)))
+    return layers
 
 
 def _battery(seed, budget):
@@ -98,7 +106,7 @@ def _battery(seed, budget):
             (godel_chain(4), "godel-4"))
     for q, qd in trio:
         lab = q.elements.__getitem__
-        for A in _qorders(q, ("x0", "x1"), budget):
+        for A in _qorder_layers(q, ("x0", "x1"), budget, separated=False)[-1]:
             yield f"2-point({lab(A.hom[0][1])},{lab(A.hom[1][0])}) over {qd}", A
     rng = random.Random(seed)
     for k in itertools.count():
@@ -145,11 +153,9 @@ def _crisp_posets(max_points, budget):
     over the two-element chain, with the line that names them."""
     if max_points < 1:
         raise ValueError(f"max_points must be at least 1, got {max_points}")
-    b2 = godel_chain(2)
-    # every size is charged before the smallest is enumerated
-    sizes = [_qorders(b2, tuple(f"p{i}" for i in range(n)), budget, separated=True)
-             for n in range(1, max_points + 1)]
-    posets = tuple(itertools.chain.from_iterable(sizes))
+    layers = _qorder_layers(godel_chain(2), tuple(f"p{i}" for i in range(max_points)), budget,
+                            separated=True)
+    posets = tuple(itertools.chain.from_iterable(layers))
     return (f"all crisp posets on <= {max_points} points over the 2-chain "
             f"({len(posets)} posets)"), posets
 
@@ -457,7 +463,8 @@ def _suite_scott_axioms(params, seed, budget, tolerance):
                       (nilpotent_minimum_chain(3), "nilpotent-minimum-3"),
                       (nilpotent_minimum_chain(4), "nilpotent-minimum-4"),
                       (nilpotent_minimum_chain(5), "nilpotent-minimum-5")):
-            bases = (*_qorders(q, ("x0", "x1"), budget), standard_qorder(q, "dL"))
+            bases = (*_qorder_layers(q, ("x0", "x1"), budget, separated=False)[-1],
+                     standard_qorder(q, "dL"))
             for k, A in enumerate(bases):
                 desc = (f"duality base#{k} over {qd}")
                 St = generate_scott_structure(A, "topology", which="irr",

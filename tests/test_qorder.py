@@ -22,7 +22,6 @@ from qideal.qorder import (
     crisp_qorder,
     identity_qmap,
     interval_order,
-    is_separated,
     opposite,
     point_qorder,
     random_qorder,
@@ -146,13 +145,6 @@ def test_validate_qorder_reports_labels_and_sides():
     assert bad["law"] == "hom is not transitive"
     assert bad["witness"] == ("a", "b", "c")
     assert (bad["lhs"], bad["rhs"]) == (1, 0)
-
-
-def test_is_separated():
-    assert is_separated(DL)
-    q = lukasiewicz_chain(2)
-    A = build_qorder(q, ("a", "b"), ((1, 1), (1, 1)))
-    assert not is_separated(A)
 
 
 @settings(max_examples=30, deadline=None)

@@ -94,16 +94,19 @@ def test_budget_verdict():
     assert res.witnesses and "budget" in res.witnesses[0]
 
 
-def test_poset_tables_are_charged_before_any_is_tried():
-    # the 4-point posets are picked from 2^12 hom tables
-    assert run_suite("CLASSICAL_DEGENERATION", budget=4096).verdict == "pass"
-    res = run_suite("CLASSICAL_DEGENERATION", budget=4095)
+def test_poset_layers_charge_the_hom_entries_they_try_and_write():
+    # up to 4 points: 4, 34 and 526 pairs (a, b) tried at 1, 2 and 3
+    # entries each, and 3, 19 and 219 tables kept at 4, 9 and 16 each
+    assert run_suite("CLASSICAL_DEGENERATION", budget=5337).verdict == "pass"
+    res = run_suite("CLASSICAL_DEGENERATION", budget=5336)
     assert res.witnesses == [
-        {"budget": "4096 hom tables tried exceed the budget of 4095"}]
-    # 2^30 tables on 6 points: refused before the 5-point ones are walked
+        {"budget": "5337 hom entries tried and written exceed the budget of 5336"
+                   " (a lower bound: the work stopped part-way)"}]
+    # the 6-point layer needs 7,644,682: refused part-way through it
     res = run_suite("CLASSICAL_DEGENERATION", max_points=6)
     assert res.verdict == "budget"
-    assert "1073741824 hom tables tried" in res.witnesses[0]["budget"]
+    assert "hom entries tried and written" in res.witnesses[0]["budget"]
+    assert "a lower bound" in res.witnesses[0]["budget"]
 
 
 @pytest.mark.parametrize("name, params", [
