@@ -29,7 +29,7 @@ _EXPORTS = {
               "validate_qorder",
     "quantale": "FiniteQuantale IntervalQuantale boolean4 build_finite_quantale "
                 "chain_quantale godel_chain interval_quantale lukasiewicz_chain "
-                "nilpotent_minimum_chain quantale_properties standard_quantale",
+                "nilpotent_minimum_chain quantale_properties",
     "scott": "ScottStructure check_structure_axioms cocontinuity_equivalence "
              "generate_scott_structure interval_dR_scott_closed is_scott_member "
              "verify_ordinal_sum_generation",

@@ -321,10 +321,10 @@ def classify_ideal(phi, budget=None):
 def enumerate_ideals(A, which="fc", budget=None):
     """All lower sets of the named class, in enumeration order.  The
     lower tag skips the class filter (and the inhabitedness demand the
-    three proper classes make).  Flat and irreducible decide each lower
-    set's flag, charged by _route before any set is decided: on a
-    distributive lattice by _failing_threshold alone, with no witness;
-    else by _break over the upper (lower) sets."""
+    three proper classes make).  Flat and irreducible decide each
+    inhabited lower set's flag, charged by _route before any set is
+    decided: on a distributive lattice by _failing_threshold alone, with
+    no witness; else by _break over the upper (lower) sets."""
     tag = ideal_class_tag(which)
     lowers = enumerate_monotone_sets(A, "lower", budget=budget)
     if tag == "lower":
@@ -333,10 +333,11 @@ def enumerate_ideals(A, which="fc", budget=None):
         return tuple(p for p in lowers
                      if _inhabited(A, p.values) and _forward_cauchy(p)[0])
     kind = "upper" if tag == "flat" else "lower"
-    sets = _route(A, kind, len(lowers), budget)
+    inhabited = [p for p in lowers if _inhabited(A, p.values)]
+    sets = _route(A, kind, len(inhabited), budget)
     fails = ((lambda vals: _failing_threshold(A, kind, vals)) if sets is None
              else lambda vals: _break(A, kind, vals, sets))
-    return tuple(p for p in lowers if _inhabited(A, p.values) and fails(p.values) is None)
+    return tuple(p for p in inhabited if fails(p.values) is None)
 
 
 def sequence_generated_ideals(A, bound=4, budget=None):

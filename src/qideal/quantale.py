@@ -505,32 +505,6 @@ def interval_quantale(tnorm, pieces=None, tolerance=DEFAULT_TOLERANCE):
     return IntervalQuantale(tnorm, ps, float(tolerance))
 
 
-def standard_quantale(name, **params):
-    """Catalog constructor.
-
-    Names: boolean4; lukasiewicz_chain / godel_chain /
-    nilpotent_minimum_chain / product_chain (params: n or carrier);
-    chain (params: tnorm plus n or carrier); interval (params: tnorm);
-    ordinal_sum (params: pieces).
-    """
-    if name == "boolean4":
-        return boolean4()
-    if name.endswith("_chain") and name[:-6] in _CHAIN_TNORMS:
-        return chain_quantale(name[:-6], n=params.get("n"), carrier=params.get("carrier"))
-    if name == "chain":
-        return chain_quantale(
-            params["tnorm"], n=params.get("n"), carrier=params.get("carrier"))
-    if name == "interval":
-        return interval_quantale(
-            params.get("tnorm", "min"),
-            tolerance=params.get("tolerance", DEFAULT_TOLERANCE))
-    if name == "ordinal_sum":
-        return interval_quantale(
-            "ordinal_sum", pieces=params.get("pieces", ()),
-            tolerance=params.get("tolerance", DEFAULT_TOLERANCE))
-    raise ValueError(f"unknown catalog name {name!r}")
-
-
 class QuantaleProps(Frozen, fields="is_integral is_commutative is_prelinear is_divisible "
                     "has_double_negation is_archimedean idempotents is_meet_continuous "
                     "is_dually_meet_continuous"):

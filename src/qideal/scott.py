@@ -52,36 +52,50 @@ def _default_class(mode):
 
 
 def _scott_context(A, tag, budget):
-    """Class ideals of A paired with all their suprema (as indices);
-    ideals without a supremum impose no condition and are dropped.
-    Memoized per base and class, with the charges of its build."""
+    """The class ideals of A that have a supremum and are not principal,
+    with all their suprema (as indices), in enumeration order; memoized
+    per base and class with the charges of its build.  A principal ideal
+    passes every test, so it is left out.  For a supremum s of phi, phi
+    <= y(s) = A(-, s) as sub(phi, y(s)) = A(s, s) = 1, and if phi(s) = 1
+    then phi >= phi(s) & y(s), so phi = y(s) (suprema are isomorphic, so
+    one is tested).  An upper psi has sup_x A(x, s) & psi(x) = psi(s):
+    the term x = s gives >=, upperness <=; a lower psi has inf_x A(x, s)
+    -> psi(x) = psi(s).  Along an order-preserving f the forward image
+    of y(s) is y(f(s)), whose suprema contain f(s)."""
+    unit = A.quantale.unit
+
     def build():
         out = []
         for p in enumerate_ideals(A, tag, budget=budget):
-            sups = suprema(p)
-            if sups:
-                out.append((p.values, tuple(A.index(s) for s in sups)))
+            sups = tuple(map(A.index, suprema(p)))
+            if sups and p.values[sups[0]] != unit:
+                out.append((p.values, sups))
         return tuple(out)
     return _memoized(A, ("scott", tag), build, budget)
 
 
 def _member_violation(A, vals, mode, ctx):
+    """The shape test of any value tuple, then _equation_violation."""
+    w = (_upper_violation if mode == "topology" else _lower_violation)(A, vals)
+    if w is None:
+        return _equation_violation(A, vals, mode, ctx)
+    shape = "an upper" if mode == "topology" else "a lower"
+    return {"reason": f"not {shape} set", "pair": (A.elements[w[0]], A.elements[w[1]])}
+
+
+def _equation_violation(A, vals, mode, ctx):
+    """The first (ideal, supremum) of ctx whose open (closed) equation
+    the upper (lower) set vals misses, as a witness, or None."""
     q = A.quantale
-    lab = A.elements.__getitem__
-    violation, shape, degree, key = (
-        (_upper_violation, "an upper", _tensor_idx, "tensor_degree")
-        if mode == "topology" else
-        (_lower_violation, "a lower", _sub_idx, "sub_degree"))
-    w = violation(A, vals)
-    if w is not None:
-        return {"reason": f"not {shape} set", "pair": (lab(w[0]), lab(w[1]))}
+    degree, key = ((_tensor_idx, "tensor_degree") if mode == "topology"
+                   else (_sub_idx, "sub_degree"))
     for ivals, sups in ctx:
         d = degree(A, ivals, vals)
         for s in sups:
             if vals[s] != d:
                 return {"reason": "misses the supremum equation",
                         "ideal": FuzzySet(A, ivals).as_dict(),
-                        "supremum": lab(s),
+                        "supremum": A.elements[s],
                         "at_supremum": q.elements[vals[s]],
                         key: q.elements[d]}
     return None
@@ -208,15 +222,15 @@ def check_structure_axioms(S, budget=None):
 
 def _member_values(B, mode, tag, budget):
     """Value tuples of the members of B's open (closed) family, in
-    enumeration order.  Each upper (lower) set is checked against every
-    ideal of the context; those (set, ideal) pairs are charged against
-    the budget before any is checked."""
+    enumeration order.  Each upper (lower) set of the walk is tested on
+    the equations of every ideal of the context; those (set, ideal)
+    pairs are charged against the budget before any is tested."""
     ctx = _scott_context(B, tag, budget)
     sets = _monotone_value_tuples(B, "upper" if mode == "topology" else "lower",
                                   budget)
     _charge(len(sets) * len(ctx), budget, "pairs checked")
     return tuple(vals for vals in sets
-                 if _member_violation(B, vals, mode, ctx) is None)
+                 if _equation_violation(B, vals, mode, ctx) is None)
 
 
 def cocontinuity_equivalence(f, which="irreducible", budget=None):

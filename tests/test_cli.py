@@ -94,12 +94,12 @@ def test_enumerate_lukasiewicz8_classes(capsys):
     for cls in ("irr", "flat"):
         code, report, _ = run(capsys, "enumerate", dl8, "--class", cls)
         assert code == 0 and report["count"] == 8
-    # 576 lower sets, each joining the 8 generator rows of each of its 7
-    # thresholds: 576 * 7 * 8 = 32,256
-    code, _, err = run(capsys, "--budget", "32255", "enumerate", dl8,
+    # 128 inhabited lower sets, each joining the 8 generator rows of each
+    # of its 7 thresholds: 128 * 7 * 8 = 7,168
+    code, _, err = run(capsys, "--budget", "7167", "enumerate", dl8,
                        "--class", "irr")
-    assert code == 2 and "32256 generator rows joined" in err
-    code, report, _ = run(capsys, "--budget", "32256", "enumerate", dl8,
+    assert code == 2 and "7168 generator rows joined" in err
+    code, report, _ = run(capsys, "--budget", "7168", "enumerate", dl8,
                           "--class", "irr")
     assert code == 0 and report["count"] == 8
 
@@ -108,10 +108,10 @@ def test_enumerate_over_a_lattice_that_is_not_distributive(capsys):
     dl = json.dumps({"base": M3_WITH_TOP, "name": "dL"})
     code, report, _ = run(capsys, "enumerate", dl, "--class", "flat")
     assert code == 0 and report["count"] == 6
-    # 226 lower sets, each folding the 233 upper sets of 6 entries at each
-    # of 6 values: 226 * 6 * 233 * 6 = 1,895,688
-    code, _, err = run(capsys, "--budget", "1895687", "enumerate", dl, "--class", "flat")
-    assert code == 2 and "1895688 set entries folded" in err
+    # 17 inhabited lower sets, each folding the 233 upper sets of 6
+    # entries at each of 6 values: 17 * 6 * 233 * 6 = 142,596
+    code, _, err = run(capsys, "--budget", "142595", "enumerate", dl, "--class", "flat")
+    assert code == 2 and "142596 set entries folded" in err
 
 
 def test_scott(capsys):

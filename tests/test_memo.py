@@ -9,7 +9,7 @@ from qideal.errors import BudgetExceeded
 from qideal.fuzzy import _inhabited, _monotone_value_tuples, enumerate_monotone_sets
 from qideal.ideals import enumerate_ideals
 from qideal.qorder import crisp_qorder, standard_qorder
-from qideal.quantale import lukasiewicz_chain
+from qideal.quantale import godel_chain, lukasiewicz_chain
 from qideal.scott import generate_scott_structure, is_scott_member
 from qideal.suites import run_suite
 
@@ -44,10 +44,17 @@ def cold_and_warm(monkeypatch, call, budgets):
 
 
 # 132 walk values tried and written per walk (4 values at each of 13
-# nodes, 4 per each of 20 sets), 20 * 3 * 4 generator rows joined for
-# the 20 lower sets (3 thresholds of 4 rows), 2 * 20 * 4 mask ANDs and
-# 2 * 4 * 20 scalings for the axioms of a 20-member family among 20 sets
+# nodes, 4 per each of 20 sets), and 2 * 20 * 4 mask ANDs and 2 * 4 * 20
+# scalings for the axioms of a 20-member family among 20 sets; the 8 * 3
+# * 4 generator rows joined for the 8 inhabited lower sets (3 thresholds
+# of 4 rows) stay under the walk's count, so they never refuse here
 DL4_BUDGETS = (0, 131, 132, 239, 240, 319, 320, 5_000)
+
+# dR over Gödel-4: 140 walk values tried and written per walk, and 14 *
+# 3 * 4 generator rows joined for its 14 inhabited lower sets, more
+# than the walk, so a census over it can be refused on either
+GR4 = standard_qorder(godel_chain(4), "dR")
+GR4_BUDGETS = (0, 139, 140, 167, 168, 5_000)
 
 
 # the 6 lower sets of a two-point chain over Łukasiewicz-3: 6 * 6 * 2
@@ -97,8 +104,8 @@ def test_census_suite_refuses_alike_warm_and_cold(monkeypatch):
     def call(budget):
         res = run_suite("FC_SUBSET_IRR", budget=budget)
         return (res.verdict, res.details)
-    # the largest census charge is 279 generator rows joined
-    cold, warm = cold_and_warm(monkeypatch, call, (1, 10, 40, 80, 200, 278, 279))
+    # the largest census charge is 168 generator rows joined
+    cold, warm = cold_and_warm(monkeypatch, call, (1, 10, 40, 80, 140, 167, 168))
     assert cold == warm
     assert [o[0] for o in cold[-2:]] == ["budget", "pass"]
 
@@ -107,14 +114,14 @@ def test_a_census_over_a_warm_walk_refuses_as_a_cold_one(monkeypatch):
     """The census replays the walk's charges whether it walked or found
     the walk memoized, and the census kept replays them again."""
     def call(budget):
-        return ("census", suites._census(DL4, budget))
+        return ("census", suites._census(GR4, budget))
 
     def over_warm_walk(budget):
         monkeypatch.setattr(fuzzy, "_MEMO", {})
-        _monotone_value_tuples(DL4, "lower", None)
+        _monotone_value_tuples(GR4, "lower", None)
         return outcomes(call, [budget])[0]
-    cold, warm = cold_and_warm(monkeypatch, call, DL4_BUDGETS)
-    assert cold == warm == [over_warm_walk(budget) for budget in DL4_BUDGETS]
+    cold, warm = cold_and_warm(monkeypatch, call, GR4_BUDGETS)
+    assert cold == warm == [over_warm_walk(budget) for budget in GR4_BUDGETS]
     assert [o[1] for o in cold[:4]] == ["walk values tried and written"] * 2 + [
         "generator rows joined"] * 2
 
@@ -181,11 +188,14 @@ def test_one_scott_context_serves_every_spelling_of_the_budget(monkeypatch):
     assert [key for key in fuzzy._MEMO[A] if key[0] == "scott"] == [("scott", "flat")]
     lowers = enumerate_monotone_sets(A, "lower")
     assert decided == [p.values for p in lowers if _inhabited(A, p.values)]
-    # 9 thresholds of 10 rows per lower set, refused one short of that
-    count = len(lowers) * 9 * 10
+    # 9 thresholds of 10 rows per inhabited lower set: the context is
+    # refused one short of that and built at exactly that
+    count = len(decided) * 9 * 10
     with pytest.raises(BudgetExceeded, match=f"^{count} generator rows joined"):
         generate_scott_structure(A, "topology", budget=count - 1)
     assert len(decided) < len(lowers)
+    monkeypatch.setattr(fuzzy, "_MEMO", {})
+    assert is_scott_member(members[0][0], "topology", budget=count)[0]
 
 
 @pytest.mark.parametrize("name", ["FC_SUBSET_IRR", "FC_SUBSET_FLAT", "IRR_SUBSET_FLAT_PRELINEAR",

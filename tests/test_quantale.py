@@ -26,7 +26,6 @@ from qideal.quantale import (
     nilpotent_minimum_chain,
     quantale_properties,
     residuation_identity_violations,
-    standard_quantale,
 )
 
 ALL_CHAINS = [f(n) for f in (lukasiewicz_chain, godel_chain,
@@ -177,13 +176,6 @@ def test_ordinal_sum_rescales_inside_pieces():
 def test_interval_adjunction_sampled(tnorm):
     ok, witness = check_adjunction_sampled(interval_quantale(tnorm))
     assert ok, witness
-
-
-def test_standard_quantale_catalog():
-    assert standard_quantale("boolean4").n == 4
-    assert standard_quantale("lukasiewicz_chain", n=3).n == 3
-    with pytest.raises(ValueError):
-        standard_quantale("no-such-thing")
 
 
 def labelled_primes(q):

@@ -1,7 +1,9 @@
 """Open and closed families, cocontinuity routes, interval
 characterizations; the closure axioms against the member-pair loop they
-replaced, with every failure witness replayed."""
+replaced, with every failure witness replayed; families, memberships and
+map checks against the context with its principal ideals kept."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -16,7 +18,19 @@ from qideal.errors import (
     ShapeMismatch,
     ValidationError,
 )
-from qideal.fuzzy import enumerate_monotone_sets, fuzzy_set, tensor_degree
+from qideal.fuzzy import (
+    FuzzySet,
+    _lower_violation,
+    _sub_idx,
+    _tensor_idx,
+    _upper_violation,
+    enumerate_monotone_sets,
+    fuzzy_set,
+    suprema,
+    tensor_degree,
+    transport,
+)
+from qideal.ideals import enumerate_ideals, ideal_class_tag
 from qideal.qorder import (
     all_qmaps,
     build_qmap,
@@ -34,6 +48,7 @@ from qideal.quantale import (
 )
 from qideal.scott import (
     ScottStructure,
+    _scott_context,
     check_open_preimages,
     check_structure_axioms,
     cocontinuity_equivalence,
@@ -42,8 +57,10 @@ from qideal.scott import (
     is_scott_member,
     verify_ordinal_sum_generation,
 )
+from qideal.suites import _battery
 from test_deciders import pointwise
 from test_enumeration import RANDOM_BASES
+from test_quantale import m3_with_top
 
 L4 = lukasiewicz_chain(4)
 DL4 = standard_qorder(L4, "dL")
@@ -117,10 +134,12 @@ def test_classical_coincidence_on_a_crisp_chain():
 
 def test_families_charge_the_pairs_they_check():
     # the 20 upper sets of dL over Łukasiewicz-4, each checked against
-    # its 20 lower sets, all of which have a supremum, while the walk
-    # tries and writes 132 values
-    with pytest.raises(BudgetExceeded, match="400 pairs checked"):
-        generate_scott_structure(DL4, "topology", "lower", budget=399)
+    # the 16 of its 20 lower sets that are not principal (all 20 have a
+    # supremum), while the walk tries and writes 132 values
+    with pytest.raises(BudgetExceeded, match="^320 pairs checked"):
+        generate_scott_structure(DL4, "topology", "lower", budget=319)
+    assert (generate_scott_structure(DL4, "topology", "lower", budget=320).members
+            == generate_scott_structure(DL4, "topology", "lower").members)
     # a 6-point crisp antichain over the 2-chain
     A = crisp_qorder(godel_chain(2), tuple(f"p{i}" for i in range(6)),
                      [[i == j for j in range(6)] for i in range(6)])
@@ -269,6 +288,180 @@ def test_order_reversing_swap_fails_both_routes():
     rep = cocontinuity_equivalence(swap)
     assert not rep["cocontinuous"] and not rep["closed_preimage"]
     assert rep["agree"]
+
+
+BIG = 10 ** 12
+CLASSES = ("fc", "flat", "irr", "lower")
+MODES = ("topology", "cotopology")
+TWO_POINT = tuple(A for _, A in itertools.islice(_battery(0, None), 41))
+
+
+@functools.lru_cache(maxsize=None)
+def full_context(A, tag):
+    """The Scott context with its principal ideals kept: every class
+    ideal that has a supremum, with all its suprema, in enumeration
+    order."""
+    out = []
+    for p in enumerate_ideals(A, tag, budget=BIG):
+        sups = suprema(p)
+        if sups:
+            out.append((p.values, tuple(map(A.index, sups))))
+    return tuple(out)
+
+
+def full_violation(A, vals, mode, ctx):
+    """Membership over a context as one test: the shape of vals first,
+    then every supremum equation of every ideal of ctx."""
+    q, lab = A.quantale, A.elements.__getitem__
+    violation, shape, degree, key = (
+        (_upper_violation, "an upper", _tensor_idx, "tensor_degree")
+        if mode == "topology" else
+        (_lower_violation, "a lower", _sub_idx, "sub_degree"))
+    w = violation(A, vals)
+    if w is not None:
+        return {"reason": f"not {shape} set", "pair": (lab(w[0]), lab(w[1]))}
+    for ivals, sups in ctx:
+        d = degree(A, ivals, vals)
+        for s in sups:
+            if vals[s] != d:
+                return {"reason": "misses the supremum equation",
+                        "ideal": FuzzySet(A, ivals).as_dict(), "supremum": lab(s),
+                        "at_supremum": q.elements[vals[s]], key: q.elements[d]}
+    return None
+
+
+def full_members(A, mode, cls):
+    """Every upper (lower) set that passes full_violation on the full
+    context, in enumeration order."""
+    ctx = full_context(A, ideal_class_tag(cls))
+    kind = "upper" if mode == "topology" else "lower"
+    return tuple(p.values for p in enumerate_monotone_sets(A, kind, budget=BIG)
+                 if full_violation(A, p.values, mode, ctx) is None)
+
+
+def full_preimage_violation(f, mode, cls):
+    ctx = full_context(f.source, ideal_class_tag(cls))
+    for vals in full_members(f.target, mode, cls):
+        v = full_violation(f.source, tuple(vals[j] for j in f.mapping), mode, ctx)
+        if v is not None:
+            return FuzzySet(f.target, vals).as_dict(), v
+    return None
+
+
+def full_cocontinuity(f, cls):
+    """cocontinuity_equivalence with every ideal of the full context
+    tested for a preserved supremum, principal ones included."""
+    A, B = f.source, f.target
+    witnesses = {}
+    w = f.order_violation()
+    if w is not None:
+        witnesses["order"] = w
+    else:
+        for ivals, sups in full_context(A, ideal_class_tag(cls)):
+            targets = set(suprema(transport(f, FuzzySet(A, ivals), "forward")))
+            bad = next((s for s in sups if B.elements[f.mapping[s]] not in targets), None)
+            if bad is not None:
+                witnesses["sup_not_preserved"] = {
+                    "ideal": FuzzySet(A, ivals).as_dict(), "supremum": A.elements[bad],
+                    "image_of_supremum": B.elements[f.mapping[bad]],
+                    "suprema_of_image": [b for b in B.elements if b in targets]}
+                break
+    cocontinuous = not witnesses
+    bad = full_preimage_violation(f, "cotopology", cls)
+    if bad is not None:
+        witnesses["preimage_not_closed"] = {"closed_set": bad[0], "violation": bad[1]}
+    return {"cocontinuous": cocontinuous, "closed_preimage": bad is None,
+            "agree": cocontinuous == (bad is None), "witnesses": witnesses}
+
+
+def assert_families_match_the_full_context(A):
+    for mode, cls in itertools.product(MODES, CLASSES):
+        want = full_members(A, mode, cls)
+        S = generate_scott_structure(A, mode, cls, budget=BIG)
+        assert tuple(m.values for m in S.members) == want, (A.hom, mode, cls)
+        full = ScottStructure(A, mode, S.class_tag, tuple(FuzzySet(A, v) for v in want),
+                              {}, False, False, False)
+        assert S.axioms == check_structure_axioms(full, BIG)["flags"]
+
+
+def assert_membership_matches_the_full_context(A):
+    """Every value vector of A, upper, lower or neither."""
+    q = A.quantale
+    for mode, cls in itertools.product(MODES, CLASSES):
+        ctx = full_context(A, ideal_class_tag(cls))
+        for vals in itertools.product(range(q.n), repeat=A.n):
+            got = is_scott_member(FuzzySet(A, vals), mode, cls, budget=BIG)
+            want = full_violation(A, vals, mode, ctx)
+            assert got == (want is None, want), (A.hom, vals, mode, cls)
+
+
+def assert_maps_match_the_full_context(f):
+    for cls in CLASSES:
+        assert cocontinuity_equivalence(f, cls, budget=BIG) == full_cocontinuity(f, cls)
+        bad = full_preimage_violation(f, "topology", cls)
+        assert check_open_preimages(f, cls, budget=BIG) == (
+            (True, None) if bad is None else (False, {"open_set": bad[0],
+                                                      "violation": bad[1]}))
+
+
+def test_two_point_families_and_members_match_the_full_context():
+    assert len(TWO_POINT) == 41
+    for A in TWO_POINT:
+        assert_families_match_the_full_context(A)
+        assert_membership_matches_the_full_context(A)
+
+
+NAMED_BASES = [(q, name) for q in (godel_chain(5), godel_chain(7), nilpotent_minimum_chain(5),
+                                   *map(lukasiewicz_chain, range(4, 9)), m3_with_top())
+               for name in ("dL", "dR")]
+
+
+@pytest.mark.parametrize("q, name", NAMED_BASES,
+                         ids=[f"{name}-{q.n}-{(q.catalog or ('m3-top',))[0]}"
+                              for q, name in NAMED_BASES])
+def test_named_families_match_the_full_context(q, name):
+    assert_families_match_the_full_context(standard_qorder(q, name))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(RANDOM_BASES), st.integers(2, 4), st.integers(0, 2 ** 32))
+def test_random_families_and_members_match_the_full_context(q, n, seed):
+    A = random_qorder(q, n, random.Random(seed))
+    assert_families_match_the_full_context(A)
+    if n <= 3:
+        assert_membership_matches_the_full_context(A)
+
+
+def test_prop57_maps_match_the_full_context():
+    q = lukasiewicz_chain(3)
+    A = crisp_qorder(q, ("p0", "p1", "p2"),
+                     tuple(tuple(i <= j for j in range(3)) for i in range(3)))
+    B = standard_qorder(q, "dL")
+    maps = [f for src, dst in ((A, B), (B, A)) for f in all_qmaps(src, dst)]
+    assert len(maps) == 54
+    for f in maps:
+        assert_maps_match_the_full_context(f)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(RANDOM_BASES), st.integers(2, 3), st.integers(2, 3),
+       st.integers(0, 2 ** 32))
+def test_random_maps_match_the_full_context(q, m, n, seed):
+    rng = random.Random(seed)
+    for f in all_qmaps(random_qorder(q, m, rng), random_qorder(q, n, rng)):
+        assert_maps_match_the_full_context(f)
+
+
+def test_the_context_keeps_only_non_principal_ideals():
+    g5 = godel_chain(5)
+    for name, size in (("dL", 11), ("dR", 37)):
+        A = standard_qorder(g5, name)
+        ctx = _scott_context(A, "flat", BIG)
+        assert len(ctx) == size
+        assert ctx == tuple((v, s) for v, s in full_context(A, "flat")
+                            if v[s[0]] != g5.unit)
+    for k, name, tag in itertools.product(range(3, 13), ("dL", "dR"), ("flat", "irreducible")):
+        assert _scott_context(standard_qorder(lukasiewicz_chain(k), name), tag, BIG) == ()
 
 
 def test_interval_dR_closedness_accepts_and_rejects():
