@@ -30,10 +30,23 @@ def _load_arg(text, budget, loader):
     return loader(text, budget=budget)
 
 
-def _emit(report, summary_lines):
+def _dump(report, fh):
+    """The report as indented JSON and a newline, written to fh as it is
+    encoded, so no string of the whole report is built.  The encoder's
+    chunks are joined a few thousand at a time: one write per chunk
+    costs more than the encoding."""
+    from itertools import islice
+
     from .io import jsonable
 
-    print(json.dumps(jsonable(report), indent=2, sort_keys=True))
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(jsonable(report))
+    for text in iter(lambda: "".join(islice(chunks, 4096)), ""):
+        fh.write(text)
+    fh.write("\n")
+
+
+def _emit(report, summary_lines):
+    _dump(report, sys.stdout)
     for line in summary_lines:
         print(line, file=sys.stderr)
 
@@ -162,8 +175,7 @@ def _cmd_check(args):
         path = f"qideal-{result.name.lower()}-report.json"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            _dump(report, fh)
         lines.append(f"report written to {path}")
     _emit(report, lines)
     if result.verdict == "pass":
@@ -174,7 +186,6 @@ def _cmd_check(args):
 
 
 def _cmd_search(args):
-    from .io import jsonable
     from .suites import search_counterexample
 
     report = search_counterexample(args.shape, seed=args.seed,
@@ -187,8 +198,7 @@ def _cmd_search(args):
     if report["found"]:
         path = args.report or f"qideal-search-{args.shape}.json"
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(jsonable(report), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            _dump(report, fh)
         lines.append(f"witness written to {path}")
     _emit(report, lines)
     return 1 if report["found"] else 0

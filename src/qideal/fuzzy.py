@@ -10,9 +10,8 @@ built from.
 from __future__ import annotations
 
 from collections import deque
-from functools import reduce
-from itertools import compress, groupby, repeat
-from operator import and_, getitem, itemgetter
+from itertools import groupby, repeat
+from operator import and_, itemgetter
 
 from ._value import Frozen
 from .errors import (  # noqa: F401  (DEFAULT_BUDGET is re-exported)
@@ -216,11 +215,10 @@ def suprema(phi):
 
 # base -> {key: (value, charges)}: what is derived from a base, kept for
 # the life of the process with the charges its build made: the walks
-# under "lower"/"upper", the set indexes of the Scott axioms under
-# ("index", kind), the forward-Cauchy dominance masks under "dominance",
-# the Scott contexts under ("scott", tag), the suites' censuses under
-# "census".  No key holds a budget: every hit replays its charges
-# (_memoized).
+# under "lower"/"upper", the forward-Cauchy dominance masks under
+# "dominance", the Scott contexts under ("scott", tag), the suites'
+# censuses under "census".  No key holds a budget: every hit replays its
+# charges (_memoized).
 _MEMO = {}
 
 
@@ -319,87 +317,6 @@ def _monotone_value_tuples(A, kind, budget):
     """Value tuples of every lower (or upper) set of A, from the walk
     memoized per base with its charges."""
     return _memoized(A, kind, lambda: _walk(A, kind, budget), budget)
-
-
-class _SetIndex:
-    """Column masks over the lower (or upper) sets of one base, bit i
-    standing for sets[i]: columns[True][x][b] holds the sets with b <=
-    their value at x, columns[False][x][b] those with their value at x
-    <= b, each built on first use.  The sets are closed under pointwise
-    joins and meets, so a fold of a mask is a set again."""
-
-    __slots__ = ("q", "values", "sets", "positions", "full", "columns", "folds")
-
-    def __init__(self, q, sets):
-        self.q, self.values, self.sets = q, range(q.n), sets
-        self.positions = {vec: i for i, vec in enumerate(sets)}
-        self.full = (1 << len(sets)) - 1
-        self.columns, self.folds = {}, {"join": {}, "meet": {}}
-
-    def masks(self, up):
-        """columns[up], built on the first call.  A point's values, last
-        set first, become one string with a character per value index;
-        translating it by the row of b (digit 1 where the value passes
-        b) spells the column's mask in binary, in linear time."""
-        cols = self.columns.get(up)
-        if cols is None:
-            rows = self.q.leq if up else tuple(zip(*self.q.leq))
-            digits = [tuple("1" if ok else "0" for ok in row) for row in rows]
-            cols = self.columns[up] = tuple(
-                tuple(int(text.translate(row), 2) for row in digits)
-                for text in ("".join(map(chr, reversed(col))) for col in zip(*self.sets)))
-        return cols
-
-    def above(self, w):
-        """The sets at or above the value vector w at every point."""
-        return reduce(and_, map(getitem, self.masks(True), w), self.full)
-
-    def below(self, w):
-        """The sets at or below the value vector w at every point."""
-        return reduce(and_, map(getitem, self.masks(False), w), self.full)
-
-    def fold(self, mask, op):
-        """Position of the join (op "join") or meet ("meet") of the sets
-        in a nonempty mask.  At x that is the join of the b that some
-        set of the mask is at or above (the meet of the b that some set
-        is at or below)."""
-        memo = self.folds[op]
-        at = memo.get(mask)
-        if at is None:
-            up = op == "join"
-            gather, values = self.q.join_all if up else self.q.meet_all, self.values
-            at = memo[mask] = self.positions[tuple(
-                gather(compress(values, map(mask.__and__, cols)))
-                for cols in self.masks(up))]
-        return at
-
-    def break_in(self, inside, op):
-        """None when inside is empty or its fold is one of its sets.
-        Else (acc, member, out): a left-to-right running fold in inside,
-        the member of inside that takes it out, and their fold.
-        Bisection keeps the fold up to lo in inside and up to hi out of
-        it, so the pair is adjacent even where membership is not
-        monotone along prefixes (and is the first break where it is)."""
-        if not inside or inside >> self.fold(inside, op) & 1:
-            return None
-        lo, hi = (inside & -inside).bit_length() - 1, inside.bit_length() - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if inside >> self.fold(inside & ((2 << mid) - 1), op) & 1:
-                lo = mid
-            else:
-                hi = mid
-        acc = self.fold(inside & ((1 << hi) - 1), op)
-        out = self.fold(inside & ((2 << hi) - 1), op)
-        return self.sets[acc], self.sets[hi], self.sets[out]
-
-
-def _set_index(A, kind, budget):
-    """The index over A's lower (upper) sets, built on the first call
-    and kept with the walk's charges."""
-    return _memoized(A, ("index", kind),
-                     lambda: _SetIndex(A.quantale, _monotone_value_tuples(A, kind, budget)),
-                     budget)
 
 
 def enumerate_monotone_sets(A, kind, budget=None):

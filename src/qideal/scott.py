@@ -13,6 +13,8 @@ they report what held on the sample, never a proof.
 
 from __future__ import annotations
 
+from operator import getitem
+
 from ._value import Value
 from .errors import (
     DecompositionMismatch,
@@ -27,7 +29,6 @@ from .fuzzy import (
     _lower_violation,
     _memoized,
     _monotone_value_tuples,
-    _set_index,
     _sub_idx,
     _tensor_idx,
     _upper_violation,
@@ -149,42 +150,39 @@ def check_structure_axioms(S, budget=None):
     meets, C4 residuating, C5 tensoring.
 
     The members S must be upper (lower) sets, or ValidationError names
-    the first that is not.  Those sets form a universe U closed under
-    meets and joins, and S is closed under meets iff for every w in U
-    outside S the members above w, if any, meet into S (for members v1,
-    v2 take w = v1 ^ v2).  Every fold of those members stays above w,
-    so it is in S iff it is one of them, and the bisection of their fold
-    yields two members whose meet is not one.  Dually for joins.  Before
-    any check runs, n mask ANDs per set of U for each closure axiom and
-    the |Q| * m scalings twice (O4 and O5, or C4 and C5) are charged.
+    the first that is not.  Closure is tested on the member pairs i < j
+    in member order, and the first whose meet (join) is not a member is
+    the witness.  When the members are every upper (lower) set no pair
+    is tested: those sets are closed under pointwise meets and joins.
+    Before any check runs, the m * (m - 1) member pairs of both closure
+    axioms (none when the members are every set) and the |Q| * m
+    scalings twice (O4 and O5, or C4 and C5) are charged.
     """
     A, q = S.base, S.base.quantale
     vecs = [p.values for p in S.members]
     kind = "upper" if S.mode == "topology" else "lower"
-    index = _set_index(A, kind, budget)
-    family = 0
+    universe = set(_monotone_value_tuples(A, kind, budget))
     for v in vecs:
-        at = index.positions.get(v)
-        if at is None:
+        if v not in universe:
             raise ValidationError(f"member is not a fuzzy {kind} set of the base",
                                   witness=FuzzySet(A, v).as_dict())
-        family |= 1 << at
-    _charge(2 * len(index.sets) * A.n + 2 * q.n * len(vecs), budget,
-            "closure mask operations and scalings")
     have = set(vecs)
+    m, every = len(vecs), len(have) == len(universe)
+    _charge((0 if every else m * (m - 1)) + 2 * q.n * m, budget,
+            "closure pairs and scalings")
     flags, wits = {}, {}
 
-    def closed_under(name, op):
-        within = index.above if op == "meet" else index.below
-        for w in index.sets:
-            if w in have:
-                continue
-            hit = index.break_in(family & within(w), op)
-            if hit is not None:
-                flags[name] = False
-                wits[name] = {"members": tuple(FuzzySet(A, v).as_dict() for v in hit[:2]),
-                              "result": FuzzySet(A, hit[2]).as_dict()}
-                return
+    def closed_under(name, table):
+        for i in range(0 if every else m):
+            rows = tuple(map(table.__getitem__, vecs[i]))
+            for v in vecs[i + 1:]:
+                out = tuple(map(getitem, rows, v))
+                if out not in have:
+                    flags[name] = False
+                    wits[name] = {"members": (FuzzySet(A, vecs[i]).as_dict(),
+                                              FuzzySet(A, v).as_dict()),
+                                  "result": FuzzySet(A, out).as_dict()}
+                    return
         flags[name] = True
 
     def scaled(name, op):
@@ -208,13 +206,13 @@ def check_structure_axioms(S, budget=None):
             break
 
     if S.mode == "topology":
-        closed_under("O2", "meet")
-        closed_under("O3", "join")
+        closed_under("O2", q.meet_table)
+        closed_under("O3", q.join_table)
         scaled("O4", q.tensor_table)
         scaled("O5", q.res_table)
     else:
-        closed_under("C2", "join")
-        closed_under("C3", "meet")
+        closed_under("C2", q.join_table)
+        closed_under("C3", q.meet_table)
         scaled("C4", q.res_table)
         scaled("C5", q.tensor_table)
     return {"flags": flags, "witnesses": wits}

@@ -126,13 +126,13 @@ def test_scott_lukasiewicz8(capsys):
     dl8 = '{"base": {"kind": "chain", "tnorm": "lukasiewicz", "n": 8}, "name": "dL"}'
     code, report, _ = run(capsys, "scott", dl8, "--mode", "top")
     assert code == 0 and report["count"] == 576
-    # the axiom checks on 576 members among 576 upper sets: 8 ANDs per
-    # upper set for meets and for joins, 2 * 8 * 576 scalings by the 8
-    # quantale values; the fc class charges nothing more than that
-    code, _, err = run(capsys, "--budget", "18431", "scott", dl8, "--mode", "top",
+    # the axiom checks on 576 members that are all 576 upper sets: no
+    # member pair, and 2 * 8 * 576 scalings by the 8 quantale values; the
+    # fc class charges nothing more than that
+    code, _, err = run(capsys, "--budget", "9215", "scott", dl8, "--mode", "top",
                        "--class", "fc")
-    assert code == 2 and "18432 closure mask operations and scalings" in err
-    code, report, _ = run(capsys, "--budget", "18432", "scott", dl8, "--mode", "top",
+    assert code == 2 and "9216 closure pairs and scalings" in err
+    code, report, _ = run(capsys, "--budget", "9216", "scott", dl8, "--mode", "top",
                           "--class", "fc")
     assert code == 0 and report["count"] == 576
 
@@ -269,6 +269,24 @@ def test_search_found_writes_witness(capsys, tmp_path, monkeypatch):
     assert path.exists()
     assert json.loads(path.read_text())["found"]
     assert "witness written" in err
+
+
+def test_reports_are_indented_json_and_files_repeat_stdout(capsys, tmp_path, monkeypatch):
+    """stdout carries indented JSON with sorted keys and a final newline,
+    written in batches of encoder chunks (the 576 members of dL over
+    Łukasiewicz-8 take many), and a report file the same bytes."""
+    monkeypatch.chdir(tmp_path)
+    dl8 = '{"base": {"kind": "chain", "tnorm": "lukasiewicz", "n": 8}, "name": "dL"}'
+    for argv, path in ((("scott", dl8), None),
+                       (("check", "BOOLEAN4_COUNTEREXAMPLE", "--report", "out.json"),
+                        "out.json"),
+                       (("search-counterexample", "--shape", "flat-not-fc"),
+                        "qideal-search-flat-not-fc.json")):
+        main(list(argv))
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        if path is not None:
+            assert (tmp_path / path).read_text(encoding="utf-8") == out
 
 
 def test_search_exhausted(capsys, tmp_path, monkeypatch):

@@ -3,9 +3,9 @@ pair scans they replaced and the meet shortcut for frames, with every
 failure witness replayed from the definitions and equal, break for
 break, to a generator-row fold written from the row formulas (on a
 distributive lattice) or to the per-set fold over every set (on any
-other); the Scott axioms' set index against a per-set build; the
-forward-Cauchy dominance masks against the pointwise loop they replaced,
-pair for pair; inhabitedness against the join of the values."""
+other); the forward-Cauchy dominance masks against the pointwise loop
+they replaced, pair for pair; inhabitedness against the join of the
+values."""
 
 import itertools
 import random
@@ -232,28 +232,6 @@ def replay_irreducible(phi, w):
     assert q.leq[rhs][lhs] and lhs != rhs
 
 
-def masks_oracle(A, kind, up):
-    """The index columns set by set: bit i of [x][b] when b <= sets[i][x]
-    (up) or sets[i][x] <= b."""
-    leq = A.quantale.leq
-    sets = _monotone_value_tuples(A, kind, DEFAULT_BUDGET)
-    return tuple(tuple(sum(1 << i for i, vec in enumerate(sets)
-                           if (leq[b][vec[x]] if up else leq[vec[x]][b]))
-                       for b in range(A.quantale.n))
-                 for x in range(A.n))
-
-
-def assert_masks_match_oracle(A):
-    """The Scott axioms' index: kept per base and kind, over the walk's
-    own tuple of sets, with the columns of masks_oracle."""
-    for kind in ("lower", "upper"):
-        index = fuzzy._set_index(A, kind, DEFAULT_BUDGET)
-        assert fuzzy._set_index(A, kind, DEFAULT_BUDGET) is index
-        assert index.sets is _monotone_value_tuples(A, kind, DEFAULT_BUDGET)
-        for up in (True, False):
-            assert index.masks(up) == masks_oracle(A, kind, up), (A.catalog, kind, up)
-
-
 def assert_flag_only_enumeration_matches_classify(A):
     """Flat and irreducible enumeration decide flags without witnesses;
     they keep exactly the lower sets whose report sets the flag, in
@@ -292,7 +270,6 @@ def assert_matches_oracles(A):
         if inhabited(phi):
             assert (rep.forward_cauchy, rep.witnesses.get("forward_cauchy")) == fc
     assert_flag_only_enumeration_matches_classify(A)
-    assert_masks_match_oracle(A)
     assert_inhabited_matches_the_join(A)
 
 
@@ -351,7 +328,6 @@ def test_flag_only_enumeration_beyond_the_oracles(A):
     """The bases too large for the pair oracles; assert_matches_oracles
     covers the rest."""
     assert_flag_only_enumeration_matches_classify(A)
-    assert_masks_match_oracle(A)
 
 
 @pytest.mark.parametrize("k", range(7, 13))
@@ -426,15 +402,14 @@ def test_a_principal_ideal_of_lukasiewicz20_needs_no_set_universe(monkeypatch):
     A = standard_qorder(lukasiewicz_chain(20), "dL")
     rep = classify_ideal(yoneda(A, A.elements[7]))
     assert rep.flags() == (True, True, True, True)
-    assert not any(key in fuzzy._MEMO[A] for key in
-                   ("lower", "upper", ("index", "lower"), ("index", "upper")))
+    assert not any(key in fuzzy._MEMO[A] for key in ("lower", "upper"))
 
 
 def test_a_non_ideal_of_lukasiewicz20_needs_no_set_universe(monkeypatch):
     """phi(x) = (x -> 2/19) v 10/19 is lower and inhabited but not
     principal, so on a chain it is neither flat nor irreducible.  Its
     witnesses come from generator rows and replay, and no decider call
-    keeps a walk or a set index."""
+    keeps a walk."""
     monkeypatch.setattr(fuzzy, "_MEMO", {})
     A = standard_qorder(lukasiewicz_chain(20), "dL")
     phi = fuzzy_set(A, [f"{max(min(19, 21 - k), 10)}/19" for k in range(20)])

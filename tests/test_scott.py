@@ -1,7 +1,9 @@
 """Open and closed families, cocontinuity routes, interval
-characterizations; the closure axioms against the member-pair loop they
-replaced, with every failure witness replayed; families, memberships and
-map checks against the context with its principal ideals kept."""
+characterizations; the closure axioms against a loop over every pair of
+members, with every failure witness replayed and equal to the first
+failing pair, and the closure of the walk's sets that lets a family of
+every set skip the pairs; families, memberships and map checks against
+the context with its principal ideals kept."""
 
 import functools
 import itertools
@@ -17,10 +19,12 @@ from qideal.errors import (
     GridTooCoarse,
     ShapeMismatch,
     ValidationError,
+    _RECORDS,
 )
 from qideal.fuzzy import (
     FuzzySet,
     _lower_violation,
+    _monotone_value_tuples,
     _sub_idx,
     _tensor_idx,
     _upper_violation,
@@ -140,18 +144,31 @@ def test_families_charge_the_pairs_they_check():
         generate_scott_structure(DL4, "topology", "lower", budget=319)
     assert (generate_scott_structure(DL4, "topology", "lower", budget=320).members
             == generate_scott_structure(DL4, "topology", "lower").members)
-    # a 6-point crisp antichain over the 2-chain
+    # a 6-point crisp antichain over the 2-chain: its 64 members are all
+    # 64 upper sets, so the axioms test no pair and scale each member by
+    # the 2 quantale values twice, 256 in all; that is under the walk's
+    # 396 values tried and written, so only the record shows it
     A = crisp_qorder(godel_chain(2), tuple(f"p{i}" for i in range(6)),
                      [[i == j for j in range(6)] for i in range(6)])
-    # the axioms: 6 mask ANDs per upper set for meets and for joins, and
-    # each member scaled by the 2 quantale values twice
     S = generate_scott_structure(A, "topology", "fc")
-    m = len(S.members)
-    count = 2 * 64 * 6 + 2 * 2 * m
-    with pytest.raises(BudgetExceeded,
-                       match=f"{count} closure mask operations and scalings"):
-        check_structure_axioms(S, budget=count - 1)
-    assert check_structure_axioms(S, budget=count)["flags"] == S.axioms
+    assert len(S.members) == 64
+    assert axiom_charge(S) == 2 * 2 * 64
+    with pytest.raises(BudgetExceeded, match="^396 walk values tried and written"):
+        check_structure_axioms(S, budget=395)
+    assert check_structure_axioms(S, budget=396)["flags"] == S.axioms
+
+
+def axiom_charge(S):
+    """The one charge check_structure_axioms makes for S, read from an
+    open charge record."""
+    record = []
+    _RECORDS.append(record)
+    try:
+        check_structure_axioms(S)
+    finally:
+        _RECORDS.pop()
+    [count] = [count for count, what in record if what == "closure pairs and scalings"]
+    return count
 
 
 @pytest.mark.parametrize("mode", ["topology", "cotopology"])
@@ -190,9 +207,19 @@ def pair_loop_flags(S):
             "C5": tensors}
 
 
+def first_failing_pair(S, table):
+    """The first member pair i < j, in member order, whose pointwise
+    meet or join (by table) is not a member, or None."""
+    vecs = [m.values for m in S.members]
+    have = set(vecs)
+    return next((pair for pair in itertools.combinations(vecs, 2)
+                 if pointwise(table, *pair) not in have), None)
+
+
 def replay_axioms(S, report):
     """Every false flag's witness recomputes to members (or a constant)
-    whose meet, join or scaling is not a member."""
+    whose meet, join or scaling is not a member; a closure witness is
+    the first such pair."""
     A, q = S.base, S.base.quantale
     have = {m.values for m in S.members}
     pairs = {"O2": q.meet_table, "O3": q.join_table,
@@ -208,6 +235,7 @@ def replay_axioms(S, report):
             out = pointwise(pairs[name], v1, v2)
             assert v1 in have and v2 in have and out not in have
             assert fuzzy_set(A, w["result"]).values == out
+            assert (v1, v2) == first_failing_pair(S, pairs[name])
         elif name in scalings:
             p, v = q.index(w["p"]), fuzzy_set(A, w["member"]).values
             out = tuple(scalings[name][p][a] for a in v)
@@ -258,6 +286,69 @@ def test_axioms_match_the_pair_loop_on_every_two_point_order(q):
 def test_axioms_match_the_pair_loop_on_random_orders(q, n, seed):
     rng = random.Random(seed)
     assert_axioms_match_the_pair_loop(random_qorder(q, n, rng), rng)
+
+
+def assert_the_walk_is_closed(A):
+    """The lower (upper) sets of the walk contain the constants and are
+    closed under pointwise meets and joins and under tensoring and
+    residuating by a constant, so a family of all of them passes the
+    closure axioms with no pair tested."""
+    q = A.quantale
+    for kind in ("lower", "upper"):
+        sets = _monotone_value_tuples(A, kind, BIG)
+        have = set(sets)
+        assert all((p,) * A.n in have for p in range(q.n)), (A.hom, kind)
+        for table in (q.meet_table, q.join_table):
+            assert all(pointwise(table, v1, v2) in have
+                       for v1, v2 in itertools.combinations(sets, 2)), (A.hom, kind)
+        for table in (q.tensor_table, q.res_table):
+            assert all(tuple(table[p][a] for a in v) in have
+                       for p in range(q.n) for v in sets), (A.hom, kind)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(RANDOM_BASES), st.integers(2, 4), st.integers(0, 2 ** 32))
+def test_the_walk_is_closed_on_random_orders(q, n, seed):
+    assert_the_walk_is_closed(random_qorder(q, n, random.Random(seed)))
+
+
+@pytest.mark.parametrize("A", [standard_qorder(m3_with_top(), "dL"),
+                               standard_qorder(m3_with_top(), "dR"),
+                               DL4, standard_qorder(L4, "dR")],
+                         ids=["dL-m3-top", "dR-m3-top", "dL-L4", "dR-L4"])
+def test_the_walk_is_closed_on_named_orders(A):
+    assert_the_walk_is_closed(A)
+
+
+def test_families_that_are_not_every_set():
+    """The families whose closure is tested pair by pair: the flat open
+    family of dR over Gödel-7 (8 of its 127 upper sets), a sublattice
+    passed in through the API (the 23 of the 64 upper sets of dL over
+    Gödel-5 that are 0 at the bottom), and that sublattice less every
+    other member, which is not closed."""
+    S = generate_scott_structure(standard_qorder(godel_chain(7), "dR"), "topology")
+    assert (len(S.members), S.axioms) == (8, pair_loop_flags(S))
+    # 8 * 7 member pairs and 2 * 7 * 8 scalings, under the walk's charge
+    assert axiom_charge(S) == 8 * 7 + 2 * 7 * 8
+    A = standard_qorder(godel_chain(5), "dL")
+    bottom = A.quantale.bottom
+    sub = tuple(p for p in enumerate_monotone_sets(A, "upper") if p.values[0] == bottom)
+    assert len(sub) == 23
+    T, half = (ScottStructure(A, "topology", "flat", members, {}, False, False, False)
+               for members in (sub, sub[::2]))
+    closed = []
+    for family in (T, half):
+        report = check_structure_axioms(family)
+        assert report["flags"] == pair_loop_flags(family)
+        replay_axioms(family, report)
+        closed.append(report["flags"]["O2"] and report["flags"]["O3"])
+    assert closed == [True, False]
+    # the 23 * 22 member pairs of both closure axioms and the 2 * 5 * 23
+    # scalings, above the walk's 425 values tried and written
+    count = 23 * 22 + 2 * 5 * 23
+    with pytest.raises(BudgetExceeded, match=f"^{count} closure pairs and scalings"):
+        check_structure_axioms(T, budget=count - 1)
+    assert check_structure_axioms(T, budget=count)["flags"] == pair_loop_flags(T)
 
 
 @pytest.mark.parametrize("q", [boolean4(), nilpotent_minimum_chain(4)])
