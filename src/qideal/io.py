@@ -20,8 +20,9 @@ The instance kind is inferred from the keys, so one loader serves the
 whole command line.  Sizes are charged against the caller's budget
 before any table is built: a chain or table quantale on n elements
 costs n**3 law checks, a discrete order on n points n**2 hom entries,
-and the power construction charges its own hom lookups.  An instance
-carries no budget of its own.
+and the power construction charges its own hom lookups.  A size "n"
+must be an integer (not a bool).  An instance carries no budget of its
+own.
 """
 
 from __future__ import annotations
@@ -79,9 +80,18 @@ def _resolve(data, base_dir):
     return data, base_dir
 
 
+def _size(data):
+    """data["n"], None when there is none; a size that is not an int (a
+    bool is not) is refused naming the key."""
+    n = data.get("n")
+    if "n" in data and type(n) is not int:
+        raise ValueError(f'"n" must be an integer, got {n!r}')
+    return n
+
+
 def _charge_size(size, budget, what, power):
     """Refuse an instance whose size, raised to power, passes the budget."""
-    if isinstance(size, int):
+    if size is not None:
         _charge(size ** power, budget, what)
 
 
@@ -91,12 +101,12 @@ def load_quantale(data, base_dir=None, budget=None):
     if kind == "boolean4":
         return boolean4()
     if kind == "chain":
-        carrier = data.get("carrier")
-        _charge_size(data.get("n") if carrier is None else len(carrier), budget,
+        n, carrier = _size(data), data.get("carrier")
+        _charge_size(n if carrier is None else len(carrier), budget,
                      "quantale law checks", 3)
         if carrier is not None:
             carrier = [parse_label(c) for c in carrier]
-        return chain_quantale(data["tnorm"], n=data.get("n"), carrier=carrier)
+        return chain_quantale(data["tnorm"], n=n, carrier=carrier)
     if kind == "interval":
         pieces = tuple(tuple(p) for p in data.get("pieces") or ())
         extra = {}
@@ -119,10 +129,11 @@ def load_qorder(data, base_dir=None, budget=None):
         params = {k: v for k, v in data.items() if k not in ("base", "name")}
         if "budget" in params:
             raise ValueError("an instance cannot set a budget; the caller's applies")
+        n = _size(params)
         if "labels" in params:
             params["labels"] = [parse_label(e) for e in params["labels"]]
         elif data["name"] == "discrete":
-            _charge_size(params.get("n"), budget, "hom entries", 2)
+            _charge_size(n, budget, "hom entries", 2)
         return standard_qorder(base, data["name"], budget=budget, **params)
     elements = [parse_label(e) for e in data["elements"]]
     if "crisp_leq" in data:

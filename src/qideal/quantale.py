@@ -30,6 +30,8 @@ from .errors import (
 )
 
 DEFAULT_TOLERANCE = 1e-9
+# the largest index families that the residuation and negation law checks try
+_RESIDUATION_FAMILY_SIZE, _NEGATION_FAMILY_SIZE = 2, 3
 
 
 def label_index(index, label):
@@ -599,10 +601,10 @@ def check_adjunction_sampled(q, grid=65, tolerance=None):
     return True, None
 
 
-def residuation_identity_violations(q, subset_limit=2):
+def residuation_identity_violations(q):
     """Exhaustively check the residuation identities on a finite quantale.
 
-    For all elements p, q, r and index families J of size <= subset_limit
+    For all elements p, q, r and index families J of size <= 2
     plus the empty and full families:
 
       1. 1 -> p = p
@@ -631,7 +633,7 @@ def residuation_identity_violations(q, subset_limit=2):
                 if q.residuate(p, q.residuate(r, s)) != q.residuate(q.tensor(p, r), s):
                     out.append({"identity": 3, "witness": (lab(p), lab(r), lab(s))})
     families = [(), tuple(rng)]
-    for size in range(1, subset_limit + 1):
+    for size in range(1, _RESIDUATION_FAMILY_SIZE + 1):
         families.extend(itertools.combinations(rng, size))
     for fam in families:
         for p in rng:
@@ -649,12 +651,12 @@ def residuation_identity_violations(q, subset_limit=2):
     return out
 
 
-def negation_law_violations(q, subset_limit=3):
+def negation_law_violations(q):
     """Check the double-negation laws on a finite quantale that has them.
 
     Over all pairs: p -> r = neg(p & neg r) = neg r -> neg p, and
     p & r = neg(r -> neg p) = neg(p -> neg r); over all families of size
-    <= subset_limit: neg(meet) = join of negs.
+    <= 3: neg(meet) = join of negs.
     """
     n = q.n
     rng = range(n)
@@ -672,7 +674,7 @@ def negation_law_violations(q, subset_limit=3):
                 out.append({"law": "tensor-as-neg-imp", "witness": (lab(p), lab(r))})
             if tv != q.neg(q.residuate(p, q.neg(r))):
                 out.append({"law": "tensor-as-neg-imp-sym", "witness": (lab(p), lab(r))})
-    for size in range(1, subset_limit + 1):
+    for size in range(1, _NEGATION_FAMILY_SIZE + 1):
         for fam in itertools.combinations(rng, size):
             lhs = q.neg(q.meet_all(fam))
             rhs = q.join_all(q.neg(j) for j in fam)

@@ -123,6 +123,14 @@ class ScottStructure(Value, fields="base mode class_tag members axioms stratifie
         self.stratified, self.co_stratified, self.strong = stratified, co_stratified, strong
 
 
+# per mode: the five axiom names, the tables of the two closure axioms
+# and those of the two scaling axioms
+_AXIOMS = {"topology": (("O1", "O2", "O3", "O4", "O5"), ("meet_table", "join_table"),
+                        ("tensor_table", "res_table")),
+           "cotopology": (("C1", "C2", "C3", "C4", "C5"), ("join_table", "meet_table"),
+                          ("res_table", "tensor_table"))}
+
+
 def generate_scott_structure(A, mode, which=None, budget=None):
     """Filter every monotone fuzzy set by membership and compute the
     axiom flags of the resulting family.  The filter and the axiom
@@ -131,14 +139,10 @@ def generate_scott_structure(A, mode, which=None, budget=None):
     mode = _mode_tag(mode)
     tag = ideal_class_tag(which if which is not None else _default_class(mode))
     members = _fuzzy_sets(A, _member_values(A, mode, tag, budget))
-    S = ScottStructure(A, mode, tag, members, {}, False, False, False)
-    report = check_structure_axioms(S, budget)
-    S.axioms = report["flags"]
-    first, last = ("O4", "O5") if mode == "topology" else ("C4", "C5")
-    S.stratified = S.axioms[first]
-    S.co_stratified = S.axioms[last]
-    S.strong = S.stratified and S.co_stratified
-    return S
+    axioms = _axiom_report(A, mode, members, budget)["flags"]
+    stratified, co_stratified = (axioms[name] for name in _AXIOMS[mode][0][3:])
+    return ScottStructure(A, mode, tag, members, axioms, stratified, co_stratified,
+                          stratified and co_stratified)
 
 
 def check_structure_axioms(S, budget=None):
@@ -150,72 +154,65 @@ def check_structure_axioms(S, budget=None):
     meets, C4 residuating, C5 tensoring.
 
     The members S must be upper (lower) sets, or ValidationError names
-    the first that is not.  Closure is tested on the member pairs i < j
-    in member order, and the first whose meet (join) is not a member is
-    the witness.  When the members are every upper (lower) set no pair
-    is tested: those sets are closed under pointwise meets and joins.
-    Before any check runs, the m * (m - 1) member pairs of both closure
-    axioms (none when the members are every set) and the |Q| * m
-    scalings twice (O4 and O5, or C4 and C5) are charged.
+    the first that is not.  When they are every upper (lower) set of the
+    base, all five axioms hold and nothing is tested or charged.  For
+    lower sets phi, psi (phi(y) & A(x, y) <= phi(x)) and a constant p:
+    p & A(x, y) <= p by integrality; (phi ^ psi)(y) & A(x, y) <= phi(x)
+    ^ psi(x) as & is monotone, and (phi v psi)(y) & A(x, y) <= phi(x) v
+    psi(x) as & distributes over joins; p & phi is lower by
+    associativity; and p & (p -> phi(y)) & A(x, y) <= phi(y) & A(x, y)
+    <= phi(x), so p -> phi is lower.  Upper sets are the dual case.
+
+    Otherwise the first constant that is not a member fails O1 (C1).
+    Closure is tested on the member pairs i < j in member order, and the
+    first whose meet (join) is not a member is the witness; scaling on
+    each constant in order and, within it, each member in order.  Before
+    any check runs, the m * (m - 1) member pairs and the |Q| * m
+    scalings twice are charged.
     """
-    A, q = S.base, S.base.quantale
-    vecs = [p.values for p in S.members]
-    kind = "upper" if S.mode == "topology" else "lower"
+    return _axiom_report(S.base, S.mode, S.members, budget)
+
+
+def _axiom_report(A, mode, members, budget):
+    """check_structure_axioms on the base, mode and members of a family."""
+    q = A.quantale
+    vecs = [p.values for p in members]
+    kind = "upper" if mode == "topology" else "lower"
     universe = set(_monotone_value_tuples(A, kind, budget))
     for v in vecs:
         if v not in universe:
             raise ValidationError(f"member is not a fuzzy {kind} set of the base",
                                   witness=FuzzySet(A, v).as_dict())
     have = set(vecs)
-    m, every = len(vecs), len(have) == len(universe)
-    _charge((0 if every else m * (m - 1)) + 2 * q.n * m, budget,
-            "closure pairs and scalings")
-    flags, wits = {}, {}
+    names, closures, scalings = _AXIOMS[mode]
+    if len(have) == len(universe):
+        return {"flags": dict.fromkeys(names, True), "witnesses": {}}
+    m = len(vecs)
+    _charge(m * (m - 1) + 2 * q.n * m, budget, "closure pairs and scalings")
 
-    def closed_under(name, table):
-        for i in range(0 if every else m):
-            rows = tuple(map(table.__getitem__, vecs[i]))
+    def closure_misses(table):
+        for i, u in enumerate(vecs):
+            rows = tuple(map(table.__getitem__, u))
             for v in vecs[i + 1:]:
                 out = tuple(map(getitem, rows, v))
                 if out not in have:
-                    flags[name] = False
-                    wits[name] = {"members": (FuzzySet(A, vecs[i]).as_dict(),
-                                              FuzzySet(A, v).as_dict()),
-                                  "result": FuzzySet(A, out).as_dict()}
-                    return
-        flags[name] = True
+                    yield {"members": (FuzzySet(A, u).as_dict(), FuzzySet(A, v).as_dict()),
+                           "result": FuzzySet(A, out).as_dict()}
 
-    def scaled(name, op):
+    def scaling_misses(table):
         for p in range(q.n):
             for v in vecs:
-                out = tuple(op[p][a] for a in v)
+                out = tuple(table[p][a] for a in v)
                 if out not in have:
-                    flags[name] = False
-                    wits[name] = {"p": q.elements[p],
-                                  "member": FuzzySet(A, v).as_dict(),
-                                  "result": FuzzySet(A, out).as_dict()}
-                    return
-        flags[name] = True
+                    yield {"p": q.elements[p], "member": FuzzySet(A, v).as_dict(),
+                           "result": FuzzySet(A, out).as_dict()}
 
-    constants_name = "O1" if S.mode == "topology" else "C1"
-    flags[constants_name] = True
-    for p in range(q.n):
-        if (p,) * A.n not in have:
-            flags[constants_name] = False
-            wits[constants_name] = {"constant": q.elements[p]}
-            break
-
-    if S.mode == "topology":
-        closed_under("O2", q.meet_table)
-        closed_under("O3", q.join_table)
-        scaled("O4", q.tensor_table)
-        scaled("O5", q.res_table)
-    else:
-        closed_under("C2", q.join_table)
-        closed_under("C3", q.meet_table)
-        scaled("C4", q.res_table)
-        scaled("C5", q.tensor_table)
-    return {"flags": flags, "witnesses": wits}
+    misses = (next(({"constant": q.elements[p]} for p in range(q.n)
+                    if (p,) * A.n not in have), None),
+              *(next(closure_misses(getattr(q, t)), None) for t in closures),
+              *(next(scaling_misses(getattr(q, t)), None) for t in scalings))
+    return {"flags": {name: w is None for name, w in zip(names, misses)},
+            "witnesses": {name: w for name, w in zip(names, misses) if w is not None}}
 
 
 def _member_values(B, mode, tag, budget):
@@ -297,8 +294,12 @@ def _preimage_violation(f, mode, tag, budget):
     return None
 
 
-def interval_dR_scott_closed(fn, q, grid=257, tolerance=None,
-                             probe=2.0 ** -32, jump_threshold=1e-4):
+# right continuity: fn(x + _RC_PROBE) within _RC_JUMP of fn(x); generation
+# samples _GENERATION_PROBE right of each grid point and inside each piece
+_RC_PROBE, _RC_JUMP, _GENERATION_PROBE = 2.0 ** -32, 1e-4, 1e-12
+
+
+def interval_dR_scott_closed(fn, q, grid=257, tolerance=None):
     """Grid check of the closed-set characterization on the interval
     order dR: fn must be right continuous (probe-based) and
     order-preserving as a self-map of the interval under dL.  Sampled,
@@ -310,23 +311,11 @@ def interval_dR_scott_closed(fn, q, grid=257, tolerance=None,
     tol = q.tolerance if tolerance is None else tolerance
     pts = [i / (grid - 1) for i in range(grid)]
     vals = [fn(x) for x in pts]
-    rc_w = None
-    for x in pts[:-1]:
-        jump = abs(fn(min(1.0, x + probe)) - fn(x))
-        if jump > jump_threshold:
-            rc_w = {"at": x, "jump": jump}
-            break
-    op_w = None
-    for i, x in enumerate(pts):
-        for j, y in enumerate(pts):
-            lhs = q.residuate(x, y)
-            rhs = q.residuate(vals[i], vals[j])
-            if lhs > rhs + tol:
-                op_w = {"pair": (x, y), "order_degree": lhs,
-                        "image_degree": rhs}
-                break
-        if op_w:
-            break
+    rc_w = next(({"at": x, "jump": jump} for x in pts[:-1]
+                 if (jump := abs(fn(min(1.0, x + _RC_PROBE)) - fn(x))) > _RC_JUMP), None)
+    op_w = next(({"pair": (x, y), "order_degree": lhs, "image_degree": rhs}
+                 for x, fx in zip(pts, vals) for y, fy in zip(pts, vals)
+                 if (lhs := q.residuate(x, y)) > (rhs := q.residuate(fx, fy)) + tol), None)
     return {"scott_closed": rc_w is None and op_w is None,
             "right_continuous": rc_w is None,
             "order_preserving": op_w is None,
@@ -364,14 +353,13 @@ def _probe_decomposition(q, pieces, tol):
                 witness=e, detail=f"{e} & {e} = {t}")
 
 
-def verify_ordinal_sum_generation(fn, q, grid=257, tolerance=None,
-                                  probe=1e-12):
+def verify_ordinal_sum_generation(fn, q, grid=257, tolerance=None):
     """Rebuild a closed fn >= id as the pointwise infimum of the
     one-parameter family c v (d -> y) dictated by the piece structure of
     the tensor, and report the worst grid deviation.
 
     The x-sample augments the grid with just-inside piece endpoints and,
-    per evaluation point y, the probes y and y + probe: the infimum is
+    per evaluation point y, y and y + _GENERATION_PROBE: the infimum is
     typically approached, not attained, immediately to the right of y.
     """
     if getattr(q, "kind", None) != "interval":
@@ -400,16 +388,14 @@ def verify_ordinal_sum_generation(fn, q, grid=257, tolerance=None,
 
     xs = list(pts)
     for lo, hi, _ in pieces:
-        xs.extend((min(hi, lo + probe), max(lo, hi - probe)))
+        xs.extend((min(hi, lo + _GENERATION_PROBE), max(lo, hi - _GENERATION_PROBE)))
     entries = {x: family_entry(x) for x in xs}
 
     worst, worst_at = 0.0, None
     for y in pts:
-        extra = (y, min(1.0, y + probe))
+        extra = (y, min(1.0, y + _GENERATION_PROBE))
+        entries.update((x, family_entry(x)) for x in extra if x not in entries)
         best = 1.0
-        for x in extra:
-            if x not in entries:
-                entries[x] = family_entry(x)
         for x in xs + list(extra):
             _, c, d = entries[x]
             g = max(c, q.residuate(d, y))
@@ -419,16 +405,10 @@ def verify_ordinal_sum_generation(fn, q, grid=257, tolerance=None,
         if dev > worst:
             worst, worst_at = dev, y
 
-    spot = [0.0, 0.25, 0.5, 0.75, 1.0]
-    members_closed = True
-    for x in spot:
-        _, c, d = family_entry(x)
-        rep = interval_dR_scott_closed(
-            lambda y, c=c, d=d: max(c, q.residuate(d, y)), q, grid=65,
-            tolerance=tol)
-        if not rep["scott_closed"]:
-            members_closed = False
-            break
+    members_closed = all(
+        interval_dR_scott_closed(lambda y, c=c, d=d: max(c, q.residuate(d, y)), q,
+                                 grid=65, tolerance=tol)["scott_closed"]
+        for _, c, d in map(family_entry, (0.0, 0.25, 0.5, 0.75, 1.0)))
     return {"max_deviation": worst, "deviation_at": worst_at,
             "grid": grid, "pieces": pieces,
             "family": sorted((x,) + entries[x] for x in entries),

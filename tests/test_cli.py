@@ -126,15 +126,24 @@ def test_scott_lukasiewicz8(capsys):
     dl8 = '{"base": {"kind": "chain", "tnorm": "lukasiewicz", "n": 8}, "name": "dL"}'
     code, report, _ = run(capsys, "scott", dl8, "--mode", "top")
     assert code == 0 and report["count"] == 576
-    # the axiom checks on 576 members that are all 576 upper sets: no
-    # member pair, and 2 * 8 * 576 scalings by the 8 quantale values; the
-    # fc class charges nothing more than that
-    code, _, err = run(capsys, "--budget", "9215", "scott", dl8, "--mode", "top",
+    # the 576 members are all 576 upper sets, so the axioms test and
+    # charge nothing; the fc class has no non-principal ideal, so its
+    # 0 pairs checked leave the walks' 5064 values tried and written
+    code, _, err = run(capsys, "--budget", "5063", "scott", dl8, "--mode", "top",
                        "--class", "fc")
-    assert code == 2 and "9216 closure pairs and scalings" in err
-    code, report, _ = run(capsys, "--budget", "9216", "scott", dl8, "--mode", "top",
+    assert code == 2 and "5064 walk values tried and written" in err
+    code, report, _ = run(capsys, "--budget", "5064", "scott", dl8, "--mode", "top",
                           "--class", "fc")
     assert code == 0 and report["count"] == 576
+
+
+@pytest.mark.parametrize("n", ['"4"', "4.0", "true"])
+def test_validate_refuses_a_size_that_is_not_an_integer(capsys, n):
+    for instance in ('{"kind": "chain", "tnorm": "godel", "n": %s}' % n,
+                     '{"base": %s, "name": "discrete", "n": %s}' % (LUK3, n),
+                     '{"base": %s, "name": "power", "n": %s}' % (LUK3, n)):
+        code, _, err = run(capsys, "validate", instance)
+        assert code == 2 and '"n" must be an integer, got' in err, (instance, err)
 
 
 @pytest.mark.parametrize("mode", ["top", "cotop"])

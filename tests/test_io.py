@@ -157,3 +157,17 @@ def test_loaders_charge_sizes_at_the_default_budget():
     with pytest.raises(BudgetExceeded, match="27 quantale law checks"):
         load_instance({"order": {"base": {"kind": "chain", "tnorm": "godel", "n": 3},
                                  "name": "dL"}, "values": [1, 1, 1]}, budget=26)
+
+
+@pytest.mark.parametrize("data", [
+    {"kind": "chain", "tnorm": "godel", "n": "4"},
+    {"kind": "chain", "tnorm": "godel", "n": 4.0},
+    {"kind": "chain", "tnorm": "godel", "n": True},
+    {"base": {"kind": "boolean4"}, "name": "discrete", "n": "3"},
+    {"base": {"kind": "boolean4"}, "name": "discrete", "n": True},
+    {"base": {"kind": "boolean4"}, "name": "power", "n": "3"}],
+    ids=["chain-str", "chain-float", "chain-bool", "discrete-str", "discrete-bool",
+         "power-str"])
+def test_loaders_refuse_a_size_that_is_not_an_integer(data):
+    with pytest.raises(ValueError, match='^"n" must be an integer, got '):
+        load_instance(data)

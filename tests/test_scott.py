@@ -2,8 +2,8 @@
 characterizations; the closure axioms against a loop over every pair of
 members, with every failure witness replayed and equal to the first
 failing pair, and the closure of the walk's sets that lets a family of
-every set skip the pairs; families, memberships and map checks against
-the context with its principal ideals kept."""
+every set pass with nothing tested or charged; families, memberships and
+map checks against the context with its principal ideals kept."""
 
 import functools
 import itertools
@@ -62,7 +62,7 @@ from qideal.scott import (
     verify_ordinal_sum_generation,
 )
 from qideal.suites import _battery
-from test_deciders import pointwise
+from test_deciders import pointwise, two_point_orders
 from test_enumeration import RANDOM_BASES
 from test_quantale import m3_with_top
 
@@ -145,14 +145,13 @@ def test_families_charge_the_pairs_they_check():
     assert (generate_scott_structure(DL4, "topology", "lower", budget=320).members
             == generate_scott_structure(DL4, "topology", "lower").members)
     # a 6-point crisp antichain over the 2-chain: its 64 members are all
-    # 64 upper sets, so the axioms test no pair and scale each member by
-    # the 2 quantale values twice, 256 in all; that is under the walk's
-    # 396 values tried and written, so only the record shows it
+    # 64 upper sets, so the axioms hold with nothing tested or charged,
+    # and only the walk's 396 values tried and written can refuse
     A = crisp_qorder(godel_chain(2), tuple(f"p{i}" for i in range(6)),
                      [[i == j for j in range(6)] for i in range(6)])
     S = generate_scott_structure(A, "topology", "fc")
     assert len(S.members) == 64
-    assert axiom_charge(S) == 2 * 2 * 64
+    assert axiom_charge(S) is None
     with pytest.raises(BudgetExceeded, match="^396 walk values tried and written"):
         check_structure_axioms(S, budget=395)
     assert check_structure_axioms(S, budget=396)["flags"] == S.axioms
@@ -160,15 +159,16 @@ def test_families_charge_the_pairs_they_check():
 
 def axiom_charge(S):
     """The one charge check_structure_axioms makes for S, read from an
-    open charge record."""
+    open charge record, or None when it makes none."""
     record = []
     _RECORDS.append(record)
     try:
         check_structure_axioms(S)
     finally:
         _RECORDS.pop()
-    [count] = [count for count, what in record if what == "closure pairs and scalings"]
-    return count
+    counts = [count for count, what in record if what == "closure pairs and scalings"]
+    assert len(counts) <= 1, counts
+    return counts[0] if counts else None
 
 
 @pytest.mark.parametrize("mode", ["topology", "cotopology"])
@@ -252,19 +252,22 @@ def assert_axioms_match_the_pair_loop(A, rng):
     many closure flags were false."""
     broken = 0
     for mode, kind in (("topology", "upper"), ("cotopology", "lower")):
-        universe = enumerate_monotone_sets(A, kind)
+        universe = {p.values for p in enumerate_monotone_sets(A, kind)}
         families = [generate_scott_structure(A, mode, cls).members
                     for cls in ("fc", "flat", "irr")]
         for members in families[:]:
             if members:
                 drop = rng.randrange(len(members))
                 families.append(members[:drop] + members[drop + 1:])
-        families.append(tuple(p for p in universe if rng.random() < 0.5))
+        families.append(tuple(p for p in enumerate_monotone_sets(A, kind)
+                              if rng.random() < 0.5))
         for members in families:
             S = ScottStructure(A, mode, "fc", members, {}, False, False, False)
             report = check_structure_axioms(S)
             assert report["flags"] == pair_loop_flags(S), (A.catalog, mode, members)
             replay_axioms(S, report)
+            m, every = len(members), {p.values for p in members} == universe
+            assert axiom_charge(S) == (None if every else m * (m - 1) + 2 * A.quantale.n * m)
             broken += sum(not report["flags"][name]
                           for name in ("O2", "O3", "C2", "C3") if name in report["flags"])
     return broken
@@ -291,8 +294,8 @@ def test_axioms_match_the_pair_loop_on_random_orders(q, n, seed):
 def assert_the_walk_is_closed(A):
     """The lower (upper) sets of the walk contain the constants and are
     closed under pointwise meets and joins and under tensoring and
-    residuating by a constant, so a family of all of them passes the
-    closure axioms with no pair tested."""
+    residuating by a constant, so a family of all of them passes every
+    axiom with nothing tested."""
     q = A.quantale
     for kind in ("lower", "upper"):
         sets = _monotone_value_tuples(A, kind, BIG)
@@ -304,6 +307,19 @@ def assert_the_walk_is_closed(A):
         for table in (q.tensor_table, q.res_table):
             assert all(tuple(table[p][a] for a in v) in have
                        for p in range(q.n) for v in sets), (A.hom, kind)
+    assert_every_set_family_is_taken_whole(A)
+
+
+def assert_every_set_family_is_taken_whole(A):
+    """The family of every upper (lower) set gets the pair loop's flags,
+    all true, with no witness and no charge."""
+    for mode, kind in (("topology", "upper"), ("cotopology", "lower")):
+        S = ScottStructure(A, mode, "fc", enumerate_monotone_sets(A, kind), {}, False, False,
+                           False)
+        flags = pair_loop_flags(S)
+        assert all(flags.values()), (A.hom, mode)
+        assert check_structure_axioms(S) == {"flags": flags, "witnesses": {}}, (A.hom, mode)
+        assert axiom_charge(S) is None, (A.hom, mode)
 
 
 @settings(max_examples=30, deadline=None)
@@ -318,6 +334,42 @@ def test_the_walk_is_closed_on_random_orders(q, n, seed):
                          ids=["dL-m3-top", "dR-m3-top", "dL-L4", "dR-L4"])
 def test_the_walk_is_closed_on_named_orders(A):
     assert_the_walk_is_closed(A)
+
+
+def test_every_set_families_of_the_oracle_bases():
+    """The bases that test_deciders checks against its pair oracles,
+    less its random orders (which test_the_walk_is_closed_on_random_orders
+    covers)."""
+    bases = [*(A for q in (boolean4(), lukasiewicz_chain(3), godel_chain(4), m3_with_top())
+               for A in two_point_orders(q)),
+             *(standard_qorder(lukasiewicz_chain(k), name) for k in range(2, 7)
+               for name in ("dL", "dR")),
+             *(standard_qorder(lukasiewicz_chain(k), "discrete", n=n) for k in range(2, 7)
+               for n in (1, 2, 3)),
+             standard_qorder(godel_chain(4), "dL"),
+             standard_qorder(m3_with_top(), "discrete", n=2),
+             standard_qorder(m3_with_top(), "dL")]
+    for A in bases:
+        assert_every_set_family_is_taken_whole(A)
+
+
+@pytest.mark.parametrize("mode", ["topology", "cotopology"])
+def test_every_set_but_one_constant_is_tested(mode):
+    """A family one short of every set is tested in full: dropping the
+    constant 1/3 of dL over Łukasiewicz-4 fails O1 (C1) on it."""
+    kind = "upper" if mode == "topology" else "lower"
+    third = L4.index(Fraction(1, 3))
+    members = tuple(p for p in enumerate_monotone_sets(DL4, kind)
+                    if p.values != (third,) * DL4.n)
+    assert len(members) == 19
+    S = ScottStructure(DL4, mode, "fc", members, {}, False, False, False)
+    report = check_structure_axioms(S)
+    name = "O1" if mode == "topology" else "C1"
+    assert not report["flags"][name]
+    assert report["witnesses"][name] == {"constant": Fraction(1, 3)}
+    assert report["flags"] == pair_loop_flags(S)
+    replay_axioms(S, report)
+    assert axiom_charge(S) == 19 * 18 + 2 * 4 * 19
 
 
 def test_families_that_are_not_every_set():
