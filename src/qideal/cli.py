@@ -54,9 +54,10 @@ def _emit(report, summary_lines):
 def _cmd_validate(args):
     from .fuzzy import FuzzySet, classify_fuzzy_set
     from .ideals import is_forward_cauchy_sequence, settling_violation
+    from .interval import IntervalQuantale
     from .io import load_instance
     from .qorder import QMap, QOrderedSet, validate_qorder
-    from .quantale import FiniteQuantale, IntervalQuantale, quantale_properties
+    from .quantale import FiniteQuantale, quantale_properties
 
     obj = _load_arg(args.instance, args.budget, load_instance)
     if isinstance(obj, (FiniteQuantale, IntervalQuantale)):

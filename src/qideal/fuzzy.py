@@ -328,32 +328,6 @@ def enumerate_monotone_sets(A, kind, budget=None):
     return _fuzzy_sets(A, _monotone_value_tuples(A, kind, budget))
 
 
-def classify_sampled(order, fn, grid=129, tolerance=None):
-    """Grid-sampled lower/upper/inhabited flags for a function on an
-    interval order.  Same shape of answer as classify_fuzzy_set, with
-    float witnesses."""
-    q = order.quantale
-    tol = q.tolerance if tolerance is None else tolerance
-    pts = [i / (grid - 1) for i in range(grid)]
-    vals = [fn(x) for x in pts]
-    lw = uw = None
-    for i, x in enumerate(pts):
-        for j, y in enumerate(pts):
-            h = order.hom(x, y)
-            if lw is None and q.tensor(vals[j], h) > vals[i] + tol:
-                lw = (x, y)
-            if uw is None and q.tensor(h, vals[i]) > vals[j] + tol:
-                uw = (x, y)
-        if lw and uw:
-            break
-    return {
-        "lower": lw is None,
-        "upper": uw is None,
-        "inhabited": max(vals) >= 1.0 - tol,
-        "witnesses": {"lower": lw, "upper": uw},
-    }
-
-
 def intersection_inclusion_identities(A, budget=None):
     """The intersection degree and the inclusion degree determine each
     other by quantifying over the quantale:

@@ -377,64 +377,3 @@ def compare_fc_routes(A, bound=4, budget=None):
         "only_sequence": [FuzzySet(A, v).as_dict()
                           for v in sorted(generated - decided)],
     }
-
-
-_STRICT_PROBE = 2.0 ** -48
-
-
-def irreducible_interval_ideal(q, which, a, strict=False):
-    """Closed-form ideal families on the interval orders.
-
-    which dL: x -> res(x, a); the strict variant is the join over b < a
-    (needs a > 0).  which dR: x -> res(a, x); strict joins over b > a
-    (needs a < 1).  Strict joins are evaluated by a probe 2**-48 inside
-    the open side, well under sampling tolerances.
-    """
-    if getattr(q, "kind", None) != "interval":
-        raise ShapeMismatch("interval families need an interval quantale")
-    if not 0.0 <= a <= 1.0:
-        raise ShapeMismatch(f"family parameter {a} lies outside [0, 1]")
-    if which == "dL":
-        if not strict:
-            return lambda x: q.residuate(x, a)
-        if a <= 0.0:
-            raise ShapeMismatch("the strict family on dL needs a > 0")
-        b = a - _STRICT_PROBE
-        return lambda x: q.residuate(x, b)
-    if which == "dR":
-        if not strict:
-            return lambda x: q.residuate(a, x)
-        if a >= 1.0:
-            raise ShapeMismatch("the strict family on dR needs a < 1")
-        b = a + _STRICT_PROBE
-        return lambda x: q.residuate(b, x)
-    raise ValueError(f"unknown interval order tag {which!r}")
-
-
-def approach_terms(a, side, count=48):
-    """Monotone terms closing the gap to a by halves; the stand-in
-    sequences behind the strict interval families."""
-    if side == "below":
-        return tuple(a - a * 0.5 ** k for k in range(1, count + 1))
-    if side == "above":
-        return tuple(a + (1.0 - a) * 0.5 ** k for k in range(1, count + 1))
-    raise ValueError(f"unknown side {side!r}")
-
-
-def generate_interval_ideal(order, terms):
-    """The lower set generated by a finite run of terms on an interval
-    order: join over tail starts of the meet over the tail.  A finite
-    stand-in for the limit; callers pick terms that settle within their
-    tolerance."""
-    terms = tuple(float(t) for t in terms)
-    if not terms:
-        raise ShapeMismatch("need at least one sequence term")
-
-    def phi(x):
-        tail, best = 1.0, 0.0
-        for t in reversed(terms):
-            tail = min(tail, order.hom(x, t))
-            best = max(best, tail)
-        return best
-
-    return phi

@@ -35,15 +35,9 @@ from fractions import Fraction
 from .errors import _charge
 from .fuzzy import FuzzySet, fuzzy_set
 from .ideals import EventuallyPeriodicSequence, periodic_sequence
+from .interval import IntervalQuantale, interval_quantale
 from .qorder import QMap, QOrderedSet, build_qmap, build_qorder, crisp_qorder, standard_qorder
-from .quantale import (
-    FiniteQuantale,
-    IntervalQuantale,
-    boolean4,
-    build_finite_quantale,
-    chain_quantale,
-    interval_quantale,
-)
+from .quantale import FiniteQuantale, boolean4, build_finite_quantale, chain_quantale
 
 _RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -109,10 +103,8 @@ def load_quantale(data, base_dir=None, budget=None):
         return chain_quantale(data["tnorm"], n=n, carrier=carrier)
     if kind == "interval":
         pieces = tuple(tuple(p) for p in data.get("pieces") or ())
-        extra = {}
-        if "tolerance" in data:
-            extra["tolerance"] = data["tolerance"]
-        return interval_quantale(data["tnorm"], pieces=pieces or None, **extra)
+        return interval_quantale(data["tnorm"], pieces=pieces or None,
+                                 tolerance=data.get("tolerance"))
     if kind == "table":
         _charge_size(len(data["elements"]), budget, "quantale law checks", 3)
         elements = [parse_label(e) for e in data["elements"]]
@@ -129,6 +121,9 @@ def load_qorder(data, base_dir=None, budget=None):
         params = {k: v for k, v in data.items() if k not in ("base", "name")}
         if "budget" in params:
             raise ValueError("an instance cannot set a budget; the caller's applies")
+        if data["name"] == "opposite":
+            raise ValueError('"opposite" needs the Q-order it flips, which an instance '
+                             'cannot name; give its "elements" and "hom" instead')
         n = _size(params)
         if "labels" in params:
             params["labels"] = [parse_label(e) for e in params["labels"]]

@@ -2,9 +2,7 @@
 
 A Q-order on a carrier is a matrix A(x,y) of quantale elements with
 A(x,x) = 1 and A(y,z) & A(x,y) <= A(x,z).  Everything here is an explicit
-table over a finite carrier, except IntervalOrder, which wraps the unit
-interval with one of the two canonical residuation orders for the sampled
-checks in the scott module.
+table over a finite carrier.
 """
 
 from __future__ import annotations
@@ -147,6 +145,8 @@ def standard_qorder(q, name, **params):
     maps on k labels, are charged against params budget first.
     opposite: pass base=A.  point: the one-element order.
     """
+    if name in ("discrete", "power") and params.get("labels") is None and "n" not in params:
+        raise ValueError(f'a {name} order needs "n" or "labels"')
     if name == "dL":
         hom = tuple(tuple(q.res_table[i][j] for j in range(q.n)) for i in range(q.n))
         return QOrderedSet(q, q.elements, hom, catalog=("dL", {}),
@@ -185,7 +185,9 @@ def standard_qorder(q, name, **params):
                            catalog=("power", {"labels": list(labels)}),
                            _index={e: i for i, e in enumerate(carrier)})
     if name == "opposite":
-        base = params["base"]
+        base = params.get("base")
+        if base is None:
+            raise ValueError("an opposite order needs base=, the Q-order it flips")
         if base.quantale != q:
             raise QuantaleMismatch("opposite asked for over a different quantale")
         return opposite(base)
@@ -295,23 +297,3 @@ def check_map_and_adjunction(f, g=None):
                 out["adjoint_witness"] = (A.elements[i], B.elements[j])
                 return out
     return out
-
-
-class IntervalOrder(Frozen, fields="quantale which"):
-    """The unit interval under one of its two canonical orders, for the
-    sampled interval checks.  which = "dL": hom(p,r) = p -> r; "dR":
-    hom(p,r) = r -> p."""
-
-    def __init__(self, quantale, which):
-        self._init(quantale, which)
-
-    def hom(self, a, b):
-        if self.which == "dL":
-            return self.quantale.residuate(a, b)
-        return self.quantale.residuate(b, a)
-
-
-def interval_order(q, which):
-    if which not in ("dL", "dR"):
-        raise ValueError(f"unknown interval order {which!r}")
-    return IntervalOrder(q, which)

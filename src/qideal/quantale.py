@@ -1,4 +1,4 @@
-"""Finite and unit-interval quantales with derived residuation.
+"""Finite quantales with derived residuation.
 
 The algebra throughout: a complete lattice carrying a commutative,
 associative tensor ``&`` that distributes over joins, whose unit is the
@@ -6,8 +6,8 @@ top element.  The residuation ``->`` is the right adjoint of the tensor,
 
     p & q <= r   iff   q <= p -> r,
 
-computed on finite carriers as the join of every s with p & s <= r, and
-on the unit interval by closed forms only (never float sup-search).
+computed as the join of every s with p & s <= r.  The unit interval,
+with its closed forms, lives in the interval module.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .errors import (
     ShapeMismatch,
 )
 
-DEFAULT_TOLERANCE = 1e-9
 # the largest index families that the residuation and negation law checks try
 _RESIDUATION_FAMILY_SIZE, _NEGATION_FAMILY_SIZE = 2, 3
 
@@ -71,8 +70,6 @@ class FiniteQuantale(Frozen, fields="elements leq tensor_table unit join_table m
     built through :func:`build_finite_quantale`, which validates the laws
     and derives the tables.
     """
-
-    kind = "finite"
 
     # leq[i][j]: element i below element j; tensor_table[i][j]: index of
     # element i & element j
@@ -399,114 +396,6 @@ def nilpotent_minimum_chain(n=None, carrier=None):
     return chain_quantale("nilpotent_minimum", n=n, carrier=carrier)
 
 
-_INTERVAL_TAGS = ("min", "product", "lukasiewicz", "nilpotent_minimum", "ordinal_sum")
-_PIECE_KINDS = ("lukasiewicz", "product")
-
-
-class IntervalQuantale(Frozen, fields="tnorm pieces tolerance"):
-    """The unit interval under a catalog t-norm, closed-form residuation.
-
-    ``pieces`` is only used by the ordinal-sum tag: disjoint open
-    intervals (lo, hi) with idempotent endpoints, each carrying a
-    rescaled Lukasiewicz or product t-norm; outside the closed squares
-    the tensor is min.  Comparisons use ``tolerance``.
-    """
-
-    kind = "interval"
-    unit = 1.0
-    top = 1.0
-    bottom = 0.0
-
-    def __init__(self, tnorm, pieces=(), tolerance=DEFAULT_TOLERANCE):
-        self._init(tnorm, pieces, tolerance)
-
-    def leq(self, a, b):
-        return a <= b + self.tolerance
-
-    def join(self, a, b):
-        return a if a > b else b
-
-    def meet(self, a, b):
-        return a if a < b else b
-
-    def _piece_at(self, a, b):
-        for lo, hi, kindname in self.pieces:
-            if lo <= a <= hi and lo <= b <= hi:
-                return lo, hi, kindname
-        return None
-
-    def tensor(self, a, b):
-        t = self.tnorm
-        if t == "min":
-            return a if a < b else b
-        if t == "product":
-            return a * b
-        if t == "lukasiewicz":
-            return max(a + b - 1.0, 0.0)
-        if t == "nilpotent_minimum":
-            return 0.0 if a + b <= 1.0 else min(a, b)
-        piece = self._piece_at(a, b)
-        if piece is None:
-            return a if a < b else b
-        lo, hi, kindname = piece
-        w = hi - lo
-        u, v = (a - lo) / w, (b - lo) / w
-        s = max(u + v - 1.0, 0.0) if kindname == "lukasiewicz" else u * v
-        return lo + w * s
-
-    def residuate(self, a, b):
-        if a <= b:
-            return 1.0
-        t = self.tnorm
-        if t == "min":
-            return b
-        if t == "product":
-            return b / a
-        if t == "lukasiewicz":
-            return min(1.0, 1.0 - a + b)
-        if t == "nilpotent_minimum":
-            return max(1.0 - a, b)
-        piece = self._piece_at(a, b)
-        if piece is None:
-            return b
-        lo, hi, kindname = piece
-        w = hi - lo
-        u, v = (a - lo) / w, (b - lo) / w
-        # a > b >= lo forces u > 0
-        s = min(1.0, 1.0 - u + v) if kindname == "lukasiewicz" else v / u
-        return lo + w * s
-
-    def neg(self, a):
-        return self.residuate(a, 0.0)
-
-
-def interval_quantale(tnorm, pieces=None, tolerance=DEFAULT_TOLERANCE):
-    """Build a unit-interval quantale from the t-norm catalog."""
-    if tnorm not in _INTERVAL_TAGS:
-        raise ValueError(f"unknown interval t-norm {tnorm!r}")
-    ps = ()
-    if tnorm == "ordinal_sum":
-        cleaned = []
-        for lo, hi, kindname in (pieces or ()):
-            lo, hi = float(Fraction(lo) if isinstance(lo, str) else lo), \
-                float(Fraction(hi) if isinstance(hi, str) else hi)
-            if kindname not in _PIECE_KINDS:
-                raise ShapeMismatch("unknown ordinal-sum piece kind", witness=(kindname,))
-            if not (0.0 <= lo < hi <= 1.0):
-                raise ShapeMismatch("piece endpoints out of order", witness=(lo, hi))
-            cleaned.append((lo, hi, kindname))
-        cleaned.sort()
-        last = 0.0
-        for lo, hi, _ in cleaned:
-            if lo < last:
-                raise ShapeMismatch("pieces overlap", witness=(lo, hi))
-            last = hi
-        ps = tuple(cleaned)
-    elif pieces:
-        raise ShapeMismatch("pieces are only meaningful for ordinal sums")
-    return IntervalQuantale(tnorm, ps, float(tolerance))
-
-
 class QuantaleProps(Frozen, fields="is_integral is_commutative is_prelinear is_divisible "
                     "has_double_negation is_archimedean idempotents is_meet_continuous "
                     "is_dually_meet_continuous"):
@@ -522,83 +411,27 @@ class QuantaleProps(Frozen, fields="is_integral is_commutative is_prelinear is_d
 def quantale_properties(q):
     """Structural predicate flags.
 
-    Finite backends: every flag from an exhaustive check.  Interval
-    backends: analytic catalog facts (idempotents None when the set is
-    not finite).  Finite lattices always report both meet-continuity
-    flags true: every directed subset attains its join and meet.
+    A finite quantale gets every flag from an exhaustive check, and both
+    meet-continuity flags true: every directed subset attains its join
+    and meet.  An interval quantale gets interval.interval_properties.
     """
-    if isinstance(q, FiniteQuantale):
-        n = q.n
-        rng = range(n)
-        prelinear = all(
-            q.join(q.residuate(i, j), q.residuate(j, i)) == q.top
-            for i in rng for j in rng)
-        divisible = all(
-            q.tensor(i, q.residuate(i, j)) == q.meet(i, j)
-            for i in rng for j in rng)
-        dn = all(q.neg(q.neg(i)) == i for i in rng)
-        idem = tuple(q.elements[i] for i in rng if q.tensor(i, i) == i)
-        return QuantaleProps(
-            is_integral=True, is_commutative=True, is_prelinear=prelinear,
-            is_divisible=divisible, has_double_negation=dn,
-            is_archimedean=None, idempotents=idem,
-            is_meet_continuous=True, is_dually_meet_continuous=True)
-
-    t = q.tnorm
-    if t == "min":
-        pre, div, dn, arch, idem = True, True, False, False, None
-    elif t == "product":
-        pre, div, dn, arch, idem = True, True, False, True, (0.0, 1.0)
-    elif t == "lukasiewicz":
-        pre, div, dn, arch, idem = True, True, True, True, (0.0, 1.0)
-    elif t == "nilpotent_minimum":
-        # idempotents {0} union (1/2, 1]: not a finite set
-        pre, div, dn, arch, idem = True, False, True, False, None
-    else:
-        pre, div = True, True
-        single_full = (
-            len(q.pieces) == 1
-            and q.pieces[0][0] == 0.0 and q.pieces[0][1] == 1.0)
-        dn = single_full and q.pieces[0][2] == "lukasiewicz"
-        arch = single_full
-        covered, prev = True, 0.0
-        for lo, hi, _ in q.pieces:
-            if lo > prev:
-                covered = False
-            prev = hi
-        covered = covered and prev == 1.0
-        if covered:
-            ends = sorted({0.0, 1.0} | {x for lo, hi, _ in q.pieces for x in (lo, hi)})
-            idem = tuple(ends)
-        else:
-            idem = None
+    if not isinstance(q, FiniteQuantale):
+        from .interval import interval_properties
+        return interval_properties(q)
+    rng = range(q.n)
+    prelinear = all(
+        q.join(q.residuate(i, j), q.residuate(j, i)) == q.top
+        for i in rng for j in rng)
+    divisible = all(
+        q.tensor(i, q.residuate(i, j)) == q.meet(i, j)
+        for i in rng for j in rng)
+    dn = all(q.neg(q.neg(i)) == i for i in rng)
+    idem = tuple(q.elements[i] for i in rng if q.tensor(i, i) == i)
     return QuantaleProps(
-        is_integral=True, is_commutative=True, is_prelinear=pre,
-        is_divisible=div, has_double_negation=dn, is_archimedean=arch,
-        idempotents=idem, is_meet_continuous=True,
-        is_dually_meet_continuous=True)
-
-
-def check_adjunction_sampled(q, grid=65, tolerance=None):
-    """Sampled adjunction check on an interval quantale.
-
-    For triples on a uniform grid: whenever one side of
-    p & s <= r  iff  s <= p -> r  holds with slack ``tolerance``, the
-    other side must hold up to the same slack.  Returns (ok, witness).
-    """
-    tol = q.tolerance if tolerance is None else tolerance
-    pts = [i / (grid - 1) for i in range(grid)]
-    for p in pts:
-        res_row = [q.residuate(p, r) for r in pts]
-        for s in pts:
-            tv = q.tensor(p, s)
-            for k, r in enumerate(pts):
-                res = res_row[k]
-                if tv <= r - tol and s > res + tol:
-                    return False, {"triple": (p, s, r), "tensor": tv, "residuum": res}
-                if s <= res - tol and tv > r + tol:
-                    return False, {"triple": (p, s, r), "tensor": tv, "residuum": res}
-    return True, None
+        is_integral=True, is_commutative=True, is_prelinear=prelinear,
+        is_divisible=divisible, has_double_negation=dn,
+        is_archimedean=None, idempotents=idem,
+        is_meet_continuous=True, is_dually_meet_continuous=True)
 
 
 def residuation_identity_violations(q):

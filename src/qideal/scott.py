@@ -6,9 +6,6 @@ when its value there equals the inclusion degree of the ideal into it.
 The open sets form a topology-like family (constants, binary meets,
 joins), the closed sets a cotopology-like family, and each membership
 test quantifies over every supremum so non-separated bases are handled.
-
-Interval-backed checks at the end are grid-plus-probe approximations:
-they report what held on the sample, never a proof.
 """
 
 from __future__ import annotations
@@ -16,13 +13,7 @@ from __future__ import annotations
 from operator import getitem
 
 from ._value import Value
-from .errors import (
-    DecompositionMismatch,
-    GridTooCoarse,
-    ShapeMismatch,
-    ValidationError,
-    _charge,
-)
+from .errors import ValidationError, _charge
 from .fuzzy import (
     FuzzySet,
     _fuzzy_sets,
@@ -292,124 +283,3 @@ def _preimage_violation(f, mode, tag, budget):
         if v is not None:
             return FuzzySet(f.target, vals).as_dict(), v
     return None
-
-
-# right continuity: fn(x + _RC_PROBE) within _RC_JUMP of fn(x); generation
-# samples _GENERATION_PROBE right of each grid point and inside each piece
-_RC_PROBE, _RC_JUMP, _GENERATION_PROBE = 2.0 ** -32, 1e-4, 1e-12
-
-
-def interval_dR_scott_closed(fn, q, grid=257, tolerance=None):
-    """Grid check of the closed-set characterization on the interval
-    order dR: fn must be right continuous (probe-based) and
-    order-preserving as a self-map of the interval under dL.  Sampled,
-    not a proof."""
-    if getattr(q, "kind", None) != "interval":
-        raise ShapeMismatch("the characterization lives on the interval backend")
-    if grid < 17:
-        raise GridTooCoarse(grid)
-    tol = q.tolerance if tolerance is None else tolerance
-    pts = [i / (grid - 1) for i in range(grid)]
-    vals = [fn(x) for x in pts]
-    rc_w = next(({"at": x, "jump": jump} for x in pts[:-1]
-                 if (jump := abs(fn(min(1.0, x + _RC_PROBE)) - fn(x))) > _RC_JUMP), None)
-    op_w = next(({"pair": (x, y), "order_degree": lhs, "image_degree": rhs}
-                 for x, fx in zip(pts, vals) for y, fy in zip(pts, vals)
-                 if (lhs := q.residuate(x, y)) > (rhs := q.residuate(fx, fy)) + tol), None)
-    return {"scott_closed": rc_w is None and op_w is None,
-            "right_continuous": rc_w is None,
-            "order_preserving": op_w is None,
-            "witnesses": {"right_continuity": rc_w,
-                          "order_preservation": op_w}}
-
-
-def _decomposition_pieces(q):
-    if q.tnorm in ("min", "nilpotent_minimum"):
-        return ()
-    if q.tnorm in ("product", "lukasiewicz"):
-        return ((0.0, 1.0, q.tnorm),)
-    return q.pieces
-
-
-def _probe_decomposition(q, pieces, tol):
-    """Endpoints of every piece and midpoints of every gap must be
-    idempotent, otherwise the claimed min-outside/piece-inside shape is
-    wrong for this tensor."""
-    spots = []
-    prev = 0.0
-    for lo, hi, _ in pieces:
-        spots.extend((lo, hi))
-        if lo - prev > 4 * tol:
-            spots.append((prev + lo) / 2.0)
-        prev = hi
-    if 1.0 - prev > 4 * tol:
-        spots.append((prev + 1.0) / 2.0)
-    spots.extend((0.0, 1.0))
-    for e in spots:
-        t = q.tensor(e, e)
-        if abs(t - e) > tol:
-            raise DecompositionMismatch(
-                "decomposition point is not idempotent",
-                witness=e, detail=f"{e} & {e} = {t}")
-
-
-def verify_ordinal_sum_generation(fn, q, grid=257, tolerance=None):
-    """Rebuild a closed fn >= id as the pointwise infimum of the
-    one-parameter family c v (d -> y) dictated by the piece structure of
-    the tensor, and report the worst grid deviation.
-
-    The x-sample augments the grid with just-inside piece endpoints and,
-    per evaluation point y, y and y + _GENERATION_PROBE: the infimum is
-    typically approached, not attained, immediately to the right of y.
-    """
-    if getattr(q, "kind", None) != "interval":
-        raise ShapeMismatch("generation check lives on the interval backend")
-    tol = q.tolerance if tolerance is None else tolerance
-    pieces = _decomposition_pieces(q)
-    _probe_decomposition(q, pieces, tol)
-    closed = interval_dR_scott_closed(fn, q, grid=grid, tolerance=tol)
-    if not closed["scott_closed"]:
-        raise ValidationError("generation needs a closed function on the grid",
-                              witness=closed["witnesses"])
-    pts = [i / (grid - 1) for i in range(grid)]
-    for y in pts:
-        if fn(y) < y - tol:
-            raise ValidationError("generation needs a function above the "
-                                  "identity", witness=(y, fn(y)))
-
-    def family_entry(x):
-        fx = fn(x)
-        for lo, hi, _ in pieces:
-            if lo < x < hi and lo < fx < hi:
-                if fx > x + tol:
-                    return ("inside-above", fx, q.residuate(fx, x))
-                return ("inside-diagonal", fx, hi)
-        return ("outside", fx, x)
-
-    xs = list(pts)
-    for lo, hi, _ in pieces:
-        xs.extend((min(hi, lo + _GENERATION_PROBE), max(lo, hi - _GENERATION_PROBE)))
-    entries = {x: family_entry(x) for x in xs}
-
-    worst, worst_at = 0.0, None
-    for y in pts:
-        extra = (y, min(1.0, y + _GENERATION_PROBE))
-        entries.update((x, family_entry(x)) for x in extra if x not in entries)
-        best = 1.0
-        for x in xs + list(extra):
-            _, c, d = entries[x]
-            g = max(c, q.residuate(d, y))
-            if g < best:
-                best = g
-        dev = abs(best - fn(y))
-        if dev > worst:
-            worst, worst_at = dev, y
-
-    members_closed = all(
-        interval_dR_scott_closed(lambda y, c=c, d=d: max(c, q.residuate(d, y)), q,
-                                 grid=65, tolerance=tol)["scott_closed"]
-        for _, c, d in map(family_entry, (0.0, 0.25, 0.5, 0.75, 1.0)))
-    return {"max_deviation": worst, "deviation_at": worst_at,
-            "grid": grid, "pieces": pieces,
-            "family": sorted((x,) + entries[x] for x in entries),
-            "members_closed_on_grid": members_closed}

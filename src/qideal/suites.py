@@ -21,23 +21,24 @@ from functools import partial
 # that a process running any other suite loads neither
 from ._value import Value
 from .errors import BudgetExceeded, DecompositionMismatch, GridTooCoarse, UnknownSuite, _charge
-from .fuzzy import (FuzzySet, _inhabited, _memoized, _sub_idx, _walk, classify_sampled,
-                    fuzzy_set, transport)
-from .ideals import (
+from .fuzzy import FuzzySet, _inhabited, _memoized, _sub_idx, _walk, fuzzy_set, transport
+from .ideals import classify_ideal, enumerate_ideals, ideal_class_tag
+from .interval import (
+    _grid,
     approach_terms,
-    classify_ideal,
-    enumerate_ideals,
+    classify_sampled,
     generate_interval_ideal,
-    ideal_class_tag,
+    interval_dR_scott_closed,
+    interval_order,
+    interval_quantale,
     irreducible_interval_ideal,
+    verify_ordinal_sum_generation,
 )
 from .io import dump_instance, jsonable
-from .qorder import (QOrderedSet, all_qmaps, crisp_qorder, interval_order, random_qorder,
-                     standard_qorder)
+from .qorder import QOrderedSet, all_qmaps, crisp_qorder, random_qorder, standard_qorder
 from .quantale import (
     boolean4,
     godel_chain,
-    interval_quantale,
     lukasiewicz_chain,
     nilpotent_minimum_chain,
     quantale_properties,
@@ -258,10 +259,11 @@ def _principal_values(A):
 
 
 def _suite_cor312_families(params, seed, budget, tolerance):
-    tol = 1e-9 if tolerance is None else tolerance
     grid = int(params.get("grid", 257))
-    if grid < 17:
-        raise GridTooCoarse(grid)
+    pts = _grid(grid, 17)
+    interval = [interval_quantale(tnorm, tolerance=tolerance)
+                for tnorm in ("lukasiewicz", "product")]
+    tol = interval[0].tolerance
     instances, witnesses = [], []
     checked = 0
 
@@ -283,13 +285,11 @@ def _suite_cor312_families(params, seed, budget, tolerance):
                     "extra": [dict(zip(A.elements, map(q.elements.__getitem__, v)))
                               for v in sorted(irr ^ prin)]})
 
-    pts = [i / (grid - 1) for i in range(grid)]
-    for tnorm in ("lukasiewicz", "product"):
-        q = interval_quantale(tnorm)
+    for q in interval:
         for which in ("dL", "dR"):
             order = interval_order(q, which)
             for a in (0.0, 0.25, 0.5, 1.0):
-                desc = f"{which} over unit-interval {tnorm}, a={a}"
+                desc = f"{which} over unit-interval {q.tnorm}, a={a}"
                 instances.append(desc)
                 plain = irreducible_interval_ideal(q, which, a)
                 gen = generate_interval_ideal(order, [a])
@@ -300,7 +300,7 @@ def _suite_cor312_families(params, seed, budget, tolerance):
                                       "constant-sequence generation misses "
                                       "the plain family member",
                                       "deviation": worst})
-                shape = classify_sampled(order, gen, grid=65, tolerance=tol)
+                shape = classify_sampled(order, gen, grid=65)
                 if not (shape["lower"] and shape["inhabited"]):
                     witnesses.append({"instance": desc, "reason":
                                       "generated member is not an inhabited "
@@ -518,11 +518,9 @@ def _suite_prop57_equiv(params, seed, budget, tolerance):
 
 
 def _suite_ex58_characterization(params, seed, budget, tolerance):
-    from .scott import interval_dR_scott_closed
-
     tnorm = params.get("tnorm", "lukasiewicz")
     grid = int(params.get("grid", 257))
-    q = interval_quantale(tnorm)
+    q = interval_quantale(tnorm, tolerance=tolerance)
     cases = (
         ("identity", lambda x: x, True),
         ("min(1, x+1/4)", lambda x: min(1.0, x + 0.25), True),
@@ -533,7 +531,7 @@ def _suite_ex58_characterization(params, seed, budget, tolerance):
     reports = {}
     for desc, fn, expect in cases:
         instances.append(f"{desc} over unit-interval {tnorm}")
-        rep = interval_dR_scott_closed(fn, q, grid=grid, tolerance=tolerance)
+        rep = interval_dR_scott_closed(fn, q, grid=grid)
         reports[desc] = {"scott_closed": rep["scott_closed"],
                          "right_continuous": rep["right_continuous"],
                          "order_preserving": rep["order_preserving"]}
@@ -543,12 +541,9 @@ def _suite_ex58_characterization(params, seed, budget, tolerance):
 
 
 def _suite_ex510_generation(params, seed, budget, tolerance):
-    from .scott import verify_ordinal_sum_generation
-
-    tol = 1e-9 if tolerance is None else tolerance
     grid = int(params.get("grid", 257))
     shift = float(Fraction(str(params.get("shift", "1/4"))))
-    q = interval_quantale(params.get("tnorm", "lukasiewicz"))
+    q = interval_quantale(params.get("tnorm", "lukasiewicz"), tolerance=tolerance)
     fn = lambda x: min(1.0, x + shift)
     instances = [f"min(1, x+{shift}) over unit-interval {q.tnorm}, grid {grid}"]
     witnesses = []
@@ -556,22 +551,22 @@ def _suite_ex510_generation(params, seed, budget, tolerance):
     details = {"max_deviation": rep["max_deviation"],
                "deviation_at": rep["deviation_at"],
                "members_closed_on_grid": rep["members_closed_on_grid"],
-               "tolerance": tol}
-    if rep["max_deviation"] > tol or not rep["members_closed_on_grid"]:
+               "tolerance": q.tolerance}
+    if rep["max_deviation"] > q.tolerance or not rep["members_closed_on_grid"]:
         witnesses.append({"instance": instances[0],
                           "max_deviation": rep["max_deviation"],
                           "at": rep["deviation_at"]})
     try:
-        verify_ordinal_sum_generation(fn, interval_quantale("nilpotent_minimum"),
-                                      grid=65)
+        verify_ordinal_sum_generation(
+            fn, interval_quantale("nilpotent_minimum", tolerance=tolerance), grid=65)
         witnesses.append({"instance": "nilpotent minimum",
                           "reason": "a tensor without the required "
                           "decomposition was accepted"})
     except DecompositionMismatch as e:
         details["nilpotent_minimum"] = f"rejected: {e}"
     osum = interval_quantale(
-        "ordinal_sum",
-        pieces=((0.0, 0.5, "lukasiewicz"), (0.5, 1.0, "product")))
+        "ordinal_sum", pieces=((0.0, 0.5, "lukasiewicz"), (0.5, 1.0, "product")),
+        tolerance=tolerance)
     rep2 = verify_ordinal_sum_generation(lambda x: min(1.0, x + 0.125), osum,
                                          grid=grid)
     details["ordinal_sum_deviation"] = rep2["max_deviation"]

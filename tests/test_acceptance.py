@@ -15,17 +15,16 @@ from qideal.fuzzy import (
     kan_transport_identity,
 )
 from qideal.ideals import classify_ideal
+from qideal.interval import interval_quantale, verify_ordinal_sum_generation
 from qideal.qorder import QMap, build_qorder, random_qorder, standard_qorder
 from qideal.quantale import (
     boolean4,
     chain_quantale,
-    interval_quantale,
     lukasiewicz_chain,
     negation_law_violations,
     quantale_properties,
     residuation_identity_violations,
 )
-from qideal.scott import verify_ordinal_sum_generation
 from qideal.suites import run_suite
 
 SEED = 20260819

@@ -146,6 +146,55 @@ def test_validate_refuses_a_size_that_is_not_an_integer(capsys, n):
         assert code == 2 and '"n" must be an integer, got' in err, (instance, err)
 
 
+@pytest.mark.parametrize("name,missing", [("discrete", '"n" or "labels"'),
+                                          ("power", '"n" or "labels"'),
+                                          ("opposite", "the Q-order it flips")])
+def test_validate_names_what_a_named_order_misses(capsys, name, missing):
+    code, report, err = run(capsys, "validate",
+                            '{"base": {"kind": "boolean4"}, "name": "%s"}' % name)
+    assert code == 2 and report is None and missing in err, err
+
+
+def test_validate_an_ordinal_sum(capsys):
+    code, report, _ = run(capsys, "validate",
+                          '{"kind": "interval", "tnorm": "ordinal_sum", "pieces": '
+                          '[[0, "1/2", "lukasiewicz"], ["1/2", 1, "product"]]}')
+    assert code == 0 and report["properties"]["idempotents"] == [0.0, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "true", "NaN", '"1e-9"'])
+def test_validate_refuses_an_interval_tolerance_that_is_no_finite_real(capsys, tolerance):
+    code, report, err = run(capsys, "validate", '{"kind": "interval", "tnorm": "product", '
+                                                '"tolerance": %s}' % tolerance)
+    assert code == 2 and report is None and "tolerance must be a finite real >= 0" in err
+
+
+@pytest.mark.parametrize("tolerance,suite", [("nan", "EX58_CHARACTERIZATION"),
+                                             ("-1", "COR312_FAMILIES"),
+                                             ("inf", "EX510_GENERATION")])
+def test_check_refuses_a_tolerance_that_is_no_finite_real(capsys, tmp_path, monkeypatch,
+                                                          tolerance, suite):
+    monkeypatch.chdir(tmp_path)
+    code, report, err = run(capsys, "--tolerance", tolerance, "check", suite)
+    assert code == 2 and report is None and "tolerance must be a finite real >= 0" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_tolerance_reaches_the_interval_suites(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, report, _ = run(capsys, "check", "EX58_CHARACTERIZATION")
+    assert code == 0 and report["verdict"] == "pass"
+    # a tolerance of 1 hides the tent map's order failure
+    code, report, _ = run(capsys, "--tolerance", "1", "check", "EX58_CHARACTERIZATION")
+    assert code == 1 and report["verdict"] == "fail"
+    assert [w["case"] for w in report["witnesses"]] == ["tent map (not order preserving)"]
+    for suite in ("COR312_FAMILIES", "EX510_GENERATION"):
+        code, report, _ = run(capsys, "check", suite)
+        assert code == 0 and report["details"]["tolerance"] == 1e-9
+        code, report, _ = run(capsys, "--tolerance", "0.001", "check", suite)
+        assert code == 0 and report["details"]["tolerance"] == 0.001
+
+
 @pytest.mark.parametrize("mode", ["top", "cotop"])
 def test_scott_lukasiewicz10_at_the_default_budget(capsys, mode):
     dl10 = '{"base": {"kind": "chain", "tnorm": "lukasiewicz", "n": 10}, "name": "dL"}'

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from qideal.errors import (
     BaseMismatch,
     BudgetExceeded,
+    GridTooCoarse,
     NotLower,
     NotUpper,
     ShapeMismatch,
@@ -20,7 +21,6 @@ from qideal.fuzzy import (
     FuzzySet,
     _monotone_value_tuples,
     classify_fuzzy_set,
-    classify_sampled,
     constant_fuzzy_set,
     enumerate_monotone_sets,
     fuzzy_set,
@@ -32,21 +32,16 @@ from qideal.fuzzy import (
     transport,
     yoneda,
 )
+from qideal.interval import classify_sampled, interval_order, interval_quantale
 from qideal.qorder import (
     build_qmap,
     crisp_qorder,
     identity_qmap,
-    interval_order,
     point_qorder,
     random_qorder,
     standard_qorder,
 )
-from qideal.quantale import (
-    boolean4,
-    godel_chain,
-    interval_quantale,
-    lukasiewicz_chain,
-)
+from qideal.quantale import boolean4, godel_chain, lukasiewicz_chain
 from qideal.scott import generate_scott_structure, is_scott_member
 
 L3 = lukasiewicz_chain(3)
@@ -226,6 +221,14 @@ def test_classify_sampled_on_the_interval():
     assert rep["lower"] and rep["upper"] and rep["inhabited"]
     rep = classify_sampled(order, lambda x: 0.25, grid=65)
     assert not rep["inhabited"]
+
+
+@pytest.mark.parametrize("grid", [1, 0])
+def test_classify_sampled_needs_two_grid_points(grid):
+    order = interval_order(interval_quantale("lukasiewicz"), "dR")
+    with pytest.raises(GridTooCoarse, match=f"grid has {grid} points; at least 2 required"):
+        classify_sampled(order, lambda x: x, grid=grid)
+    assert classify_sampled(order, lambda x: x, grid=2)["lower"]
 
 
 @pytest.mark.parametrize("q", [lukasiewicz_chain(3), boolean4(), godel_chain(3)])

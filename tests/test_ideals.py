@@ -12,14 +12,11 @@ from qideal.errors import (
 from qideal import ideals
 from qideal.fuzzy import fuzzy_set, sub_degree, yoneda
 from qideal.ideals import (
-    approach_terms,
     classify_ideal,
     compare_fc_routes,
     enumerate_ideals,
-    generate_interval_ideal,
     ideal_class_tag,
     ideal_from_sequence,
-    irreducible_interval_ideal,
     is_flat,
     is_forward_cauchy,
     is_irreducible,
@@ -27,13 +24,15 @@ from qideal.ideals import (
     sequence_generated_ideals,
     settling_violation,
 )
-from qideal.qorder import crisp_qorder, interval_order, standard_qorder
-from qideal.quantale import (
-    boolean4,
-    godel_chain,
+from qideal.interval import (
+    approach_terms,
+    generate_interval_ideal,
+    interval_order,
     interval_quantale,
-    lukasiewicz_chain,
+    irreducible_interval_ideal,
 )
+from qideal.qorder import crisp_qorder, standard_qorder
+from qideal.quantale import boolean4, godel_chain, lukasiewicz_chain
 
 L3 = lukasiewicz_chain(3)
 DL3 = standard_qorder(L3, "dL")

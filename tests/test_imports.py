@@ -13,8 +13,8 @@ import pytest
 import qideal
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(qideal.__file__)))
-SUBMODULES = ("completion", "errors", "fuzzy", "ideals", "io", "qorder", "quantale",
-              "scott", "suites")
+SUBMODULES = ("completion", "errors", "fuzzy", "ideals", "interval", "io", "qorder",
+              "quantale", "scott", "suites")
 
 
 def loaded(code=""):
@@ -43,7 +43,7 @@ def test_importing_the_package_loads_no_submodule(bare):
 def test_the_enumeration_layers_load_no_later_layer_and_no_dataclasses(bare):
     got = added(bare, "import qideal.fuzzy, qideal.ideals")
     assert {"qideal.fuzzy", "qideal.ideals"} <= got
-    assert not got & {"dataclasses", "inspect", "typing", "qideal.scott",
+    assert not got & {"dataclasses", "inspect", "typing", "qideal.scott", "qideal.interval",
                       "qideal.completion", "qideal.suites", "qideal.io", "qideal.cli"}
 
 

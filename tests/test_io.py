@@ -17,14 +17,9 @@ from qideal.io import (
     unparse_label,
 )
 from qideal.ideals import periodic_sequence
+from qideal.interval import DEFAULT_TOLERANCE, interval_quantale
 from qideal.qorder import build_qmap, standard_qorder
-from qideal.quantale import (
-    boolean4,
-    build_finite_quantale,
-    chain_quantale,
-    interval_quantale,
-    lukasiewicz_chain,
-)
+from qideal.quantale import boolean4, build_finite_quantale, chain_quantale, lukasiewicz_chain
 
 
 def test_parse_label_edges():
@@ -171,3 +166,34 @@ def test_loaders_charge_sizes_at_the_default_budget():
 def test_loaders_refuse_a_size_that_is_not_an_integer(data):
     with pytest.raises(ValueError, match='^"n" must be an integer, got '):
         load_instance(data)
+
+
+@pytest.mark.parametrize("tolerance", [-1, -1e-12, True, False, float("nan"), float("inf"),
+                                       10 ** 400, "1e-9", [1e-9]],
+                         ids=["negative", "slightly-negative", "true", "false", "nan", "inf",
+                              "past-every-float", "string", "list"])
+def test_an_interval_tolerance_is_a_finite_real_at_least_zero(tolerance):
+    with pytest.raises(ValueError, match="^tolerance must be a finite real >= 0"):
+        load_quantale({"kind": "interval", "tnorm": "product", "tolerance": tolerance})
+
+
+def test_an_interval_tolerance_defaults_once():
+    assert load_quantale({"kind": "interval", "tnorm": "min"}).tolerance == DEFAULT_TOLERANCE
+    for tolerance in (0, 1e-3, Fraction(1, 4), 2):
+        q = load_quantale({"kind": "interval", "tnorm": "min", "tolerance": tolerance})
+        assert q.tolerance == float(tolerance) and type(q.tolerance) is float
+
+
+@pytest.mark.parametrize("name,missing", [("discrete", '"n" or "labels"'),
+                                          ("power", '"n" or "labels"'),
+                                          ("opposite", "the Q-order it flips")])
+def test_named_orders_name_what_they_miss(name, missing):
+    with pytest.raises(ValueError, match=missing):
+        load_instance({"base": {"kind": "boolean4"}, "name": name})
+
+
+def test_standard_opposite_needs_the_order_it_flips():
+    with pytest.raises(ValueError, match="base="):
+        standard_qorder(boolean4(), "opposite")
+    with pytest.raises(ValueError, match='"n" or "labels"'):
+        standard_qorder(boolean4(), "discrete")

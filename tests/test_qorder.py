@@ -13,6 +13,7 @@ from qideal.errors import (
     ShapeMismatch,
     ValidationError,
 )
+from qideal.interval import interval_order, interval_quantale
 from qideal.qorder import (
     QOrderedSet,
     all_qmaps,
@@ -21,19 +22,13 @@ from qideal.qorder import (
     check_map_and_adjunction,
     crisp_qorder,
     identity_qmap,
-    interval_order,
     opposite,
     point_qorder,
     random_qorder,
     standard_qorder,
     validate_qorder,
 )
-from qideal.quantale import (
-    boolean4,
-    godel_chain,
-    interval_quantale,
-    lukasiewicz_chain,
-)
+from qideal.quantale import boolean4, godel_chain, lukasiewicz_chain
 
 L4 = lukasiewicz_chain(4)
 DL = standard_qorder(L4, "dL")

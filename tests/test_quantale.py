@@ -7,19 +7,19 @@ from hypothesis import given, settings, strategies as st
 
 from qideal.errors import (
     ChainNotClosed,
+    GridTooCoarse,
     NotAssociative,
     NotDistributive,
     NotIntegral,
     ShapeMismatch,
 )
+from qideal.interval import check_adjunction_sampled, interval_quantale
 from qideal.io import load_quantale
 from qideal.quantale import (
     boolean4,
     build_finite_quantale,
     chain_quantale,
-    check_adjunction_sampled,
     godel_chain,
-    interval_quantale,
     label_index,
     lukasiewicz_chain,
     negation_law_violations,
@@ -176,6 +176,34 @@ def test_ordinal_sum_rescales_inside_pieces():
 def test_interval_adjunction_sampled(tnorm):
     ok, witness = check_adjunction_sampled(interval_quantale(tnorm))
     assert ok, witness
+
+
+# (is_divisible, has_double_negation, is_archimedean, idempotents)
+@pytest.mark.parametrize("tnorm,pieces,flags", [
+    ("min", None, (True, False, False, None)),
+    ("product", None, (True, False, True, (0.0, 1.0))),
+    ("lukasiewicz", None, (True, True, True, (0.0, 1.0))),
+    ("nilpotent_minimum", None, (False, True, False, None)),
+    ("ordinal_sum", None, (True, False, False, None)),
+    ("ordinal_sum", ((0, 1, "lukasiewicz"),), (True, True, True, (0.0, 1.0))),
+    ("ordinal_sum", ((0, 1, "product"),), (True, False, True, (0.0, 1.0))),
+    ("ordinal_sum", ((0.25, 0.5, "product"),), (True, False, False, None)),
+    ("ordinal_sum", ((0, 0.25, "product"), (0.5, 1, "product")), (True, False, False, None)),
+    ("ordinal_sum", ((0, 0.5, "lukasiewicz"), (0.5, 1, "product")),
+     (True, False, False, (0.0, 0.5, 1.0)))])
+def test_interval_properties_are_catalog_facts(tnorm, pieces, flags):
+    props = quantale_properties(interval_quantale(tnorm, pieces=pieces))
+    assert (props.is_divisible, props.has_double_negation, props.is_archimedean,
+            props.idempotents) == flags
+    assert props.is_integral and props.is_commutative and props.is_prelinear
+    assert props.is_meet_continuous and props.is_dually_meet_continuous
+
+
+@pytest.mark.parametrize("grid", [1, 0, -3])
+def test_adjunction_sample_needs_two_grid_points(grid):
+    with pytest.raises(GridTooCoarse, match=f"grid has {grid} points; at least 2 required"):
+        check_adjunction_sampled(interval_quantale("lukasiewicz"), grid=grid)
+    assert check_adjunction_sampled(interval_quantale("lukasiewicz"), grid=2) == (True, None)
 
 
 def labelled_primes(q):

@@ -35,6 +35,11 @@ from qideal.fuzzy import (
     transport,
 )
 from qideal.ideals import enumerate_ideals, ideal_class_tag
+from qideal.interval import (
+    interval_dR_scott_closed,
+    interval_quantale,
+    verify_ordinal_sum_generation,
+)
 from qideal.qorder import (
     all_qmaps,
     build_qmap,
@@ -43,13 +48,7 @@ from qideal.qorder import (
     random_qorder,
     standard_qorder,
 )
-from qideal.quantale import (
-    boolean4,
-    godel_chain,
-    interval_quantale,
-    lukasiewicz_chain,
-    nilpotent_minimum_chain,
-)
+from qideal.quantale import boolean4, godel_chain, lukasiewicz_chain, nilpotent_minimum_chain
 from qideal.scott import (
     ScottStructure,
     _scott_context,
@@ -57,9 +56,7 @@ from qideal.scott import (
     check_structure_axioms,
     cocontinuity_equivalence,
     generate_scott_structure,
-    interval_dR_scott_closed,
     is_scott_member,
-    verify_ordinal_sum_generation,
 )
 from qideal.suites import _battery
 from test_deciders import pointwise, two_point_orders

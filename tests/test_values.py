@@ -23,8 +23,9 @@ from qideal import (
 )
 from qideal.completion import ideal_space
 from qideal.ideals import EventuallyPeriodicSequence, IdealReport
-from qideal.qorder import IntervalOrder, QMap, QOrderedSet, interval_order
-from qideal.quantale import FiniteQuantale, IntervalQuantale, QuantaleProps
+from qideal.interval import IntervalOrder, IntervalQuantale, interval_order
+from qideal.qorder import QMap, QOrderedSet
+from qideal.quantale import FiniteQuantale, QuantaleProps
 from qideal.scott import ScottStructure
 from qideal.suites import SuiteResult
 
