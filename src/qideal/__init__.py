@@ -20,9 +20,8 @@ _EXPORTS = {
     "fuzzy": "FuzzySet classify_fuzzy_set constant_fuzzy_set enumerate_monotone_sets "
              "fuzzy_set intersection_inclusion_identities kan_transport_identity sub_degree "
              "suprema tensor_degree transport yoneda",
-    "ideals": "EventuallyPeriodicSequence IdealReport classify_ideal compare_fc_routes "
-              "enumerate_ideals ideal_from_sequence is_flat is_forward_cauchy is_irreducible "
-              "periodic_sequence sequence_generated_ideals",
+    "ideals": "EventuallyPeriodicSequence IdealReport classify_ideal enumerate_ideals "
+              "ideal_from_sequence is_flat is_forward_cauchy is_irreducible periodic_sequence",
     "interval": "IntervalQuantale approach_terms classify_sampled generate_interval_ideal "
                 "interval_dR_scott_closed interval_order interval_quantale "
                 "irreducible_interval_ideal verify_ordinal_sum_generation",

@@ -83,6 +83,12 @@ class DecompositionMismatch(ValidationError):
     pass
 
 
+def _number_text(number):
+    """number in decimal up to 30 digits, past that as "at least 2^k":
+    Python makes no decimal string of more than 4,300 digits."""
+    return str(number) if number < 10 ** 30 else f"at least 2^{number.bit_length() - 1}"
+
+
 class BudgetExceeded(QidealError):
     """partial: the work was refused part-way, so count is a lower bound
     on what the whole of it needs."""
@@ -92,7 +98,8 @@ class BudgetExceeded(QidealError):
         self.budget = budget
         self.what = what
         self.partial = partial
-        super().__init__(f"{count} {what} exceed the budget of {budget}"
+        super().__init__(f"{_number_text(count)} {what} exceed the budget of "
+                         f"{_number_text(budget)}"
                          + (" (a lower bound: the work stopped part-way)" if partial else ""))
 
 

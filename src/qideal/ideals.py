@@ -5,19 +5,20 @@ tensoring with the set distributes over binary meets of upper sets;
 irreducible means the inclusion degree distributes over binary joins of
 lower sets; forward Cauchy means the set is generated by a sequence
 whose terms eventually dominate each other.  On a finite base the last
-one collapses to a pointwise condition, which is what the decider uses;
-sequence generation is kept as an independent second route.
+one collapses to a pointwise condition, which is what the decider uses,
+and the sets it accepts are exactly the principal ones, which is how
+they are enumerated (_forward_cauchy).
 """
 
 from __future__ import annotations
 
-import itertools
 from operator import getitem
 
 from ._value import Frozen, Value
 from .errors import NotForwardCauchy, ShapeMismatch, _charge
 from .fuzzy import (
     FuzzySet,
+    _fuzzy_sets,
     _inhabited,
     _lower_violation,
     _memoized,
@@ -282,6 +283,19 @@ def _dominance(A):
 
 
 def _forward_cauchy(phi):
+    """Pointwise decider for a lower, inhabited phi: every x and y admit
+    a z with phi(z) = 1, phi(x) <= A(x,z) and phi(y) <= A(y,z); the
+    first pair with none is the witness.  It accepts exactly the
+    principal lower sets A(-, a).  Let T = {z : phi(z) = 1}; as phi is
+    lower, A(x,z) <= phi(x) for z in T, and x = y gives a z in T with
+    phi(x) <= A(x,z), so phi(x) is the largest A(x,z) over T.  For x, y
+    in T the pair's z has A(x,z) = A(y,z) = 1, so T is directed in the
+    crisp preorder A(x,z) = 1; being finite, it has a z* above all of
+    it, A(x,z) <= A(x,z*) by transitivity, and phi = A(-, z*).
+    Conversely A(-, a) passes with z = a, as A(a,a) = 1 (integrality).
+    A settling periodic sequence has hom degree 1 between its cycle
+    terms, so the meet over its cycle it generates is A(-, c) for any
+    of them: sequence generation finds the same sets."""
     A, vals = phi.base, phi.values
     unit = A.quantale.unit
     tops = sum(1 << z for z, v in enumerate(vals) if v == unit)
@@ -318,62 +332,32 @@ def classify_ideal(phi, budget=None):
     return IdealReport(inhabited, flat[0], irr[0], fc[0], witnesses)
 
 
+def _principal_rows(A):
+    """The value tuples of the distinct principal lower sets A(-, a),
+    the columns of the hom table, sorted as the walk emits them."""
+    return sorted(set(zip(*A.hom)))
+
+
 def enumerate_ideals(A, which="fc", budget=None):
-    """All lower sets of the named class, in enumeration order.  The
-    lower tag skips the class filter (and the inhabitedness demand the
-    three proper classes make).  Flat and irreducible decide each
-    inhabited lower set's flag, charged by _route before any set is
-    decided: on a distributive lattice by _failing_threshold alone, with
-    no witness; else by _break over the upper (lower) sets."""
+    """All lower sets of the named class, in the walk's order: their
+    value tuples sorted.  The lower tag skips the class filter (and the
+    inhabitedness demand the three proper classes make).  Forward-Cauchy
+    ideals are the principal ones (_forward_cauchy), read off the hom
+    table with its n * n entries charged, and nothing is walked.  Flat
+    and irreducible decide each inhabited lower set's flag, charged by
+    _route before any set is decided: on a distributive lattice by
+    _failing_threshold alone, with no witness; else by _break over the
+    upper (lower) sets."""
     tag = ideal_class_tag(which)
+    if tag == "fc":
+        _charge(A.n * A.n, budget, "hom entries read")
+        return _fuzzy_sets(A, _principal_rows(A))
     lowers = enumerate_monotone_sets(A, "lower", budget=budget)
     if tag == "lower":
         return lowers
-    if tag == "fc":
-        return tuple(p for p in lowers
-                     if _inhabited(A, p.values) and _forward_cauchy(p)[0])
     kind = "upper" if tag == "flat" else "lower"
     inhabited = [p for p in lowers if _inhabited(A, p.values)]
     sets = _route(A, kind, len(inhabited), budget)
     fails = ((lambda vals: _failing_threshold(A, kind, vals)) if sets is None
              else lambda vals: _break(A, kind, vals, sets))
     return tuple(p for p in inhabited if fails(p.values) is None)
-
-
-def sequence_generated_ideals(A, bound=4, budget=None):
-    """Distinct ideals produced by every settling eventually periodic
-    sequence whose prefix plus one period has at most bound terms.  The
-    t * n**t sequences of each length t are charged before the first is
-    tried."""
-    _charge(sum(t * A.n ** t for t in range(1, bound + 1)), budget, "sequences tried")
-    seen = {}
-    for total in range(1, bound + 1):
-        for cut in range(total):
-            for pre in itertools.product(range(A.n), repeat=cut):
-                for cyc in itertools.product(range(A.n), repeat=total - cut):
-                    s = EventuallyPeriodicSequence(A, pre, cyc)
-                    if settling_violation(s) is not None:
-                        continue
-                    phi = ideal_from_sequence(s)
-                    seen.setdefault(phi.values, phi)
-    return tuple(seen[k] for k in sorted(seen))
-
-
-def compare_fc_routes(A, bound=4, budget=None):
-    """Cross-check the pointwise decider against sequence generation.
-
-    The decider quantifies over arbitrary generating nets, the second
-    route only over eventually periodic sequences, so a gap here is a
-    finding to report, not an internal error.
-    """
-    decided = {phi.values for phi in enumerate_ideals(A, "fc", budget=budget)}
-    generated = {phi.values for phi in sequence_generated_ideals(A, bound, budget)}
-    return {
-        "agree": decided == generated,
-        "decider_count": len(decided),
-        "sequence_count": len(generated),
-        "only_decider": [FuzzySet(A, v).as_dict()
-                         for v in sorted(decided - generated)],
-        "only_sequence": [FuzzySet(A, v).as_dict()
-                          for v in sorted(generated - decided)],
-    }

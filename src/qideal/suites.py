@@ -22,7 +22,7 @@ from functools import partial
 from ._value import Value
 from .errors import BudgetExceeded, DecompositionMismatch, GridTooCoarse, UnknownSuite, _charge
 from .fuzzy import FuzzySet, _inhabited, _memoized, _sub_idx, _walk, fuzzy_set, transport
-from .ideals import classify_ideal, enumerate_ideals, ideal_class_tag
+from .ideals import _principal_rows, classify_ideal, enumerate_ideals, ideal_class_tag
 from .interval import (
     _grid,
     approach_terms,
@@ -127,12 +127,13 @@ _Flags = namedtuple("_Flags", "inhabited flat irreducible forward_cauchy")
 def _census(A, budget):
     """Every lower set of A with its _Flags, memoized per base with the
     charges of its build.  The flags come from the class enumerations,
-    so no witness is built; _ideal_witness builds one for a reported
-    ideal."""
+    the forward-Cauchy one from the principal rows, so no witness is
+    built; _ideal_witness builds one for a reported ideal."""
     def build():
         lowers = enumerate_ideals(A, "lower", budget=budget)
-        flat, irr, fc = ({p.values for p in enumerate_ideals(A, tag, budget=budget)}
-                         for tag in ("flat", "irr", "fc"))
+        flat, irr = ({p.values for p in enumerate_ideals(A, tag, budget=budget)}
+                     for tag in ("flat", "irr"))
+        fc = set(_principal_rows(A))
         return tuple((phi, _Flags(_inhabited(A, phi.values), phi.values in flat,
                                   phi.values in irr, phi.values in fc))
                       for phi in lowers)
@@ -254,10 +255,6 @@ def _suite_godel_flat_not_irr(params, seed, budget, tolerance):
     return [f"dL over godel-{n} with b={b}, a={a}"], witnesses, details
 
 
-def _principal_values(A):
-    return {tuple(A.hom[x][a] for x in range(A.n)) for a in range(A.n)}
-
-
 def _suite_cor312_families(params, seed, budget, tolerance):
     grid = int(params.get("grid", 257))
     pts = _grid(grid, 17)
@@ -275,7 +272,7 @@ def _suite_cor312_families(params, seed, budget, tolerance):
             instances.append(desc)
             A = standard_qorder(q, which)
             irr = {p.values for p in enumerate_ideals(A, "irr", budget=budget)}
-            prin = _principal_values(A)
+            prin = set(_principal_rows(A))
             checked += 1
             if irr != prin:
                 witnesses.append({

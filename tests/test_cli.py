@@ -89,6 +89,17 @@ def test_enumerate(capsys):
     assert report["count"] == 3 == len(report["ideals"])
 
 
+def test_enumerate_fc_reads_the_principal_rows(capsys):
+    """dL over Lukasiewicz-30: 30 ideals at the default budget, which
+    its walk would pass."""
+    dl30 = '{"base": {"kind": "chain", "tnorm": "lukasiewicz", "n": 30}, "name": "dL"}'
+    code, report, _ = run(capsys, "enumerate", dl30, "--class", "fc")
+    assert code == 0 and report["count"] == 30
+    # A(-, 0) = 1 - x first, A(-, 1) = 1 last
+    assert report["ideals"][0]["1/29"] == "28/29" and report["ideals"][0]["1"] == "0"
+    assert set(report["ideals"][-1].values()) == {"1"}
+
+
 def test_enumerate_lukasiewicz8_classes(capsys):
     dl8 = '{"base": {"kind": "chain", "tnorm": "lukasiewicz", "n": 8}, "name": "dL"}'
     for cls in ("irr", "flat"):
@@ -127,8 +138,9 @@ def test_scott_lukasiewicz8(capsys):
     code, report, _ = run(capsys, "scott", dl8, "--mode", "top")
     assert code == 0 and report["count"] == 576
     # the 576 members are all 576 upper sets, so the axioms test and
-    # charge nothing; the fc class has no non-principal ideal, so its
-    # 0 pairs checked leave the walks' 5064 values tried and written
+    # charge nothing; every fc ideal is principal, so the class has no
+    # Scott context to enumerate, and the upper walk's 5064 values tried
+    # and written are the whole charge
     code, _, err = run(capsys, "--budget", "5063", "scott", dl8, "--mode", "top",
                        "--class", "fc")
     assert code == 2 and "5064 walk values tried and written" in err
@@ -290,6 +302,20 @@ def test_budget_reaches_the_power_construction(capsys):
     assert code == 2 and "2187 power hom lookups exceed the budget of 100" in err
     code, report, _ = run(capsys, "--budget", "2187", "validate", POWER3)
     assert code == 0 and report["valid"]
+
+
+def test_a_count_too_long_to_print_is_named_by_a_power_of_two(capsys):
+    """(4^4000)^2 * 4000 = 2^16000 * 4000 hom lookups have 4,821 digits,
+    more than Python turns into a decimal string."""
+    power = '{"base": {"kind": "boolean4"}, "name": "power", "n": 4000}'
+    code, report, err = run(capsys, "validate", power)
+    assert code == 2 and report is None
+    assert err == ("budget: at least 2^16011 power hom lookups exceed the budget of "
+                   "5000000\n")
+    code, _, err = run(capsys, "--budget", str(10 ** 40), "validate", power)
+    assert code == 2 and "exceed the budget of at least 2^132\n" in err
+    code, _, err = run(capsys, "--budget", str(10 ** 30 - 1), "validate", power)
+    assert code == 2 and f"exceed the budget of {10 ** 30 - 1}\n" in err
 
 
 @pytest.mark.parametrize("name", ["power", "dL"])

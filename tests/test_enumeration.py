@@ -1,7 +1,8 @@
 """The pruned enumeration of fuzzy lower/upper sets against the product
 filter it replaced and the plain walk it shares work over, and the
 budget it counts: |Q| values tried per node it visits and n values
-written per set."""
+written per set.  The forward-Cauchy ideals, read off the hom table,
+against the walk and filter they replaced."""
 
 import gc
 import inspect
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from qideal import fuzzy, ideals
 from qideal.errors import BudgetExceeded
 from qideal.fuzzy import (
+    _inhabited,
     _lower_violation,
     _monotone_value_tuples,
     _upper_violation,
@@ -22,7 +24,7 @@ from qideal.fuzzy import (
     enumerate_monotone_sets,
     yoneda,
 )
-from qideal.ideals import enumerate_ideals
+from qideal.ideals import _forward_cauchy, enumerate_ideals
 from qideal.qorder import build_qorder, crisp_qorder, random_qorder, standard_qorder
 from qideal.quantale import (
     boolean4,
@@ -31,6 +33,7 @@ from qideal.quantale import (
     lukasiewicz_chain,
     nilpotent_minimum_chain,
 )
+from test_quantale import m3_with_top
 
 L3 = lukasiewicz_chain(3)
 L8 = lukasiewicz_chain(8)
@@ -91,11 +94,28 @@ def assert_walk_matches_oracle(A):
             assert _monotone_value_tuples(A, kind, count) == sets
 
 
+def fc_walk_oracle(A):
+    """The forward-Cauchy ideals as the walk and filter found them: the
+    pointwise decider over every inhabited lower set, in walk order."""
+    return tuple(p.values for p in enumerate_monotone_sets(A, "lower", budget=10 ** 12)
+                 if _inhabited(A, p.values) and _forward_cauchy(p)[0])
+
+
+def assert_fc_matches_oracle(A):
+    """The same ideals in the same order, on A, charged n * n."""
+    got = enumerate_ideals(A, "fc", budget=A.n * A.n)
+    assert tuple(p.values for p in got) == fc_walk_oracle(A), A.catalog
+    assert all(p.base is A for p in got)
+    with pytest.raises(BudgetExceeded, match=f"^{A.n * A.n} hom entries read"):
+        enumerate_ideals(A, "fc", budget=A.n * A.n - 1)
+
+
 def assert_matches_oracle(A):
     for kind in ("lower", "upper"):
         got = _monotone_value_tuples(A, kind, fuzzy.DEFAULT_BUDGET)
         assert got == product_oracle(A, kind), (A.catalog, kind)
     assert_walk_matches_oracle(A)
+    assert_fc_matches_oracle(A)
 
 
 def l3_times_l2():
@@ -194,6 +214,37 @@ def test_random_orders(q, n, seed):
     assert_matches_oracle(random_qorder(q, n, random.Random(seed)))
 
 
+@pytest.mark.parametrize("name", ["dL", "dR"])
+def test_fc_matches_oracle_over_m3_with_a_top(name):
+    assert_fc_matches_oracle(standard_qorder(m3_with_top(), name))
+
+
+@pytest.mark.parametrize("q", [L3, boolean4(), m3_with_top()], ids=["L3", "boolean4", "M3"])
+def test_fc_collapses_the_rows_of_equivalent_points(q):
+    """Points with hom degree 1 both ways have one principal lower set
+    between them: a and b of twins, and all three of indiscrete."""
+    one, zero = q.elements[q.unit], q.elements[q.bottom]
+    twins = [[one, one, one, zero], [one, one, one, zero],
+             [zero, zero, one, zero], [one, one, one, one]]
+    indiscrete = [[one] * 3] * 3
+    for labels, hom, count in (("abcd", twins, 3), ("abc", indiscrete, 1)):
+        A = build_qorder(q, tuple(labels), hom)
+        assert_fc_matches_oracle(A)
+        assert len(enumerate_ideals(A, "fc")) == count
+
+
+def test_fc_reads_no_walk(monkeypatch):
+    """dL over Lukasiewicz-30, whose walk the default budget refuses,
+    has its 30 ideals at 900 hom entries read, with the walk stubbed."""
+    def walk(*args):
+        raise AssertionError("the walk ran")
+    monkeypatch.setattr(fuzzy, "_walk", walk)
+    A = standard_qorder(lukasiewicz_chain(30), "dL")
+    got = enumerate_ideals(A, "fc", budget=900)
+    assert [p.values for p in got] == sorted(yoneda(A, a).values for a in A.elements)
+    assert len(got) == 30
+
+
 def test_budget_verdict_does_not_depend_on_the_cache(monkeypatch):
     A = two_chain(L3)
     monkeypatch.setattr(fuzzy, "_MEMO", {})
@@ -217,13 +268,15 @@ def test_walk_refusal_says_its_count_is_a_lower_bound():
     """The walk charges as it goes, so a refusal names the count where it
     stopped and says so: dL over Lukasiewicz-17 needs 10,031,649 values
     tried and written, stops at 5,021,494 under the default budget, and
-    under a budget of that count stops again further on."""
+    under a budget of that count stops again further on.  Its 17
+    forward-Cauchy ideals need no walk."""
     A = standard_qorder(lukasiewicz_chain(17), "dL")
     with pytest.raises(BudgetExceeded, match=r"^5021494 walk values tried and written exceed "
                        r"the budget of 5000000 \(a lower bound: the work stopped part-way\)$"
                        ) as err:
-        enumerate_ideals(A, "fc")
+        enumerate_ideals(A, "lower")
     assert err.value.partial
+    assert len(enumerate_ideals(A, "fc")) == 17
     with pytest.raises(BudgetExceeded) as err:
         enumerate_monotone_sets(A, "lower", budget=5_021_494)
     assert err.value.partial and 5_021_494 < err.value.count <= 10_031_649

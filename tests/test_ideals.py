@@ -1,5 +1,6 @@
 """Ideal classes: deciders, witnesses, sequences, and interval families."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,10 @@ from qideal.errors import (
     NotForwardCauchy,
     ShapeMismatch,
 )
-from qideal import ideals
 from qideal.fuzzy import fuzzy_set, sub_degree, yoneda
 from qideal.ideals import (
+    EventuallyPeriodicSequence,
     classify_ideal,
-    compare_fc_routes,
     enumerate_ideals,
     ideal_class_tag,
     ideal_from_sequence,
@@ -21,7 +21,6 @@ from qideal.ideals import (
     is_forward_cauchy,
     is_irreducible,
     periodic_sequence,
-    sequence_generated_ideals,
     settling_violation,
 )
 from qideal.interval import (
@@ -33,6 +32,7 @@ from qideal.interval import (
 )
 from qideal.qorder import crisp_qorder, standard_qorder
 from qideal.quantale import boolean4, godel_chain, lukasiewicz_chain
+from test_enumeration import fc_walk_oracle
 
 L3 = lukasiewicz_chain(3)
 DL3 = standard_qorder(L3, "dL")
@@ -87,8 +87,8 @@ def test_godel_flat_but_not_irreducible():
     two_chain(boolean4()),
 ])
 def test_forward_cauchy_ideals_are_exactly_principal(A):
-    decided = {phi.values for phi in enumerate_ideals(A, "fc")}
-    principal = {yoneda(A, a).values for a in A.elements}
+    decided = tuple(phi.values for phi in enumerate_ideals(A, "fc"))
+    principal = tuple(sorted({yoneda(A, a).values for a in A.elements}))
     assert decided == principal
 
 
@@ -127,26 +127,27 @@ def test_generated_ideal_ignores_the_prefix():
     assert plain.values == yoneda(A, "b").values
 
 
+def sequence_generated_ideals(A, bound):
+    """The paper's sequence route to forward-Cauchy ideals: the value
+    tuples of the lower sets generated by every settling eventually
+    periodic sequence whose prefix plus one period has at most bound
+    terms, distinct and sorted."""
+    seen = set()
+    for total in range(1, bound + 1):
+        for cut in range(total):
+            for pre in itertools.product(range(A.n), repeat=cut):
+                for cyc in itertools.product(range(A.n), repeat=total - cut):
+                    s = EventuallyPeriodicSequence(A, pre, cyc)
+                    if settling_violation(s) is None:
+                        seen.add(ideal_from_sequence(s).values)
+    return tuple(sorted(seen))
+
+
 def test_sequence_route_matches_the_decider():
     for A in (two_chain(L3), standard_qorder(boolean4(), "discrete", n=2), DL3):
-        rep = compare_fc_routes(A, bound=3)
-        assert rep["agree"], rep
-        assert rep["decider_count"] == rep["sequence_count"]
-        assert rep["only_decider"] == rep["only_sequence"] == []
-    assert len(sequence_generated_ideals(DL3, bound=3)) == DL3.n
-
-
-def test_sequences_are_charged_before_the_first_is_tried(monkeypatch):
-    A = standard_qorder(lukasiewicz_chain(8), "dL")
-
-    def tried(s):
-        raise AssertionError("a sequence was tried")
-    monkeypatch.setattr(ideals, "settling_violation", tried)
-    # 1 * 8 + 2 * 8**2 + ... + 7 * 8**7 sequences
-    with pytest.raises(BudgetExceeded, match="^16434824 sequences tried"):
-        sequence_generated_ideals(A, bound=7)
-    with pytest.raises(BudgetExceeded, match="^181896 sequences tried"):
-        compare_fc_routes(A, bound=5, budget=181_895)
+        decided = tuple(phi.values for phi in enumerate_ideals(A, "fc"))
+        assert sequence_generated_ideals(A, 3) == decided == fc_walk_oracle(A), A.catalog
+    assert len(sequence_generated_ideals(DL3, 3)) == DL3.n
 
 
 def test_ideal_preconditions_are_reported():

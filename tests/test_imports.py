@@ -56,7 +56,7 @@ def test_a_suite_check_loads_only_the_layers_it_runs(bare):
 
 
 def test_every_export_is_its_modules_own_object():
-    assert len(qideal.__all__) == len(set(qideal.__all__)) == 73
+    assert len(qideal.__all__) == len(set(qideal.__all__)) == 71
     for name in qideal.__all__:
         home = sys.modules[getattr(qideal, name).__module__]
         assert home.__name__.startswith("qideal.")

@@ -83,7 +83,7 @@ def test_saturation_refuses_alike_warm_and_cold(monkeypatch):
                                     "weighted-join lookups", "weighted-join lookups", 20]
 
 
-@pytest.mark.parametrize("cls", ["flat", "irr"])
+@pytest.mark.parametrize("cls", ["fc", "flat", "irr"])
 def test_enumerate_ideals_refuses_alike_warm_and_cold(monkeypatch, cls):
     def call(budget):
         return ("ideals", [p.values for p in enumerate_ideals(DL4, cls, budget=budget)])
@@ -202,9 +202,10 @@ def test_one_scott_context_serves_every_spelling_of_the_budget(monkeypatch):
                                   "FLAT_EQ_IRR_DOUBLENEG", "LINEAR_IRR_EQ_FC",
                                   "CLASSICAL_DEGENERATION"])
 def test_class_comparisons_build_no_set_universe(monkeypatch, name):
-    """The census keeps flags from the lower walk and the generators: no
-    upper walk and no set index on any base."""
+    """The census keeps flags from the lower walk, the generators and the
+    principal rows: no upper walk, no set index and no forward-Cauchy
+    dominance masks on any base."""
     monkeypatch.setattr(fuzzy, "_MEMO", {})
     assert run_suite(name).verdict == "pass"
     kept = {key for entries in fuzzy._MEMO.values() for key in entries}
-    assert kept == {"lower", "dominance", "census"}
+    assert kept == {"lower", "census"}
