@@ -3,7 +3,9 @@
 Validation errors carry the violated law and a witness that reproduces the
 violation; resource errors carry the size that overflowed.  Every
 refusal of work goes through _charge, the one place where a budget of
-None means DEFAULT_BUDGET.
+None means DEFAULT_BUDGET.  _charge keeps no record of what it admits:
+the one thing kept across calls, a walk in fuzzy._MEMO, keeps its own
+count and charges it again on every later call.
 """
 
 DEFAULT_BUDGET = 5_000_000
@@ -103,23 +105,14 @@ class BudgetExceeded(QidealError):
                          + (" (a lower bound: the work stopped part-way)" if partial else ""))
 
 
-# the open records of fuzzy._memoized: each is a list of (count, what)
-# that every admitted charge is appended to
-_RECORDS = []
-
-
 def _charge(count, budget, what, partial=False):
     """Refuse work of count units, named by what, over the budget (None
     for DEFAULT_BUDGET), before the work starts; partial marks a running
-    count of work that goes on past it.  An admitted charge is appended
-    to each open record, as it is: fuzzy._memoized merges the record
-    once, when it keeps its build."""
+    count of work that goes on past it."""
     if budget is None:
         budget = DEFAULT_BUDGET
     if count > budget:
         raise BudgetExceeded(count, budget, what, partial)
-    for record in _RECORDS:
-        record.append((count, what))
 
 
 class GridTooCoarse(QidealError):

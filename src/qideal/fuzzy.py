@@ -10,7 +10,7 @@ built from.
 from __future__ import annotations
 
 from collections import deque
-from itertools import groupby, repeat
+from itertools import repeat
 from operator import and_, itemgetter
 
 from ._value import Frozen
@@ -20,7 +20,6 @@ from .errors import (  # noqa: F401  (DEFAULT_BUDGET is re-exported)
     NotLower,
     NotUpper,
     ShapeMismatch,
-    _RECORDS,
     _charge,
 )
 
@@ -213,41 +212,11 @@ def suprema(phi):
     return tuple(A.elements[a] for a in range(A.n) if A.hom[a] == target)
 
 
-# base -> {key: (value, charges)}: what is derived from a base, kept for
-# the life of the process with the charges its build made: the walks
-# under "lower"/"upper", the forward-Cauchy dominance masks under
-# "dominance", the Scott contexts under ("scott", tag), the suites'
-# censuses under "census".  No key holds a budget: every hit replays its
-# charges (_memoized).
+# base -> {"lower" | "upper": (value tuples, walk count)}: the walks of
+# a base, kept for the life of the process with the count each made, so
+# that a later call charges it against its own budget
+# (_monotone_value_tuples).  A refused walk keeps nothing.
 _MEMO = {}
-
-
-def _memoized(A, key, build, budget):
-    """The value kept for A under key, made by build() on the first
-    call.  The value is kept with the charges its build made
-    (errors._RECORDS), and a later call replays them against its own
-    budget in order, so any budget refuses or admits it as a build
-    would.  A run of charges with the same what (a walk charges as it
-    goes) is kept as its largest, which refuses every budget that the
-    first of them over it would.  A build that raises keeps nothing.
-    The build may memoize other keys of A, so A's entry is looked up
-    again after it."""
-    entries = _MEMO.get(A)
-    if entries is not None and key in entries:
-        value, charges = entries[key]
-        for count, what in charges:
-            _charge(count, budget, what)
-        return value
-    record = []
-    _RECORDS.append(record)
-    try:
-        value = build()
-    finally:
-        _RECORDS.pop()      # records nest, so the last one is this build's
-    charges = tuple((max(map(itemgetter(0), run)), what)
-                    for what, run in groupby(record, itemgetter(1)))
-    _MEMO.setdefault(A, {})[key] = value, charges
-    return value
 
 
 def _walk(A, kind, budget):
@@ -262,7 +231,8 @@ def _walk(A, kind, budget):
     emitted the first time.  The walk charges what it does, |Q| values
     tried per node and n values written per set (a copied one too),
     each before it is done; a refusal names the count where the walk
-    stopped, a lower bound on what it needs."""
+    stopped, a lower bound on what it needs.  Returns the value tuples
+    and the whole count."""
     q = A.quantale
     n, m = A.n, q.n
     leq, tens, res, hom = q.leq, q.tensor_table, q.res_table, A.hom
@@ -310,13 +280,19 @@ def _walk(A, kind, budget):
         extend((), own)
     finally:
         del extend      # the closure refers to itself: free out and seen now
-    return tuple(out)
+    return tuple(out), done
 
 
 def _monotone_value_tuples(A, kind, budget):
     """Value tuples of every lower (or upper) set of A, from the walk
-    memoized per base with its charges."""
-    return _memoized(A, kind, lambda: _walk(A, kind, budget), budget)
+    kept in _MEMO: a kept walk charges its whole count once, which any
+    budget refuses or admits as the walk's running count would."""
+    entry = _MEMO.get(A, {}).get(kind)
+    if entry is None:
+        entry = _MEMO.setdefault(A, {})[kind] = _walk(A, kind, budget)
+    else:
+        _charge(entry[1], budget, "walk values tried and written")
+    return entry[0]
 
 
 def enumerate_monotone_sets(A, kind, budget=None):

@@ -21,7 +21,6 @@ from .fuzzy import (
     _fuzzy_sets,
     _inhabited,
     _lower_violation,
-    _memoized,
     _monotone_value_tuples,
     enumerate_monotone_sets,
 )
@@ -274,14 +273,6 @@ def is_forward_cauchy(phi):
     return _ideal_precondition(phi) or _forward_cauchy(phi)
 
 
-def _dominance(A):
-    """dom[x][v]: the points z with v <= A(x,z), as a bitmask."""
-    leq = A.quantale.leq
-    return tuple(tuple(sum(1 << z for z, h in enumerate(row) if above[h])
-                       for above in leq)
-                 for row in A.hom)
-
-
 def _forward_cauchy(phi):
     """Pointwise decider for a lower, inhabited phi: every x and y admit
     a z with phi(z) = 1, phi(x) <= A(x,z) and phi(y) <= A(y,z); the
@@ -297,11 +288,11 @@ def _forward_cauchy(phi):
     terms, so the meet over its cycle it generates is A(-, c) for any
     of them: sequence generation finds the same sets."""
     A, vals = phi.base, phi.values
-    unit = A.quantale.unit
-    tops = sum(1 << z for z, v in enumerate(vals) if v == unit)
-    doms = list(map(getitem, _memoized(A, "dominance", lambda: _dominance(A), None), vals))
+    leq, unit = A.quantale.leq, A.quantale.unit
+    tops = [z for z, v in enumerate(vals) if v == unit]
+    # doms[x]: the z in T with phi(x) <= A(x,z), as a bitmask
+    doms = [sum(1 << z for z in tops if leq[v][row[z]]) for row, v in zip(A.hom, vals)]
     for x, dx in enumerate(doms):
-        dx &= tops
         for y, dy in enumerate(doms):
             if not dx & dy:
                 return False, {"pair": (A.elements[x], A.elements[y])}

@@ -34,23 +34,20 @@ _RESIDUATION_FAMILY_SIZE, _NEGATION_FAMILY_SIZE = 2, 3
 
 
 def label_index(index, label):
-    """Resolve a label in an index map, accepting "p/q" strings and ints
-    for Fraction-labelled carriers."""
+    """Resolve a label in an index map, accepting "p/q" strings, ints
+    and floats for Fraction-labelled carriers.  A float is read in
+    decimal, as written (0.1 is 1/10), as io.parse_label reads it."""
     try:
         if label in index:
             return index[label]
     except TypeError:
         pass
-    if isinstance(label, str):
+    if isinstance(label, (str, int, float)) and not isinstance(label, bool):
         try:
-            frac = Fraction(label)
+            frac = Fraction(str(label))
         except (ValueError, ZeroDivisionError):
             frac = None
         if frac is not None and frac in index:
-            return index[frac]
-    if isinstance(label, (int, float)) and not isinstance(label, bool):
-        frac = Fraction(label)
-        if frac in index:
             return index[frac]
     if isinstance(label, Fraction) and str(label) in index:
         return index[str(label)]

@@ -18,7 +18,6 @@ from .fuzzy import (
     FuzzySet,
     _fuzzy_sets,
     _lower_violation,
-    _memoized,
     _monotone_value_tuples,
     _sub_idx,
     _tensor_idx,
@@ -45,12 +44,12 @@ def _default_class(mode):
 
 def _scott_context(A, tag, budget):
     """The class ideals of A that have a supremum and are not principal,
-    with all their suprema (as indices), in enumeration order; memoized
-    per base and class with the charges of its build.  A principal ideal
-    passes every test, so it is left out.  For a supremum s of phi, phi
-    <= y(s) = A(-, s) as sub(phi, y(s)) = A(s, s) = 1, and if phi(s) = 1
-    then phi >= phi(s) & y(s), so phi = y(s) (suprema are isomorphic, so
-    one is tested).  An upper psi has sup_x A(x, s) & psi(x) = psi(s):
+    with all their suprema (as indices), in enumeration order, built on
+    each call: a caller that tests many sets builds it once.  A
+    principal ideal passes every test, so it is left out.  For a
+    supremum s of phi, phi <= y(s) = A(-, s) as sub(phi, y(s)) = A(s,
+    s) = 1, and if phi(s) = 1 then phi >= phi(s) & y(s), so phi = y(s)
+    (suprema are isomorphic, so one is tested).  An upper psi has sup_x A(x, s) & psi(x) = psi(s):
     the term x = s gives >=, upperness <=; a lower psi has inf_x A(x, s)
     -> psi(x) = psi(s).  Along an order-preserving f the forward image
     of y(s) is y(f(s)), whose suprema contain f(s).  So the forward-Cauchy
@@ -58,15 +57,12 @@ def _scott_context(A, tag, budget):
     if tag == "fc":
         return ()
     unit = A.quantale.unit
-
-    def build():
-        out = []
-        for p in enumerate_ideals(A, tag, budget=budget):
-            sups = tuple(map(A.index, suprema(p)))
-            if sups and p.values[sups[0]] != unit:
-                out.append((p.values, sups))
-        return tuple(out)
-    return _memoized(A, ("scott", tag), build, budget)
+    out = []
+    for p in enumerate_ideals(A, tag, budget=budget):
+        sups = tuple(map(A.index, suprema(p)))
+        if sups and p.values[sups[0]] != unit:
+            out.append((p.values, sups))
+    return tuple(out)
 
 
 def _member_violation(A, vals, mode, ctx):
@@ -100,7 +96,9 @@ def is_scott_member(psi, mode, which=None, budget=None):
     """Membership of a fuzzy set in the open (mode topology) or closed
     (mode cotopology) family for the given ideal class.  The class
     defaults to flat for opens and irreducible for closeds.  Returns
-    (flag, witness)."""
+    (flag, witness).  Each call builds the base's class ideals with
+    their suprema and charges that work, so to test many sets of one
+    base, build the family once with generate_scott_structure."""
     mode = _mode_tag(mode)
     tag = ideal_class_tag(which if which is not None else _default_class(mode))
     ctx = _scott_context(psi.base, tag, budget)
@@ -240,8 +238,9 @@ def cocontinuity_equivalence(f, which="irreducible", budget=None):
     if w is not None:
         cocontinuous = False
         witnesses["order"] = w
+    ctxA = _scott_context(A, tag, budget)
     if cocontinuous:
-        for ivals, sups in _scott_context(A, tag, budget):
+        for ivals, sups in ctxA:
             img = transport(f, FuzzySet(A, ivals), "forward")
             targets = set(suprema(img))
             bad = next((s for s in sups
@@ -255,7 +254,7 @@ def cocontinuity_equivalence(f, which="irreducible", budget=None):
                     "suprema_of_image": [b for b in B.elements if b in targets],
                 }
                 break
-    bad = _preimage_violation(f, "cotopology", tag, budget)
+    bad = _preimage_violation(f, "cotopology", tag, ctxA, budget)
     if bad is not None:
         witnesses["preimage_not_closed"] = {"closed_set": bad[0],
                                             "violation": bad[1]}
@@ -269,17 +268,19 @@ def check_open_preimages(f, which="flat", budget=None):
     with a cocontinuous map must be open on the source.  Returns
     (flag, witness); callers are expected to have checked
     cocontinuity."""
-    bad = _preimage_violation(f, "topology", ideal_class_tag(which), budget)
+    tag = ideal_class_tag(which)
+    bad = _preimage_violation(f, "topology", tag, _scott_context(f.source, tag, budget),
+                              budget)
     if bad is None:
         return True, None
     return False, {"open_set": bad[0], "violation": bad[1]}
 
 
-def _preimage_violation(f, mode, tag, budget):
+def _preimage_violation(f, mode, tag, ctxA, budget):
     """The first member of the target's open (closed) family, by mode,
-    whose composite with f is not open (closed) on the source: its label
-    dict and the membership violation, or None."""
-    ctxA = _scott_context(f.source, tag, budget)
+    whose composite with f is not open (closed) on the source, given
+    the source's context ctxA: its label dict and the membership
+    violation, or None."""
     for vals in _member_values(f.target, mode, tag, budget):
         pulled = tuple(vals[j] for j in f.mapping)
         v = _member_violation(f.source, pulled, mode, ctxA)

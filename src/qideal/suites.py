@@ -21,7 +21,7 @@ from functools import partial
 # that a process running any other suite loads neither
 from ._value import Value
 from .errors import BudgetExceeded, DecompositionMismatch, GridTooCoarse, UnknownSuite, _charge
-from .fuzzy import FuzzySet, _inhabited, _memoized, _sub_idx, _walk, fuzzy_set, transport
+from .fuzzy import FuzzySet, _inhabited, _sub_idx, _walk, fuzzy_set, transport
 from .ideals import _principal_rows, classify_ideal, enumerate_ideals, ideal_class_tag
 from .interval import (
     _grid,
@@ -84,7 +84,7 @@ def _qorder_layers(q, labels, budget, separated):
     for k in range(1, len(labels)):
         index, grown = {e: i for i, e in enumerate(labels[:k + 1])}, []
         for B in layers[-1]:
-            lowers, uppers = _walk(B, "lower", budget), _walk(B, "upper", budget)
+            (lowers, _), (uppers, _) = _walk(B, "lower", budget), _walk(B, "upper", budget)
             done += k * len(lowers) * len(uppers)
             _charge(done, budget, "hom entries tried and written", partial=True)
             for a in lowers:
@@ -125,19 +125,26 @@ _Flags = namedtuple("_Flags", "inhabited flat irreducible forward_cauchy")
 
 
 def _census(A, budget):
-    """Every lower set of A with its _Flags, memoized per base with the
-    charges of its build.  The flags come from the class enumerations,
-    the forward-Cauchy one from the principal rows, so no witness is
-    built; _ideal_witness builds one for a reported ideal."""
-    def build():
-        lowers = enumerate_ideals(A, "lower", budget=budget)
-        flat, irr = ({p.values for p in enumerate_ideals(A, tag, budget=budget)}
-                     for tag in ("flat", "irr"))
-        fc = set(_principal_rows(A))
-        return tuple((phi, _Flags(_inhabited(A, phi.values), phi.values in flat,
-                                  phi.values in irr, phi.values in fc))
-                      for phi in lowers)
-    return _memoized(A, "census", build, budget)
+    """Every lower set of A with its _Flags, built on each call.  The
+    flags come from the class enumerations, the forward-Cauchy one from
+    the principal rows, so no witness is built; _ideal_witness builds
+    one for a reported ideal."""
+    lowers = enumerate_ideals(A, "lower", budget=budget)
+    flat, irr = ({p.values for p in enumerate_ideals(A, tag, budget=budget)}
+                 for tag in ("flat", "irr"))
+    fc = set(_principal_rows(A))
+    return tuple((phi, _Flags(_inhabited(A, phi.values), phi.values in flat,
+                              phi.values in irr, phi.values in fc))
+                 for phi in lowers)
+
+
+def _int_param(params, name, default):
+    """params[name], or default; a value that is not an int (a bool is
+    not) is refused naming the parameter."""
+    value = params.get(name, default)
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _saturation_battery():
@@ -235,7 +242,7 @@ def _suite_boolean4_counterexample(params, seed, budget, tolerance):
 
 
 def _suite_godel_flat_not_irr(params, seed, budget, tolerance):
-    n = int(params.get("n", 5))
+    n = _int_param(params, "n", 5)
     b = Fraction(str(params.get("b", "1/2")))
     a = Fraction(str(params.get("a", "1/4")))
     q = godel_chain(n)
@@ -256,7 +263,7 @@ def _suite_godel_flat_not_irr(params, seed, budget, tolerance):
 
 
 def _suite_cor312_families(params, seed, budget, tolerance):
-    grid = int(params.get("grid", 257))
+    grid = _int_param(params, "grid", 257)
     pts = _grid(grid, 17)
     interval = [interval_quantale(tnorm, tolerance=tolerance)
                 for tnorm in ("lukasiewicz", "product")]
@@ -421,7 +428,7 @@ def _suite_scott_axioms(params, seed, budget, tolerance):
             details["luk_c5_failures"] = luk_c5
 
     if "classical" in phases:
-        line, posets = _crisp_posets(int(params.get("max_points", 4)), budget)
+        line, posets = _crisp_posets(_int_param(params, "max_points", 4), budget)
         mismatches = 0
         for P in posets:
             n, leq = P.n, _leq(P)
@@ -516,7 +523,7 @@ def _suite_prop57_equiv(params, seed, budget, tolerance):
 
 def _suite_ex58_characterization(params, seed, budget, tolerance):
     tnorm = params.get("tnorm", "lukasiewicz")
-    grid = int(params.get("grid", 257))
+    grid = _int_param(params, "grid", 257)
     q = interval_quantale(tnorm, tolerance=tolerance)
     cases = (
         ("identity", lambda x: x, True),
@@ -538,7 +545,7 @@ def _suite_ex58_characterization(params, seed, budget, tolerance):
 
 
 def _suite_ex510_generation(params, seed, budget, tolerance):
-    grid = int(params.get("grid", 257))
+    grid = _int_param(params, "grid", 257)
     shift = float(Fraction(str(params.get("shift", "1/4"))))
     q = interval_quantale(params.get("tnorm", "lukasiewicz"), tolerance=tolerance)
     fn = lambda x: min(1.0, x + shift)
@@ -574,7 +581,7 @@ def _suite_ex510_generation(params, seed, budget, tolerance):
 
 
 def _suite_classical_degeneration(params, seed, budget, tolerance):
-    line, posets = _crisp_posets(int(params.get("max_points", 4)), budget)
+    line, posets = _crisp_posets(_int_param(params, "max_points", 4), budget)
     witnesses = []
     ideals = 0
     for P in posets:

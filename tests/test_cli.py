@@ -336,6 +336,8 @@ def test_check_params(capsys):
     code, _, err = run(capsys, "check", "CLASSICAL_DEGENERATION",
                        "--param", "max_points=0")
     assert code == 2 and "max_points" in err
+    code, _, err = run(capsys, "check", "GODEL_FLAT_NOT_IRR", "--param", "n=5.7")
+    assert code == 2 and "n must be an integer, got 5.7" in err
 
 
 def test_check_refuses_a_misspelt_param(capsys):

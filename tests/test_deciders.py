@@ -196,9 +196,9 @@ def oracle_witness(oracle, phi, kind):
 
 
 def fc_oracle(phi):
-    """The pointwise loop the dominance masks replaced: the first pair x,
-    y (x outer) with no z at the unit such that phi(x) <= A(x,z) and
-    phi(y) <= A(y,z)."""
+    """The pointwise loop that _forward_cauchy's per-point masks over the
+    points at the unit replace: the first pair x, y (x outer) with no z
+    at the unit such that phi(x) <= A(x,z) and phi(y) <= A(y,z)."""
     A, q = phi.base, phi.base.quantale
     vals = phi.values
     tops = [z for z in range(A.n) if vals[z] == q.unit]
@@ -402,14 +402,14 @@ def test_a_principal_ideal_of_lukasiewicz20_needs_no_set_universe(monkeypatch):
     A = standard_qorder(lukasiewicz_chain(20), "dL")
     rep = classify_ideal(yoneda(A, A.elements[7]))
     assert rep.flags() == (True, True, True, True)
-    assert not any(key in fuzzy._MEMO[A] for key in ("lower", "upper"))
+    assert A not in fuzzy._MEMO
 
 
 def test_a_non_ideal_of_lukasiewicz20_needs_no_set_universe(monkeypatch):
     """phi(x) = (x -> 2/19) v 10/19 is lower and inhabited but not
     principal, so on a chain it is neither flat nor irreducible.  Its
     witnesses come from generator rows and replay, and no decider call
-    keeps a walk."""
+    keeps anything in the memo."""
     monkeypatch.setattr(fuzzy, "_MEMO", {})
     A = standard_qorder(lukasiewicz_chain(20), "dL")
     phi = fuzzy_set(A, [f"{max(min(19, 21 - k), 10)}/19" for k in range(20)])
@@ -421,7 +421,7 @@ def test_a_non_ideal_of_lukasiewicz20_needs_no_set_universe(monkeypatch):
     replay_irreducible(phi, rep.witnesses["irreducible"])
     assert rep.witnesses["irreducible"] == oracle_witness(generator_oracle, phi, "lower")
     assert rep.witnesses["flat"] == oracle_witness(generator_oracle, phi, "upper")
-    assert set(fuzzy._MEMO[A]) == {"dominance"}
+    assert A not in fuzzy._MEMO
 
 
 def test_lukasiewicz10_classes_are_the_principal_ideals():

@@ -85,7 +85,7 @@ def assert_walk_matches_oracle(A):
     for kind in ("lower", "upper"):
         sets = walk_oracle(A, kind)
         count = A.quantale.n * inner_calls(A, kind) + A.n * len(sets)
-        assert _walk(A, kind, count) == sets, (A.catalog, kind)
+        assert _walk(A, kind, count) == (sets, count), (A.catalog, kind)
         fuzzy._MEMO.pop(A, None)
         for _ in ("cold", "warm"):
             with pytest.raises(BudgetExceeded,
@@ -287,12 +287,12 @@ def test_lukasiewicz8_work_count(monkeypatch, name):
     A = standard_qorder(L8, name)
     for kind in ("lower", "upper"):
         assert len(enumerate_monotone_sets(A, kind)) == 576
-        # the memoized walk replays its count against a budget of
+        # the kept walk charges its whole count against a budget of
         # nothing: 8 values tried at each of 57 nodes, 8 written per set
         with pytest.raises(BudgetExceeded) as err:
             enumerate_monotone_sets(A, kind, budget=0)
         assert err.value.count == 8 * 57 + 8 * 576 == 5_064
-        assert not err.value.partial    # a replayed count is the whole walk's
+        assert not err.value.partial    # a kept count is the whole walk's
     principal = {yoneda(A, a).values for a in A.elements}
     for cls in ("irr", "flat"):
         assert {p.values for p in enumerate_ideals(A, cls)} == principal

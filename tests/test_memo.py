@@ -1,9 +1,10 @@
-"""The per-base memo in fuzzy: what it keeps is reused, and no verdict,
-budget refusal or report depends on whether it is warm or empty."""
+"""The per-base memo in fuzzy: it keeps the lower and upper walks and
+nothing else, what it keeps is reused, and no verdict, budget refusal or
+report depends on whether it is warm or empty."""
 
 import pytest
 
-from qideal import fuzzy, ideals, suites
+from qideal import fuzzy, suites
 from qideal.completion import check_saturation, ideal_space
 from qideal.errors import BudgetExceeded
 from qideal.fuzzy import _inhabited, _monotone_value_tuples, enumerate_monotone_sets
@@ -11,7 +12,7 @@ from qideal.ideals import enumerate_ideals
 from qideal.qorder import crisp_qorder, standard_qorder
 from qideal.quantale import godel_chain, lukasiewicz_chain
 from qideal.scott import generate_scott_structure, is_scott_member
-from qideal.suites import run_suite
+from qideal.suites import run_suite, suite_names
 
 DL4 = standard_qorder(lukasiewicz_chain(4), "dL")
 
@@ -111,8 +112,8 @@ def test_census_suite_refuses_alike_warm_and_cold(monkeypatch):
 
 
 def test_a_census_over_a_warm_walk_refuses_as_a_cold_one(monkeypatch):
-    """The census replays the walk's charges whether it walked or found
-    the walk memoized, and the census kept replays them again."""
+    """The census charges the walk's count whether it walked or found
+    the walk kept, and a census built again charges it again."""
     def call(budget):
         return ("census", suites._census(GR4, budget))
 
@@ -126,24 +127,27 @@ def test_a_census_over_a_warm_walk_refuses_as_a_cold_one(monkeypatch):
         "generator rows joined"] * 2
 
 
-def test_scott_members_share_one_context(monkeypatch):
-    """Every membership test on dL over Łukasiewicz-6 reads the same
-    flat ideals: each lower set is decided once, not once per test."""
+@pytest.mark.parametrize("name", suite_names())
+def test_a_suite_keeps_only_walks(monkeypatch, name):
     monkeypatch.setattr(fuzzy, "_MEMO", {})
-    decided = []
-    failing = ideals._failing_threshold
+    run_suite(name)
+    assert all(set(entries) <= {"lower", "upper"} for entries in fuzzy._MEMO.values())
 
-    def counted(A, kind, vals):
-        decided.append(vals)
-        return failing(A, kind, vals)
 
-    monkeypatch.setattr(ideals, "_failing_threshold", counted)
-    A = standard_qorder(lukasiewicz_chain(6), "dL")
-    uppers = enumerate_monotone_sets(A, "upper")
-    assert all(is_scott_member(psi, "topology")[0] for psi in uppers)
-    inhabited = [p.values for p in enumerate_monotone_sets(A, "lower")
-                 if _inhabited(A, p.values)]
-    assert len(uppers) > 1 and decided == inhabited
+def test_a_refused_walk_keeps_nothing(monkeypatch):
+    """dL over Łukasiewicz-8 walks 5,064 values tried and written: one
+    refused part-way leaves no entry for its base, and beside a kept
+    upper walk it leaves that walk alone."""
+    monkeypatch.setattr(fuzzy, "_MEMO", {})
+    A = standard_qorder(lukasiewicz_chain(8), "dL")
+    with pytest.raises(BudgetExceeded) as err:
+        _monotone_value_tuples(A, "lower", 1_000)
+    assert err.value.partial
+    assert A not in fuzzy._MEMO
+    uppers = _monotone_value_tuples(A, "upper", None)
+    with pytest.raises(BudgetExceeded):
+        _monotone_value_tuples(A, "lower", 1_000)
+    assert fuzzy._MEMO == {A: {"upper": (uppers, 5_064)}}
 
 
 @pytest.mark.parametrize("name", ["FC_SUBSET_IRR", "SCOTT_AXIOMS", "PROP57_EQUIV"])
@@ -169,31 +173,22 @@ def test_equal_bases_built_apart_share_one_entry(monkeypatch):
 
 
 def test_one_scott_context_serves_every_spelling_of_the_budget(monkeypatch):
-    """budget=None and the default it stands for share one context:
-    each lower set is decided once, and a later call replays the charges
-    its build made against its own budget."""
+    """budget=None and the default it stands for give one family, and
+    the context is refused or admitted at the charge its build makes,
+    with the walk kept or not."""
     monkeypatch.setattr(fuzzy, "_MEMO", {})
-    decided = []
-    failing = ideals._failing_threshold
-
-    def counted(A, kind, vals):
-        decided.append(vals)
-        return failing(A, kind, vals)
-
-    monkeypatch.setattr(ideals, "_failing_threshold", counted)
     A = standard_qorder(lukasiewicz_chain(10), "dL")
     members = [generate_scott_structure(A, "topology", budget=budget).members
                for budget in (None, fuzzy.DEFAULT_BUDGET)]
     assert members[0] == members[1]
-    assert [key for key in fuzzy._MEMO[A] if key[0] == "scott"] == [("scott", "flat")]
     lowers = enumerate_monotone_sets(A, "lower")
-    assert decided == [p.values for p in lowers if _inhabited(A, p.values)]
+    inhabited = [p for p in lowers if _inhabited(A, p.values)]
+    assert len(inhabited) < len(lowers)
     # 9 thresholds of 10 rows per inhabited lower set: the context is
     # refused one short of that and built at exactly that
-    count = len(decided) * 9 * 10
+    count = len(inhabited) * 9 * 10
     with pytest.raises(BudgetExceeded, match=f"^{count} generator rows joined"):
         generate_scott_structure(A, "topology", budget=count - 1)
-    assert len(decided) < len(lowers)
     monkeypatch.setattr(fuzzy, "_MEMO", {})
     assert is_scott_member(members[0][0], "topology", budget=count)[0]
 
@@ -202,10 +197,9 @@ def test_one_scott_context_serves_every_spelling_of_the_budget(monkeypatch):
                                   "FLAT_EQ_IRR_DOUBLENEG", "LINEAR_IRR_EQ_FC",
                                   "CLASSICAL_DEGENERATION"])
 def test_class_comparisons_build_no_set_universe(monkeypatch, name):
-    """The census keeps flags from the lower walk, the generators and the
-    principal rows: no upper walk, no set index and no forward-Cauchy
-    dominance masks on any base."""
+    """The census takes flags from the lower walk, the generators and the
+    principal rows: no upper walk is kept on any base."""
     monkeypatch.setattr(fuzzy, "_MEMO", {})
     assert run_suite(name).verdict == "pass"
     kept = {key for entries in fuzzy._MEMO.values() for key in entries}
-    assert kept == {"lower", "census"}
+    assert kept == {"lower"}

@@ -125,6 +125,13 @@ def test_label_index_accepts_equivalent_spellings():
     assert q.index(1) == q.unit
     with pytest.raises(KeyError):
         q.index("2/3")
+    # a float is read as written, not as its binary value
+    l11 = lukasiewicz_chain(11)
+    assert l11.index(0.1) == l11.index("1/10") == 1
+    assert l11.index(0.7) == l11.index(Fraction(7, 10))
+    for missing in (0.15, float("nan"), float("inf")):
+        with pytest.raises(KeyError):
+            l11.index(missing)
     b = boolean4()
     assert b.index("1") == b.top
     assert b.index(Fraction(1)) == b.top  # string-label fallback

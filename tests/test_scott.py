@@ -13,13 +13,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qideal import scott
 from qideal.errors import (
     BudgetExceeded,
     DecompositionMismatch,
     GridTooCoarse,
     ShapeMismatch,
     ValidationError,
-    _RECORDS,
 )
 from qideal.fuzzy import (
     FuzzySet,
@@ -155,14 +155,18 @@ def test_families_charge_the_pairs_they_check():
 
 
 def axiom_charge(S):
-    """The one charge check_structure_axioms makes for S, read from an
-    open charge record, or None when it makes none."""
+    """The one charge check_structure_axioms makes for S, read by
+    wrapping the charge it calls, or None when it makes none."""
     record = []
-    _RECORDS.append(record)
-    try:
+    charge = scott._charge
+
+    def recorded(count, budget, what, partial=False):
+        record.append((count, what))
+        charge(count, budget, what, partial)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scott, "_charge", recorded)
         check_structure_axioms(S)
-    finally:
-        _RECORDS.pop()
     counts = [count for count, what in record if what == "closure pairs and scalings"]
     assert len(counts) <= 1, counts
     return counts[0] if counts else None

@@ -131,6 +131,21 @@ def test_a_parameter_the_suite_does_not_read_is_refused(name, params, allowed):
         run_suite(name, **params)
 
 
+@pytest.mark.parametrize("name, param, value", [
+    ("GODEL_FLAT_NOT_IRR", "n", 5.7),
+    ("COR312_FAMILIES", "grid", 17.9),
+    ("EX58_CHARACTERIZATION", "grid", 65.0),
+    ("EX510_GENERATION", "grid", "65"),
+    ("CLASSICAL_DEGENERATION", "max_points", True),
+    ("SCOTT_AXIOMS", "max_points", 3.0),
+])
+def test_an_integer_parameter_that_is_no_int_is_refused(name, param, value):
+    """Nothing is truncated or parsed: 5.7 is no Gödel-5 and True no
+    one-point poset."""
+    with pytest.raises(ValueError, match=f"^{param} must be an integer, got {value!r}$"):
+        run_suite(name, **{param: value})
+
+
 def test_summary_mentions_verdict_and_counts():
     res = run_suite("BOOLEAN4_COUNTEREXAMPLE")
     text = res.summary()
