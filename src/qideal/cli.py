@@ -287,7 +287,11 @@ def main(argv=None):
     except ValidationError as e:
         print(f"invalid instance: {e}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as e:
+    except KeyError as e:
+        # str() of a KeyError is the repr of its argument, quotes and all
+        print(f"error: {e.args[0] if e.args else e}", file=sys.stderr)
+        return 2
+    except (OSError, json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except QidealError as e:

@@ -12,6 +12,7 @@ they are enumerated (_forward_cauchy).
 
 from __future__ import annotations
 
+from functools import reduce
 from operator import getitem
 
 from ._value import Frozen, Value
@@ -123,11 +124,14 @@ def _ideal_precondition(phi, inhabited=None):
     return None
 
 
-def _failing_threshold(A, kind, vals):
-    """The position in A.quantale.prime_tables of the first threshold
-    that the inhabited lower set phi with value tuple vals fails on the
-    generator decider for A's lower sets (kind lower, irreducible) or
-    upper sets (kind upper, flat), or None.  Needs a distributive lattice.
+def _first_break(A, kind, vals):
+    """The generator decider for A's lower sets (kind lower,
+    irreducible) or upper sets (kind upper, flat) on the inhabited lower
+    set phi with value tuple vals: None when phi passes every threshold,
+    else (k, cells, i).  k is the first failing threshold's position in
+    A.quantale.prime_tables, cells are its generator cells in point and
+    then value order, and i is the position of the row that first takes
+    the running fold of their rows out.  Needs a distributive lattice.
 
     Irreducible: with s(psi) = sub(phi, psi), a meet-irreducible u is
     meet-prime, so s(psi) <= u iff phi(y) -> psi(y) <= u at some y, iff
@@ -136,22 +140,41 @@ def _failing_threshold(A, kind, vals):
     row M[y][w](x) = A(y,x) -> w (psi(x) & A(y,x) <= psi(y) and
     residuation; it is lower by transitivity and takes w at y, as A(y,y)
     is the unit).  So G_u = {psi : s(psi) <= u} is the union of the
-    principal down-sets of the rows of its cells, and its join J is
-    their pointwise join.  Every element is the meet of the
-    meet-irreducibles above it, so the threshold test of _irreducible
-    needs only these u; and J lies in G_u iff some cell (y, w) has
-    J(y) <= w, that is M[x][v](y) <= w for every cell (x, v).  Flat is
-    the dual: join-irreducible thresholds j, the minimal b with j <=
-    phi(y) & b, rows N[y][b](x) = b & A(y,x) (the smallest upper set
-    with psi(y) >= b), pointwise meets, and K(y) >= b."""
+    principal down-sets of the rows of its cells: a lower set J lies in
+    G_u iff some cell (y, w) has J(y) <= w.  Every element is the meet
+    of the meet-irreducibles above it, so the threshold test of
+    _irreducible needs only these u.  Flat is the dual: join-irreducible
+    thresholds j, the minimal b with j <= phi(y) & b, rows N[y][b](x) =
+    b & A(y,x) (the smallest upper set with psi(y) >= b), pointwise
+    meets, and K(y) >= b.
+
+    The break: with r_0, r_1, ... the rows of the cells in order, the
+    running join J_i = r_0 v ... v r_i has J_i(y) <= w iff each of r_0,
+    ..., r_i does, so J_i lies in G_u iff some cell survives rows 0..i.
+    The scan records die(c), the position of the first row that pushes
+    the cell c out, where the test of c stops.  A cell that no row
+    pushes out keeps the join of all the rows in G_u: the threshold
+    passes.  If every cell dies, the fold first leaves G_u at i, the
+    largest die(c); i >= 1, as the first cell (y, w) keeps its own row,
+    r_0(y) = A(y,y) -> w = w."""
     _, gens, table, keeps = getattr(A.quantale.prime_tables, kind)
     hom = A.hom
     # at_k[y]: the generators of phi(y) at threshold k
     for k, at_k in enumerate(zip(*map(gens.__getitem__, vals))):
         cells = [(y, w) for y, at in enumerate(at_k) for w in at]
-        if cells and not any(all(keeps[table[hom[x][y]][v]][w] for x, v in cells)
-                             for y, w in cells):
-            return k
+        if not cells:
+            continue
+        i = 0
+        for y, w in cells:
+            for die, (x, v) in enumerate(cells):
+                if not keeps[table[hom[x][y]][v]][w]:
+                    break
+            else:
+                break   # (y, w) survives every row
+            if die > i:
+                i = die
+        else:
+            return k, cells, i
     return None
 
 
@@ -175,33 +198,41 @@ def _break(A, kind, vals, sets):
     upper) for the inhabited lower set with value tuple vals: None, or
     the first break (acc, psi, d(acc . psi), d(acc) . d(psi)) of a
     threshold's left-to-right fold of members, d and the fold as in
-    their proofs.  With sets None, the threshold is the first one that
-    _failing_threshold finds, its members its generator rows by point
-    and then value; else each value in index order is a threshold, its
-    members the sets whose degree passes it."""
+    their proofs.  With sets None, _first_break names the threshold and
+    its break row r_i, so only r_0, ..., r_i are built: acc is the fold
+    of r_0, ..., r_(i-1), psi is r_i, and d is evaluated three times,
+    none of them along the fold.  Else each value in index order is a
+    threshold, its members the sets whose degree passes it, and the
+    fold tests d at every step."""
+    if sets is None:
+        hit = _first_break(A, kind, vals)
+        if hit is None:
+            return None
     q = A.quantale
-    thresholds, gens, table, keeps = getattr(q.prime_tables, kind)
+    thresholds, _, table, keeps = getattr(q.prime_tables, kind)
     fold, gather = ((q.join_table, q.meet_all) if kind == "lower"
                     else (q.meet_table, q.join_all))
     terms = [table[a] for a in vals]
 
     def d(vec):
         return gather(map(getitem, terms, vec))
+
+    def merge(v1, v2):
+        return tuple(fold[a][b] for a, b in zip(v1, v2))
     if sets is None:
-        k = _failing_threshold(A, kind, vals)
-        if k is None:
-            return None
-        folds = [(thresholds[k], [tuple(table[h][w] for h in A.hom[y])
-                                  for y, a in enumerate(vals) for w in gens[a][k]])]
+        k, cells, i = hit
+        rows = [tuple(table[h][w] for h in A.hom[y]) for y, w in cells[:i + 1]]
+        folds = [(thresholds[k], [reduce(merge, rows[1:i], rows[0]), rows[i]])]
     else:
         degrees = list(map(d, sets))
         folds = ((u, [v for v, e in zip(sets, degrees) if keeps[e][u]]) for u in range(q.n))
     for u, members in folds:
         acc = members[0] if members else None
         for psi in members[1:]:
-            out = tuple(fold[a][b] for a, b in zip(acc, psi))
-            if not keeps[d(out)][u]:
-                return acc, psi, d(out), fold[d(acc)][d(psi)]
+            out = merge(acc, psi)
+            e = d(out)
+            if not keeps[e][u]:
+                return acc, psi, e, fold[d(acc)][d(psi)]
             acc = out
     return None
 
@@ -336,9 +367,9 @@ def enumerate_ideals(A, which="fc", budget=None):
     ideals are the principal ones (_forward_cauchy), read off the hom
     table with its n * n entries charged, and nothing is walked.  Flat
     and irreducible decide each inhabited lower set's flag, charged by
-    _route before any set is decided: on a distributive lattice by
-    _failing_threshold alone, with no witness; else by _break over the
-    upper (lower) sets."""
+    _route before any set is decided: on a distributive lattice by the
+    scan of _first_break alone, with no row built; else by _break over
+    the upper (lower) sets."""
     tag = ideal_class_tag(which)
     if tag == "fc":
         _charge(A.n * A.n, budget, "hom entries read")
@@ -349,6 +380,6 @@ def enumerate_ideals(A, which="fc", budget=None):
     kind = "upper" if tag == "flat" else "lower"
     inhabited = [p for p in lowers if _inhabited(A, p.values)]
     sets = _route(A, kind, len(inhabited), budget)
-    fails = ((lambda vals: _failing_threshold(A, kind, vals)) if sets is None
+    fails = ((lambda vals: _first_break(A, kind, vals)) if sets is None
              else lambda vals: _break(A, kind, vals, sets))
     return tuple(p for p in inhabited if fails(p.values) is None)

@@ -36,7 +36,14 @@ _RESIDUATION_FAMILY_SIZE, _NEGATION_FAMILY_SIZE = 2, 3
 def label_index(index, label):
     """Resolve a label in an index map, accepting "p/q" strings, ints
     and floats for Fraction-labelled carriers.  A float is read in
-    decimal, as written (0.1 is 1/10), as io.parse_label reads it."""
+    decimal, as written (0.1 is 1/10), as io.parse_label reads it.  A
+    bool resolves only to a label that is itself a bool: True equals 1
+    and Fraction(1), with the same hash."""
+    if isinstance(label, bool):
+        for key, i in index.items():
+            if key is label:
+                return i
+        raise KeyError(f"label {label!r} is not in the carrier")
     try:
         if label in index:
             return index[label]

@@ -83,6 +83,18 @@ def test_classify_rejects_misshapen_values(capsys):
     assert "invalid instance" in err
 
 
+def test_classify_refuses_bool_labels(capsys):
+    """A JSON true is no carrier label of a Fraction-labelled quantale,
+    though True == Fraction(1)."""
+    code, report, err = run(capsys, "classify", DL3, "[true, true, false]")
+    assert (code, report, err) == (2, None, "error: label True is not in the carrier\n")
+
+
+def test_a_missing_label_is_named_without_quotes(capsys):
+    code, report, err = run(capsys, "classify", DL3, '["1", "1/2", null]')
+    assert (code, report, err) == (2, None, "error: label None is not in the carrier\n")
+
+
 def test_enumerate(capsys):
     code, report, _ = run(capsys, "enumerate", DL3, "--class", "fc")
     assert code == 0

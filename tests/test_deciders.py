@@ -3,7 +3,9 @@ pair scans they replaced and the meet shortcut for frames, with every
 failure witness replayed from the definitions and equal, break for
 break, to a generator-row fold written from the row formulas (on a
 distributive lattice) or to the per-set fold over every set (on any
-other); the forward-Cauchy dominance masks against the pointwise loop
+other); the break row that the generator scan names against the
+largest die(c) from the row formulas, and two misplaced breaks that
+the generator-row fold catches; the forward-Cauchy dominance masks against the pointwise loop
 they replaced, pair for pair; inhabitedness against the join of the
 values."""
 
@@ -13,7 +15,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qideal import fuzzy
+from qideal import fuzzy, ideals
 from qideal.fuzzy import (
     DEFAULT_BUDGET,
     FuzzySet,
@@ -37,6 +39,7 @@ from qideal.quantale import (
     boolean4,
     godel_chain,
     lukasiewicz_chain,
+    nilpotent_minimum_chain,
 )
 from test_enumeration import RANDOM_BASES
 from test_quantale import m3_with_top
@@ -345,6 +348,94 @@ def two_point_orders(q):
     one = q.elements[q.unit]
     for ab, ba in itertools.product(q.elements, repeat=2):
         yield build_qorder(q, ("a", "b"), [[one, ab], [ba, one]])
+
+
+@pytest.mark.parametrize("q", [boolean4(), godel_chain(5), nilpotent_minimum_chain(4),
+                               lukasiewicz_chain(4)], ids=["boolean4", "G5", "NM4", "L4"])
+def test_random_five_point_orders_over_the_census_quantales(q):
+    """Seeded 5-point orders as the census draws them; bases with more
+    than 64 lower or upper sets are passed over, which bounds the cost
+    of the pair oracles."""
+    rng, kept = random.Random(20260819), 0
+    while kept < 4:
+        A = random_qorder(q, 5, rng)
+        if all(len(_monotone_value_tuples(A, kind, DEFAULT_BUDGET)) <= 64
+               for kind in ("lower", "upper")):
+            assert_matches_oracles(A)
+            kept += 1
+
+
+def die_positions(A, kind, cells):
+    """die(c) of each generator cell c = (y, w), from the row formulas:
+    the position of the first cell (x, v) whose row leaves c, that is
+    A(x,y) -> v is not <= w (kind lower) or v & A(x,y) is not >= w
+    (kind upper), or None when no row does."""
+    q = A.quantale
+    if kind == "lower":
+        def leaves(x, v, y, w):
+            return not q.leq[q.res_table[A.hom[x][y]][v]][w]
+    else:
+        def leaves(x, v, y, w):
+            return not q.leq[w][q.tensor_table[v][A.hom[x][y]]]
+    return [next((j for j, (x, v) in enumerate(cells) if leaves(x, v, y, w)), None)
+            for y, w in cells]
+
+
+def boolean4_break():
+    """A 4-point order over boolean4 and phi = (a, a, a, 1) on it.  The
+    unit at x3 has a generator at each threshold, a at a and b at b.
+    Each decider's failing threshold has one cell per point, and its
+    fold breaks at the third row: neither r_1 nor the last."""
+    q = boolean4()
+    hom = [["1", "1", "b", "0"], ["b", "1", "b", "0"], ["b", "b", "1", "0"], ["1"] * 4]
+    A = build_qorder(q, ("x0", "x1", "x2", "x3"), hom)
+    return A, fuzzy_set(A, ["a", "a", "a", "1"])
+
+
+def test_a_boolean4_break_inside_the_rows():
+    A, phi = boolean4_break()
+    a, b = (phi.base.quantale.index(e) for e in "ab")
+    # irreducible passes threshold a and fails at b; flat fails at a
+    scans = {kind: ideals._first_break(A, kind, phi.values) for kind in ("lower", "upper")}
+    assert scans == {"lower": (1, [(y, b) for y in range(4)], 2),
+                     "upper": (0, [(y, a) for y in range(4)], 2)}
+    for kind, (_, cells, i) in scans.items():
+        dies = die_positions(A, kind, cells)
+        assert dies == [1, 2, 0, 0] and i == max(dies)
+    rep = classify_ideal(phi)
+    assert rep.witnesses["irreducible"] == {
+        "phi1": {"x0": "1", "x1": "b", "x2": "1", "x3": "1"},
+        "phi2": {"x0": "1", "x1": "1", "x2": "b", "x3": "1"},
+        "sub_of_join": "1", "join_of_subs": "b",
+    } == oracle_witness(generator_oracle, phi, "lower")
+    assert rep.witnesses["flat"] == {
+        "psi1": {"x0": "0", "x1": "a", "x2": "0", "x3": "0"},
+        "psi2": {"x0": "0", "x1": "0", "x2": "a", "x3": "0"},
+        "tensor_with_meet": "0", "meet_of_tensors": "a",
+    } == oracle_witness(generator_oracle, phi, "upper")
+    replay_irreducible(phi, rep.witnesses["irreducible"])
+    replay_flat(phi, rep.witnesses["flat"])
+
+
+@pytest.mark.parametrize("pick", [min, lambda dies: len(dies) - 1],
+                         ids=["smallest-die", "last-cell"])
+def test_a_misplaced_break_fails_the_generator_oracle(monkeypatch, pick):
+    """The break is at the largest die(c): a scan that names the
+    smallest one, or the last cell, gives other witnesses than the
+    generator-row fold."""
+    scan = ideals._first_break
+
+    def mutated(A, kind, vals):
+        hit = scan(A, kind, vals)
+        if hit is None:
+            return None
+        k, cells, _ = hit
+        return k, cells, pick(die_positions(A, kind, cells))
+    monkeypatch.setattr(ideals, "_first_break", mutated)
+    A, phi = boolean4_break()
+    rep = classify_ideal(phi)
+    assert rep.witnesses.get("irreducible") != oracle_witness(generator_oracle, phi, "lower")
+    assert rep.witnesses.get("flat") != oracle_witness(generator_oracle, phi, "upper")
 
 
 def test_every_base_of_m3_with_a_top():

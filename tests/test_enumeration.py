@@ -305,5 +305,5 @@ def test_lukasiewicz8_work_count(monkeypatch, name):
     count = 8_192 * 13 * 14
     with pytest.raises(BudgetExceeded, match=f"^{count} generator rows joined"):
         enumerate_ideals(A, "irr", budget=count - 1)
-    monkeypatch.setattr(ideals, "_failing_threshold", lambda A, kind, vals: 0)
+    monkeypatch.setattr(ideals, "_first_break", lambda A, kind, vals: (0, [], 1))
     assert enumerate_ideals(A, "irr", budget=count) == ()

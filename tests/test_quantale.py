@@ -137,6 +137,23 @@ def test_label_index_accepts_equivalent_spellings():
     assert b.index(Fraction(1)) == b.top  # string-label fallback
 
 
+def test_a_bool_resolves_only_to_a_bool_label():
+    """True == 1 == Fraction(1) with one hash, so a bool would otherwise
+    name the unit of a Fraction-labelled carrier."""
+    q = lukasiewicz_chain(3)
+    for flag in (True, False):
+        with pytest.raises(KeyError, match=f"^'label {flag} is not in the carrier'$"):
+            q.index(flag)
+    assert q.index(1) == q.unit and q.index(0) == q.bottom
+    # a carrier labelled by bools still resolves them, and only them
+    crisp = build_finite_quantale((False, True), ((1, 1), (0, 1)),
+                                  ((False, False), (False, True)), True)
+    assert (crisp.index(False), crisp.index(True)) == (crisp.bottom, crisp.unit) == (0, 1)
+    assert label_index({False: 0, True: 1}, True) == 1
+    with pytest.raises(KeyError):
+        label_index({0: 0, 1: 1}, True)
+
+
 def test_build_rejects_broken_tables():
     e = ("0", "1")
     leq = ((1, 1), (0, 1))
