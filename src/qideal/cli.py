@@ -53,7 +53,7 @@ def _emit(report, summary_lines):
 
 def _cmd_validate(args):
     from .fuzzy import FuzzySet, classify_fuzzy_set
-    from .ideals import is_forward_cauchy_sequence, settling_violation
+    from .ideals import settling_violation
     from .interval import IntervalQuantale
     from .io import load_instance
     from .qorder import QMap, QOrderedSet, validate_qorder
@@ -84,7 +84,7 @@ def _cmd_validate(args):
         return 0
     w = settling_violation(obj)
     report = {"kind": "sequence", "valid": w is None,
-              "settles": is_forward_cauchy_sequence(obj),
+              "settles": w is None,
               "violation": None if w is None else
               {"cycle_positions": w,
                "labels": [obj.base.elements[obj.cycle[k]] for k in w]}}
@@ -95,7 +95,7 @@ def _cmd_validate(args):
 def _cmd_classify(args):
     from .fuzzy import classify_fuzzy_set, fuzzy_set
     from .ideals import classify_ideal
-    from .io import load_qorder, parse_labels
+    from .io import load_qorder
 
     order = _load_arg(args.qorder, args.budget, load_qorder)
     raw = args.fuzzyset
@@ -105,7 +105,7 @@ def _cmd_classify(args):
             data = json.load(fh)
     if isinstance(data, dict) and "values" in data:
         data = data["values"]
-    phi = fuzzy_set(order, parse_labels(data))
+    phi = fuzzy_set(order, data)
     shape = classify_fuzzy_set(phi)
     rep = classify_ideal(phi, budget=args.budget)
     report = {"values": phi.as_dict(), "shape": shape,

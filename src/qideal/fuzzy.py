@@ -61,15 +61,8 @@ def fuzzy_set(base, values):
     """values: dict carrier label -> quantale label, or an aligned sequence."""
     q = base.quantale
     if isinstance(values, dict):
-        vec = []
-        for e in base.elements:
-            if e not in values:
-                raise ShapeMismatch("values miss a carrier element", witness=(e,))
-            vec.append(q.index(values[e]))
-        if len(values) != base.n:
-            extra = set(values) - set(base.elements)
-            raise ShapeMismatch("values cover labels outside the carrier",
-                                witness=tuple(sorted(map(str, extra))))
+        vec = base.aligned(values, q.index, "values miss a carrier element",
+                           "values cover labels outside the carrier")
     else:
         vec = [q.index(v) for v in values]
         if len(vec) != base.n:

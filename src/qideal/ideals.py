@@ -87,10 +87,6 @@ def settling_violation(s):
     return None
 
 
-def is_forward_cauchy_sequence(s):
-    return settling_violation(s) is None
-
-
 def ideal_from_sequence(s):
     """The lower set generated by the sequence: join over tail starts of
     the meet of principal lower sets at the tail terms.  Tails stabilize

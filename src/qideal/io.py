@@ -54,14 +54,6 @@ def parse_label(v):
     return v
 
 
-def parse_labels(data):
-    """A JSON object of labels to labels, or an array of labels, with
-    every label parsed by parse_label."""
-    if isinstance(data, dict):
-        return {parse_label(k): parse_label(v) for k, v in data.items()}
-    return [parse_label(v) for v in data]
-
-
 def unparse_label(v):
     return str(v) if isinstance(v, Fraction) else v
 
@@ -134,29 +126,26 @@ def load_qorder(data, base_dir=None, budget=None):
     if "crisp_leq" in data:
         return crisp_qorder(base, elements, [[bool(v) for v in row]
                                              for row in data["crisp_leq"]])
-    hom = [[parse_label(v) for v in row] for row in data["hom"]]
-    return build_qorder(base, elements, hom)
+    return build_qorder(base, elements, data["hom"])
 
 
 def load_fuzzy_set(data, base_dir=None, budget=None):
     data, base_dir = _resolve(data, base_dir)
     order = load_qorder(data["order"], base_dir, budget)
-    return fuzzy_set(order, parse_labels(data["values"]))
+    return fuzzy_set(order, data["values"])
 
 
 def load_qmap(data, base_dir=None, budget=None):
     data, base_dir = _resolve(data, base_dir)
     source = load_qorder(data["source"], base_dir, budget)
     target = load_qorder(data["target"], base_dir, budget)
-    return build_qmap(source, target, parse_labels(data["mapping"]))
+    return build_qmap(source, target, data["mapping"])
 
 
 def load_sequence(data, base_dir=None, budget=None):
     data, base_dir = _resolve(data, base_dir)
     order = load_qorder(data["order"], base_dir, budget)
-    cycle = [parse_label(v) for v in data["cycle"]]
-    prefix = [parse_label(v) for v in data.get("prefix", ())]
-    return periodic_sequence(order, cycle, prefix=prefix)
+    return periodic_sequence(order, data["cycle"], prefix=data.get("prefix", ()))
 
 
 def load_instance(data, base_dir=None, budget=None):

@@ -17,18 +17,17 @@ from .errors import (
     ValidationError,
     _charge,
 )
-from .quantale import label_index
+from .quantale import _Labelled, label_map
 
 
-class QOrderedSet(Frozen, fields="quantale elements hom catalog _index",
-                  hidden="_index", uncompared="catalog _index"):
+class QOrderedSet(_Labelled, Frozen, fields="quantale elements hom catalog", uncompared="catalog"):
     """Finite Q-ordered set: labels plus a hom table of quantale indices;
     hom[i][j] is the quantale index of A(x_i, x_j)."""
 
     _hash = None    # hash(hom), kept by __hash__
 
-    def __init__(self, quantale, elements, hom, catalog=None, _index=None):
-        self._init(quantale, elements, hom, catalog, _index)
+    def __init__(self, quantale, elements, hom, catalog=None):
+        self._init(quantale, elements, hom, catalog)
 
     def __hash__(self):
         # kept for the memo in fuzzy; equal bases have equal homs, and int
@@ -41,11 +40,28 @@ class QOrderedSet(Frozen, fields="quantale elements hom catalog _index",
     def n(self):
         return len(self.elements)
 
-    def index(self, label):
-        if self._index is None:
-            object.__setattr__(self, "_index",
-                               {e: i for i, e in enumerate(self.elements)})
-        return label_index(self._index, label)
+    def aligned(self, mapping, value, missing, outside):
+        """[value(v) for each point], v what the dict mapping gives the
+        point under any spelling of its label.  Refuses two keys that
+        name one point, then a point with no key (message missing), then
+        keys that name no point (message outside), by ShapeMismatch."""
+        keys, extra = {}, []
+        for key in mapping:
+            try:
+                i = self.index(key)
+            except KeyError:
+                extra.append(key)
+                continue
+            if keys.setdefault(i, key) is not key:
+                raise ShapeMismatch("two keys name one point", witness=(keys[i], key))
+        vals = []
+        for i, e in enumerate(self.elements):
+            if i not in keys:
+                raise ShapeMismatch(missing, witness=(e,))
+            vals.append(value(mapping[keys[i]]))
+        if extra:
+            raise ShapeMismatch(outside, witness=tuple(sorted(map(str, extra))))
+        return vals
 
     def degree(self, x, y):
         """A(x,y) as a quantale label."""
@@ -80,11 +96,7 @@ def build_qorder(q, elements, hom, catalog=None):
     n = len(elements)
     if n == 0:
         raise EmptyCarrier()
-    index = {}
-    for i, e in enumerate(elements):
-        if e in index:
-            raise ShapeMismatch("duplicate element label", witness=(e,))
-        index[e] = i
+    label_map(elements)     # refuses two labels that name one point
     if len(hom) != n or any(len(row) != n for row in hom):
         raise ShapeMismatch("hom table is not square over the carrier")
     try:
@@ -97,7 +109,7 @@ def build_qorder(q, elements, hom, catalog=None):
         raise ValidationError(
             bad["law"], witness=tuple(elements[i] for i in bad["witness"]),
             detail=f"computed {lab(bad['lhs'])} against {lab(bad['rhs'])}")
-    return QOrderedSet(q, elements, hom_idx, catalog=catalog, _index=index)
+    return QOrderedSet(q, elements, hom_idx, catalog=catalog)
 
 
 def validate_qorder(A):
@@ -120,12 +132,12 @@ def opposite(A):
     n = A.n
     hom = tuple(tuple(A.hom[j][i] for j in range(n)) for i in range(n))
     cat = ("opposite", {"of": A.catalog}) if A.catalog else None
-    return QOrderedSet(A.quantale, A.elements, hom, catalog=cat, _index=A._index)
+    return QOrderedSet(A.quantale, A.elements, hom, catalog=cat)
 
 
 def point_qorder(q):
     """The one-element Q-ordered set."""
-    return QOrderedSet(q, ("*",), ((q.unit,),), catalog=("point", {}), _index={"*": 0})
+    return QOrderedSet(q, ("*",), ((q.unit,),), catalog=("point", {}))
 
 
 def crisp_qorder(q, elements, leq, catalog=None):
@@ -149,12 +161,10 @@ def standard_qorder(q, name, **params):
         raise ValueError(f'a {name} order needs "n" or "labels"')
     if name == "dL":
         hom = tuple(tuple(q.res_table[i][j] for j in range(q.n)) for i in range(q.n))
-        return QOrderedSet(q, q.elements, hom, catalog=("dL", {}),
-                           _index=dict(q._index))
+        return QOrderedSet(q, q.elements, hom, catalog=("dL", {}))
     if name == "dR":
         hom = tuple(tuple(q.res_table[j][i] for j in range(q.n)) for i in range(q.n))
-        return QOrderedSet(q, q.elements, hom, catalog=("dR", {}),
-                           _index=dict(q._index))
+        return QOrderedSet(q, q.elements, hom, catalog=("dR", {}))
     if name == "discrete":
         labels = params.get("labels")
         if labels is None:
@@ -165,8 +175,7 @@ def standard_qorder(q, name, **params):
             raise EmptyCarrier()
         hom = tuple(tuple(q.unit if i == j else q.bottom for j in range(n))
                     for i in range(n))
-        return QOrderedSet(q, labels, hom, catalog=("discrete", {"n": n}),
-                           _index={e: i for i, e in enumerate(labels)})
+        return QOrderedSet(q, labels, hom, catalog=("discrete", {"n": n}))
     if name == "power":
         labels = params.get("labels")
         k = params["n"] if labels is None else len(labels)
@@ -175,15 +184,12 @@ def standard_qorder(q, name, **params):
         _charge(q.n ** (2 * k) * k, params.get("budget"), "power hom lookups")
         if labels is None:
             labels = tuple(f"x{i}" for i in range(k))
-        carrier = [tuple(q.elements[i] for i in vec)
-                   for vec in itertools.product(range(q.n), repeat=k)]
         vecs = list(itertools.product(range(q.n), repeat=k))
         hom = tuple(
             tuple(q.meet_all(q.res_table[a][b] for a, b in zip(f, g)) for g in vecs)
             for f in vecs)
-        return QOrderedSet(q, tuple(carrier), hom,
-                           catalog=("power", {"labels": list(labels)}),
-                           _index={e: i for i, e in enumerate(carrier)})
+        carrier = tuple(tuple(map(q.elements.__getitem__, vec)) for vec in vecs)
+        return QOrderedSet(q, carrier, hom, catalog=("power", {"labels": list(labels)}))
     if name == "opposite":
         base = params.get("base")
         if base is None:
@@ -214,9 +220,7 @@ def random_qorder(q, n, rng, labels=None):
                     if v != hom[x][z]:
                         hom[x][z] = v
                         changed = True
-    return QOrderedSet(q, labels, tuple(tuple(r) for r in hom),
-                       catalog=("random", {"n": n}),
-                       _index={e: i for i, e in enumerate(labels)})
+    return QOrderedSet(q, labels, tuple(tuple(r) for r in hom), catalog=("random", {"n": n}))
 
 
 class QMap(Frozen, fields="source target mapping"):
@@ -244,15 +248,8 @@ def build_qmap(source, target, mapping):
     if source.quantale != target.quantale:
         raise QuantaleMismatch("map endpoints live over different quantales")
     if isinstance(mapping, dict):
-        idx = []
-        for e in source.elements:
-            if e not in mapping:
-                raise ShapeMismatch("mapping misses a source element", witness=(e,))
-            idx.append(target.index(mapping[e]))
-        if len(mapping) != source.n:
-            extra = set(mapping) - set(source.elements)
-            raise ShapeMismatch("mapping has labels outside the source",
-                                witness=tuple(sorted(map(str, extra))))
+        idx = source.aligned(mapping, target.index, "mapping misses a source element",
+                             "mapping has labels outside the source")
     else:
         vals = list(mapping)
         if len(vals) != source.n:

@@ -13,6 +13,7 @@ with its closed forms, lives in the interval module.
 from __future__ import annotations
 
 import itertools
+import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
@@ -29,43 +30,74 @@ from .errors import (
     ShapeMismatch,
 )
 
+_NUMERAL = re.compile(r"\s*[-+]?\.?\d")      # how every string Fraction() reads begins
+
 # the largest index families that the residuation and negation law checks try
 _RESIDUATION_FAMILY_SIZE, _NEGATION_FAMILY_SIZE = 2, 3
 
 
-def label_index(index, label):
-    """Resolve a label in an index map, accepting "p/q" strings, ints
-    and floats for Fraction-labelled carriers.  A float is read in
-    decimal, as written (0.1 is 1/10), as io.parse_label reads it.  A
-    bool resolves only to a label that is itself a bool: True equals 1
-    and Fraction(1), with the same hash."""
+def _label_key(label):
+    """The key that decides which spellings name one carrier label.  A
+    number, or a string that spells one ("1/2", "0.5"), keys by its exact
+    value, a float read in decimal, as written (0.1 is 1/10).  A bool
+    keys apart: True == 1 == Fraction(1), with one hash.  Anything else
+    is itself."""
     if isinstance(label, bool):
-        for key, i in index.items():
-            if key is label:
-                return i
-        raise KeyError(f"label {label!r} is not in the carrier")
-    try:
-        if label in index:
-            return index[label]
-    except TypeError:
-        pass
-    if isinstance(label, (str, int, float)) and not isinstance(label, bool):
+        return bool, label
+    if isinstance(label, float) or isinstance(label, str) and _NUMERAL.match(label):
         try:
-            frac = Fraction(str(label))
+            return Fraction(str(label))
         except (ValueError, ZeroDivisionError):
-            frac = None
-        if frac is not None and frac in index:
-            return index[frac]
-    if isinstance(label, Fraction) and str(label) in index:
-        return index[str(label)]
-    raise KeyError(f"label {label!r} is not in the carrier")
+            return label
+    return label
 
 
-class FiniteQuantale(Frozen, fields="elements leq tensor_table unit join_table meet_table "
-                     "res_table neg_vector bottom top catalog _index",
-                     hidden="join_table meet_table res_table neg_vector _index",
-                     uncompared="join_table meet_table res_table neg_vector bottom top "
-                                "catalog _index"):
+def label_map(labels):
+    """Each label's index under its key, and a string's also under
+    itself, so a label spelled as the carrier spells it costs one dict
+    hit (a label that is no bool, float or string is its own key).  Two
+    labels with one key are refused."""
+    index = {}
+    for i, label in enumerate(labels):
+        key = _label_key(label)
+        if key in index:
+            raise ShapeMismatch("duplicate element label", witness=(label,))
+        index[key] = i
+        if isinstance(label, str):
+            index[label] = i
+    return index
+
+
+def label_index(index, label):
+    """The index of label in a label_map: the entry of the label as
+    written, if it has one and is no bool or float, else its key's."""
+    try:
+        i = None if isinstance(label, (bool, float)) else index.get(label)
+        return index[_label_key(label)] if i is None else i
+    except (KeyError, TypeError):
+        raise KeyError(f"label {label!r} is not in the carrier") from None
+
+
+class _Labelled:
+    """index(label): the position that label names in elements, read
+    from a label_map built on the first call.  The map is set past the
+    frozen __setattr__, not by a cached_property, whose write through
+    __dict__ makes every later attribute read of the object slower."""
+
+    __slots__ = ()
+    _by_label = None
+
+    def index(self, label):
+        if self._by_label is None:
+            object.__setattr__(self, "_by_label", label_map(self.elements))
+        return label_index(self._by_label, label)
+
+
+class FiniteQuantale(_Labelled, Frozen,
+                     fields="elements leq tensor_table unit join_table meet_table "
+                            "res_table neg_vector bottom top catalog",
+                     hidden="join_table meet_table res_table neg_vector",
+                     uncompared="join_table meet_table res_table neg_vector bottom top catalog"):
     """Integral commutative quantale on an explicit finite lattice.
 
     Elements are addressed by index; ``elements`` holds the labels.  All
@@ -78,16 +110,13 @@ class FiniteQuantale(Frozen, fields="elements leq tensor_table unit join_table m
     # leq[i][j]: element i below element j; tensor_table[i][j]: index of
     # element i & element j
     def __init__(self, elements, leq, tensor_table, unit, join_table, meet_table,
-                 res_table, neg_vector, bottom, top, catalog=None, _index=None):
+                 res_table, neg_vector, bottom, top, catalog=None):
         self._init(elements, leq, tensor_table, unit, join_table, meet_table, res_table,
-                   neg_vector, bottom, top, catalog, _index)
+                   neg_vector, bottom, top, catalog)
 
     @property
     def n(self):
         return len(self.elements)
-
-    def index(self, label):
-        return label_index(self._index, label)
 
     # index-level operations
     def tensor(self, i, j):
@@ -208,23 +237,21 @@ def build_finite_quantale(elements, leq, tensor, unit, catalog=None):
     n = len(elements)
     if n == 0:
         raise EmptyCarrier()
-    index = {}
-    for i, e in enumerate(elements):
-        if e in index:
-            raise ShapeMismatch("duplicate element label", witness=(e,))
-        index[e] = i
+    index = label_map(elements)
     if len(leq) != n or any(len(row) != n for row in leq):
         raise ShapeMismatch("leq table is not square over the carrier")
     if len(tensor) != n or any(len(row) != n for row in tensor):
         raise ShapeMismatch("tensor table is not square over the carrier")
     leq_t = tuple(tuple(bool(v) for v in row) for row in leq)
-    try:
-        tens = tuple(tuple(index[v] for v in row) for row in tensor)
-    except KeyError as exc:
-        raise ShapeMismatch("tensor entry outside the carrier", witness=(exc.args[0],))
-    if unit not in index:
-        raise ShapeMismatch("unit label outside the carrier", witness=(unit,))
-    unit_i = index[unit]
+
+    def at(label, where):
+        try:
+            return label_index(index, label)
+        except KeyError:
+            raise ShapeMismatch(f"{where} outside the carrier", witness=(label,)) from None
+
+    tens = tuple(tuple(at(v, "tensor entry") for v in row) for row in tensor)
+    unit_i = at(unit, "unit label")
     lab = elements.__getitem__
 
     for i in range(n):
@@ -319,9 +346,8 @@ def build_finite_quantale(elements, leq, tensor, unit, catalog=None):
                         f"internal: residuation adjunction failed at {lab(p)},{lab(q)},{lab(r)}")
     neg = tuple(res_t[i][bot] for i in range(n))
 
-    return FiniteQuantale(
-        elements, leq_t, tens, unit_i, join_t, meet_t, res_t, neg, bot, top,
-        catalog=catalog, _index=index)
+    return FiniteQuantale(elements, leq_t, tens, unit_i, join_t, meet_t, res_t, neg, bot, top,
+                          catalog=catalog)
 
 
 def boolean4():

@@ -80,9 +80,9 @@ def _qorder_layers(q, labels, budget, separated):
     B(x, z), that is b(z) <= sub(a, B(-, z)).  A running count charges k
     hom entries per pair tried and (k+1)^2 per order kept, before each."""
     unit, leq = q.unit, q.leq
-    layers, done = [(QOrderedSet(q, labels[:1], ((unit,),), _index={labels[0]: 0}),)], 0
+    layers, done = [(QOrderedSet(q, labels[:1], ((unit,),)),)], 0
     for k in range(1, len(labels)):
-        index, grown = {e: i for i, e in enumerate(labels[:k + 1])}, []
+        grown = []
         for B in layers[-1]:
             (lowers, _), (uppers, _) = _walk(B, "lower", budget), _walk(B, "upper", budget)
             done += k * len(lowers) * len(uppers)
@@ -95,7 +95,7 @@ def _qorder_layers(q, labels, budget, separated):
                         done += (k + 1) ** 2
                         _charge(done, budget, "hom entries tried and written", partial=True)
                         hom = (*map(tuple.__add__, B.hom, zip(a)), b + (unit,))
-                        grown.append(QOrderedSet(q, labels[:k + 1], hom, _index=index))
+                        grown.append(QOrderedSet(q, labels[:k + 1], hom))
         layers.append(tuple(sorted(grown, key=lambda A: A.hom)))
     return layers
 
@@ -286,8 +286,7 @@ def _suite_cor312_families(params, seed, budget, tolerance):
                     "instance": desc,
                     "reason": "irreducible ideals do not match the "
                               "principal family on a finite chain",
-                    "extra": [dict(zip(A.elements, map(q.elements.__getitem__, v)))
-                              for v in sorted(irr ^ prin)]})
+                    "extra": [FuzzySet(A, v).as_dict() for v in sorted(irr ^ prin)]})
 
     for q in interval:
         for which in ("dL", "dR"):

@@ -90,6 +90,32 @@ def test_classify_refuses_bool_labels(capsys):
     assert (code, report, err) == (2, None, "error: label True is not in the carrier\n")
 
 
+def test_any_spelling_of_a_label_names_it(capsys):
+    """JSON keys are strings, and "0" names the point "0" of dL over
+    boolean4 as "0.5" names the point 1/2 of dL over Lukasiewicz-3."""
+    b4dl = '{"base": {"kind": "boolean4"}, "name": "dL"}'
+    top = '{"0": "1", "a": "1", "b": "1", "1": "1"}'
+    code, report, _ = run(capsys, "classify", b4dl, top)
+    assert code == 0 and report["forward_cauchy"] is True
+    code, report, _ = run(capsys, "validate", '{"order": %s, "values": %s}' % (b4dl, top))
+    assert code == 0 and report["shape"]["lower"]
+    code, as_decimal, _ = run(capsys, "classify", DL3, '{"0": "1", "0.5": "1", "1": "1/2"}')
+    assert code == 0
+    assert as_decimal == run(capsys, "classify", DL3, '{"0": "1", "1/2": "1", "1": "1/2"}')[1]
+    code, _, err = run(capsys, "classify", DL3, '{"0": 1, "1/2": 1, "0.5": 1, "1": 1}')
+    assert code == 1 and "two keys name one point" in err
+
+
+def test_a_number_names_no_bool_label(capsys):
+    crisp = ('{"base": {"kind": "table", "elements": [false, true], '
+             '"leq": [[true, true], [false, true]], "tensor": [[false, false], [false, true]], '
+             '"unit": true}, "name": "dL"}')
+    code, report, _ = run(capsys, "classify", crisp, "[true, true]")
+    assert code == 0 and report["forward_cauchy"] is True
+    code, report, err = run(capsys, "classify", crisp, "[1, 1]")
+    assert (code, report, err) == (2, None, "error: label 1 is not in the carrier\n")
+
+
 def test_a_missing_label_is_named_without_quotes(capsys):
     code, report, err = run(capsys, "classify", DL3, '["1", "1/2", null]')
     assert (code, report, err) == (2, None, "error: label None is not in the carrier\n")

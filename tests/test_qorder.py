@@ -28,7 +28,8 @@ from qideal.qorder import (
     standard_qorder,
     validate_qorder,
 )
-from qideal.quantale import boolean4, godel_chain, lukasiewicz_chain
+from qideal.fuzzy import fuzzy_set
+from qideal.quantale import boolean4, build_finite_quantale, godel_chain, lukasiewicz_chain
 
 L4 = lukasiewicz_chain(4)
 DL = standard_qorder(L4, "dL")
@@ -118,6 +119,33 @@ def test_build_qorder_guards():
         build_qorder(q, ("a", "b"), ((1, 1),))
     with pytest.raises(ShapeMismatch):
         build_qorder(q, ("a", "b"), ((1, "zap"), (0, 1)))
+
+
+def test_a_point_has_one_label_in_any_spelling():
+    """A carrier cannot hold two spellings of one label, and a dict may
+    name a point by any spelling of its label, but only once."""
+    q = lukasiewicz_chain(3)
+    with pytest.raises(ShapeMismatch, match="duplicate element label"):
+        build_qorder(q, ("1", Fraction(1)), ((1, 1), (1, 1)))
+    with pytest.raises(ShapeMismatch, match="duplicate element label"):
+        standard_qorder(q, "discrete", labels=("0.5", "1/2")).index("0.5")
+    A = standard_qorder(q, "dL")
+    by_fraction = fuzzy_set(A, {Fraction(0): 1, Fraction(1, 2): 1, Fraction(1): "1/2"})
+    assert fuzzy_set(A, {"0": 1, "0.5": 1, "1": "1/2"}) == by_fraction
+    assert fuzzy_set(A, {0.0: "1", "1/2": 1.0, 1: 0.5}) == by_fraction
+    with pytest.raises(ShapeMismatch, match="two keys name one point"):
+        fuzzy_set(A, {"0": 1, "1/2": 1, "0.5": 1, "1": "1/2"})
+    f = build_qmap(A, A, {"0": "0.5", "0.5": "1", "1": 1})
+    assert f.mapping == (1, 2, 2) == build_qmap(A, A, ["1/2", 1, 1.0]).mapping
+    with pytest.raises(ShapeMismatch, match="two keys name one point"):
+        build_qmap(A, A, {"0": 0, "0.0": 0, "1/2": 1, "1": 1})
+    # a bool-labelled carrier: only a bool names a point
+    crisp = build_finite_quantale((False, True), ((1, 1), (0, 1)),
+                                  ((False, False), (False, True)), True)
+    B = standard_qorder(crisp, "dL")
+    assert B.index(True) == 1 and fuzzy_set(B, {True: True, False: True}).values == (1, 1)
+    with pytest.raises(ShapeMismatch, match="values miss a carrier element"):
+        fuzzy_set(B, {1: True, 0: True})
 
 
 def test_build_qorder_rejects_broken_axioms():

@@ -26,7 +26,6 @@ def product_oracle(q, labels, separated):
     and, with separated, has no two points with hom 1 both ways."""
     n = len(labels)
     off = [(i, j) for i in range(n) for j in range(n) if i != j]
-    index = {e: i for i, e in enumerate(labels)}
     out = []
     for entries in itertools.product(range(q.n), repeat=len(off)):
         hom = [[q.unit] * n for _ in range(n)]
@@ -35,7 +34,7 @@ def product_oracle(q, labels, separated):
         if separated and any(hom[i][j] == hom[j][i] == q.unit for i, j in off):
             continue
         if qorder_violation(q, hom) is None:
-            out.append(QOrderedSet(q, labels, tuple(map(tuple, hom)), _index=index))
+            out.append(QOrderedSet(q, labels, tuple(map(tuple, hom))))
     return out
 
 

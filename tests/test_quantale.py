@@ -21,6 +21,7 @@ from qideal.quantale import (
     chain_quantale,
     godel_chain,
     label_index,
+    label_map,
     lukasiewicz_chain,
     negation_law_violations,
     nilpotent_minimum_chain,
@@ -149,9 +150,29 @@ def test_a_bool_resolves_only_to_a_bool_label():
     crisp = build_finite_quantale((False, True), ((1, 1), (0, 1)),
                                   ((False, False), (False, True)), True)
     assert (crisp.index(False), crisp.index(True)) == (crisp.bottom, crisp.unit) == (0, 1)
-    assert label_index({False: 0, True: 1}, True) == 1
+    assert label_index(label_map((False, True)), True) == 1
     with pytest.raises(KeyError):
-        label_index({0: 0, 1: 1}, True)
+        label_index(label_map((0, 1)), True)
+
+
+def test_no_number_names_a_bool_label():
+    """Keyed apart, a bool label is named by a bool alone: no number and
+    no numeral, in any spelling, resolves to it."""
+    crisp = build_finite_quantale((False, True), ((1, 1), (0, 1)),
+                                  ((False, False), (False, True)), True)
+    for label in (1, "1", 1.0, Fraction(1), 0, "0", 0.0, Fraction(0), "1/1"):
+        with pytest.raises(KeyError, match="is not in the carrier"):
+            crisp.index(label)
+
+
+def test_two_spellings_of_one_label_are_refused():
+    """"1" and Fraction(1) name one element, so a carrier cannot hold both."""
+    chain = ((1, 1, 1), (0, 1, 1), (0, 0, 1))
+    meet = (("0", "0", "0"), ("0", "1", "1"), ("0", "1", Fraction(1)))
+    with pytest.raises(ShapeMismatch, match="duplicate element label"):
+        build_finite_quantale(("0", "1", Fraction(1)), chain, meet, Fraction(1))
+    with pytest.raises(ShapeMismatch, match="duplicate element label"):
+        label_map(("0.5", "1/2"))
 
 
 def test_build_rejects_broken_tables():

@@ -138,10 +138,10 @@ def test_values_survive_pickle_and_copy(value):
 def test_constructor_signatures():
     q = FiniteQuantale(L2.elements, L2.leq, L2.tensor_table, L2.unit, L2.join_table,
                        L2.meet_table, L2.res_table, L2.neg_vector, L2.bottom, L2.top,
-                       catalog=("x", {}), _index={Fraction(0): 0, Fraction(1): 1})
+                       catalog=("x", {}))
     assert q == L2 and q.catalog == ("x", {}) and q.index("1") == 1
     assert q.prime_tables == L2.prime_tables
-    B = QOrderedSet(q, A.elements, A.hom, catalog=None, _index=None)
+    B = QOrderedSet(q, A.elements, A.hom, catalog=None)
     assert B == A and B.index(Fraction(1)) == 1 and hash(B) == hash(A.hom)
     assert QMap(source=B, target=B, mapping=(0, 1)) == build_qmap(A, A, [0, 1])
     assert IntervalQuantale("min") == interval_quantale("min")
