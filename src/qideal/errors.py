@@ -4,8 +4,10 @@ Validation errors carry the violated law and a witness that reproduces the
 violation; resource errors carry the size that overflowed.  Every
 refusal of work goes through _charge, the one place where a budget of
 None means DEFAULT_BUDGET.  _charge keeps no record of what it admits:
-the one thing kept across calls, a walk in fuzzy._MEMO, keeps its own
-count and charges it again on every later call.
+the one thing kept across calls, a walk in fuzzy._MEMO (kept by
+quantale and hom, and shared by a base's upper sets and its dual's
+lower sets), keeps its own count and charges it again on every later
+call.
 """
 
 DEFAULT_BUDGET = 5_000_000

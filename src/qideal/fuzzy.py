@@ -205,10 +205,14 @@ def suprema(phi):
     return tuple(A.elements[a] for a in range(A.n) if A.hom[a] == target)
 
 
-# base -> {"lower" | "upper": (value tuples, walk count)}: the walks of
-# a base, kept for the life of the process with the count each made, so
-# that a later call charges it against its own budget
-# (_monotone_value_tuples).  A refused walk keeps nothing.
+# (quantale, hom) -> (value tuples, walk count): the lower sets of every
+# base with that hom, kept for the life of the process with the count
+# their walk made, so that a later call charges it against its own
+# budget (_monotone_value_tuples).  The upper sets of a base are the
+# lower sets of its dual, whose hom is the transpose, so they are kept
+# under it: dL's upper walk serves dR's lower sets, a symmetric or
+# discrete base walks once for both kinds, and relabelled bases share
+# an entry.  A refused walk keeps nothing.
 _MEMO = {}
 
 
@@ -279,10 +283,14 @@ def _walk(A, kind, budget):
 def _monotone_value_tuples(A, kind, budget):
     """Value tuples of every lower (or upper) set of A, from the walk
     kept in _MEMO: a kept walk charges its whole count once, which any
-    budget refuses or admits as the walk's running count would."""
-    entry = _MEMO.get(A, {}).get(kind)
+    budget refuses or admits as the walk's running count would.  _walk
+    reads A's upper sets off the transposed hom as lower sets, so an
+    entry and its count are the same whichever of two dual bases made
+    it."""
+    key = A.quantale, (A.hom if kind == "lower" else tuple(zip(*A.hom)))
+    entry = _MEMO.get(key)
     if entry is None:
-        entry = _MEMO.setdefault(A, {})[kind] = _walk(A, kind, budget)
+        entry = _MEMO[key] = _walk(A, kind, budget)
     else:
         _charge(entry[1], budget, "walk values tried and written")
     return entry[0]

@@ -23,7 +23,6 @@ from .fuzzy import (
     _inhabited,
     _lower_violation,
     _monotone_value_tuples,
-    enumerate_monotone_sets,
 )
 
 _CLASS_ALIASES = {
@@ -370,12 +369,12 @@ def enumerate_ideals(A, which="fc", budget=None):
     if tag == "fc":
         _charge(A.n * A.n, budget, "hom entries read")
         return _fuzzy_sets(A, _principal_rows(A))
-    lowers = enumerate_monotone_sets(A, "lower", budget=budget)
+    lowers = _monotone_value_tuples(A, "lower", budget)
     if tag == "lower":
-        return lowers
+        return _fuzzy_sets(A, lowers)
     kind = "upper" if tag == "flat" else "lower"
-    inhabited = [p for p in lowers if _inhabited(A, p.values)]
+    inhabited = [vals for vals in lowers if _inhabited(A, vals)]
     sets = _route(A, kind, len(inhabited), budget)
     fails = ((lambda vals: _first_break(A, kind, vals)) if sets is None
              else lambda vals: _break(A, kind, vals, sets))
-    return tuple(p for p in inhabited if fails(p.values) is None)
+    return _fuzzy_sets(A, [vals for vals in inhabited if fails(vals) is None])

@@ -24,17 +24,8 @@ class QOrderedSet(_Labelled, Frozen, fields="quantale elements hom catalog", unc
     """Finite Q-ordered set: labels plus a hom table of quantale indices;
     hom[i][j] is the quantale index of A(x_i, x_j)."""
 
-    _hash = None    # hash(hom), kept by __hash__
-
     def __init__(self, quantale, elements, hom, catalog=None):
         self._init(quantale, elements, hom, catalog)
-
-    def __hash__(self):
-        # kept for the memo in fuzzy; equal bases have equal homs, and int
-        # tuples hash alike in every process, so pickling keeps it valid
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self.hom))
-        return self._hash
 
     @property
     def n(self):
@@ -173,6 +164,7 @@ def standard_qorder(q, name, **params):
         n = len(labels)
         if n == 0:
             raise EmptyCarrier()
+        label_map(labels)   # refuses two labels that name one point
         hom = tuple(tuple(q.unit if i == j else q.bottom for j in range(n))
                     for i in range(n))
         return QOrderedSet(q, labels, hom, catalog=("discrete", {"n": n}))
@@ -207,6 +199,7 @@ def random_qorder(q, n, rng, labels=None):
     quantale-valued transitive closure (iterate to the fixpoint)."""
     if labels is None:
         labels = tuple(f"x{i}" for i in range(n))
+    label_map(labels)       # refuses two labels that name one point
     hom = [[rng.randrange(q.n) for _ in range(n)] for _ in range(n)]
     for i in range(n):
         hom[i][i] = q.unit

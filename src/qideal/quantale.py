@@ -16,7 +16,6 @@ import itertools
 import re
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 
 from ._value import Frozen
 from .errors import (
@@ -107,12 +106,24 @@ class FiniteQuantale(_Labelled, Frozen,
     and derives the tables.
     """
 
+    # the hash and two derived facts, each set on first use past the
+    # frozen __setattr__, as _Labelled sets its map
+    _hash = _primes = _unit_irreducible = None
+
     # leq[i][j]: element i below element j; tensor_table[i][j]: index of
     # element i & element j
     def __init__(self, elements, leq, tensor_table, unit, join_table, meet_table,
                  res_table, neg_vector, bottom, top, catalog=None):
         self._init(elements, leq, tensor_table, unit, join_table, meet_table, res_table,
                    neg_vector, bottom, top, catalog)
+
+    def __hash__(self):
+        # kept, as the walk memo in fuzzy hashes the quantale on every
+        # lookup; read off the index tables, which equal quantales share
+        # and which hash alike in every process, so a pickled hash holds
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.leq, self.tensor_table, self.unit)))
+        return self._hash
 
     @property
     def n(self):
@@ -155,18 +166,23 @@ class FiniteQuantale(_Labelled, Frozen,
     def is_frame(self):
         return self.tensor_table == self.meet_table
 
-    @cached_property
+    @property
     def unit_join_irreducible(self):
         """Whether the unit, the top, is no join of the elements below
         it: then a nonempty family joins to the unit iff the unit is one
         of its members.  True on every chain, False on boolean4."""
-        return self.unit != self.join_all(v for v in range(self.n) if v != self.unit)
+        if self._unit_irreducible is None:
+            object.__setattr__(self, "_unit_irreducible", self.unit != self.join_all(
+                v for v in range(self.n) if v != self.unit))
+        return self._unit_irreducible
 
-    @cached_property
+    @property
     def prime_tables(self):
         """The thresholds and generator values of the flat and irreducible
         deciders (PrimeTables), derived on first use."""
-        return _prime_tables(self)
+        if self._primes is None:
+            object.__setattr__(self, "_primes", _prime_tables(self))
+        return self._primes
 
 
 class PrimeSide(namedtuple("PrimeSide", "thresholds generators table keeps")):

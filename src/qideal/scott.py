@@ -46,22 +46,25 @@ def _scott_context(A, tag, budget):
     """The class ideals of A that have a supremum and are not principal,
     with all their suprema (as indices), in enumeration order, built on
     each call: a caller that tests many sets builds it once.  A
-    principal ideal passes every test, so it is left out.  For a
-    supremum s of phi, phi <= y(s) = A(-, s) as sub(phi, y(s)) = A(s,
-    s) = 1, and if phi(s) = 1 then phi >= phi(s) & y(s), so phi = y(s)
-    (suprema are isomorphic, so one is tested).  An upper psi has sup_x A(x, s) & psi(x) = psi(s):
+    principal ideal y(a) = A(-, a), a column of the hom table, passes
+    every test, so it is left out before its suprema are sought.  Only
+    a principal ideal has a supremum s with phi(s) = 1: for a supremum
+    s of phi, phi <= y(s) as sub(phi, y(s)) = A(s, s) = 1, and if
+    phi(s) = 1 then phi >= phi(s) & y(s), so phi = y(s); and a is a
+    supremum of y(a) by Yoneda.  An upper psi has sup_x A(x, s) & psi(x) = psi(s):
     the term x = s gives >=, upperness <=; a lower psi has inf_x A(x, s)
     -> psi(x) = psi(s).  Along an order-preserving f the forward image
     of y(s) is y(f(s)), whose suprema contain f(s).  So the forward-Cauchy
     context is empty: those ideals are principal (ideals._forward_cauchy)."""
     if tag == "fc":
         return ()
-    unit = A.quantale.unit
+    principal = set(zip(*A.hom))
     out = []
     for p in enumerate_ideals(A, tag, budget=budget):
-        sups = tuple(map(A.index, suprema(p)))
-        if sups and p.values[sups[0]] != unit:
-            out.append((p.values, sups))
+        if p.values not in principal:
+            sups = tuple(map(A.index, suprema(p)))
+            if sups:
+                out.append((p.values, sups))
     return tuple(out)
 
 

@@ -106,6 +106,17 @@ def test_any_spelling_of_a_label_names_it(capsys):
     assert code == 1 and "two keys name one point" in err
 
 
+@pytest.mark.parametrize("labels", ['["a", "a"]', '["1", "1.0"]'])
+def test_a_discrete_order_refuses_one_label_twice_at_load(capsys, labels):
+    """One label twice, or two spellings of one, is an invalid instance
+    like the same carrier given as a table, refused before any output."""
+    order = '{"base": {"kind": "boolean4"}, "name": "discrete", "labels": %s}' % labels
+    for argv in (("enumerate", order, "--class", "fc"), ("validate", order)):
+        code, report, err = run(capsys, *argv)
+        assert (code, report) == (1, None)
+        assert err.startswith("invalid instance: duplicate element label")
+
+
 def test_a_number_names_no_bool_label(capsys):
     crisp = ('{"base": {"kind": "table", "elements": [false, true], '
              '"leq": [[true, true], [false, true]], "tensor": [[false, false], [false, true]], '

@@ -86,7 +86,8 @@ def assert_walk_matches_oracle(A):
         sets = walk_oracle(A, kind)
         count = A.quantale.n * inner_calls(A, kind) + A.n * len(sets)
         assert _walk(A, kind, count) == (sets, count), (A.catalog, kind)
-        fuzzy._MEMO.pop(A, None)
+        # the memo keeps the upper sets as the lower sets of the dual
+        fuzzy._MEMO.pop((A.quantale, A.hom if kind == "lower" else tuple(zip(*A.hom))), None)
         for _ in ("cold", "warm"):
             with pytest.raises(BudgetExceeded,
                                match=f"^{count} walk values tried and written"):
@@ -307,3 +308,18 @@ def test_lukasiewicz8_work_count(monkeypatch, name):
         enumerate_ideals(A, "irr", budget=count - 1)
     monkeypatch.setattr(ideals, "_first_break", lambda A, kind, vals: (0, [], 1))
     assert enumerate_ideals(A, "irr", budget=count) == ()
+
+
+@pytest.mark.parametrize("cls", ["flat", "irr"])
+def test_class_enumeration_wraps_only_the_ideals(monkeypatch, cls):
+    """Flat and irreducible enumeration decide on value tuples and make
+    a FuzzySet for each ideal it returns and no other set."""
+    wrapped = []
+
+    def wrap(A, value_tuples):
+        wrapped.extend(value_tuples)
+        return fuzzy._fuzzy_sets(A, value_tuples)
+    monkeypatch.setattr(ideals, "_fuzzy_sets", wrap)
+    A = standard_qorder(L8, "dL")
+    got = enumerate_ideals(A, cls)
+    assert [p.values for p in got] == wrapped == sorted(yoneda(A, a).values for a in A.elements)

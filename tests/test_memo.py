@@ -1,20 +1,27 @@
-"""The per-base memo in fuzzy: it keeps the lower and upper walks and
-nothing else, what it keeps is reused, and no verdict, budget refusal or
-report depends on whether it is warm or empty."""
+"""The walk memo in fuzzy: it keeps lower walks by quantale and hom,
+the upper walk of a base as the lower walk of its dual, and nothing
+else; what it keeps is reused, and no verdict, budget refusal or report
+depends on whether it is warm or empty."""
+
+import random
 
 import pytest
 
 from qideal import fuzzy, suites
 from qideal.completion import check_saturation, ideal_space
 from qideal.errors import BudgetExceeded
-from qideal.fuzzy import _inhabited, _monotone_value_tuples, enumerate_monotone_sets
+from qideal.fuzzy import _inhabited, _monotone_value_tuples, _walk, enumerate_monotone_sets
 from qideal.ideals import enumerate_ideals
-from qideal.qorder import crisp_qorder, standard_qorder
-from qideal.quantale import godel_chain, lukasiewicz_chain
+from qideal.qorder import QOrderedSet, crisp_qorder, random_qorder, standard_qorder
+from qideal.quantale import FiniteQuantale, boolean4, godel_chain, lukasiewicz_chain
 from qideal.scott import generate_scott_structure, is_scott_member
 from qideal.suites import run_suite, suite_names
 
 DL4 = standard_qorder(lukasiewicz_chain(4), "dL")
+
+
+def transpose(hom):
+    return tuple(zip(*hom))
 
 
 def outcomes(call, budgets):
@@ -129,25 +136,29 @@ def test_a_census_over_a_warm_walk_refuses_as_a_cold_one(monkeypatch):
 
 @pytest.mark.parametrize("name", suite_names())
 def test_a_suite_keeps_only_walks(monkeypatch, name):
+    """Every entry is the lower walk of the hom it is kept under, with
+    its count, over the quantale it is kept under."""
     monkeypatch.setattr(fuzzy, "_MEMO", {})
     run_suite(name)
-    assert all(set(entries) <= {"lower", "upper"} for entries in fuzzy._MEMO.values())
+    for (q, hom), entry in fuzzy._MEMO.items():
+        assert isinstance(q, FiniteQuantale)
+        assert _walk(QOrderedSet(q, tuple(range(len(hom))), hom), "lower", None) == entry
 
 
 def test_a_refused_walk_keeps_nothing(monkeypatch):
     """dL over Łukasiewicz-8 walks 5,064 values tried and written: one
-    refused part-way leaves no entry for its base, and beside a kept
-    upper walk it leaves that walk alone."""
+    refused part-way leaves no entry, and beside a kept upper walk,
+    which is kept under the transposed hom, it leaves that walk alone."""
     monkeypatch.setattr(fuzzy, "_MEMO", {})
     A = standard_qorder(lukasiewicz_chain(8), "dL")
     with pytest.raises(BudgetExceeded) as err:
         _monotone_value_tuples(A, "lower", 1_000)
     assert err.value.partial
-    assert A not in fuzzy._MEMO
+    assert fuzzy._MEMO == {}
     uppers = _monotone_value_tuples(A, "upper", None)
     with pytest.raises(BudgetExceeded):
         _monotone_value_tuples(A, "lower", 1_000)
-    assert fuzzy._MEMO == {A: {"upper": (uppers, 5_064)}}
+    assert fuzzy._MEMO == {(A.quantale, transpose(A.hom)): (uppers, 5_064)}
 
 
 @pytest.mark.parametrize("name", ["FC_SUBSET_IRR", "SCOTT_AXIOMS", "PROP57_EQUIV"])
@@ -166,7 +177,7 @@ def test_equal_bases_built_apart_share_one_entry(monkeypatch):
     assert A == B and A is not B and hash(A) == hash(B)
     sets = _monotone_value_tuples(A, "lower", fuzzy.DEFAULT_BUDGET)
     assert _monotone_value_tuples(B, "lower", fuzzy.DEFAULT_BUDGET) is sets
-    assert list(fuzzy._MEMO) == [A]
+    assert list(fuzzy._MEMO) == [(A.quantale, A.hom)]
     dR = standard_qorder(lukasiewicz_chain(4), "dR")
     enumerate_monotone_sets(dR, "lower")
     assert len(fuzzy._MEMO) == 2
@@ -198,8 +209,73 @@ def test_one_scott_context_serves_every_spelling_of_the_budget(monkeypatch):
                                   "CLASSICAL_DEGENERATION"])
 def test_class_comparisons_build_no_set_universe(monkeypatch, name):
     """The census takes flags from the lower walk, the generators and the
-    principal rows: no upper walk is kept on any base."""
+    principal rows: the memo walks no upper sets on any base (the walks
+    that grow the crisp posets call _walk unmemoized)."""
     monkeypatch.setattr(fuzzy, "_MEMO", {})
+    kinds = set()
+
+    def walk(A, kind, budget):
+        kinds.add(kind)
+        return _walk(A, kind, budget)
+    monkeypatch.setattr(fuzzy, "_walk", walk)
     assert run_suite(name).verdict == "pass"
-    kept = {key for entries in fuzzy._MEMO.values() for key in entries}
-    assert kept == {"lower"}
+    assert kinds == {"lower"}
+
+
+def test_dual_bases_share_one_walk(monkeypatch):
+    """dR is the dual of dL: the upper sets of either are the lower sets
+    of the other, kept once with one count."""
+    monkeypatch.setattr(fuzzy, "_MEMO", {})
+    q = lukasiewicz_chain(6)
+    dL, dR = standard_qorder(q, "dL"), standard_qorder(q, "dR")
+    assert dR.hom == transpose(dL.hom) != dL.hom
+    uppers = _monotone_value_tuples(dL, "upper", None)
+    assert _monotone_value_tuples(dR, "lower", None) is uppers
+    assert list(fuzzy._MEMO) == [(q, dR.hom)]
+    assert _monotone_value_tuples(dR, "upper", None) is _monotone_value_tuples(dL, "lower", None)
+    assert len(fuzzy._MEMO) == 2
+
+
+def test_a_discrete_base_walks_once_for_both_kinds(monkeypatch):
+    monkeypatch.setattr(fuzzy, "_MEMO", {})
+    A = standard_qorder(boolean4(), "discrete", n=3)
+    lowers = _monotone_value_tuples(A, "lower", None)
+    assert _monotone_value_tuples(A, "upper", None) is lowers
+    assert len(lowers) == 4 ** 3 and len(fuzzy._MEMO) == 1
+
+
+def test_relabelled_bases_share_an_entry(monkeypatch):
+    monkeypatch.setattr(fuzzy, "_MEMO", {})
+    A = standard_qorder(godel_chain(4), "dR")
+    B = QOrderedSet(A.quantale, ("p", "q", "r", "s"), A.hom)
+    assert A != B
+    for kind in ("lower", "upper"):
+        assert _monotone_value_tuples(B, kind, None) is _monotone_value_tuples(A, kind, None)
+    assert len(fuzzy._MEMO) == 2
+
+
+def test_a_non_symmetric_base_keeps_two_entries(monkeypatch):
+    monkeypatch.setattr(fuzzy, "_MEMO", {})
+    A = random_qorder(boolean4(), 4, random.Random(5))
+    assert A.hom != transpose(A.hom)
+    lowers, uppers = (_monotone_value_tuples(A, kind, None) for kind in ("lower", "upper"))
+    assert lowers != uppers
+    assert fuzzy._MEMO.keys() == {(A.quantale, A.hom), (A.quantale, transpose(A.hom))}
+
+
+def test_a_refusal_through_the_dual_names_the_count_of_a_cold_walk(monkeypatch):
+    """dL over Łukasiewicz-8: its upper walk, refused cold one short of
+    its 5,064 values tried and written, and kept through dR's lower walk
+    and then refused, names one count."""
+    q = lukasiewicz_chain(8)
+    dL, dR = standard_qorder(q, "dL"), standard_qorder(q, "dR")
+    monkeypatch.setattr(fuzzy, "_MEMO", {})
+    with pytest.raises(BudgetExceeded) as cold:
+        _monotone_value_tuples(dL, "upper", 5_063)
+    assert fuzzy._MEMO == {}
+    _monotone_value_tuples(dR, "lower", None)
+    with pytest.raises(BudgetExceeded) as warm:
+        _monotone_value_tuples(dL, "upper", 5_063)
+    assert cold.value.count == warm.value.count == 5_064
+    assert cold.value.what == warm.value.what == "walk values tried and written"
+    assert len(_monotone_value_tuples(dL, "upper", 5_064)) == 576

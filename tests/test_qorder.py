@@ -127,8 +127,11 @@ def test_a_point_has_one_label_in_any_spelling():
     q = lukasiewicz_chain(3)
     with pytest.raises(ShapeMismatch, match="duplicate element label"):
         build_qorder(q, ("1", Fraction(1)), ((1, 1), (1, 1)))
-    with pytest.raises(ShapeMismatch, match="duplicate element label"):
-        standard_qorder(q, "discrete", labels=("0.5", "1/2")).index("0.5")
+    for labels in (("0.5", "1/2"), ("a", "a")):
+        with pytest.raises(ShapeMismatch, match="duplicate element label"):
+            standard_qorder(q, "discrete", labels=labels)
+        with pytest.raises(ShapeMismatch, match="duplicate element label"):
+            random_qorder(q, 2, random.Random(0), labels=labels)
     A = standard_qorder(q, "dL")
     by_fraction = fuzzy_set(A, {Fraction(0): 1, Fraction(1, 2): 1, Fraction(1): "1/2"})
     assert fuzzy_set(A, {"0": 1, "0.5": 1, "1": "1/2"}) == by_fraction

@@ -1,6 +1,12 @@
 """Quantale construction, residuation laws, and the interval backends."""
 
+import inspect
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -346,3 +352,33 @@ def test_prime_tables_from_the_definitions(q):
                 b for b in fits if all(c == b or not leq[c][b] for c in fits)}
     assert (t.lower.table, t.lower.keeps) == (q.res_table, q.leq)
     assert (t.upper.table, t.upper.keeps) == (q.tensor_table, tuple(zip(*q.leq)))
+
+
+def test_derived_facts_are_kept_past_the_frozen_setattr():
+    """A cached_property writes through the instance __dict__, which
+    slows every later attribute read; each fact is derived once and
+    kept without one."""
+    q = boolean4()
+    for name in ("prime_tables", "unit_join_irreducible"):
+        assert not isinstance(inspect.getattr_static(q, name), cached_property), name
+        assert getattr(q, name) is getattr(q, name), name
+    assert q.unit_join_irreducible is False
+    assert lukasiewicz_chain(3).unit_join_irreducible is True
+
+
+def test_a_quantale_hashes_its_index_tables():
+    """The hash is kept, and read off the order, tensor and unit
+    indices, which hash alike in every process: a quantale pickled after
+    it was hashed, in a process with another string hash seed, hashes as
+    one built here."""
+    q = boolean4()
+    assert hash(q) == hash((q.leq, q.tensor_table, q.unit)) == hash(q)
+    made = subprocess.run(
+        [sys.executable, "-c", "import pickle, sys; from qideal.quantale import boolean4; "
+         "q = boolean4(); hash(q); sys.stdout.buffer.write(pickle.dumps(q))"],
+        capture_output=True, check=True,
+        env={**os.environ, "PYTHONHASHSEED": "1",
+             "PYTHONPATH": os.pathsep.join(sys.path)})
+    twin = pickle.loads(made.stdout)
+    assert twin == q and hash(twin) == hash(q)
+    assert {q: 1}[twin] == 1

@@ -669,3 +669,41 @@ def test_generation_input_guards():
         verify_ordinal_sum_generation(lambda x: 0.0 if x <= 0.5 else 1.0, LQ)
     with pytest.raises(ShapeMismatch):
         verify_ordinal_sum_generation(lambda x: x, lukasiewicz_chain(3))
+
+
+def context_oracle(A, tag):
+    """The context as it was first built: the suprema of every class
+    ideal, dropping those with a supremum at which the ideal is 1."""
+    out = []
+    for p in enumerate_ideals(A, tag):
+        sups = tuple(map(A.index, suprema(p)))
+        if sups and p.values[sups[0]] != A.quantale.unit:
+            out.append((p.values, sups))
+    return tuple(out)
+
+
+def test_the_context_seeks_no_supremum_of_a_principal_ideal(monkeypatch):
+    """A principal ideal is a column of the hom table and is left out
+    before suprema runs; the context is the one the suprema test gave
+    (none of these bases has an irreducible one)."""
+    rng = random.Random(11)
+    bases = [standard_qorder(godel_chain(4), name) for name in ("dL", "dR")]
+    bases += [random_qorder(q, 3, rng) for q in (godel_chain(3), boolean4(), m3_with_top())
+              for _ in range(3)]
+    sought = []
+
+    def recorded(phi):
+        sought.append(phi.values)
+        return suprema(phi)
+    monkeypatch.setattr(scott, "suprema", recorded)
+    kept = 0
+    for A in bases:
+        columns = set(zip(*A.hom))
+        for tag in ("flat", "irreducible"):
+            del sought[:]
+            ctx = _scott_context(A, tag, None)
+            assert ctx == context_oracle(A, tag), (A.catalog, tag)
+            assert sought == [p.values for p in enumerate_ideals(A, tag)
+                              if p.values not in columns]
+            kept += len(ctx)
+    assert kept

@@ -58,8 +58,8 @@ def test_equality_and_hash_cover_the_compared_fields_only():
     twin_q = lukasiewicz_chain(2)
     twin_a = standard_qorder(twin_q, "dL")
     keys = [
-        (L2, twin_q, (L2.elements, L2.leq, L2.tensor_table, L2.unit)),
-        (A, twin_a, A.hom),
+        (L2, twin_q, (L2.leq, L2.tensor_table, L2.unit)),    # index tables: labels aside
+        (A, twin_a, (A.quantale, A.elements, A.hom)),
         (F, build_qmap(twin_a, twin_a, [0, 0]), (F.source, F.target, F.mapping)),
         (I, interval_quantale("lukasiewicz"), (I.tnorm, I.pieces, I.tolerance)),
         (S, periodic_sequence(twin_a, [1], prefix=[0]), (S.base, S.prefix, S.cycle)),
@@ -67,7 +67,7 @@ def test_equality_and_hash_cover_the_compared_fields_only():
     for value, twin, key in keys:
         assert value is not twin and value == twin and hash(value) == hash(twin)
         assert hash(value) == hash(key)
-    # catalog and _index are not compared
+    # catalog is not compared
     assert A == QOrderedSet(L2, A.elements, A.hom)
     assert A != standard_qorder(L2, "dR")
     assert I != interval_quantale("product") and F != build_qmap(A, A, [1, 1])
@@ -142,7 +142,7 @@ def test_constructor_signatures():
     assert q == L2 and q.catalog == ("x", {}) and q.index("1") == 1
     assert q.prime_tables == L2.prime_tables
     B = QOrderedSet(q, A.elements, A.hom, catalog=None)
-    assert B == A and B.index(Fraction(1)) == 1 and hash(B) == hash(A.hom)
+    assert B == A and B.index(Fraction(1)) == 1 and hash(B) == hash(A)
     assert QMap(source=B, target=B, mapping=(0, 1)) == build_qmap(A, A, [0, 1])
     assert IntervalQuantale("min") == interval_quantale("min")
     assert IntervalOrder(I, which="dR") == interval_order(I, "dR")
