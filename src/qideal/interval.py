@@ -11,8 +11,11 @@ A sampled check reports what held on the sample, never a proof.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import chain
 from numbers import Real
+from operator import itemgetter
 
 from ._value import Frozen
 from .errors import DecompositionMismatch, GridTooCoarse, ShapeMismatch, ValidationError
@@ -36,6 +39,50 @@ def _grid(points, minimum=2):
     return [i / (points - 1) for i in range(points)]
 
 
+# The four closed-form t-norms as plain functions.  The methods and every
+# sampled check call these, so a check picks its t-norm once (_kernels),
+# not on every call.  residuate(a, b) is exactly 1.0 whenever a <= b, the
+# fact every skip in the grid scans below rests on.
+def _min_tensor(a, b):
+    return a if a < b else b
+
+
+def _min_residuate(a, b):
+    return 1.0 if a <= b else b
+
+
+def _product_tensor(a, b):
+    return a * b
+
+
+def _product_residuate(a, b):
+    return 1.0 if a <= b else b / a
+
+
+def _lukasiewicz_tensor(a, b):
+    return max(a + b - 1.0, 0.0)
+
+
+def _lukasiewicz_residuate(a, b):
+    return 1.0 if a <= b else min(1.0, 1.0 - a + b)
+
+
+def _nilpotent_minimum_tensor(a, b):
+    return 0.0 if a + b <= 1.0 else min(a, b)
+
+
+def _nilpotent_minimum_residuate(a, b):
+    return 1.0 if a <= b else max(1.0 - a, b)
+
+
+_CLOSED_FORMS = {
+    "min": (_min_tensor, _min_residuate),
+    "product": (_product_tensor, _product_residuate),
+    "lukasiewicz": (_lukasiewicz_tensor, _lukasiewicz_residuate),
+    "nilpotent_minimum": (_nilpotent_minimum_tensor, _nilpotent_minimum_residuate),
+}
+
+
 class IntervalQuantale(Frozen, fields="tnorm pieces tolerance"):
     """The unit interval under a catalog t-norm, closed-form residuation.
 
@@ -55,15 +102,8 @@ class IntervalQuantale(Frozen, fields="tnorm pieces tolerance"):
         return None
 
     def tensor(self, a, b):
-        t = self.tnorm
-        if t == "min":
-            return a if a < b else b
-        if t == "product":
-            return a * b
-        if t == "lukasiewicz":
-            return max(a + b - 1.0, 0.0)
-        if t == "nilpotent_minimum":
-            return 0.0 if a + b <= 1.0 else min(a, b)
+        if self.tnorm in _CLOSED_FORMS:
+            return _CLOSED_FORMS[self.tnorm][0](a, b)
         piece = self._piece_at(a, b)
         if piece is None:
             return a if a < b else b
@@ -74,17 +114,10 @@ class IntervalQuantale(Frozen, fields="tnorm pieces tolerance"):
         return lo + w * s
 
     def residuate(self, a, b):
+        if self.tnorm in _CLOSED_FORMS:
+            return _CLOSED_FORMS[self.tnorm][1](a, b)
         if a <= b:
             return 1.0
-        t = self.tnorm
-        if t == "min":
-            return b
-        if t == "product":
-            return b / a
-        if t == "lukasiewicz":
-            return min(1.0, 1.0 - a + b)
-        if t == "nilpotent_minimum":
-            return max(1.0 - a, b)
         piece = self._piece_at(a, b)
         if piece is None:
             return b
@@ -97,6 +130,12 @@ class IntervalQuantale(Frozen, fields="tnorm pieces tolerance"):
 
     def neg(self, a):
         return self.residuate(a, 0.0)
+
+
+def _kernels(q):
+    """(tensor, residuate) of q as plain two-argument functions: its
+    closed form, or an ordinal sum's methods."""
+    return _CLOSED_FORMS.get(q.tnorm) or (q.tensor, q.residuate)
 
 
 def interval_quantale(tnorm, pieces=None, tolerance=None):
@@ -174,11 +213,12 @@ def check_adjunction_sampled(q, grid=65):
     other side must hold up to the same slack.  Returns (ok, witness).
     """
     tol = q.tolerance
+    tensor, residuate = _kernels(q)
     pts = _grid(grid)
     for p in pts:
-        res_row = [q.residuate(p, r) for r in pts]
+        res_row = [residuate(p, r) for r in pts]
         for s in pts:
-            tv = q.tensor(p, s)
+            tv = tensor(p, s)
             for r, res in zip(pts, res_row):
                 if (tv <= r - tol and s > res + tol) or (s <= res - tol and tv > r + tol):
                     return False, {"triple": (p, s, r), "tensor": tv, "residuum": res}
@@ -193,9 +233,7 @@ class IntervalOrder(Frozen, fields="quantale which"):
         self._init(quantale, which)
 
     def hom(self, a, b):
-        if self.which == "dL":
-            return self.quantale.residuate(a, b)
-        return self.quantale.residuate(b, a)
+        return _hom(self)(a, b)
 
 
 def interval_order(q, which):
@@ -204,21 +242,29 @@ def interval_order(q, which):
     return IntervalOrder(q, which)
 
 
+def _hom(order):
+    """order.hom as a plain two-argument function, dL or dR chosen once."""
+    residuate = _kernels(order.quantale)[1]
+    if order.which == "dL":
+        return residuate
+    return lambda a, b: residuate(b, a)
+
+
 def classify_sampled(order, fn, grid=129):
     """Grid-sampled lower/upper/inhabited flags for a function on an
     interval order.  Same shape of answer as classify_fuzzy_set, with
     float witnesses."""
-    q = order.quantale
-    tol = q.tolerance
+    tol = order.quantale.tolerance
+    tensor, hom = _kernels(order.quantale)[0], _hom(order)
     pts = _grid(grid)
     vals = [fn(x) for x in pts]
     lw = uw = None
     for i, x in enumerate(pts):
         for j, y in enumerate(pts):
-            h = order.hom(x, y)
-            if lw is None and q.tensor(vals[j], h) > vals[i] + tol:
+            h = hom(x, y)
+            if lw is None and tensor(vals[j], h) > vals[i] + tol:
                 lw = (x, y)
-            if uw is None and q.tensor(h, vals[i]) > vals[j] + tol:
+            if uw is None and tensor(h, vals[i]) > vals[j] + tol:
                 uw = (x, y)
         if lw and uw:
             break
@@ -241,20 +287,21 @@ def irreducible_interval_ideal(q, which, a, strict=False):
     _require_interval(q)
     if not 0.0 <= a <= 1.0:
         raise ShapeMismatch(f"family parameter {a} lies outside [0, 1]")
+    residuate = _kernels(q)[1]
     if which == "dL":
         if not strict:
-            return lambda x: q.residuate(x, a)
+            return lambda x: residuate(x, a)
         if a <= 0.0:
             raise ShapeMismatch("the strict family on dL needs a > 0")
         b = a - _STRICT_PROBE
-        return lambda x: q.residuate(x, b)
+        return lambda x: residuate(x, b)
     if which == "dR":
         if not strict:
-            return lambda x: q.residuate(a, x)
+            return lambda x: residuate(a, x)
         if a >= 1.0:
             raise ShapeMismatch("the strict family on dR needs a < 1")
         b = a + _STRICT_PROBE
-        return lambda x: q.residuate(b, x)
+        return lambda x: residuate(b, x)
     raise ValueError(f"unknown interval order tag {which!r}")
 
 
@@ -270,21 +317,19 @@ def approach_terms(a, side, count=48):
 
 def generate_interval_ideal(order, terms):
     """The lower set generated by a finite run of terms on an interval
-    order: join over tail starts of the meet over the tail.  A finite
-    stand-in for the limit; callers pick terms that settle within their
-    tolerance."""
+    order: the join over tail starts of the meet over the tail, clamped
+    to [0, 1].
+
+    A tail's meet only falls as its start moves left, so the join is the
+    meet of the shortest tail, the last term alone: a finite run
+    generates y(last term), x -> hom(x, last), clamped to [0, 1].  It
+    tests the last term, not a limit; callers pick terms whose last one
+    lies within their tolerance of what they compare with."""
     terms = tuple(float(t) for t in terms)
     if not terms:
         raise ShapeMismatch("need at least one sequence term")
-
-    def phi(x):
-        tail, best = 1.0, 0.0
-        for t in reversed(terms):
-            tail = min(tail, order.hom(x, t))
-            best = max(best, tail)
-        return best
-
-    return phi
+    hom, last = _hom(order), terms[-1]
+    return lambda x: max(0.0, min(1.0, hom(x, last)))
 
 
 def interval_dR_scott_closed(fn, q, grid=257):
@@ -295,12 +340,16 @@ def interval_dR_scott_closed(fn, q, grid=257):
     _require_interval(q)
     pts = _grid(grid, 17)
     tol = q.tolerance
+    residuate = _kernels(q)[1]
     vals = [fn(x) for x in pts]
-    rc_w = next(({"at": x, "jump": jump} for x in pts[:-1]
-                 if (jump := abs(fn(min(1.0, x + _RC_PROBE)) - fn(x))) > _RC_JUMP), None)
+    rc_w = next(({"at": x, "jump": jump} for x, fx in zip(pts[:-1], vals)
+                 if (jump := abs(fn(min(1.0, x + _RC_PROBE)) - fx)) > _RC_JUMP), None)
+    # a pair with x <= y and fx <= fy has both degrees exactly 1.0, and
+    # 1.0 > 1.0 + tol never holds for a tolerance >= 0: it is skipped
     op_w = next(({"pair": (x, y), "order_degree": lhs, "image_degree": rhs}
                  for x, fx in zip(pts, vals) for y, fy in zip(pts, vals)
-                 if (lhs := q.residuate(x, y)) > (rhs := q.residuate(fx, fy)) + tol), None)
+                 if not (x <= y and fx <= fy)
+                 and (lhs := residuate(x, y)) > (rhs := residuate(fx, fy)) + tol), None)
     return {"scott_closed": rc_w is None and op_w is None,
             "right_continuous": rc_w is None,
             "order_preserving": op_w is None,
@@ -350,6 +399,7 @@ def verify_ordinal_sum_generation(fn, q, grid=257):
     """
     _require_interval(q)
     tol = q.tolerance
+    residuate = _kernels(q)[1]
     pieces = _decomposition_pieces(q)
     _probe_decomposition(q, pieces)
     closed = interval_dR_scott_closed(fn, q, grid=grid)
@@ -367,7 +417,7 @@ def verify_ordinal_sum_generation(fn, q, grid=257):
         for lo, hi, _ in pieces:
             if lo < x < hi and lo < fx < hi:
                 if fx > x + tol:
-                    return ("inside-above", fx, q.residuate(fx, x))
+                    return ("inside-above", fx, residuate(fx, x))
                 return ("inside-diagonal", fx, hi)
         return ("outside", fx, x)
 
@@ -375,15 +425,19 @@ def verify_ordinal_sum_generation(fn, q, grid=257):
     for lo, hi, _ in pieces:
         xs.extend((min(hi, lo + _GENERATION_PROBE), max(lo, hi - _GENERATION_PROBE)))
     entries = {x: family_entry(x) for x in xs}
+    # an entry with d <= y gives max(c, 1.0) >= 1.0, never below best,
+    # which starts at 1.0: each y scans only the entries with d > y, and
+    # a minimum does not depend on the order of the scan
+    by_d = sorted((entry[1:] for entry in entries.values()), key=itemgetter(1))
+    ds = [d for _, d in by_d]
 
     worst, worst_at = 0.0, None
     for y in pts:
         extra = (y, min(1.0, y + _GENERATION_PROBE))
         entries.update((x, family_entry(x)) for x in extra if x not in entries)
         best = 1.0
-        for x in xs + list(extra):
-            _, c, d = entries[x]
-            g = max(c, q.residuate(d, y))
+        for c, d in chain(by_d[bisect_right(ds, y):], (entries[x][1:] for x in extra)):
+            g = max(c, residuate(d, y))
             if g < best:
                 best = g
         dev = abs(best - fn(y))
@@ -391,7 +445,7 @@ def verify_ordinal_sum_generation(fn, q, grid=257):
             worst, worst_at = dev, y
 
     members_closed = all(
-        interval_dR_scott_closed(lambda y, c=c, d=d: max(c, q.residuate(d, y)), q,
+        interval_dR_scott_closed(lambda y, c=c, d=d: max(c, residuate(d, y)), q,
                                  grid=65)["scott_closed"]
         for _, c, d in map(family_entry, (0.0, 0.25, 0.5, 0.75, 1.0)))
     return {"max_deviation": worst, "deviation_at": worst_at,
