@@ -12,7 +12,6 @@ they are enumerated (_forward_cauchy).
 
 from __future__ import annotations
 
-from functools import reduce
 from operator import getitem
 
 from ._value import Frozen, Value
@@ -193,18 +192,16 @@ def _break(A, kind, vals, sets):
     upper) for the inhabited lower set with value tuple vals: None, or
     the first break (acc, psi, d(acc . psi), d(acc) . d(psi)) of a
     threshold's left-to-right fold of members, d and the fold as in
-    their proofs.  With sets None, _first_break names the threshold and
-    its break row r_i, so only r_0, ..., r_i are built: acc is the fold
-    of r_0, ..., r_(i-1), psi is r_i, and d is evaluated three times,
-    none of them along the fold.  Else each value in index order is a
-    threshold, its members the sets whose degree passes it, and the
-    fold tests d at every step."""
+    their proofs.  With sets None the witness comes from the break that
+    _first_break found (_row_break), and a decision that passes builds
+    nothing.  Else each value in index order is a threshold, its members
+    the sets whose degree passes it, and the fold tests d at every
+    step."""
     if sets is None:
         hit = _first_break(A, kind, vals)
-        if hit is None:
-            return None
+        return None if hit is None else _row_break(A, kind, vals, hit)
     q = A.quantale
-    thresholds, _, table, keeps = getattr(q.prime_tables, kind)
+    _, _, table, keeps = getattr(q.prime_tables, kind)
     fold, gather = ((q.join_table, q.meet_all) if kind == "lower"
                     else (q.meet_table, q.join_all))
     terms = [table[a] for a in vals]
@@ -212,19 +209,12 @@ def _break(A, kind, vals, sets):
     def d(vec):
         return gather(map(getitem, terms, vec))
 
-    def merge(v1, v2):
-        return tuple(fold[a][b] for a, b in zip(v1, v2))
-    if sets is None:
-        k, cells, i = hit
-        rows = [tuple(table[h][w] for h in A.hom[y]) for y, w in cells[:i + 1]]
-        folds = [(thresholds[k], [reduce(merge, rows[1:i], rows[0]), rows[i]])]
-    else:
-        degrees = list(map(d, sets))
-        folds = ((u, [v for v, e in zip(sets, degrees) if keeps[e][u]]) for u in range(q.n))
-    for u, members in folds:
+    degrees = list(map(d, sets))
+    for u in range(q.n):
+        members = [v for v, e in zip(sets, degrees) if keeps[e][u]]
         acc = members[0] if members else None
         for psi in members[1:]:
-            out = merge(acc, psi)
+            out = tuple(fold[a][b] for a, b in zip(acc, psi))
             e = d(out)
             if not keeps[e][u]:
                 return acc, psi, e, fold[d(acc)][d(psi)]
@@ -232,17 +222,51 @@ def _break(A, kind, vals, sets):
     return None
 
 
+def _row_break(A, kind, vals, hit):
+    """The break of _first_break's hit (k, cells, i), read off the
+    generator rows r_0, ..., r_i of the cells: acc is the fold of r_0,
+    ..., r_(i-1), built in place, psi is r_i, and the degrees of acc,
+    psi and their fold come from one pass over phi's values.  The row
+    table is the degree's table too: a row of cell (y, w) takes
+    table[A(y,x)][w] at x, and d(psi) gathers table[phi(x)][psi(x)],
+    by meets (kind lower) or joins (kind upper), the other lattice
+    operation than the fold's."""
+    q = A.quantale
+    table = getattr(q.prime_tables, kind).table
+    fold, gather, d0 = ((q.join_table, q.meet_table, q.top) if kind == "lower"
+                        else (q.meet_table, q.join_table, q.bottom))
+    _, cells, i = hit
+    hom = A.hom
+    y, w = cells[0]
+    acc = [table[h][w] for h in hom[y]]
+    for y, w in cells[1:i]:
+        for x, h in enumerate(hom[y]):
+            acc[x] = fold[acc[x]][table[h][w]]
+    y, w = cells[i]
+    psi = [table[h][w] for h in hom[y]]
+    d_acc = d_psi = d_out = d0
+    for a, s, t in zip(vals, acc, psi):
+        deg = table[a]
+        d_acc = gather[d_acc][deg[s]]
+        d_psi = gather[d_psi][deg[t]]
+        d_out = gather[d_out][deg[fold[s][t]]]
+    return acc, psi, d_out, fold[d_acc][d_psi]
+
+
 def _threshold_verdict(phi, kind, budget, keys):
     """(flag, witness) of _break for one decision, charged before it is
-    made; keys name the witness's two sets and two sides."""
+    made; keys name the witness's two sets and two sides.  The two sets
+    are the break's acc and psi, labelled point by point in the order of
+    FuzzySet.as_dict, and the sides its two degrees."""
     A = phi.base
     hit = _break(A, kind, phi.values, _route(A, kind, 1, budget))
     if hit is None:
         return True, None
     v1, v2, lhs, rhs = hit
-    lab = A.quantale.elements.__getitem__
-    return False, dict(zip(keys, (FuzzySet(A, v1).as_dict(), FuzzySet(A, v2).as_dict(),
-                                  lab(lhs), lab(rhs))))
+    points, labels = A.elements, A.quantale.elements
+    return False, {keys[0]: dict(zip(points, map(labels.__getitem__, v1))),
+                   keys[1]: dict(zip(points, map(labels.__getitem__, v2))),
+                   keys[2]: labels[lhs], keys[3]: labels[rhs]}
 
 
 def is_flat(phi, budget=None):
@@ -317,7 +341,13 @@ def _forward_cauchy(phi):
     leq, unit = A.quantale.leq, A.quantale.unit
     tops = [z for z, v in enumerate(vals) if v == unit]
     # doms[x]: the z in T with phi(x) <= A(x,z), as a bitmask
-    doms = [sum(1 << z for z in tops if leq[v][row[z]]) for row, v in zip(A.hom, vals)]
+    doms = []
+    for row, v in zip(A.hom, vals):
+        above, mask = leq[v], 0
+        for z in tops:
+            if above[row[z]]:
+                mask |= 1 << z
+        doms.append(mask)
     for x, dx in enumerate(doms):
         for y, dy in enumerate(doms):
             if not dx & dy:
@@ -337,16 +367,30 @@ class IdealReport(Value, fields="inhabited flat irreducible forward_cauchy witne
 
 def classify_ideal(phi, budget=None):
     """All three deciders plus inhabitedness; every false flag keeps its
-    witness under its own key.  A set that is not lower and inhabited
-    fails all three with the same reason."""
+    witness under its own key, in the order flat, irreducible,
+    forward_cauchy.  A set that is not lower and inhabited fails all
+    three with the same reason, and nothing is decided or charged.  A
+    flat or irreducible witness is the break of _threshold_verdict: on a
+    distributive lattice built from the generator rows up to the break
+    that decided the flag, else from the fold over every set; a
+    forward-Cauchy witness is the first pair with no common dominating
+    point."""
     inhabited = _inhabited(phi.base, phi.values)
     pre = _ideal_precondition(phi, inhabited)
-    flat = pre or _flat(phi, budget)
-    irr = pre or _irreducible(phi, budget)
-    fc = pre or _forward_cauchy(phi)
-    witnesses = {k: w for k, (_, w) in (("flat", flat), ("irreducible", irr),
-                                        ("forward_cauchy", fc)) if w is not None}
-    return IdealReport(inhabited, flat[0], irr[0], fc[0], witnesses)
+    if pre is not None:
+        return IdealReport(inhabited, False, False, False,
+                           dict.fromkeys(("flat", "irreducible", "forward_cauchy"), pre[1]))
+    flat, w_flat = _flat(phi, budget)
+    irr, w_irr = _irreducible(phi, budget)
+    fc, w_fc = _forward_cauchy(phi)
+    witnesses = {}
+    if w_flat is not None:
+        witnesses["flat"] = w_flat
+    if w_irr is not None:
+        witnesses["irreducible"] = w_irr
+    if w_fc is not None:
+        witnesses["forward_cauchy"] = w_fc
+    return IdealReport(inhabited, flat, irr, fc, witnesses)
 
 
 def _principal_rows(A):

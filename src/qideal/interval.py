@@ -39,15 +39,20 @@ def _grid(points, minimum=2):
     return [i / (points - 1) for i in range(points)]
 
 
-# The four closed-form t-norms as plain functions.  The methods and every
-# sampled check call these, so a check picks its t-norm once (_kernels),
-# not on every call.  residuate(a, b) is exactly 1.0 whenever a <= b, the
-# fact every skip in the grid scans below rests on.
+# The four closed-form t-norms as plain functions, each residuum also with
+# its arguments swapped, the hom of dR.  The methods and every sampled
+# check call these, so a check picks its t-norm once (_kernels), not on
+# every call.  residuate(a, b) is exactly 1.0 whenever a <= b, the fact
+# every skip in the grid scans below rests on.
 def _min_tensor(a, b):
     return a if a < b else b
 
 
 def _min_residuate(a, b):
+    return 1.0 if a <= b else b
+
+
+def _min_residuate_swapped(b, a):
     return 1.0 if a <= b else b
 
 
@@ -59,11 +64,19 @@ def _product_residuate(a, b):
     return 1.0 if a <= b else b / a
 
 
+def _product_residuate_swapped(b, a):
+    return 1.0 if a <= b else b / a
+
+
 def _lukasiewicz_tensor(a, b):
     return max(a + b - 1.0, 0.0)
 
 
 def _lukasiewicz_residuate(a, b):
+    return 1.0 if a <= b else min(1.0, 1.0 - a + b)
+
+
+def _lukasiewicz_residuate_swapped(b, a):
     return 1.0 if a <= b else min(1.0, 1.0 - a + b)
 
 
@@ -75,12 +88,50 @@ def _nilpotent_minimum_residuate(a, b):
     return 1.0 if a <= b else max(1.0 - a, b)
 
 
+def _nilpotent_minimum_residuate_swapped(b, a):
+    return 1.0 if a <= b else max(1.0 - a, b)
+
+
+# tag -> (tensor, residuate, residuate with swapped arguments)
 _CLOSED_FORMS = {
-    "min": (_min_tensor, _min_residuate),
-    "product": (_product_tensor, _product_residuate),
-    "lukasiewicz": (_lukasiewicz_tensor, _lukasiewicz_residuate),
-    "nilpotent_minimum": (_nilpotent_minimum_tensor, _nilpotent_minimum_residuate),
+    "min": (_min_tensor, _min_residuate, _min_residuate_swapped),
+    "product": (_product_tensor, _product_residuate, _product_residuate_swapped),
+    "lukasiewicz": (_lukasiewicz_tensor, _lukasiewicz_residuate,
+                    _lukasiewicz_residuate_swapped),
+    "nilpotent_minimum": (_nilpotent_minimum_tensor, _nilpotent_minimum_residuate,
+                          _nilpotent_minimum_residuate_swapped),
 }
+
+
+def _ordinal_sum_kernels(pieces):
+    """(tensor, residuate, residuate with swapped arguments) of the
+    ordinal sum of pieces, each piece's width and kind resolved once.
+    Two arguments in a piece's closed square take its rescaled t-norm,
+    the first such piece in order where two squares share an endpoint;
+    anywhere else the tensor is min and the residuum of a > b is b.  The
+    checks build these once; a method call builds them anew.  The
+    swapped residuum wraps the residuum, as no suite reads dR over an
+    ordinal sum."""
+    spans = tuple((lo, hi, hi - lo, kindname == "lukasiewicz") for lo, hi, kindname in pieces)
+
+    def tensor(a, b):
+        for lo, hi, w, lukasiewicz in spans:
+            if lo <= a <= hi and lo <= b <= hi:
+                u, v = (a - lo) / w, (b - lo) / w
+                return lo + w * (max(u + v - 1.0, 0.0) if lukasiewicz else u * v)
+        return a if a < b else b
+
+    def residuate(a, b):
+        if a <= b:
+            return 1.0
+        for lo, hi, w, lukasiewicz in spans:
+            if lo <= a <= hi and lo <= b <= hi:
+                u, v = (a - lo) / w, (b - lo) / w
+                # a > b >= lo forces u > 0
+                return lo + w * (min(1.0, 1.0 - u + v) if lukasiewicz else v / u)
+        return b
+
+    return tensor, residuate, lambda b, a: residuate(a, b)
 
 
 class IntervalQuantale(Frozen, fields="tnorm pieces tolerance"):
@@ -95,47 +146,20 @@ class IntervalQuantale(Frozen, fields="tnorm pieces tolerance"):
     def __init__(self, tnorm, pieces=(), tolerance=DEFAULT_TOLERANCE):
         self._init(tnorm, pieces, tolerance)
 
-    def _piece_at(self, a, b):
-        for lo, hi, kindname in self.pieces:
-            if lo <= a <= hi and lo <= b <= hi:
-                return lo, hi, kindname
-        return None
-
     def tensor(self, a, b):
-        if self.tnorm in _CLOSED_FORMS:
-            return _CLOSED_FORMS[self.tnorm][0](a, b)
-        piece = self._piece_at(a, b)
-        if piece is None:
-            return a if a < b else b
-        lo, hi, kindname = piece
-        w = hi - lo
-        u, v = (a - lo) / w, (b - lo) / w
-        s = max(u + v - 1.0, 0.0) if kindname == "lukasiewicz" else u * v
-        return lo + w * s
+        return _kernels(self)[0](a, b)
 
     def residuate(self, a, b):
-        if self.tnorm in _CLOSED_FORMS:
-            return _CLOSED_FORMS[self.tnorm][1](a, b)
-        if a <= b:
-            return 1.0
-        piece = self._piece_at(a, b)
-        if piece is None:
-            return b
-        lo, hi, kindname = piece
-        w = hi - lo
-        u, v = (a - lo) / w, (b - lo) / w
-        # a > b >= lo forces u > 0
-        s = min(1.0, 1.0 - u + v) if kindname == "lukasiewicz" else v / u
-        return lo + w * s
+        return _kernels(self)[1](a, b)
 
     def neg(self, a):
         return self.residuate(a, 0.0)
 
 
 def _kernels(q):
-    """(tensor, residuate) of q as plain two-argument functions: its
-    closed form, or an ordinal sum's methods."""
-    return _CLOSED_FORMS.get(q.tnorm) or (q.tensor, q.residuate)
+    """(tensor, residuate, residuate with swapped arguments) of q as plain
+    two-argument functions: its closed form, or its ordinal sum's."""
+    return _CLOSED_FORMS.get(q.tnorm) or _ordinal_sum_kernels(q.pieces)
 
 
 def interval_quantale(tnorm, pieces=None, tolerance=None):
@@ -213,7 +237,7 @@ def check_adjunction_sampled(q, grid=65):
     other side must hold up to the same slack.  Returns (ok, witness).
     """
     tol = q.tolerance
-    tensor, residuate = _kernels(q)
+    tensor, residuate = _kernels(q)[:2]
     pts = _grid(grid)
     for p in pts:
         res_row = [residuate(p, r) for r in pts]
@@ -243,11 +267,9 @@ def interval_order(q, which):
 
 
 def _hom(order):
-    """order.hom as a plain two-argument function, dL or dR chosen once."""
-    residuate = _kernels(order.quantale)[1]
-    if order.which == "dL":
-        return residuate
-    return lambda a, b: residuate(b, a)
+    """order.hom as a plain two-argument function, dL or dR chosen once:
+    the residuum or its swapped kernel."""
+    return _kernels(order.quantale)[1 if order.which == "dL" else 2]
 
 
 def classify_sampled(order, fn, grid=129):

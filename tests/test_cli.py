@@ -1,6 +1,7 @@
 """Command line entry points, exit codes, and report files."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -456,3 +457,18 @@ def test_seed_is_plumbed_through(capsys):
     code, report, _ = run(capsys, "--seed", "11", "check", "FC_SUBSET_IRR")
     assert code == 0
     assert report["details"]["seed"] == 11
+
+
+CLASSIFY_DATA = Path(__file__).parent / "data" / "classify"
+
+
+@pytest.mark.parametrize("name", ["boolean4_break", "lukasiewicz20_non_ideal",
+                                  "m3_with_top_fold"])
+def test_classify_reports_equal_the_committed_bytes(capsys, name):
+    """Witnesses from the generator rows (boolean4, Lukasiewicz-20) and
+    from the fold over every set (M3 with a top), byte for byte."""
+    code = main(["classify", str(CLASSIFY_DATA / f"{name}.qorder.json"),
+                 str(CLASSIFY_DATA / f"{name}.phi.json")])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert out == (CLASSIFY_DATA / f"{name}.json").read_text(encoding="utf-8")

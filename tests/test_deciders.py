@@ -7,7 +7,9 @@ other); the break row that the generator scan names against the
 largest die(c) from the row formulas, and two misplaced breaks that
 the generator-row fold catches; the forward-Cauchy dominance masks against the pointwise loop
 they replaced, pair for pair; inhabitedness against the join of the
-values."""
+values; and every classify_ideal report on seeded census-sized bases
+over the four census quantales against the generator-row fold and the
+pointwise loop, with three mutated break builders that it catches."""
 
 import itertools
 import random
@@ -350,8 +352,11 @@ def two_point_orders(q):
         yield build_qorder(q, ("a", "b"), [[one, ab], [ba, one]])
 
 
-@pytest.mark.parametrize("q", [boolean4(), godel_chain(5), nilpotent_minimum_chain(4),
-                               lukasiewicz_chain(4)], ids=["boolean4", "G5", "NM4", "L4"])
+CENSUS_QUANTALES = {"boolean4": boolean4(), "G5": godel_chain(5),
+                    "NM4": nilpotent_minimum_chain(4), "L4": lukasiewicz_chain(4)}
+
+
+@pytest.mark.parametrize("q", CENSUS_QUANTALES.values(), ids=list(CENSUS_QUANTALES))
 def test_random_five_point_orders_over_the_census_quantales(q):
     """Seeded 5-point orders as the census draws them; bases with more
     than 64 lower or upper sets are passed over, which bounds the cost
@@ -363,6 +368,101 @@ def test_random_five_point_orders_over_the_census_quantales(q):
                for kind in ("lower", "upper")):
             assert_matches_oracles(A)
             kept += 1
+
+
+def census_bases(q, count=25, seed=2027):
+    """count seeded 5-point orders over q, drawn as the census draws
+    them: a base is kept when it has 12 to 64 lower sets and at most 64
+    upper sets."""
+    rng, bases = random.Random(seed), []
+    while len(bases) < count:
+        A = random_qorder(q, 5, rng)
+        if (12 <= len(_monotone_value_tuples(A, "lower", DEFAULT_BUDGET)) <= 64
+                and len(_monotone_value_tuples(A, "upper", DEFAULT_BUDGET)) <= 64):
+            bases.append(A)
+    return bases
+
+
+def expected_report(phi):
+    """classify_ideal's flags and witnesses as the oracles give them: the
+    generator-row fold's breaks and fc_oracle's pair on an inhabited
+    lower set, else the one reason under every key."""
+    q = phi.base.quantale
+    if not inhabited(phi):
+        reason = {"reason": "not inhabited",
+                  "join_of_values": q.elements[q.join_all(phi.values)]}
+        return (False, False, False,
+                dict.fromkeys(("flat", "irreducible", "forward_cauchy"), reason))
+    w_flat = oracle_witness(generator_oracle, phi, "upper")
+    w_irr = oracle_witness(generator_oracle, phi, "lower")
+    fc, w_fc = fc_oracle(phi)
+    witnesses = {key: w for key, w in (("flat", w_flat), ("irreducible", w_irr),
+                                       ("forward_cauchy", w_fc)) if w is not None}
+    return w_flat is None, w_irr is None, fc, witnesses
+
+
+def census_mismatch(bases):
+    """The first lower set whose classify_ideal report differs from
+    expected_report, with both, or None.  Compared by repr, so the key
+    order of every witness dict counts too."""
+    for A in bases:
+        for phi in enumerate_ideals(A, "lower"):
+            rep = classify_ideal(phi)
+            got = (rep.flat, rep.irreducible, rep.forward_cauchy, rep.witnesses)
+            want = expected_report(phi)
+            if repr(got) != repr(want):
+                return A.catalog, phi.values, got, want
+    return None
+
+
+@pytest.mark.parametrize("name", CENSUS_QUANTALES)
+def test_census_witnesses_equal_the_generator_oracle(name):
+    bases = census_bases(CENSUS_QUANTALES[name])
+    assert census_mismatch(bases) is None
+    # each decider breaks somewhere past r_1, where acc folds two rows or more
+    for kind in ("lower", "upper"):
+        assert any(hit[2] >= 2 for A in bases for phi in enumerate_ideals(A, "lower")
+                   if inhabited(phi) and (hit := ideals._first_break(A, kind, phi.values)))
+
+
+def fold_through_the_break(row_break):
+    """r_i folded into acc as well: the break row named twice."""
+    def mutated(A, kind, vals, hit):
+        k, cells, i = hit
+        return row_break(A, kind, vals, (k, cells[:i + 1] + cells[i:], i + 1))
+    return mutated
+
+
+def swap_acc_and_psi(row_break):
+    def mutated(A, kind, vals, hit):
+        acc, psi, lhs, rhs = row_break(A, kind, vals, hit)
+        return psi, acc, lhs, rhs
+    return mutated
+
+
+def degrees_through_the_other_table(row_break):
+    """The break's sets as found, both sides read off the other decider's
+    table: the tensor for the irreducible one, the residuum for flat."""
+    def mutated(A, kind, vals, hit):
+        acc, psi, _, _ = row_break(A, kind, vals, hit)
+        q = A.quantale
+        other = q.prime_tables.upper if kind == "lower" else q.prime_tables.lower
+        fold, gather = ((q.join_table, q.meet_all) if kind == "lower"
+                        else (q.meet_table, q.join_all))
+
+        def d(vec):
+            return gather(other.table[a][b] for a, b in zip(vals, vec))
+        return acc, psi, d(pointwise(fold, acc, psi)), fold[d(acc)][d(psi)]
+    return mutated
+
+
+@pytest.mark.parametrize("mutation", [fold_through_the_break, swap_acc_and_psi,
+                                      degrees_through_the_other_table],
+                         ids=["fold-includes-the-break-row", "acc-psi-swapped",
+                              "degrees-through-the-other-table"])
+def test_a_mutated_row_break_fails_the_census_differential(monkeypatch, mutation):
+    monkeypatch.setattr(ideals, "_row_break", mutation(ideals._row_break))
+    assert census_mismatch(census_bases(CENSUS_QUANTALES["boolean4"])) is not None
 
 
 def die_positions(A, kind, cells):

@@ -8,6 +8,7 @@ difference in the last digit fails the comparison.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +22,7 @@ from qideal.interval import (
     _RC_JUMP,
     _RC_PROBE,
     _decomposition_pieces,
+    _hom,
     _kernels,
     _probe_decomposition,
     approach_terms,
@@ -234,26 +236,53 @@ def outcome(f, *args):
 
 # --- the kernels ----------------------------------------------------------
 
-@pytest.mark.parametrize("tag", TNORMS)
-def test_the_kernels_are_the_method_forms(tag):
-    q = quantale(tag, 1e-9)
-    tensor, residuate = _kernels(q)
-    spots = (-0.5, -0.0, 0.0, 1e-12, 0.1, 0.25, 1 / 3, 0.5, 0.6, 0.75, 0.9, 1.0, 1.5)
+def assert_kernels_are_the_method_forms(q, spots):
+    tensor, residuate, swapped = _kernels(q)
+    orders = [interval_order(q, which) for which in ("dL", "dR")]
     for a in spots:
         for b in spots:
             assert outcome(tensor, a, b) == outcome(old_tensor, q, a, b), (a, b)
             assert outcome(q.tensor, a, b) == outcome(old_tensor, q, a, b), (a, b)
             assert outcome(residuate, a, b) == outcome(old_residuate, q, a, b), (a, b)
             assert outcome(q.residuate, a, b) == outcome(old_residuate, q, a, b), (a, b)
-            for which in ("dL", "dR"):
-                order = interval_order(q, which)
+            assert outcome(swapped, a, b) == outcome(old_residuate, q, b, a), (a, b)
+            for order in orders:
                 assert outcome(order.hom, a, b) == outcome(old_hom, order, a, b)
+                assert outcome(_hom(order), a, b) == outcome(old_hom, order, a, b)
 
 
-def test_only_the_ordinal_sums_keep_their_methods():
+@pytest.mark.parametrize("tag", TNORMS)
+def test_the_kernels_are_the_method_forms(tag):
+    assert_kernels_are_the_method_forms(quantale(tag, 1e-9), (
+        -0.5, -0.0, 0.0, 1e-12, 0.1, 0.25, 1 / 3, 0.5, 0.6, 0.75, 0.9, 1.0, 1.5))
+
+
+# two pieces that share the endpoint 0.45, where the first piece's
+# rescaled tensor gives 0.44999999999999996 and the second's 0.45
+SHARED_ENDPOINT = ((0.1, 0.45, "lukasiewicz"), (0.45, 0.9, "product"))
+
+
+@pytest.mark.parametrize("pieces", [*PIECES.values(), SHARED_ENDPOINT],
+                         ids=[*PIECES, "shared_endpoint"])
+def test_the_ordinal_sum_kernels_at_the_piece_endpoints(pieces):
+    """Each endpoint, the floats next to it on both sides, 0 and 1: the
+    first piece whose closed square holds both arguments decides."""
+    q = interval_quantale("ordinal_sum", pieces=pieces)
+    ends = sorted({e for lo, hi, _ in pieces for e in (lo, hi)} | {0.0, 1.0})
+    spots = sorted({x for e in ends for x in (math.nextafter(e, -1.0), e,
+                                              math.nextafter(e, 2.0))})
+    assert_kernels_are_the_method_forms(q, spots)
+    if pieces == SHARED_ENDPOINT:
+        assert repr(_kernels(q)[0](0.45, 0.45)) == "0.44999999999999996"
+
+
+def test_only_the_ordinal_sums_build_their_kernels():
     assert set(_CLOSED_FORMS) == {"min", "product", "lukasiewicz", "nilpotent_minimum"}
-    osum = quantale("ordinal_sum", 1e-9)
-    assert _kernels(osum) == (osum.tensor, osum.residuate)
+    assert _kernels(quantale("ordinal_sum", 1e-9)) not in _CLOSED_FORMS.values()
+    for tag, kernels in _CLOSED_FORMS.items():
+        q = quantale(tag, 1e-9)
+        assert _kernels(q) is kernels
+        assert _hom(interval_order(q, "dR")) is kernels[2]
 
 
 # --- the scans ------------------------------------------------------------
