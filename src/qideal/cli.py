@@ -2,8 +2,8 @@
 
 Arguments that name instances accept either a file path or inline JSON
 (anything starting with "{" or "[").  Reports go to stdout as JSON; a
-human-readable summary goes to stderr.  Exit codes: 0 pass, 1 fail or
-finding, 2 usage error or blown budget.
+human-readable summary goes to stderr.  Exit codes: 0 pass, 1 fail, 2
+usage error or blown budget.
 
 Each command imports the layers it calls when it runs, so a process
 loads only what its command needs.
@@ -172,7 +172,7 @@ def _cmd_check(args):
     report = result.to_json()
     lines = result.summary().splitlines()
     path = args.report
-    if path is None and result.verdict in ("fail", "finding"):
+    if path is None and result.verdict == "fail":
         path = f"qideal-{result.name.lower()}-report.json"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -181,7 +181,7 @@ def _cmd_check(args):
     _emit(report, lines)
     if result.verdict == "pass":
         return 0
-    if result.verdict in ("fail", "finding"):
+    if result.verdict == "fail":
         return 1
     return 2
 
@@ -259,7 +259,7 @@ def build_parser():
                    help="suite parameter, repeatable")
     p.add_argument("--report", default=None,
                    help="write the JSON report here (default: only on "
-                        "fail/finding, to qideal-<suite>-report.json)")
+                        "fail, to qideal-<suite>-report.json)")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("search-counterexample",

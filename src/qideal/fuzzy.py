@@ -322,8 +322,7 @@ def intersection_inclusion_identities(A, budget=None):
     lowers = _monotone_value_tuples(A, "lower", budget)
     uppers = _monotone_value_tuples(A, "upper", budget)
     _charge(len(lowers) * (len(uppers) + len(lowers)) * q.n, budget, "pairs checked")
-    dn = all(q.neg_vector[q.neg_vector[i]] == i for i in range(q.n))
-    res, meet, neg = q.res_table, q.meet_table, q.neg_vector
+    res, meet, neg, dn = q.res_table, q.meet_table, q.neg_vector, q.has_double_negation
     lab = q.elements.__getitem__
 
     def bad(name, v1, v2, lhs, rhs):

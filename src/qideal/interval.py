@@ -346,10 +346,15 @@ def generate_interval_ideal(order, terms):
     meet of the shortest tail, the last term alone: a finite run
     generates y(last term), x -> hom(x, last), clamped to [0, 1].  It
     tests the last term, not a limit; callers pick terms whose last one
-    lies within their tolerance of what they compare with."""
+    lies within their tolerance of what they compare with.  A term
+    outside [0, 1] is refused, as the closed-form families refuse such
+    a parameter."""
     terms = tuple(float(t) for t in terms)
     if not terms:
         raise ShapeMismatch("need at least one sequence term")
+    bad = next((t for t in terms if not 0.0 <= t <= 1.0), None)
+    if bad is not None:
+        raise ShapeMismatch(f"sequence term {bad} lies outside [0, 1]")
     hom, last = _hom(order), terms[-1]
     return lambda x: max(0.0, min(1.0, hom(x, last)))
 

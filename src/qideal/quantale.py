@@ -167,6 +167,12 @@ class FiniteQuantale(_Labelled, Frozen,
         return self.tensor_table == self.meet_table
 
     @property
+    def has_double_negation(self):
+        """Whether negation, a -> 0, is an involution: neg(neg(a)) = a."""
+        neg = self.neg_vector
+        return all(neg[v] == i for i, v in enumerate(neg))
+
+    @property
     def unit_join_irreducible(self):
         """Whether the unit, the top, is no join of the elements below
         it: then a nonempty family joins to the unit iff the unit is one
@@ -471,11 +477,10 @@ def quantale_properties(q):
     divisible = all(
         q.tensor(i, q.residuate(i, j)) == q.meet(i, j)
         for i in rng for j in rng)
-    dn = all(q.neg(q.neg(i)) == i for i in rng)
     idem = tuple(q.elements[i] for i in rng if q.tensor(i, i) == i)
     return QuantaleProps(
         is_integral=True, is_commutative=True, is_prelinear=prelinear,
-        is_divisible=divisible, has_double_negation=dn,
+        is_divisible=divisible, has_double_negation=q.has_double_negation,
         is_archimedean=None, idempotents=idem,
         is_meet_continuous=True, is_dually_meet_continuous=True)
 

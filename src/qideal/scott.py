@@ -54,9 +54,27 @@ def _scott_context(A, tag, budget):
     supremum of y(a) by Yoneda.  An upper psi has sup_x A(x, s) & psi(x) = psi(s):
     the term x = s gives >=, upperness <=; a lower psi has inf_x A(x, s)
     -> psi(x) = psi(s).  Along an order-preserving f the forward image
-    of y(s) is y(f(s)), whose suprema contain f(s).  So the forward-Cauchy
-    context is empty: those ideals are principal (ideals._forward_cauchy)."""
-    if tag == "fc":
+    of y(s) is y(f(s)), whose suprema contain f(s).
+
+    Three contexts are empty by proof and are not built.  Forward-Cauchy
+    ideals are principal (ideals._forward_cauchy).  An irreducible phi
+    with a supremum s has phi(s) = 1, so it is principal: on n points
+    write phi = join_x phi(x) & y(x), a join of lower sets, and c_x =
+    sub(phi, phi(x) & y(x)).  Irreducibility over this n-ary join gives
+    join_x c_x = sub(phi, phi) = 1.  As c_x & phi(z) <= phi(x) for every
+    z and phi is inhabited, c_x <= phi(x); and c_x <= sub(phi, y(x)) =
+    A(s, x), as s is a supremum.  So c_y & c_y <= phi(y) & A(s, y) <=
+    phi(s), phi being lower.  Now 1 = (join_x c_x)^(n+1) is the join of
+    the products of n + 1 factors c_x; each repeats some c_y, so by
+    integrality it is at most c_y & c_y <= phi(s).  Under double
+    negation (neg a = a -> 0 and neg neg a = a) the flat ideals are the
+    irreducible ones: tensor(phi, psi) = neg sub(phi, neg psi), neg (psi1
+    ^ psi2) = neg psi1 v neg psi2, and neg maps the upper sets onto the
+    lower sets, so the flat equation on (psi1, psi2) is the negation of
+    the irreducible one on (neg psi1, neg psi2), and neg is injective.
+    Only the lower class, and the flat class on a quantale without
+    double negation (a Goedel chain), build a context."""
+    if tag in ("fc", "irreducible") or tag == "flat" and A.quantale.has_double_negation:
         return ()
     principal = set(zip(*A.hom))
     out = []
@@ -99,9 +117,10 @@ def is_scott_member(psi, mode, which=None, budget=None):
     """Membership of a fuzzy set in the open (mode topology) or closed
     (mode cotopology) family for the given ideal class.  The class
     defaults to flat for opens and irreducible for closeds.  Returns
-    (flag, witness).  Each call builds the base's class ideals with
-    their suprema and charges that work, so to test many sets of one
-    base, build the family once with generate_scott_structure."""
+    (flag, witness).  Each call builds the base's context and charges
+    that work (none where it is empty by proof, see _scott_context), so
+    to test many sets of one base, build the family once with
+    generate_scott_structure."""
     mode = _mode_tag(mode)
     tag = ideal_class_tag(which if which is not None else _default_class(mode))
     ctx = _scott_context(psi.base, tag, budget)

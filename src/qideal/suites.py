@@ -217,7 +217,7 @@ _INCLUSION_SUITES = {
         lambda r: r.irreducible and not r.flat,
         "irreducible ideal that is not flat on a prelinear instance"),
     "FLAT_EQ_IRR_DOUBLENEG": (
-        lambda q: quantale_properties(q).has_double_negation,
+        lambda q: q.has_double_negation,
         lambda r: r.flat != r.irreducible,
         "flat and irreducible disagree under double negation"),
     "LINEAR_IRR_EQ_FC": (
@@ -396,7 +396,6 @@ def _suite_scott_axioms(params, seed, budget, tolerance):
                          f"the phases are {', '.join(_SCOTT_PHASES)}")
     instances, witnesses = [], []
     details = {"seed": seed}
-    luk_c5 = []
 
     if "axioms" in phases:
         strong_t = strong_c = 0
@@ -417,14 +416,9 @@ def _suite_scott_axioms(params, seed, budget, tolerance):
                                       "mode": "cotopology"})
             strong_t += St.strong
             strong_c += Sc.strong
-            name = (A.quantale.catalog or ("",))[0]
-            if name == "lukasiewicz_chain" and not Sc.axioms["C5"]:
-                luk_c5.append(desc)
         details["axioms_bases"] = len(bases)
         details["strong_topologies"] = strong_t
         details["strong_cotopologies"] = strong_c
-        if luk_c5:
-            details["luk_c5_failures"] = luk_c5
 
     if "classical" in phases:
         line, posets = _crisp_posets(_int_param(params, "max_points", 4), budget)
@@ -484,10 +478,7 @@ def _suite_scott_axioms(params, seed, budget, tolerance):
             instances.append(f"duality battery over {qd} "
                              f"({len(bases)} bases)")
         details["duality_bases"] = duality_bases
-
-    # C1-C4 are the claim; C5 (closure under tensoring) failing on a
-    # Lukasiewicz chain is reported as a finding
-    return instances, witnesses, details, bool(luk_c5)
+    return instances, witnesses, details
 
 
 def _suite_prop57_equiv(params, seed, budget, tolerance):
@@ -623,8 +614,7 @@ def suite_names():
 
 def run_suite(name, seed=None, budget=None, tolerance=None, **params):
     """Execute one named suite and return its SuiteResult.  Verdicts:
-    pass, fail (claim violated, witnesses attached), finding (claim
-    holds but an asserted side condition failed), budget (enumeration
+    pass, fail (claim violated, witnesses attached), budget (enumeration
     gave up, or a grid parameter was too coarse to sample).  A parameter
     the suite does not read, and a run that checks no instance, are
     refused with ValueError."""
@@ -639,17 +629,13 @@ def run_suite(name, seed=None, budget=None, tolerance=None, **params):
     seed = DEFAULT_SEED if seed is None else int(seed) & (2 ** 64 - 1)
     start = time.perf_counter()
     try:
-        # a suite returns (instances, witnesses, details), and a suite
-        # that can end in a finding appends whether it did
-        instances, witnesses, details, *finding = suite(
-            params, seed, budget, tolerance)
+        instances, witnesses, details = suite(params, seed, budget, tolerance)
     except (BudgetExceeded, GridTooCoarse) as e:
         return SuiteResult(key, [], "budget", [{"budget": str(e)}],
                            time.perf_counter() - start, {"seed": seed})
     if not instances:
         raise ValueError(f"{key} checked no instances with parameters {params}")
-    verdict = "fail" if witnesses else "finding" if any(finding) else "pass"
-    return SuiteResult(key, instances, verdict, witnesses,
+    return SuiteResult(key, instances, "fail" if witnesses else "pass", witnesses,
                        time.perf_counter() - start, details)
 
 

@@ -3,7 +3,9 @@ characterizations; the closure axioms against a loop over every pair of
 members, with every failure witness replayed and equal to the first
 failing pair, and the closure of the walk's sets that lets a family of
 every set pass with nothing tested or charged; families, memberships and
-map checks against the context with its principal ideals kept."""
+map checks against the context with its principal ideals kept; and each
+context, empty by proof or built, against the route that decides every
+class ideal and seeks the suprema of the non-principal ones."""
 
 import functools
 import itertools
@@ -48,7 +50,13 @@ from qideal.qorder import (
     random_qorder,
     standard_qorder,
 )
-from qideal.quantale import boolean4, godel_chain, lukasiewicz_chain, nilpotent_minimum_chain
+from qideal.quantale import (
+    boolean4,
+    build_finite_quantale,
+    godel_chain,
+    lukasiewicz_chain,
+    nilpotent_minimum_chain,
+)
 from qideal.scott import (
     ScottStructure,
     _scott_context,
@@ -58,7 +66,7 @@ from qideal.scott import (
     generate_scott_structure,
     is_scott_member,
 )
-from qideal.suites import _battery
+from qideal.suites import DEFAULT_SEED, _battery, _full_battery
 from test_deciders import pointwise, two_point_orders
 from test_enumeration import RANDOM_BASES
 from test_quantale import m3_with_top
@@ -684,11 +692,14 @@ def context_oracle(A, tag):
 
 def test_the_context_seeks_no_supremum_of_a_principal_ideal(monkeypatch):
     """A principal ideal is a column of the hom table and is left out
-    before suprema runs; the context is the one the suprema test gave
-    (none of these bases has an irreducible one)."""
+    before suprema runs; the irreducible class, and the flat class under
+    double negation, seek no supremum at all, as their contexts are
+    empty by proof; and the context is the one the suprema test gave."""
     rng = random.Random(11)
     bases = [standard_qorder(godel_chain(4), name) for name in ("dL", "dR")]
-    bases += [random_qorder(q, 3, rng) for q in (godel_chain(3), boolean4(), m3_with_top())
+    bases += [random_qorder(q, 3, rng)
+              for q in (godel_chain(3), boolean4(), m3_with_top(), lukasiewicz_chain(4),
+                        nilpotent_minimum_chain(4))
               for _ in range(3)]
     sought = []
 
@@ -699,11 +710,83 @@ def test_the_context_seeks_no_supremum_of_a_principal_ideal(monkeypatch):
     kept = 0
     for A in bases:
         columns = set(zip(*A.hom))
+        built = not A.quantale.has_double_negation
         for tag in ("flat", "irreducible"):
             del sought[:]
             ctx = _scott_context(A, tag, None)
             assert ctx == context_oracle(A, tag), (A.catalog, tag)
-            assert sought == [p.values for p in enumerate_ideals(A, tag)
-                              if p.values not in columns]
+            assert sought == ([p.values for p in enumerate_ideals(A, tag)
+                               if p.values not in columns] if tag == "flat" and built else [])
             kept += len(ctx)
     assert kept
+
+
+def product_quantale(p, q):
+    """The pointwise product of two finite quantales, built from their
+    tables; a product of chains is neither a chain nor a frame."""
+    pairs = [(i, j) for i in range(p.n) for j in range(q.n)]
+
+    def label(i, j):
+        return f"{p.elements[i]};{q.elements[j]}"
+    return build_finite_quantale(
+        tuple(label(i, j) for i, j in pairs),
+        [[p.leq[i][k] and q.leq[j][m] for k, m in pairs] for i, j in pairs],
+        [[label(p.tensor(i, k), q.tensor(j, m)) for k, m in pairs] for i, j in pairs],
+        label(p.unit, q.unit))
+
+
+L3, L2 = lukasiewicz_chain(3), lukasiewicz_chain(2)
+# id -> the quantale, the sizes of its seeded orders (20 of each size)
+CONTEXT_QUANTALES = {
+    "L3xL3": (product_quantale(L3, L3), (2, 3, 4)),
+    "L3xL2": (product_quantale(L3, L2), (2, 3, 4)),
+    "NM4xL2": (product_quantale(nilpotent_minimum_chain(4), L2), (2, 3, 4)),
+    "G3xL3": (product_quantale(godel_chain(3), L3), (2, 3, 4)),
+    "boolean4": (boolean4(), (2, 3, 4)),
+    "godel-4": (godel_chain(4), (2, 3, 4)),
+    # the fold route over every set is slow on 4 points
+    "m3-top": (m3_with_top(), (2, 3)),
+}
+
+
+def assert_contexts_match_the_oracle(A):
+    """Every class's context equals the oracle route's, which decides
+    every class ideal, drops the principal ones and seeks the suprema of
+    the rest.  Returns how many irreducible ideals are not principal
+    and the size of the flat context."""
+    for tag in ("fc", "flat", "irreducible", "lower"):
+        assert _scott_context(A, tag, BIG) == context_oracle(A, tag), (A.hom, tag)
+    columns = set(zip(*A.hom))
+    return (sum(p.values not in columns for p in enumerate_ideals(A, "irr", budget=BIG)),
+            len(_scott_context(A, "flat", BIG)))
+
+
+@pytest.mark.parametrize("name", CONTEXT_QUANTALES)
+def test_contexts_equal_the_oracle_route(name):
+    """dL, dR and 20 seeded orders of each size: the irreducible context
+    is empty though non-principal irreducible ideals occur (on all but
+    the chains and M3 with a top, whose unit is join-irreducible), and
+    only a quantale without double negation keeps a flat context (Goedel
+    ones do; M3 with a top has none on these bases)."""
+    q, sizes = CONTEXT_QUANTALES[name]
+    rng = random.Random(3)
+    bases = [standard_qorder(q, w) for w in ("dL", "dR")]
+    bases += [random_qorder(q, n, rng) for n in sizes for _ in range(20)]
+    irr, flat = map(sum, zip(*map(assert_contexts_match_the_oracle, bases)))
+    assert (irr > 0) == (not q.unit_join_irreducible), irr
+    assert (flat > 0) == (not q.has_double_negation and name != "m3-top"), flat
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(RANDOM_BASES), st.integers(2, 4), st.integers(0, 2 ** 32))
+def test_random_contexts_equal_the_oracle_route(q, n, seed):
+    assert_contexts_match_the_oracle(random_qorder(q, n, random.Random(seed)))
+
+
+def test_only_the_godel_bases_of_scott_axioms_build_a_flat_context():
+    """The suite's other quantales, boolean4 and Lukasiewicz-3, have
+    double negation; some of its Goedel-4 bases keep a flat context, so
+    the built route is still exercised by the suite."""
+    built = [desc for desc, A in _full_battery(DEFAULT_SEED, None)
+             if _scott_context(A, "flat", None)]
+    assert built and all(desc.endswith("over godel-4") for desc in built), built
