@@ -10,7 +10,7 @@ built from.
 from __future__ import annotations
 
 from collections import deque
-from itertools import repeat
+from itertools import compress, repeat
 from operator import and_, itemgetter
 
 from ._value import Frozen
@@ -222,29 +222,35 @@ def _walk(A, kind, budget):
     coordinates already fixed satisfies the condition.  The conditions
     are pairwise, so a rejected prefix has no monotone completion and
     the pruning is exact; the output is in the lexicographic order of
-    itertools.product.  A node's state, the masks of the values still
-    admissible at the coordinates after its prefix, fixes its
-    completions, so a state met again re-prefixes the block of out it
-    emitted the first time.  The walk charges what it does, |Q| values
-    tried per node and n values written per set (a copied one too),
-    each before it is done; a refusal names the count where the walk
-    stopped, a lower bound on what it needs.  Returns the value tuples
-    and the whole count."""
+    itertools.product.  The masks are set up by C-level row maps, and
+    by integrality the root state admits every value.  A node's state,
+    the masks of the values still admissible at the coordinates after
+    its prefix, fixes its completions, so a state met again re-prefixes
+    the block of out it emitted the first time.  The walk charges what
+    it does, |Q| values tried per node and n values written per set (a
+    copied one too), each before it is done; a refusal names the count
+    where the walk stopped, a lower bound on what it needs.  Returns the
+    value tuples and the whole count."""
     q = A.quantale
     n, m = A.n, q.n
     leq, tens, res, hom = q.leq, q.tensor_table, q.res_table, A.hom
     values = range(m)
-    # bitmasks over values: up[a] (down[a]) holds the values at or above
-    # (below) a; own[i] admits v at coordinate i against itself, and
-    # after[j][u][k-j-1] at coordinate k > j beside the value u at j.  The
-    # tensor is commutative, so a lower set has u & A(k,j) <= v at k and,
-    # by residuation, v <= A(j,k) -> u; an upper set swaps the two degrees.
-    up = [sum(1 << v for v in values if leq[a][v]) for a in values]
-    down = [sum(1 << v for v in values if leq[v][a]) for a in values]
+    # bitmasks over values, built by C-level row maps: up[a] (down[a])
+    # holds the values at or above (below) a, a row (column) of leq, and
+    # after[j][u][k-j-1] admits v at coordinate k > j beside the value u
+    # at j.  The tensor is commutative, so a lower set has u & A(k,j) <= v
+    # at k and, by residuation, v <= A(j,k) -> u; an upper set swaps the
+    # two degrees.  The root admits every value at every coordinate: the
+    # pair a coordinate forms with itself, v & A(i,i) <= v, holds by
+    # integrality, as v & A(i,i) <= v & 1 = v.
+    bits = [1 << v for v in values]
+    up = [sum(compress(bits, row)) for row in leq]
+    down = [sum(compress(bits, col)) for col in zip(*leq)]
+    upt = [list(map(up.__getitem__, row)) for row in tens]
+    dnr = [list(map(down.__getitem__, row)) for row in res]
     lift = hom if kind == "lower" else tuple(zip(*hom))
-    own = tuple(sum(1 << v for v in values if leq[tens[v][hom[i][i]]][v]) for i in range(n))
-    after = [[tuple(up[tens[lift[k][j]][u]] & down[res[lift[j][k]][u]] for k in range(j + 1, n))
-              for u in values] for j in range(n)]
+    after = [tuple(zip(*[map(and_, upt[lift[k][j]], dnr[lift[j][k]]) for k in range(j + 1, n)]))
+             for j in range(n)]
     out = []
     seen = {}       # state -> (first, last): its block of out
     done = 0
@@ -274,7 +280,7 @@ def _walk(A, kind, budget):
         seen[state] = (first, len(out))
 
     try:
-        extend((), own)
+        extend((), (sum(bits),) * n)
     finally:
         del extend      # the closure refers to itself: free out and seen now
     return tuple(out), done

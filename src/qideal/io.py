@@ -35,7 +35,6 @@ from fractions import Fraction
 from .errors import _charge
 from .fuzzy import FuzzySet, fuzzy_set
 from .ideals import EventuallyPeriodicSequence, periodic_sequence
-from .interval import IntervalQuantale, interval_quantale
 from .qorder import QMap, QOrderedSet, build_qmap, build_qorder, crisp_qorder, standard_qorder
 from .quantale import FiniteQuantale, boolean4, build_finite_quantale, chain_quantale
 
@@ -94,6 +93,7 @@ def load_quantale(data, base_dir=None, budget=None):
             carrier = [parse_label(c) for c in carrier]
         return chain_quantale(data["tnorm"], n=n, carrier=carrier)
     if kind == "interval":
+        from .interval import interval_quantale
         pieces = tuple(tuple(p) for p in data.get("pieces") or ())
         return interval_quantale(data["tnorm"], pieces=pieces or None,
                                  tolerance=data.get("tolerance"))
@@ -166,7 +166,7 @@ def load_instance(data, base_dir=None, budget=None):
 
 
 def dump_quantale(q):
-    if isinstance(q, IntervalQuantale):
+    if not isinstance(q, FiniteQuantale):
         return {"kind": "interval", "tnorm": q.tnorm,
                 "pieces": [list(p) for p in q.pieces],
                 "tolerance": q.tolerance}
@@ -214,7 +214,7 @@ def dump_sequence(s):
 
 
 def dump_instance(obj):
-    if isinstance(obj, (FiniteQuantale, IntervalQuantale)):
+    if isinstance(obj, FiniteQuantale):
         return dump_quantale(obj)
     if isinstance(obj, QOrderedSet):
         return dump_qorder(obj)
@@ -224,6 +224,9 @@ def dump_instance(obj):
         return dump_qmap(obj)
     if isinstance(obj, EventuallyPeriodicSequence):
         return dump_sequence(obj)
+    from .interval import IntervalQuantale
+    if isinstance(obj, IntervalQuantale):
+        return dump_quantale(obj)
     raise TypeError(f"cannot dump {type(obj).__name__}")
 
 
@@ -244,7 +247,7 @@ def jsonable(x):
                 for k, v in x.items()}
     if isinstance(x, (bool, int, float, str)) or x is None:
         return x
-    if isinstance(x, (FiniteQuantale, IntervalQuantale, QOrderedSet, FuzzySet,
-                      QMap, EventuallyPeriodicSequence)):
+    if isinstance(x, (FiniteQuantale, QOrderedSet, FuzzySet, QMap, EventuallyPeriodicSequence)):
         return dump_instance(x)
-    return str(x)
+    from .interval import IntervalQuantale
+    return dump_instance(x) if isinstance(x, IntervalQuantale) else str(x)

@@ -17,23 +17,12 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 
-# the suites that use scott or completion import them when they run, so
-# that a process running any other suite loads neither
+# the suites that use scott, completion or interval import them when they
+# run, so that a process running any other suite loads none of them
 from ._value import Value
 from .errors import BudgetExceeded, DecompositionMismatch, GridTooCoarse, UnknownSuite, _charge
 from .fuzzy import FuzzySet, _inhabited, _sub_idx, _walk, fuzzy_set, transport
 from .ideals import _principal_rows, classify_ideal, enumerate_ideals, ideal_class_tag
-from .interval import (
-    _grid,
-    approach_terms,
-    classify_sampled,
-    generate_interval_ideal,
-    interval_dR_scott_closed,
-    interval_order,
-    interval_quantale,
-    irreducible_interval_ideal,
-    verify_ordinal_sum_generation,
-)
 from .io import dump_instance, jsonable
 from .qorder import QOrderedSet, all_qmaps, crisp_qorder, random_qorder, standard_qorder
 from .quantale import (
@@ -263,6 +252,9 @@ def _suite_godel_flat_not_irr(params, seed, budget, tolerance):
 
 
 def _suite_cor312_families(params, seed, budget, tolerance):
+    from .interval import (_grid, approach_terms, classify_sampled, generate_interval_ideal,
+                           interval_order, interval_quantale, irreducible_interval_ideal)
+
     grid = _int_param(params, "grid", 257)
     pts = _grid(grid, 17)
     interval = [interval_quantale(tnorm, tolerance=tolerance)
@@ -512,6 +504,8 @@ def _suite_prop57_equiv(params, seed, budget, tolerance):
 
 
 def _suite_ex58_characterization(params, seed, budget, tolerance):
+    from .interval import interval_dR_scott_closed, interval_quantale
+
     tnorm = params.get("tnorm", "lukasiewicz")
     grid = _int_param(params, "grid", 257)
     q = interval_quantale(tnorm, tolerance=tolerance)
@@ -535,6 +529,8 @@ def _suite_ex58_characterization(params, seed, budget, tolerance):
 
 
 def _suite_ex510_generation(params, seed, budget, tolerance):
+    from .interval import interval_quantale, verify_ordinal_sum_generation
+
     grid = _int_param(params, "grid", 257)
     shift = float(Fraction(str(params.get("shift", "1/4"))))
     q = interval_quantale(params.get("tnorm", "lukasiewicz"), tolerance=tolerance)

@@ -11,7 +11,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qideal import fuzzy, ideals
 from qideal.errors import BudgetExceeded
@@ -205,14 +205,25 @@ def test_walk_leaves_no_garbage_cycle():
         gc.enable()
 
 
+# M3 with a top is not distributive, and Gödel-5 is the census quantale
 RANDOM_BASES = [boolean4(), godel_chain(3), nilpotent_minimum_chain(4), L3,
-                l3_times_l2()]
+                l3_times_l2(), m3_with_top(), godel_chain(5)]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(RANDOM_BASES), st.integers(3, 4), st.integers(0, 2 ** 32))
+@example(m3_with_top(), 4, 29)
+@example(godel_chain(5), 4, 29)
 def test_random_orders(q, n, seed):
     assert_matches_oracle(random_qorder(q, n, random.Random(seed)))
+
+
+def test_a_value_tensored_with_any_degree_stays_below_it():
+    """v & d <= v & 1 = v by integrality: the walk's root state admits
+    every value at every coordinate, without testing v & A(i,i) <= v."""
+    for q in [*RANDOM_BASES, godel_chain(4), *map(lukasiewicz_chain, range(2, 17))]:
+        leq, tens = q.leq, q.tensor_table
+        assert all(leq[tens[v][d]][v] for v in range(q.n) for d in range(q.n)), q.catalog
 
 
 @pytest.mark.parametrize("name", ["dL", "dR"])

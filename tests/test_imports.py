@@ -52,7 +52,7 @@ def test_a_suite_check_loads_only_the_layers_it_runs(bare):
                       "code = main(['--seed', '1', 'check', 'FC_SUBSET_IRR'])\n"
                       "assert code == 0, code")
     assert {"qideal.cli", "qideal.suites", "qideal.ideals"} <= got
-    assert not got & {"dataclasses", "qideal.scott", "qideal.completion"}
+    assert not got & {"dataclasses", "qideal.scott", "qideal.completion", "qideal.interval"}
 
 
 def test_every_export_is_its_modules_own_object():

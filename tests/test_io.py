@@ -46,6 +46,10 @@ def test_interval_quantale_roundtrip():
                                   (0.5, 1.0, "product")))
     data = dump_instance(q)
     assert data["kind"] == "interval"
+    # io reaches the interval layer only past the finite kinds
+    assert jsonable([q, range(2)]) == [data, "range(0, 2)"]
+    with pytest.raises(TypeError, match="cannot dump range"):
+        dump_instance(range(2))
     back = load_quantale(data)
     assert back.tnorm == q.tnorm and back.pieces == q.pieces
     assert back.tolerance == q.tolerance
