@@ -39,20 +39,16 @@ def _grid(points, minimum=2):
     return [i / (points - 1) for i in range(points)]
 
 
-# The four closed-form t-norms as plain functions, each residuum also with
-# its arguments swapped, the hom of dR.  The methods and every sampled
-# check call these, so a check picks its t-norm once (_kernels), not on
-# every call.  residuate(a, b) is exactly 1.0 whenever a <= b, the fact
-# every skip in the grid scans below rests on.
+# The four closed-form t-norms as plain functions, the only place their
+# formulas are written: the methods, the ordinal-sum pieces and every
+# sampled check call these, so a check picks its t-norm once (_kernels),
+# not on every call.  residuate(a, b) is exactly 1.0 whenever a <= b, the
+# fact every skip in the grid scans below rests on.
 def _min_tensor(a, b):
     return a if a < b else b
 
 
 def _min_residuate(a, b):
-    return 1.0 if a <= b else b
-
-
-def _min_residuate_swapped(b, a):
     return 1.0 if a <= b else b
 
 
@@ -64,19 +60,11 @@ def _product_residuate(a, b):
     return 1.0 if a <= b else b / a
 
 
-def _product_residuate_swapped(b, a):
-    return 1.0 if a <= b else b / a
-
-
 def _lukasiewicz_tensor(a, b):
     return max(a + b - 1.0, 0.0)
 
 
 def _lukasiewicz_residuate(a, b):
-    return 1.0 if a <= b else min(1.0, 1.0 - a + b)
-
-
-def _lukasiewicz_residuate_swapped(b, a):
     return 1.0 if a <= b else min(1.0, 1.0 - a + b)
 
 
@@ -88,50 +76,40 @@ def _nilpotent_minimum_residuate(a, b):
     return 1.0 if a <= b else max(1.0 - a, b)
 
 
-def _nilpotent_minimum_residuate_swapped(b, a):
-    return 1.0 if a <= b else max(1.0 - a, b)
-
-
-# tag -> (tensor, residuate, residuate with swapped arguments)
+# tag -> (tensor, residuate)
 _CLOSED_FORMS = {
-    "min": (_min_tensor, _min_residuate, _min_residuate_swapped),
-    "product": (_product_tensor, _product_residuate, _product_residuate_swapped),
-    "lukasiewicz": (_lukasiewicz_tensor, _lukasiewicz_residuate,
-                    _lukasiewicz_residuate_swapped),
-    "nilpotent_minimum": (_nilpotent_minimum_tensor, _nilpotent_minimum_residuate,
-                          _nilpotent_minimum_residuate_swapped),
+    "min": (_min_tensor, _min_residuate),
+    "product": (_product_tensor, _product_residuate),
+    "lukasiewicz": (_lukasiewicz_tensor, _lukasiewicz_residuate),
+    "nilpotent_minimum": (_nilpotent_minimum_tensor, _nilpotent_minimum_residuate),
 }
 
 
 def _ordinal_sum_kernels(pieces):
-    """(tensor, residuate, residuate with swapped arguments) of the
-    ordinal sum of pieces, each piece's width and kind resolved once.
-    Two arguments in a piece's closed square take its rescaled t-norm,
-    the first such piece in order where two squares share an endpoint;
-    anywhere else the tensor is min and the residuum of a > b is b.  The
-    checks build these once; a method call builds them anew.  The
-    swapped residuum wraps the residuum, as no suite reads dR over an
-    ordinal sum."""
-    spans = tuple((lo, hi, hi - lo, kindname == "lukasiewicz") for lo, hi, kindname in pieces)
+    """(tensor, residuate) of the ordinal sum of pieces, each piece's
+    width and closed forms resolved once.  Two arguments in a piece's
+    closed square take its closed form rescaled to the square, the first
+    such piece in order where two squares share an endpoint; anywhere
+    else the tensor is min and the residuum of a > b is b.  The checks
+    build these once; a method call builds them anew."""
+    spans = tuple((lo, hi, hi - lo, *_CLOSED_FORMS[kindname]) for lo, hi, kindname in pieces)
 
     def tensor(a, b):
-        for lo, hi, w, lukasiewicz in spans:
+        for lo, hi, w, piece, _ in spans:
             if lo <= a <= hi and lo <= b <= hi:
-                u, v = (a - lo) / w, (b - lo) / w
-                return lo + w * (max(u + v - 1.0, 0.0) if lukasiewicz else u * v)
+                return lo + w * piece((a - lo) / w, (b - lo) / w)
         return a if a < b else b
 
     def residuate(a, b):
         if a <= b:
             return 1.0
-        for lo, hi, w, lukasiewicz in spans:
+        for lo, hi, w, _, piece in spans:
             if lo <= a <= hi and lo <= b <= hi:
-                u, v = (a - lo) / w, (b - lo) / w
-                # a > b >= lo forces u > 0
-                return lo + w * (min(1.0, 1.0 - u + v) if lukasiewicz else v / u)
+                # a > b >= lo forces u = (a - lo) / w > 0
+                return lo + w * piece((a - lo) / w, (b - lo) / w)
         return b
 
-    return tensor, residuate, lambda b, a: residuate(a, b)
+    return tensor, residuate
 
 
 class IntervalQuantale(Frozen, fields="tnorm pieces tolerance"):
@@ -157,8 +135,9 @@ class IntervalQuantale(Frozen, fields="tnorm pieces tolerance"):
 
 
 def _kernels(q):
-    """(tensor, residuate, residuate with swapped arguments) of q as plain
-    two-argument functions: its closed form, or its ordinal sum's."""
+    """(tensor, residuate) of q as plain two-argument functions: its
+    closed form, or its ordinal sum's built from its pieces' closed
+    forms."""
     return _CLOSED_FORMS.get(q.tnorm) or _ordinal_sum_kernels(q.pieces)
 
 
@@ -237,7 +216,7 @@ def check_adjunction_sampled(q, grid=65):
     other side must hold up to the same slack.  Returns (ok, witness).
     """
     tol = q.tolerance
-    tensor, residuate = _kernels(q)[:2]
+    tensor, residuate = _kernels(q)
     pts = _grid(grid)
     for p in pts:
         res_row = [residuate(p, r) for r in pts]
@@ -268,8 +247,10 @@ def interval_order(q, which):
 
 def _hom(order):
     """order.hom as a plain two-argument function, dL or dR chosen once:
-    the residuum or its swapped kernel."""
-    return _kernels(order.quantale)[1 if order.which == "dL" else 2]
+    the residuum for dL, the residuum with its arguments swapped for dR.
+    The only place that knows dR's argument order."""
+    residuate = _kernels(order.quantale)[1]
+    return residuate if order.which == "dL" else lambda a, b: residuate(b, a)
 
 
 def classify_sampled(order, fn, grid=129):
@@ -301,30 +282,27 @@ def classify_sampled(order, fn, grid=129):
 def irreducible_interval_ideal(q, which, a, strict=False):
     """Closed-form ideal families on the interval orders.
 
-    which dL: x -> res(x, a); the strict variant is the join over b < a
-    (needs a > 0).  which dR: x -> res(a, x); strict joins over b > a
-    (needs a < 1).  Strict joins are evaluated by a probe 2**-48 inside
-    the open side, well under sampling tolerances.
+    Both are x -> hom(x, a) on the order which names (_hom).  which dL:
+    x -> res(x, a); the strict variant is the join over b < a (needs
+    a > 0).  which dR: x -> res(a, x); strict joins over b > a (needs
+    a < 1).  Strict joins are evaluated by a probe 2**-48 inside the
+    open side, well under sampling tolerances.
     """
     _require_interval(q)
     if not 0.0 <= a <= 1.0:
         raise ShapeMismatch(f"family parameter {a} lies outside [0, 1]")
-    residuate = _kernels(q)[1]
     if which == "dL":
-        if not strict:
-            return lambda x: residuate(x, a)
-        if a <= 0.0:
+        if strict and a <= 0.0:
             raise ShapeMismatch("the strict family on dL needs a > 0")
-        b = a - _STRICT_PROBE
-        return lambda x: residuate(x, b)
-    if which == "dR":
-        if not strict:
-            return lambda x: residuate(a, x)
-        if a >= 1.0:
+        b = a - _STRICT_PROBE if strict else a
+    elif which == "dR":
+        if strict and a >= 1.0:
             raise ShapeMismatch("the strict family on dR needs a < 1")
-        b = a + _STRICT_PROBE
-        return lambda x: residuate(b, x)
-    raise ValueError(f"unknown interval order tag {which!r}")
+        b = a + _STRICT_PROBE if strict else a
+    else:
+        raise ValueError(f"unknown interval order tag {which!r}")
+    hom = _hom(IntervalOrder(q, which))
+    return lambda x: hom(x, b)
 
 
 def approach_terms(a, side, count=48):

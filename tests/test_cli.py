@@ -279,11 +279,20 @@ def test_check_pass_and_report_file(capsys, tmp_path, monkeypatch):
 
 
 def test_check_budget_and_unknown(capsys):
+    from qideal.suites import suite_names
+
     code, _, err = run(capsys, "--budget", "1", "check", "FC_SUBSET_IRR")
     assert code == 2
-    code, _, err = run(capsys, "check", "NO_SUCH_SUITE")
-    assert code == 2
-    assert "NO_SUCH_SUITE" in err
+    code, report, err = run(capsys, "check", "NO_SUCH_SUITE")
+    assert (code, report) == (2, None)
+    assert err == f"error: unknown suite 'NO_SUCH_SUITE'; known: {', '.join(suite_names())}\n"
+
+
+def test_malformed_inline_json_is_a_usage_error(capsys):
+    for argv in (("validate", "[1, 2"), ("classify", "[1, 2", "[1]")):
+        code, report, err = run(capsys, *argv)
+        assert (code, report) == (2, None), argv
+        assert err == "error: Expecting ',' delimiter: line 1 column 6 (char 5)\n", argv
 
 
 def test_check_help_lists_every_suite(capsys):

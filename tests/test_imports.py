@@ -55,6 +55,15 @@ def test_a_suite_check_loads_only_the_layers_it_runs(bare):
     assert not got & {"dataclasses", "qideal.scott", "qideal.completion", "qideal.interval"}
 
 
+def test_validating_a_finite_instance_loads_no_interval_layer(bare):
+    chain = json.dumps({"kind": "chain", "tnorm": "lukasiewicz", "n": 4})
+    got = added(bare, "from qideal.cli import main\n"
+                      f"code = main(['validate', {chain!r}])\n"
+                      "assert code == 0, code")
+    assert {"qideal.cli", "qideal.quantale"} <= got
+    assert "qideal.interval" not in got
+
+
 def test_every_export_is_its_modules_own_object():
     assert len(qideal.__all__) == len(set(qideal.__all__)) == 71
     for name in qideal.__all__:

@@ -21,6 +21,7 @@ from qideal.interval import (
     _GENERATION_PROBE,
     _RC_JUMP,
     _RC_PROBE,
+    _STRICT_PROBE,
     _decomposition_pieces,
     _hom,
     _kernels,
@@ -238,7 +239,7 @@ def outcome(f, *args):
 # --- the kernels ----------------------------------------------------------
 
 def assert_kernels_are_the_method_forms(q, spots):
-    tensor, residuate, swapped = _kernels(q)
+    tensor, residuate = _kernels(q)
     orders = [interval_order(q, which) for which in ("dL", "dR")]
     for a in spots:
         for b in spots:
@@ -246,16 +247,24 @@ def assert_kernels_are_the_method_forms(q, spots):
             assert outcome(q.tensor, a, b) == outcome(old_tensor, q, a, b), (a, b)
             assert outcome(residuate, a, b) == outcome(old_residuate, q, a, b), (a, b)
             assert outcome(q.residuate, a, b) == outcome(old_residuate, q, a, b), (a, b)
-            assert outcome(swapped, a, b) == outcome(old_residuate, q, b, a), (a, b)
             for order in orders:
                 assert outcome(order.hom, a, b) == outcome(old_hom, order, a, b)
                 assert outcome(_hom(order), a, b) == outcome(old_hom, order, a, b)
 
 
+SPOTS = (-0.5, -0.0, 0.0, 1e-12, 0.1, 0.25, 1 / 3, 0.5, 0.6, 0.75, 0.9, 1.0, 1.5)
+
+
+def endpoint_spots(pieces):
+    """Each piece endpoint, the floats next to it on both sides, 0 and 1."""
+    ends = sorted({e for lo, hi, _ in pieces for e in (lo, hi)} | {0.0, 1.0})
+    return sorted({x for e in ends for x in (math.nextafter(e, -1.0), e,
+                                             math.nextafter(e, 2.0))})
+
+
 @pytest.mark.parametrize("tag", TNORMS)
 def test_the_kernels_are_the_method_forms(tag):
-    assert_kernels_are_the_method_forms(quantale(tag, 1e-9), (
-        -0.5, -0.0, 0.0, 1e-12, 0.1, 0.25, 1 / 3, 0.5, 0.6, 0.75, 0.9, 1.0, 1.5))
+    assert_kernels_are_the_method_forms(quantale(tag, 1e-9), SPOTS)
 
 
 # two pieces that share the endpoint 0.45, where the first piece's
@@ -269,10 +278,7 @@ def test_the_ordinal_sum_kernels_at_the_piece_endpoints(pieces):
     """Each endpoint, the floats next to it on both sides, 0 and 1: the
     first piece whose closed square holds both arguments decides."""
     q = interval_quantale("ordinal_sum", pieces=pieces)
-    ends = sorted({e for lo, hi, _ in pieces for e in (lo, hi)} | {0.0, 1.0})
-    spots = sorted({x for e in ends for x in (math.nextafter(e, -1.0), e,
-                                              math.nextafter(e, 2.0))})
-    assert_kernels_are_the_method_forms(q, spots)
+    assert_kernels_are_the_method_forms(q, endpoint_spots(pieces))
     if pieces == SHARED_ENDPOINT:
         assert repr(_kernels(q)[0](0.45, 0.45)) == "0.44999999999999996"
 
@@ -283,7 +289,45 @@ def test_only_the_ordinal_sums_build_their_kernels():
     for tag, kernels in _CLOSED_FORMS.items():
         q = quantale(tag, 1e-9)
         assert _kernels(q) is kernels
-        assert _hom(interval_order(q, "dR")) is kernels[2]
+        assert _hom(interval_order(q, "dL")) is kernels[1]
+
+
+def old_family(q, which, a, strict):
+    """irreducible_interval_ideal's members as they were written: the
+    residuum with its arguments in the order of dL or of dR."""
+    if which == "dL":
+        b = a - _STRICT_PROBE if strict else a
+        return lambda x: old_residuate(q, x, b)
+    b = a + _STRICT_PROBE if strict else a
+    return lambda x: old_residuate(q, b, x)
+
+
+@pytest.mark.parametrize("tag", TNORMS)
+def test_the_families_are_the_residua_in_their_orders(tag):
+    """Both orders, plain and strict, on the kernel spots (an ordinal
+    sum's endpoint spots too); a strict family at its closed end is
+    refused."""
+    q = quantale(tag, 1e-9)
+    spots = SPOTS + tuple(endpoint_spots(PIECES.get(tag, ())))
+    for which, closed_end in (("dL", 0.0), ("dR", 1.0)):
+        for strict in (False, True):
+            for a in (a for a in spots if 0.0 <= a <= 1.0):
+                if strict and a == closed_end:
+                    with pytest.raises(ShapeMismatch, match=f"strict family on {which}"):
+                        irreducible_interval_ideal(q, which, a, strict)
+                    continue
+                new = irreducible_interval_ideal(q, which, a, strict)
+                old = old_family(q, which, a, strict)
+                for x in spots:
+                    assert outcome(new, x) == outcome(old, x), (which, strict, a, x)
+
+
+def test_a_family_checks_its_parameter_before_its_order_tag():
+    q = quantale("lukasiewicz", 1e-9)
+    with pytest.raises(ShapeMismatch, match=r"outside \[0, 1\]"):
+        irreducible_interval_ideal(q, "diag", 1.5)
+    with pytest.raises(ValueError, match="unknown interval order tag 'diag'"):
+        irreducible_interval_ideal(q, "diag", 0.0, strict=True)
 
 
 # --- the scans ------------------------------------------------------------

@@ -5,10 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from qideal import suites
+from qideal import ideals, suites
 from qideal.errors import UnknownSuite
 from qideal.ideals import classify_ideal
 from qideal.io import load_instance
+from qideal.qorder import standard_qorder
+from qideal.quantale import lukasiewicz_chain, nilpotent_minimum_chain
 from qideal.suites import (
     DEFAULT_SEED,
     run_suite,
@@ -58,6 +60,26 @@ def test_an_inclusion_suite_reads_each_quantale_once(monkeypatch):
     monkeypatch.setattr(suites, "quantale_properties", lambda q: seen.append(q) or properties(q))
     assert run_suite("IRR_SUBSET_FLAT_PRELINEAR").verdict == "pass"
     assert len(seen) == 3
+
+
+@pytest.mark.parametrize("which", ["dL", "dR"])
+@pytest.mark.parametrize("q, inhabited", [(lukasiewicz_chain(4), 8),
+                                          (nilpotent_minimum_chain(4), 7)],
+                         ids=["lukasiewicz-4", "nilpotent-minimum-4"])
+def test_the_census_decides_every_inhabited_lower_set(monkeypatch, q, which, inhabited):
+    """The census flags flat and irreducible by deciding each inhabited
+    lower set, once per class, even where a theorem makes both classes
+    the principal ideals: the inclusion suites check those theorems
+    through it, and flags read off the hom table would pass them
+    unchecked."""
+    A = standard_qorder(q, which)
+    calls = []
+    scan = ideals._first_break
+    monkeypatch.setattr(ideals, "_first_break",
+                        lambda A, kind, vals: calls.append(kind) or scan(A, kind, vals))
+    census = suites._census(A, None)
+    assert sum(flags.inhabited for _, flags in census) == inhabited
+    assert sorted(calls) == ["lower"] * inhabited + ["upper"] * inhabited
 
 
 def test_results_are_deterministic():
