@@ -21,7 +21,7 @@ _EXPORTS = {
              "fuzzy_set intersection_inclusion_identities kan_transport_identity sub_degree "
              "suprema tensor_degree transport yoneda",
     "ideals": "EventuallyPeriodicSequence IdealReport classify_ideal enumerate_ideals "
-              "ideal_from_sequence is_flat is_forward_cauchy is_irreducible periodic_sequence",
+              "ideal_from_sequence periodic_sequence",
     "interval": "IntervalQuantale approach_terms classify_sampled generate_interval_ideal "
                 "interval_dR_scott_closed interval_order interval_quantale "
                 "irreducible_interval_ideal verify_ordinal_sum_generation",

@@ -8,6 +8,10 @@ whose terms eventually dominate each other.  On a finite base the last
 one collapses to a pointwise condition, which is what the decider uses,
 and the sets it accepts are exactly the principal ones, which is how
 they are enumerated (_forward_cauchy).
+
+There are two public deciders: classify_ideal decides all three
+classes for one set, with a witness for each false flag, and
+enumerate_ideals lists the sets of one class on a base.
 """
 
 from __future__ import annotations
@@ -101,21 +105,6 @@ def ideal_from_sequence(s):
                     f"hom degree {q.elements[A.hom[cu][cv]]} in every tail"))
     vals = tuple(q.meet_all(A.hom[x][c] for c in s.cycle) for x in range(A.n))
     return FuzzySet(A, vals)
-
-
-def _ideal_precondition(phi, inhabited=None):
-    """None when phi is lower and inhabited, else (False, reason dict).
-    inhabited, when given, is _inhabited(phi.base, phi.values)."""
-    A = phi.base
-    w = _lower_violation(A, phi.values)
-    if w is not None:
-        return False, {"reason": "not a lower set",
-                       "pair": (A.elements[w[0]], A.elements[w[1]])}
-    if not (_inhabited(A, phi.values) if inhabited is None else inhabited):
-        q = A.quantale
-        return False, {"reason": "not inhabited",
-                       "join_of_values": q.elements[q.join_all(phi.values)]}
-    return None
 
 
 def _first_break(A, kind, vals):
@@ -269,13 +258,6 @@ def _threshold_verdict(phi, kind, budget, keys):
                    keys[2]: labels[lhs], keys[3]: labels[rhs]}
 
 
-def is_flat(phi, budget=None):
-    """Decide whether tensoring with phi distributes over binary meets of
-    upper sets.  Returns (flag, witness); a failure witness carries the
-    two upper sets and both sides of the broken equation."""
-    return _ideal_precondition(phi) or _flat(phi, budget)
-
-
 def _flat(phi, budget):
     """Threshold decider for a lower, inhabited phi.  With t(psi) =
     tensor(phi, psi) on the upper sets (closed under pointwise meets)
@@ -292,14 +274,6 @@ def _flat(phi, budget):
                                                      "meet_of_tensors"))
 
 
-def is_irreducible(phi, budget=None):
-    """Decide whether the inclusion degree out of phi distributes over
-    binary joins of lower sets.  Returns (flag, witness); a failure
-    witness carries the two lower sets and both sides of the broken
-    equation."""
-    return _ideal_precondition(phi) or _irreducible(phi, budget)
-
-
 def _irreducible(phi, budget):
     """Threshold decider for a lower, inhabited phi.  With s(psi) =
     sub(phi, psi) on the lower sets (closed under pointwise joins) and
@@ -314,13 +288,6 @@ def _irreducible(phi, budget):
     """
     return _threshold_verdict(phi, "lower", budget, ("phi1", "phi2", "sub_of_join",
                                                      "join_of_subs"))
-
-
-def is_forward_cauchy(phi):
-    """Pointwise decision, valid on finite bases: lower, inhabited, and
-    every two points admit a third with full membership whose hom degrees
-    dominate theirs.  Returns (flag, witness)."""
-    return _ideal_precondition(phi) or _forward_cauchy(phi)
 
 
 def _forward_cauchy(phi):
@@ -369,28 +336,28 @@ def classify_ideal(phi, budget=None):
     """All three deciders plus inhabitedness; every false flag keeps its
     witness under its own key, in the order flat, irreducible,
     forward_cauchy.  A set that is not lower and inhabited fails all
-    three with the same reason, and nothing is decided or charged.  A
-    flat or irreducible witness is the break of _threshold_verdict: on a
-    distributive lattice built from the generator rows up to the break
-    that decided the flag, else from the fold over every set; a
-    forward-Cauchy witness is the first pair with no common dominating
-    point."""
-    inhabited = _inhabited(phi.base, phi.values)
-    pre = _ideal_precondition(phi, inhabited)
-    if pre is not None:
-        return IdealReport(inhabited, False, False, False,
-                           dict.fromkeys(("flat", "irreducible", "forward_cauchy"), pre[1]))
-    flat, w_flat = _flat(phi, budget)
-    irr, w_irr = _irreducible(phi, budget)
-    fc, w_fc = _forward_cauchy(phi)
-    witnesses = {}
-    if w_flat is not None:
-        witnesses["flat"] = w_flat
-    if w_irr is not None:
-        witnesses["irreducible"] = w_irr
-    if w_fc is not None:
-        witnesses["forward_cauchy"] = w_fc
-    return IdealReport(inhabited, flat, irr, fc, witnesses)
+    three with the same reason, "not a lower set" with the first pair
+    that breaks it, else "not inhabited" with the join of its values,
+    and nothing is decided or charged.  A flat or irreducible witness is
+    the break of _threshold_verdict: on a distributive lattice built
+    from the generator rows up to the break that decided the flag, else
+    from the fold over every set; a forward-Cauchy witness is the first
+    pair with no common dominating point."""
+    A = phi.base
+    inhabited = _inhabited(A, phi.values)
+    w = _lower_violation(A, phi.values)
+    if w is not None:
+        reason = {"reason": "not a lower set", "pair": (A.elements[w[0]], A.elements[w[1]])}
+    elif not inhabited:
+        q = A.quantale
+        reason = {"reason": "not inhabited", "join_of_values": q.elements[q.join_all(phi.values)]}
+    else:
+        verdicts = {"flat": _flat(phi, budget), "irreducible": _irreducible(phi, budget),
+                    "forward_cauchy": _forward_cauchy(phi)}
+        return IdealReport(inhabited, *(flag for flag, _ in verdicts.values()),
+                           {key: wit for key, (_, wit) in verdicts.items() if wit is not None})
+    return IdealReport(inhabited, False, False, False,
+                       dict.fromkeys(("flat", "irreducible", "forward_cauchy"), reason))
 
 
 def _principal_rows(A):

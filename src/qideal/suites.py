@@ -533,6 +533,9 @@ def _suite_ex510_generation(params, seed, budget, tolerance):
 
     grid = _int_param(params, "grid", 257)
     shift = float(Fraction(str(params.get("shift", "1/4"))))
+    if shift < 0:
+        # min(1, x + shift) must lie above the identity
+        raise ValueError(f"shift must be at least 0, got {params['shift']}")
     q = interval_quantale(params.get("tnorm", "lukasiewicz"), tolerance=tolerance)
     fn = lambda x: min(1.0, x + shift)
     instances = [f"min(1, x+{shift}) over unit-interval {q.tnorm}, grid {grid}"]
@@ -641,9 +644,10 @@ _FLAG_FIELDS = {"fc": "forward_cauchy", "flat": "flat",
 
 def search_counterexample(shape, seed=None, budget=None, limit=200):
     """Look for an ideal in class X that misses class Y, shape "X-not-Y"
-    with classes named fc, flat, irr, in the first limit bases of the
-    class-comparison battery: the exhaustive 2-point instances over the
-    standard quantale trio, then seeded random 3-point instances.
+    with two different classes named fc, flat, irr, in the first limit
+    bases of the class-comparison battery: the exhaustive 2-point
+    instances over the standard quantale trio, then seeded random
+    3-point instances.
     Returns a report dict either way."""
     try:
         have_tag, want_tag = [ideal_class_tag(part)
@@ -654,6 +658,9 @@ def search_counterexample(shape, seed=None, budget=None, limit=200):
             "with classes fc, flat, irr") from None
     if "lower" in (have_tag, want_tag):
         raise ValueError("search wants one of the proper classes: fc, flat, irr")
+    if have_tag == want_tag:
+        raise ValueError(f"shape {shape!r} names one class twice; "
+                         "no ideal is in a class and misses it")
     if limit < 0:
         raise ValueError(f"limit must be at least 0, got {limit}")
     seed = DEFAULT_SEED if seed is None else int(seed) & (2 ** 64 - 1)

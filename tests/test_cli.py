@@ -405,6 +405,27 @@ def test_check_refuses_a_misspelt_param(capsys):
     assert "gird" in err and "its parameters are grid" in err
 
 
+def test_ex510_refuses_a_negative_shift(capsys, tmp_path, monkeypatch):
+    """min(1, x + shift) must lie above the identity: a negative shift is
+    a usage error (exit 2) with no report, not a failed claim (exit 1)."""
+    monkeypatch.chdir(tmp_path)
+    for shift in ("0", "1/2", "2"):
+        code, report, _ = run(capsys, "check", "EX510_GENERATION", "--param", f"shift={shift}")
+        assert code == 0 and report["verdict"] == "pass", shift
+    code, report, err = run(capsys, "check", "EX510_GENERATION", "--param", "shift=-1")
+    assert code == 2 and report is None
+    assert err == "error: shift must be at least 0, got -1\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_search_refuses_one_class_twice(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, report, err = run(capsys, "search-counterexample", "--shape", "fc-not-fc")
+    assert code == 2 and report is None
+    assert err.startswith("error: shape 'fc-not-fc' names one class twice")
+    assert not list(tmp_path.iterdir())
+
+
 def test_search_found_writes_witness(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, report, err = run(capsys, "search-counterexample",

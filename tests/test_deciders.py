@@ -30,9 +30,6 @@ from qideal.ideals import (
     _forward_cauchy,
     classify_ideal,
     enumerate_ideals,
-    is_flat,
-    is_forward_cauchy,
-    is_irreducible,
 )
 from qideal.qorder import build_qorder, random_qorder, standard_qorder
 from qideal.quantale import (
@@ -252,8 +249,9 @@ def assert_matches_oracles(A):
     break_oracle = (generator_oracle if A.quantale.prime_tables.distributive
                     else fold_oracle)
     for phi in enumerate_ideals(A, "lower"):
-        flat, wf = is_flat(phi)
-        irr, wi = is_irreducible(phi)
+        rep = classify_ideal(phi)
+        flat, wf = rep.flat, rep.witnesses.get("flat")
+        irr, wi = rep.irreducible, rep.witnesses.get("irreducible")
         assert flat == brute_flat(phi), (A.catalog, phi.values)
         assert irr == brute_irreducible(phi), (A.catalog, phi.values)
         if frame:
@@ -268,12 +266,8 @@ def assert_matches_oracles(A):
         fc = fc_oracle(phi)
         assert _forward_cauchy(phi) == fc, (A.catalog, phi.values)
         if inhabited(phi):
-            assert is_forward_cauchy(phi) == fc, (A.catalog, phi.values)
-        rep = classify_ideal(phi)
-        assert (rep.flat, rep.irreducible) == (flat, irr)
-        assert (rep.witnesses.get("flat"), rep.witnesses.get("irreducible")) == (wf, wi)
-        if inhabited(phi):
-            assert (rep.forward_cauchy, rep.witnesses.get("forward_cauchy")) == fc
+            assert (rep.forward_cauchy, rep.witnesses.get("forward_cauchy")) == fc, \
+                (A.catalog, phi.values)
     assert_flag_only_enumeration_matches_classify(A)
     assert_inhabited_matches_the_join(A)
 
@@ -555,10 +549,9 @@ def test_every_base_of_m3_with_a_top():
 
 def decisions(A):
     """Flat and irreducible enumeration, and every lower set's flags
-    from classify_ideal, is_flat and is_irreducible."""
+    from classify_ideal."""
     enumerated = [[p.values for p in enumerate_ideals(A, cls)] for cls in ("flat", "irr")]
-    flags = [(classify_ideal(phi).flags(), is_flat(phi)[0], is_irreducible(phi)[0])
-             for phi in enumerate_ideals(A, "lower")]
+    flags = [classify_ideal(phi).flags() for phi in enumerate_ideals(A, "lower")]
     return enumerated, flags
 
 
@@ -606,8 +599,6 @@ def test_a_non_ideal_of_lukasiewicz20_needs_no_set_universe(monkeypatch):
     phi = fuzzy_set(A, [f"{max(min(19, 21 - k), 10)}/19" for k in range(20)])
     rep = classify_ideal(phi)
     assert rep.flags() == (True, False, False, False)
-    assert is_flat(phi) == (False, rep.witnesses["flat"])
-    assert is_irreducible(phi) == (False, rep.witnesses["irreducible"])
     replay_flat(phi, rep.witnesses["flat"])
     replay_irreducible(phi, rep.witnesses["irreducible"])
     assert rep.witnesses["irreducible"] == oracle_witness(generator_oracle, phi, "lower")
@@ -631,4 +622,3 @@ def test_precondition_is_one_reason_under_every_key():
     assert reason["reason"] == "not a lower set"
     assert rep.witnesses == dict.fromkeys(("flat", "irreducible", "forward_cauchy"),
                                           reason)
-    assert is_flat(fuzzy_set(A, (0, 0, 1))) == (False, reason)

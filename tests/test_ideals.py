@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qideal import ideals
 from qideal.errors import (
     BudgetExceeded,
     NotForwardCauchy,
@@ -17,9 +18,6 @@ from qideal.ideals import (
     enumerate_ideals,
     ideal_class_tag,
     ideal_from_sequence,
-    is_flat,
-    is_forward_cauchy,
-    is_irreducible,
     periodic_sequence,
     settling_violation,
 )
@@ -152,13 +150,14 @@ def test_sequence_route_matches_the_decider():
 
 def test_ideal_preconditions_are_reported():
     A = two_chain(L3)
-    flag, w = is_flat(fuzzy_set(A, {"a": 0, "b": 1}))
-    assert not flag and w["reason"] == "not a lower set"
-    flag, w = is_irreducible(fuzzy_set(A, {"a": Fraction(1, 2), "b": 0}))
-    assert not flag and w["reason"] == "not inhabited"
-    assert w["join_of_values"] == Fraction(1, 2)
-    flag, w = is_forward_cauchy(fuzzy_set(A, {"a": 0, "b": 1}))
-    assert not flag and w["reason"] == "not a lower set"
+    keys = ("flat", "irreducible", "forward_cauchy")
+    rep = classify_ideal(fuzzy_set(A, {"a": 0, "b": 1}))
+    assert rep.flags()[1:] == (False, False, False)
+    assert [rep.witnesses[key]["reason"] for key in keys] == ["not a lower set"] * 3
+    rep = classify_ideal(fuzzy_set(A, {"a": Fraction(1, 2), "b": 0}))
+    assert rep.flags() == (False, False, False, False)
+    assert [rep.witnesses[key] for key in keys] == [
+        {"reason": "not inhabited", "join_of_values": Fraction(1, 2)}] * 3
 
 
 def test_principal_ideals_check_every_class():
@@ -169,10 +168,11 @@ def test_principal_ideals_check_every_class():
 
 
 def test_budget_guards():
+    # classify_ideal charges flat first; _irreducible charges on its own
     with pytest.raises(BudgetExceeded):
-        is_irreducible(yoneda(DL3, Fraction(1)), budget=2)
+        classify_ideal(yoneda(DL3, Fraction(1)), budget=2)
     with pytest.raises(BudgetExceeded):
-        is_flat(yoneda(DL3, Fraction(1)), budget=2)
+        ideals._irreducible(yoneda(DL3, Fraction(1)), budget=2)
 
 
 def test_interval_family_values():

@@ -65,7 +65,7 @@ def test_validating_a_finite_instance_loads_no_interval_layer(bare):
 
 
 def test_every_export_is_its_modules_own_object():
-    assert len(qideal.__all__) == len(set(qideal.__all__)) == 71
+    assert len(qideal.__all__) == len(set(qideal.__all__)) == 68
     for name in qideal.__all__:
         home = sys.modules[getattr(qideal, name).__module__]
         assert home.__name__.startswith("qideal.")

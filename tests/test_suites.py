@@ -1,5 +1,6 @@
 """The named check suites: verdicts, determinism, the counterexample search."""
 
+import itertools
 import json
 from pathlib import Path
 
@@ -80,6 +81,22 @@ def test_the_census_decides_every_inhabited_lower_set(monkeypatch, q, which, inh
     census = suites._census(A, None)
     assert sum(flags.inhabited for _, flags in census) == inhabited
     assert sorted(calls) == ["lower"] * inhabited + ["upper"] * inhabited
+
+
+def test_cor312_decides_every_inhabited_lower_set_of_its_chains(monkeypatch):
+    """COR312_FAMILIES compares the irreducible ideals of dL and dR over
+    three 4-chains with the principal ones by deciding each inhabited
+    lower set: flags read off the hom table would pass the claim
+    unchecked."""
+    calls = []
+    scan = ideals._first_break
+    monkeypatch.setattr(ideals, "_first_break",
+                        lambda A, kind, vals: calls.append((A, kind)) or scan(A, kind, vals))
+    assert run_suite("COR312_FAMILIES").verdict == "pass"
+    assert {kind for _, kind in calls} == {"lower"}
+    # dL, dR over Lukasiewicz-4, Godel-4 and nilpotent-minimum-4, in turn
+    per_base = [len(list(run)) for _, run in itertools.groupby(A for A, _ in calls)]
+    assert per_base == [8, 8, 8, 14, 7, 7]
 
 
 def test_results_are_deterministic():
@@ -230,7 +247,9 @@ def test_search_is_seeded():
 
 
 def test_search_shape_grammar():
-    for bad in ("flat", "flat-not-lower", "flat-not-prime", "x-not-y"):
+    # no ideal is in a class and misses it, under any spelling of the class
+    for bad in ("flat", "flat-not-lower", "flat-not-prime", "x-not-y", "fc-not-fc",
+                "flat-not-flat", "irr-not-irreducible", "cauchy-not-forward-cauchy"):
         with pytest.raises(ValueError):
             search_counterexample(bad)
 
