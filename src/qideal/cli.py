@@ -20,6 +20,7 @@ from .errors import (
     GridTooCoarse,
     QidealError,
     ValidationError,
+    _charge,
 )
 
 
@@ -59,6 +60,7 @@ def _cmd_validate(args):
 
     obj = _load_arg(args.instance, args.budget, load_instance)
     if isinstance(obj, QOrderedSet):
+        _charge(obj.n ** 3, args.budget, "qorder law checks")
         bad = validate_qorder(obj)
         report = {"kind": "qorder", "valid": bad is None, "violation": bad}
         _emit(report, [f"qorder: {'valid' if bad is None else 'INVALID'}"])

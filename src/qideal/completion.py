@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ._value import Value
 from .errors import BaseMismatch, NotLower, _charge
-from .fuzzy import FuzzySet, _lower_violation, _sub_idx, suprema
+from .fuzzy import FuzzySet, _lower_violation, _sub_idx, _tensor_idx, suprema
 from .ideals import enumerate_ideals, ideal_class_tag
 from .qorder import QMap, QOrderedSet
 
@@ -89,18 +89,15 @@ def weighted_join(S, lam):
         lab = S.space.elements.__getitem__
         raise NotLower("weights must be fuzzy lower sets of the ideal space",
                        witness=(lab(w[0]), lab(w[1])))
-    A, q = S.base, S.base.quantale
-    vals = tuple(q.join_all(q.tensor_table[lam.values[i]][p.values[x]]
-                            for i, p in enumerate(S.carrier))
-                 for x in range(A.n))
-    out = FuzzySet(A, vals)
-    for j in range(S.n):
-        lhs = _sub_idx(A, vals, S.carrier[j].values)
-        rhs = q.meet_all(q.res_table[lam.values[i]][S.space.hom[i][j]]
-                         for i in range(S.n))
-        if lhs != rhs:
+    A = S.base
+    # the join at x pairs lam with the members' values at x, a column of
+    # their table; the identity at member j pairs lam with S(-, j)
+    vals = tuple(_tensor_idx(A, lam.values, col)
+                 for col in zip(*(p.values for p in S.carrier)))
+    for p, col in zip(S.carrier, zip(*S.space.hom)):
+        if _sub_idx(A, vals, p.values) != _sub_idx(A, lam.values, col):
             raise RuntimeError("weighted join failed its supremum identity")
-    return out
+    return FuzzySet(A, vals)
 
 
 def check_saturation(A, which="flat", budget=None):

@@ -169,16 +169,12 @@ def transport(f, phi, direction="forward"):
     phi(x) & B(y, f(x)) (always a lower set of the target).
     backward: phi on the target; returns phi composed with f.
     """
-    q = f.source.quantale
     if direction == "forward":
         if phi.base != f.source:
             raise BaseMismatch("forward transport needs a fuzzy set on the source")
         B = f.target
-        vals = tuple(
-            q.join_all(q.tensor_table[phi.values[x]][B.hom[y][f.mapping[x]]]
-                       for x in range(f.source.n))
-            for y in range(B.n))
-        return FuzzySet(B, vals)
+        return FuzzySet(B, tuple(_tensor_idx(f.source, phi.values, [row[j] for j in f.mapping])
+                                 for row in B.hom))
     if direction == "backward":
         if phi.base != f.target:
             raise BaseMismatch("backward transport needs a fuzzy set on the target")
@@ -198,10 +194,8 @@ def suprema(phi):
     if w is not None:
         raise NotLower("suprema are defined for fuzzy lower sets only",
                        witness=(lab(w[0]), lab(w[1])))
-    q = A.quantale
-    target = tuple(
-        q.meet_all(q.res_table[phi.values[z]][A.hom[z][x]] for z in range(A.n))
-        for x in range(A.n))
+    # sub(phi, y(x)), y(x) the column x of the hom
+    target = tuple(_sub_idx(A, phi.values, col) for col in zip(*A.hom))
     return tuple(A.elements[a] for a in range(A.n) if A.hom[a] == target)
 
 

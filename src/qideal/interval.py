@@ -19,7 +19,7 @@ from operator import itemgetter
 
 from ._value import Frozen
 from .errors import DecompositionMismatch, GridTooCoarse, ShapeMismatch, ValidationError
-from .quantale import QuantaleProps
+from .quantale import QuantaleProps, _closed_forms
 
 DEFAULT_TOLERANCE = 1e-9
 # the strict families evaluate _STRICT_PROBE inside their open side; right
@@ -39,50 +39,10 @@ def _grid(points, minimum=2):
     return [i / (points - 1) for i in range(points)]
 
 
-# The four closed-form t-norms as plain functions, the only place their
-# formulas are written: the methods, the ordinal-sum pieces and every
-# sampled check call these, so a check picks its t-norm once (_kernels),
-# not on every call.  residuate(a, b) is exactly 1.0 whenever a <= b, the
-# fact every skip in the grid scans below rests on.
-def _min_tensor(a, b):
-    return a if a < b else b
-
-
-def _min_residuate(a, b):
-    return 1.0 if a <= b else b
-
-
-def _product_tensor(a, b):
-    return a * b
-
-
-def _product_residuate(a, b):
-    return 1.0 if a <= b else b / a
-
-
-def _lukasiewicz_tensor(a, b):
-    return max(a + b - 1.0, 0.0)
-
-
-def _lukasiewicz_residuate(a, b):
-    return 1.0 if a <= b else min(1.0, 1.0 - a + b)
-
-
-def _nilpotent_minimum_tensor(a, b):
-    return 0.0 if a + b <= 1.0 else min(a, b)
-
-
-def _nilpotent_minimum_residuate(a, b):
-    return 1.0 if a <= b else max(1.0 - a, b)
-
-
-# tag -> (tensor, residuate)
-_CLOSED_FORMS = {
-    "min": (_min_tensor, _min_residuate),
-    "product": (_product_tensor, _product_residuate),
-    "lukasiewicz": (_lukasiewicz_tensor, _lukasiewicz_residuate),
-    "nilpotent_minimum": (_nilpotent_minimum_tensor, _nilpotent_minimum_residuate),
-}
+# tag -> (tensor, residuate): the float instance of the closed forms,
+# which the methods, the ordinal-sum pieces and every sampled check
+# call, so a check picks its t-norm once (_kernels), not on every call
+_CLOSED_FORMS = _closed_forms(0.0, 1.0)
 
 
 def _ordinal_sum_kernels(pieces):
@@ -93,21 +53,23 @@ def _ordinal_sum_kernels(pieces):
     else the tensor is min and the residuum of a > b is b.  The checks
     build these once; a method call builds them anew."""
     spans = tuple((lo, hi, hi - lo, *_CLOSED_FORMS[kindname]) for lo, hi, kindname in pieces)
+    min_tensor, min_residuate = _CLOSED_FORMS["min"]
 
     def tensor(a, b):
         for lo, hi, w, piece, _ in spans:
             if lo <= a <= hi and lo <= b <= hi:
                 return lo + w * piece((a - lo) / w, (b - lo) / w)
-        return a if a < b else b
+        return min_tensor(a, b)
 
     def residuate(a, b):
+        # exactly 1.0, which a rescaled piece need not give
         if a <= b:
             return 1.0
         for lo, hi, w, _, piece in spans:
             if lo <= a <= hi and lo <= b <= hi:
                 # a > b >= lo forces u = (a - lo) / w > 0
                 return lo + w * piece((a - lo) / w, (b - lo) / w)
-        return b
+        return min_residuate(a, b)
 
     return tensor, residuate
 

@@ -19,8 +19,9 @@ sequence   {"order": qorder, "cycle": [...], "prefix": [...]}
 The instance kind is inferred from the keys, so one loader serves the
 whole command line.  Sizes are charged against the caller's budget
 before any table is built: a chain or table quantale on n elements
-costs n**3 law checks, a discrete order on n points n**2 hom entries,
-and the power construction charges its own hom lookups.  A size "n"
+costs n**3 law checks, a discrete order on n points (or labels) n**2
+hom entries, an order given by its elements n**3 law checks, and the
+power construction charges its own hom lookups.  A size "n"
 must be an integer (not a bool).  An instance carries no budget of its
 own.
 """
@@ -117,11 +118,13 @@ def load_qorder(data, base_dir=None, budget=None):
             raise ValueError('"opposite" needs the Q-order it flips, which an instance '
                              'cannot name; give its "elements" and "hom" instead')
         n = _size(params)
-        if "labels" in params:
+        if params.get("labels") is not None:
+            n = len(params["labels"])
             params["labels"] = [parse_label(e) for e in params["labels"]]
-        elif data["name"] == "discrete":
+        if data["name"] == "discrete":
             _charge_size(n, budget, "hom entries", 2)
         return standard_qorder(base, data["name"], budget=budget, **params)
+    _charge_size(len(data["elements"]), budget, "qorder law checks", 3)
     elements = [parse_label(e) for e in data["elements"]]
     if "crisp_leq" in data:
         return crisp_qorder(base, elements, [[bool(v) for v in row]

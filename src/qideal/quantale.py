@@ -390,12 +390,26 @@ def boolean4():
     return build_finite_quantale(e, leq, meet, "1", catalog=("boolean4", {}))
 
 
-_CHAIN_TNORMS = {
-    "lukasiewicz": lambda a, b: max(a + b - 1, Fraction(0)),
-    "godel": min,
-    "nilpotent_minimum": lambda a, b: Fraction(0) if a + b <= 1 else min(a, b),
-    "product": lambda a, b: a * b,
-}
+def _closed_forms(zero, one):
+    """tag -> (tensor, residuate) of the four closed-form t-norms of [0, 1],
+    written over the constants zero and one: the only place their
+    formulas are written.  interval holds the float instance, and
+    chain_quantale tabulates the Fraction one.  residuate(a, b) is
+    exactly one whenever a <= b, the fact every skip in the interval
+    grid scans rests on."""
+    return {"min": (lambda a, b: a if a < b else b,
+                    lambda a, b: one if a <= b else b),
+            "product": (lambda a, b: a * b,
+                        lambda a, b: one if a <= b else b / a),
+            "lukasiewicz": (lambda a, b: max(a + b - one, zero),
+                            lambda a, b: one if a <= b else min(one, one - a + b)),
+            "nilpotent_minimum": (lambda a, b: zero if a + b <= one else min(a, b),
+                                  lambda a, b: one if a <= b else max(one - a, b))}
+
+
+# chain t-norm name -> its closed form's tag
+_CHAIN_TNORMS = {"lukasiewicz": "lukasiewicz", "godel": "min",
+                 "nilpotent_minimum": "nilpotent_minimum", "product": "product"}
 
 
 def chain_quantale(tnorm, n=None, carrier=None):
@@ -419,7 +433,7 @@ def chain_quantale(tnorm, n=None, carrier=None):
         raise ShapeMismatch(
             "chain carrier must run from 0 to 1",
             witness=tuple(str(c) for c in points[:1] + points[-1:]))
-    op = _CHAIN_TNORMS[tnorm]
+    op = _closed_forms(Fraction(0), Fraction(1))[_CHAIN_TNORMS[tnorm]][0]
     pset = set(points)
     tensor = []
     for a in points:

@@ -10,6 +10,7 @@ test quantifies over every supremum so non-separated bases are handled.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import getitem
 
 from ._value import Value
@@ -27,19 +28,28 @@ from .fuzzy import (
 )
 from .ideals import enumerate_ideals, ideal_class_tag
 
-_MODE_ALIASES = {"topology": "topology", "top": "topology",
-                 "cotopology": "cotopology", "cotop": "cotopology"}
+# what a mode decides: its canonical name, the kind of its member sets
+# with their shape test and phrase, the degree of a member's supremum
+# equation and its report key, the class it defaults to, its five axiom
+# names, and the quantale tables of its closure and its scaling axioms
+_Mode = namedtuple("_Mode", "name kind violation shape degree key default_class axioms "
+                            "closures scalings")
+_TOPOLOGY = _Mode("topology", "upper", _upper_violation, "an upper", _tensor_idx,
+                  "tensor_degree", "flat", ("O1", "O2", "O3", "O4", "O5"),
+                  ("meet_table", "join_table"), ("tensor_table", "res_table"))
+_COTOPOLOGY = _Mode("cotopology", "lower", _lower_violation, "a lower", _sub_idx,
+                    "sub_degree", "irreducible", ("C1", "C2", "C3", "C4", "C5"),
+                    ("join_table", "meet_table"), ("res_table", "tensor_table"))
+_MODES = {"topology": _TOPOLOGY, "top": _TOPOLOGY,
+          "cotopology": _COTOPOLOGY, "cotop": _COTOPOLOGY}
 
 
-def _mode_tag(mode):
+def _mode(mode):
+    """The _Mode that mode spells, in any case."""
     try:
-        return _MODE_ALIASES[str(mode).lower()]
+        return _MODES[str(mode).lower()]
     except KeyError:
         raise ValueError(f"unknown mode {mode!r}; use topology or cotopology") from None
-
-
-def _default_class(mode):
-    return "flat" if mode == "topology" else "irreducible"
 
 
 def _scott_context(A, tag, budget):
@@ -88,28 +98,25 @@ def _scott_context(A, tag, budget):
 
 def _member_violation(A, vals, mode, ctx):
     """The shape test of any value tuple, then _equation_violation."""
-    w = (_upper_violation if mode == "topology" else _lower_violation)(A, vals)
+    w = mode.violation(A, vals)
     if w is None:
         return _equation_violation(A, vals, mode, ctx)
-    shape = "an upper" if mode == "topology" else "a lower"
-    return {"reason": f"not {shape} set", "pair": (A.elements[w[0]], A.elements[w[1]])}
+    return {"reason": f"not {mode.shape} set", "pair": (A.elements[w[0]], A.elements[w[1]])}
 
 
 def _equation_violation(A, vals, mode, ctx):
     """The first (ideal, supremum) of ctx whose open (closed) equation
     the upper (lower) set vals misses, as a witness, or None."""
     q = A.quantale
-    degree, key = ((_tensor_idx, "tensor_degree") if mode == "topology"
-                   else (_sub_idx, "sub_degree"))
     for ivals, sups in ctx:
-        d = degree(A, ivals, vals)
+        d = mode.degree(A, ivals, vals)
         for s in sups:
             if vals[s] != d:
                 return {"reason": "misses the supremum equation",
                         "ideal": FuzzySet(A, ivals).as_dict(),
                         "supremum": A.elements[s],
                         "at_supremum": q.elements[vals[s]],
-                        key: q.elements[d]}
+                        mode.key: q.elements[d]}
     return None
 
 
@@ -121,8 +128,8 @@ def is_scott_member(psi, mode, which=None, budget=None):
     that work (none where it is empty by proof, see _scott_context), so
     to test many sets of one base, build the family once with
     generate_scott_structure."""
-    mode = _mode_tag(mode)
-    tag = ideal_class_tag(which if which is not None else _default_class(mode))
+    mode = _mode(mode)
+    tag = ideal_class_tag(which if which is not None else mode.default_class)
     ctx = _scott_context(psi.base, tag, budget)
     w = _member_violation(psi.base, psi.values, mode, ctx)
     return w is None, w
@@ -137,25 +144,17 @@ class ScottStructure(Value, fields="base mode class_tag members axioms stratifie
         self.stratified, self.co_stratified, self.strong = stratified, co_stratified, strong
 
 
-# per mode: the five axiom names, the tables of the two closure axioms
-# and those of the two scaling axioms
-_AXIOMS = {"topology": (("O1", "O2", "O3", "O4", "O5"), ("meet_table", "join_table"),
-                        ("tensor_table", "res_table")),
-           "cotopology": (("C1", "C2", "C3", "C4", "C5"), ("join_table", "meet_table"),
-                          ("res_table", "tensor_table"))}
-
-
 def generate_scott_structure(A, mode, which=None, budget=None):
     """Filter every monotone fuzzy set by membership and compute the
     axiom flags of the resulting family.  The filter and the axiom
     checks each charge their work against the budget before they start
     (see _member_values and check_structure_axioms)."""
-    mode = _mode_tag(mode)
-    tag = ideal_class_tag(which if which is not None else _default_class(mode))
+    mode = _mode(mode)
+    tag = ideal_class_tag(which if which is not None else mode.default_class)
     members = _fuzzy_sets(A, _member_values(A, mode, tag, budget))
     axioms = _axiom_report(A, mode, members, budget)["flags"]
-    stratified, co_stratified = (axioms[name] for name in _AXIOMS[mode][0][3:])
-    return ScottStructure(A, mode, tag, members, axioms, stratified, co_stratified,
+    stratified, co_stratified = (axioms[name] for name in mode.axioms[3:])
+    return ScottStructure(A, mode.name, tag, members, axioms, stratified, co_stratified,
                           stratified and co_stratified)
 
 
@@ -184,23 +183,21 @@ def check_structure_axioms(S, budget=None):
     any check runs, the m * (m - 1) member pairs and the |Q| * m
     scalings twice are charged.
     """
-    return _axiom_report(S.base, S.mode, S.members, budget)
+    return _axiom_report(S.base, _mode(S.mode), S.members, budget)
 
 
 def _axiom_report(A, mode, members, budget):
     """check_structure_axioms on the base, mode and members of a family."""
     q = A.quantale
     vecs = [p.values for p in members]
-    kind = "upper" if mode == "topology" else "lower"
-    universe = set(_monotone_value_tuples(A, kind, budget))
+    universe = set(_monotone_value_tuples(A, mode.kind, budget))
     for v in vecs:
         if v not in universe:
-            raise ValidationError(f"member is not a fuzzy {kind} set of the base",
+            raise ValidationError(f"member is not a fuzzy {mode.kind} set of the base",
                                   witness=FuzzySet(A, v).as_dict())
     have = set(vecs)
-    names, closures, scalings = _AXIOMS[mode]
     if len(have) == len(universe):
-        return {"flags": dict.fromkeys(names, True), "witnesses": {}}
+        return {"flags": dict.fromkeys(mode.axioms, True), "witnesses": {}}
     m = len(vecs)
     _charge(m * (m - 1) + 2 * q.n * m, budget, "closure pairs and scalings")
 
@@ -223,10 +220,10 @@ def _axiom_report(A, mode, members, budget):
 
     misses = (next(({"constant": q.elements[p]} for p in range(q.n)
                     if (p,) * A.n not in have), None),
-              *(next(closure_misses(getattr(q, t)), None) for t in closures),
-              *(next(scaling_misses(getattr(q, t)), None) for t in scalings))
-    return {"flags": {name: w is None for name, w in zip(names, misses)},
-            "witnesses": {name: w for name, w in zip(names, misses) if w is not None}}
+              *(next(closure_misses(getattr(q, t)), None) for t in mode.closures),
+              *(next(scaling_misses(getattr(q, t)), None) for t in mode.scalings))
+    return {"flags": {name: w is None for name, w in zip(mode.axioms, misses)},
+            "witnesses": {name: w for name, w in zip(mode.axioms, misses) if w is not None}}
 
 
 def _member_values(B, mode, tag, budget):
@@ -235,8 +232,7 @@ def _member_values(B, mode, tag, budget):
     the equations of every ideal of the context; those (set, ideal)
     pairs are charged against the budget before any is tested."""
     ctx = _scott_context(B, tag, budget)
-    sets = _monotone_value_tuples(B, "upper" if mode == "topology" else "lower",
-                                  budget)
+    sets = _monotone_value_tuples(B, mode.kind, budget)
     _charge(len(sets) * len(ctx), budget, "pairs checked")
     return tuple(vals for vals in sets
                  if _equation_violation(B, vals, mode, ctx) is None)
@@ -276,7 +272,7 @@ def cocontinuity_equivalence(f, which="irreducible", budget=None):
                     "suprema_of_image": [b for b in B.elements if b in targets],
                 }
                 break
-    bad = _preimage_violation(f, "cotopology", tag, ctxA, budget)
+    bad = _preimage_violation(f, _COTOPOLOGY, tag, ctxA, budget)
     if bad is not None:
         witnesses["preimage_not_closed"] = {"closed_set": bad[0],
                                             "violation": bad[1]}
@@ -291,7 +287,7 @@ def check_open_preimages(f, which="flat", budget=None):
     (flag, witness); callers are expected to have checked
     cocontinuity."""
     tag = ideal_class_tag(which)
-    bad = _preimage_violation(f, "topology", tag, _scott_context(f.source, tag, budget),
+    bad = _preimage_violation(f, _TOPOLOGY, tag, _scott_context(f.source, tag, budget),
                               budget)
     if bad is None:
         return True, None

@@ -27,6 +27,7 @@ from .io import dump_instance, jsonable
 from .qorder import QOrderedSet, all_qmaps, crisp_qorder, random_qorder, standard_qorder
 from .quantale import (
     boolean4,
+    chain_quantale,
     godel_chain,
     lukasiewicz_chain,
     nilpotent_minimum_chain,
@@ -234,6 +235,7 @@ def _suite_godel_flat_not_irr(params, seed, budget, tolerance):
     n = _int_param(params, "n", 5)
     b = Fraction(str(params.get("b", "1/2")))
     a = Fraction(str(params.get("a", "1/4")))
+    _charge(n ** 3, budget, "quantale law checks")
     q = godel_chain(n)
     A = standard_qorder(q, "dL")
     bi, ai = q.index(b), q.index(a)
@@ -256,6 +258,11 @@ def _suite_cor312_families(params, seed, budget, tolerance):
                            interval_order, interval_quantale, irreducible_interval_ideal)
 
     grid = _int_param(params, "grid", 257)
+    family_at = (0.0, 0.25, 0.5, 1.0)
+    # each member, over two quantales and two orders: two scans of the
+    # grid and a shape check of 65 points and their pairs
+    _charge(2 * 2 * len(family_at) * (2 * grid + 65 * 66), budget,
+            "grid points and pairs scanned")
     pts = _grid(grid, 17)
     interval = [interval_quantale(tnorm, tolerance=tolerance)
                 for tnorm in ("lukasiewicz", "product")]
@@ -264,8 +271,7 @@ def _suite_cor312_families(params, seed, budget, tolerance):
     checked = 0
 
     for tnorm, n in (("lukasiewicz", 4), ("godel", 4), ("nilpotent_minimum", 4)):
-        q = {"lukasiewicz": lukasiewicz_chain, "godel": godel_chain,
-             "nilpotent_minimum": nilpotent_minimum_chain}[tnorm](n)
+        q = chain_quantale(tnorm, n)
         for which in ("dL", "dR"):
             desc = f"{which} over {tnorm}-{n}"
             instances.append(desc)
@@ -283,7 +289,7 @@ def _suite_cor312_families(params, seed, budget, tolerance):
     for q in interval:
         for which in ("dL", "dR"):
             order = interval_order(q, which)
-            for a in (0.0, 0.25, 0.5, 1.0):
+            for a in family_at:
                 desc = f"{which} over unit-interval {q.tnorm}, a={a}"
                 instances.append(desc)
                 plain = irreducible_interval_ideal(q, which, a)
@@ -515,6 +521,8 @@ def _suite_ex58_characterization(params, seed, budget, tolerance):
         ("left-continuous step at 1/2", lambda x: 0.0 if x <= 0.5 else 1.0, False),
         ("tent map (not order preserving)", lambda x: 0.6 - abs(x - 0.5), False),
     )
+    # each case: the pairs of grid points, its values and its right-continuity probes
+    _charge(len(cases) * grid * (grid + 2), budget, "grid points and pairs scanned")
     instances, witnesses = [], []
     reports = {}
     for desc, fn, expect in cases:
@@ -538,6 +546,10 @@ def _suite_ex510_generation(params, seed, budget, tolerance):
         raise ValueError(f"shift must be at least 0, got {params['shift']}")
     q = interval_quantale(params.get("tnorm", "lukasiewicz"), tolerance=tolerance)
     fn = lambda x: min(1.0, x + shift)
+    # two generations on the grid, each with at most two pieces: its
+    # closedness and family scans visit fewer than 2 * grid * (grid + 6)
+    # points and pairs, and five family members are checked on 65 points
+    _charge(2 * (2 * grid * (grid + 6) + 5 * 65 * 66), budget, "grid points and pairs scanned")
     instances = [f"min(1, x+{shift}) over unit-interval {q.tnorm}, grid {grid}"]
     witnesses = []
     rep = verify_ordinal_sum_generation(fn, q, grid=grid)

@@ -217,6 +217,13 @@ def test_validate_names_what_a_named_order_misses(capsys, name, missing):
     assert code == 2 and report is None and missing in err, err
 
 
+@pytest.mark.parametrize("name", ["discrete", "power"])
+def test_null_labels_are_no_labels(capsys, name):
+    code, report, err = run(capsys, "validate", '{"base": {"kind": "boolean4"}, '
+                            '"name": "%s", "labels": null}' % name)
+    assert code == 2 and report is None and '"n" or "labels"' in err, err
+
+
 def test_validate_an_ordinal_sum(capsys):
     code, report, _ = run(capsys, "validate",
                           '{"kind": "interval", "tnorm": "ordinal_sum", "pieces": '
@@ -349,17 +356,48 @@ def test_instance_sizes_are_charged_against_the_budget(capsys):
     discrete = '{"base": {"kind": "boolean4"}, "name": "discrete", "n": 3}'
     code, _, err = run(capsys, "--budget", "8", "validate", discrete)
     assert code == 2 and "9 hom entries exceed the budget of 8" in err
-    assert run(capsys, "--budget", "9", "validate", discrete)[0] == 0
+    code, _, err = run(capsys, "--budget", "26", "validate", discrete)
+    assert code == 2 and "27 qorder law checks exceed the budget of 26" in err
+    assert run(capsys, "--budget", "27", "validate", discrete)[0] == 0
+
+
+def test_orders_are_charged_before_they_are_built_or_validated(capsys, monkeypatch):
+    """A discrete order given by labels pays the n ** 2 hom entries that
+    one given by "n" pays; an order given by its elements, and validate
+    of any order, pay n ** 3 law checks before the triples are tried."""
+    from qideal import qorder
+
+    def build(*args, **kwargs):
+        pytest.fail("an order over the budget was built or validated")
+    for name in ("build_qorder", "crisp_qorder", "standard_qorder"):
+        monkeypatch.setattr(io, name, build)
+    labels = json.dumps({"base": {"kind": "boolean4"}, "name": "discrete",
+                         "labels": [f"p{i}" for i in range(40)]})
+    code, _, err = run(capsys, "--budget", "1000", "validate", labels)
+    assert code == 2 and "1600 hom entries exceed the budget of 1000" in err
+    leq = [[i <= j for j in range(11)] for i in range(11)]
+    chain = json.dumps({"base": {"kind": "boolean4"}, "elements": list(range(11)),
+                        "crisp_leq": leq})
+    code, _, err = run(capsys, "--budget", "1000", "validate", chain)
+    assert code == 2 and "1331 qorder law checks exceed the budget of 1000" in err
+    monkeypatch.undo()
+    monkeypatch.setattr(qorder, "validate_qorder", build)
+    discrete = '{"base": {"kind": "boolean4"}, "name": "discrete", "n": 11}'
+    code, _, err = run(capsys, "--budget", "1000", "validate", discrete)
+    assert code == 2 and "1331 qorder law checks exceed the budget of 1000" in err
 
 
 POWER3 = '{"base": %s, "name": "power", "n": 3}' % LUK3
 
 
 def test_budget_reaches_the_power_construction(capsys):
-    """27 maps on 3 labels, 27 * 27 * 3 hom lookups."""
+    """27 maps on 3 labels, 27 * 27 * 3 hom lookups; validating the 27
+    points rechecks 27 ** 3 triples."""
     code, _, err = run(capsys, "--budget", "100", "validate", POWER3)
     assert code == 2 and "2187 power hom lookups exceed the budget of 100" in err
-    code, report, _ = run(capsys, "--budget", "2187", "validate", POWER3)
+    code, _, err = run(capsys, "--budget", "2187", "validate", POWER3)
+    assert code == 2 and "19683 qorder law checks exceed the budget of 2187" in err
+    code, report, _ = run(capsys, "--budget", "19683", "validate", POWER3)
     assert code == 0 and report["valid"]
 
 

@@ -22,6 +22,8 @@ from qideal.errors import (
 from qideal.interval import check_adjunction_sampled, interval_quantale
 from qideal.io import load_quantale
 from qideal.quantale import (
+    _CHAIN_TNORMS,
+    _closed_forms,
     boolean4,
     build_finite_quantale,
     chain_quantale,
@@ -78,6 +80,22 @@ def test_chain_tensors_agree_with_definitions():
     nm = nilpotent_minimum_chain(5)
     assert nm.elements[nm.tensor(nm.index("1/4"), nm.index("1/2"))] == 0
     assert nm.elements[nm.tensor(nm.index("3/4"), nm.index("1/2"))] == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("tnorm,n", [*((t, n) for t in ("lukasiewicz", "godel",
+                                                         "nilpotent_minimum")
+                                        for n in range(2, 13)),
+                                      ("product", 2)])
+def test_the_closed_forms_are_the_derived_tables(tnorm, n):
+    """On the chains they close, the exact closed forms give the tensor
+    table and the residuum build_finite_quantale derives as a join."""
+    tensor, residuate = _closed_forms(Fraction(0), Fraction(1))[_CHAIN_TNORMS[tnorm]]
+    q = chain_quantale(tnorm, n)
+    e = q.elements
+    for i, a in enumerate(e):
+        for j, b in enumerate(e):
+            assert e[q.tensor_table[i][j]] == tensor(a, b), (a, b)
+            assert e[q.res_table[i][j]] == residuate(a, b), (a, b)
 
 
 def test_product_leaves_uniform_grids():

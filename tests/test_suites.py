@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from qideal import ideals, suites
-from qideal.errors import UnknownSuite
+from qideal.errors import DEFAULT_BUDGET, BudgetExceeded, UnknownSuite
 from qideal.ideals import classify_ideal
 from qideal.io import load_instance
 from qideal.qorder import standard_qorder
@@ -260,3 +260,48 @@ def test_a_coarse_grid_is_a_budget_verdict(name):
     res = run_suite(name, grid=5)
     assert res.verdict == "budget"
     assert res.witnesses == [{"budget": "grid has 5 points; at least 17 required"}]
+
+
+def test_godel_flat_not_irr_charges_its_chain_before_building_it(monkeypatch):
+    """Gödel-n costs n ** 3 law checks, as a loaded chain does."""
+    monkeypatch.setattr(suites, "godel_chain",
+                        lambda n: pytest.fail("a chain over the budget was built"))
+    res = run_suite("GODEL_FLAT_NOT_IRR", n=11, budget=1000)
+    assert res.verdict == "budget"
+    assert res.witnesses == [{"budget": "1331 quantale law checks exceed the budget of 1000"}]
+
+
+# what each grid suite charges at grid 65: an upper bound of the grid
+# points and pairs its scans visit
+GRID_CHARGES = {"EX58_CHARACTERIZATION": 4 * 65 * 67,
+                "EX510_GENERATION": 2 * (2 * 65 * 71 + 5 * 65 * 66),
+                "COR312_FAMILIES": 16 * (2 * 65 + 65 * 66)}
+
+
+@pytest.mark.parametrize("name", GRID_CHARGES)
+def test_the_grid_suites_charge_their_scans_before_they_start(name, monkeypatch):
+    from qideal import interval
+
+    charge = GRID_CHARGES[name]
+    assert run_suite(name, grid=65, budget=charge).verdict != "budget"
+    monkeypatch.setattr(interval, "_grid",
+                        lambda *args: pytest.fail("a grid over the budget was sampled"))
+    res = run_suite(name, grid=65, budget=charge - 1)
+    assert res.verdict == "budget"
+    assert res.witnesses == [{"budget": f"{charge} grid points and pairs scanned exceed "
+                                        f"the budget of {charge - 1}"}]
+
+
+def test_grids_of_1025_points_fit_the_default_budget(monkeypatch):
+    """Each grid suite's charge at 1025 points, read without a scan."""
+    charges = []
+
+    def charge(count, budget, what, partial=False):
+        charges.append(count)
+        raise BudgetExceeded(count, 0, what)
+    monkeypatch.setattr(suites, "_charge", charge)
+    for name in GRID_CHARGES:
+        assert run_suite(name, grid=1025).verdict == "budget"
+    assert charges == [4 * 1025 * 1027, 2 * (2 * 1025 * 1031 + 5 * 65 * 66),
+                       16 * (2 * 1025 + 65 * 66)]
+    assert max(charges) <= DEFAULT_BUDGET
