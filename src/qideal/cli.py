@@ -96,14 +96,10 @@ def _cmd_validate(args):
 def _cmd_classify(args):
     from .fuzzy import classify_fuzzy_set, fuzzy_set
     from .ideals import classify_ideal
-    from .io import load_qorder
+    from .io import _resolve, load_qorder
 
     order = _load_arg(args.qorder, args.budget, load_qorder)
-    raw = args.fuzzyset
-    data = json.loads(raw) if raw.lstrip().startswith(("{", "[")) else None
-    if data is None:
-        with open(raw, encoding="utf-8") as fh:
-            data = json.load(fh)
+    data = _load_arg(args.fuzzyset, args.budget, lambda d, budget: _resolve(d, None)[0])
     if isinstance(data, dict) and "values" in data:
         data = data["values"]
     phi = fuzzy_set(order, data)
@@ -285,15 +281,10 @@ def main(argv=None):
     except ValidationError as e:
         print(f"invalid instance: {e}", file=sys.stderr)
         return 1
-    except KeyError as e:
+    except (KeyError, OSError, ValueError, QidealError) as e:
         # str() of a KeyError is the repr of its argument, quotes and all
-        print(f"error: {e.args[0] if e.args else e}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except QidealError as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {e.args[0] if isinstance(e, KeyError) and e.args else e}",
+              file=sys.stderr)
         return 2
 
 

@@ -2,7 +2,10 @@
 
 Wherever an object is expected, a string is a file reference resolved
 against the directory of the containing file.  Rational labels travel
-as "p/q" strings.  Shapes:
+as "p/q" strings, and jsonable alone spells a label for JSON: every
+dump builds its labels and passes them through it once.  A point of a
+power order is the string "(v1, ..., vk)" of its values' labels, so it
+is written and read back like any other label.  Shapes:
 
 quantale   {"kind": "boolean4"}
            {"kind": "chain", "tnorm": "godel", "n": 4}            (or "carrier": [...])
@@ -52,10 +55,6 @@ def parse_label(v):
     if isinstance(v, str) and _RATIONAL.match(v):
         return Fraction(v)
     return v
-
-
-def unparse_label(v):
-    return str(v) if isinstance(v, Fraction) else v
 
 
 def _resolve(data, base_dir):
@@ -170,53 +169,43 @@ def load_instance(data, base_dir=None, budget=None):
 
 def dump_quantale(q):
     if not isinstance(q, FiniteQuantale):
-        return {"kind": "interval", "tnorm": q.tnorm,
-                "pieces": [list(p) for p in q.pieces],
-                "tolerance": q.tolerance}
+        return jsonable({"kind": "interval", "tnorm": q.tnorm, "pieces": q.pieces,
+                         "tolerance": q.tolerance})
     name, params = q.catalog if q.catalog else ("", {})
     if name == "boolean4":
         return {"kind": "boolean4"}
     if name.endswith("_chain"):
-        return {"kind": "chain", "tnorm": name[:-len("_chain")], **params}
+        return jsonable({"kind": "chain", "tnorm": name[:-len("_chain")], **params})
     lab = q.elements.__getitem__
-    return {"kind": "table",
-            "elements": [unparse_label(e) for e in q.elements],
-            "leq": [[bool(v) for v in row] for row in q.leq],
-            "tensor": [[unparse_label(lab(v)) for v in row]
-                       for row in q.tensor_table],
-            "unit": unparse_label(lab(q.unit))}
+    return jsonable({"kind": "table", "elements": q.elements,
+                     "leq": [[bool(v) for v in row] for row in q.leq],
+                     "tensor": [[lab(v) for v in row] for row in q.tensor_table],
+                     "unit": lab(q.unit)})
 
 
 def dump_qorder(A):
     lab = A.quantale.elements.__getitem__
-    return {"base": dump_quantale(A.quantale),
-            "elements": [unparse_label(e) for e in A.elements],
-            "hom": [[unparse_label(lab(v)) for v in row] for row in A.hom]}
+    return jsonable({"base": A.quantale, "elements": A.elements,
+                     "hom": [[lab(v) for v in row] for row in A.hom]})
 
 
 def dump_fuzzy_set(phi):
-    lab = phi.base.quantale.elements.__getitem__
-    return {"order": dump_qorder(phi.base),
-            "values": {str(unparse_label(e)): unparse_label(lab(v))
-                       for e, v in zip(phi.base.elements, phi.values)}}
+    return jsonable({"order": phi.base, "values": phi.as_dict()})
 
 
 def dump_qmap(f):
     tgt = f.target.elements.__getitem__
-    return {"source": dump_qorder(f.source),
-            "target": dump_qorder(f.target),
-            "mapping": {str(unparse_label(e)): unparse_label(tgt(j))
-                        for e, j in zip(f.source.elements, f.mapping)}}
+    return jsonable({"source": f.source, "target": f.target,
+                     "mapping": {e: tgt(j) for e, j in zip(f.source.elements, f.mapping)}})
 
 
 def dump_sequence(s):
-    lab = s.base.elements.__getitem__
-    return {"order": dump_qorder(s.base),
-            "cycle": [unparse_label(lab(i)) for i in s.cycle],
-            "prefix": [unparse_label(lab(i)) for i in s.prefix]}
+    return jsonable({"order": s.base, **s.describe()})
 
 
 def dump_instance(obj):
+    """The JSON shape of an instance, which its loader reads back;
+    anything else is refused with TypeError."""
     if isinstance(obj, FiniteQuantale):
         return dump_quantale(obj)
     if isinstance(obj, QOrderedSet):
@@ -240,17 +229,21 @@ def save_instance(obj, path):
 
 
 def jsonable(x):
-    """Witness payloads to plain JSON types, recursively."""
+    """Labels, witness payloads and instances to plain JSON types,
+    recursively; the one place a label is spelled for JSON.  A Fraction
+    becomes "p/q", a dict key the string of its JSON form, an instance
+    its dump_instance shape, and anything else its str()."""
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, (list, tuple, set, frozenset)):
         return [jsonable(v) for v in x]
     if isinstance(x, dict):
-        return {k if isinstance(k, str) else str(unparse_label(k)): jsonable(v)
+        # a str key is its own JSON form, and most keys are strings
+        return {k if isinstance(k, str) else str(jsonable(k)): jsonable(v)
                 for k, v in x.items()}
     if isinstance(x, (bool, int, float, str)) or x is None:
         return x
-    if isinstance(x, (FiniteQuantale, QOrderedSet, FuzzySet, QMap, EventuallyPeriodicSequence)):
+    try:
         return dump_instance(x)
-    from .interval import IntervalQuantale
-    return dump_instance(x) if isinstance(x, IntervalQuantale) else str(x)
+    except TypeError:
+        return str(x)

@@ -144,7 +144,8 @@ def standard_qorder(q, name, **params):
     dL: carrier Q with hom p -> r.  dR: carrier Q with hom r -> p.
     discrete: n points (or explicit labels), hom 1 on the diagonal and 0
     off it.  power: all maps from a label set into Q, ordered by pointwise
-    inclusion degree; its count**2 * k hom lookups, for count = |Q|**k
+    inclusion degree, each map the point "(v1, ..., vk)" named by the
+    labels of its values; its count**2 * k hom lookups, for count = |Q|**k
     maps on k labels, are charged against params budget first.
     opposite: pass base=A.  point: the one-element order.
     """
@@ -180,7 +181,8 @@ def standard_qorder(q, name, **params):
         hom = tuple(
             tuple(q.meet_all(q.res_table[a][b] for a, b in zip(f, g)) for g in vecs)
             for f in vecs)
-        carrier = tuple(tuple(map(q.elements.__getitem__, vec)) for vec in vecs)
+        carrier = tuple(f"({', '.join(str(q.elements[v]) for v in vec)})" for vec in vecs)
+        label_map(carrier)  # refuses two maps whose names spell alike
         return QOrderedSet(q, carrier, hom, catalog=("power", {"labels": list(labels)}))
     if name == "opposite":
         base = params.get("base")

@@ -428,7 +428,7 @@ def chain_quantale(tnorm, n=None, carrier=None):
         params = {"n": n}
     else:
         points = sorted({Fraction(c) for c in carrier})
-        params = {"carrier": [str(c) for c in points]}
+        params = {"carrier": points}
     if len(points) < 2 or points[0] != 0 or points[-1] != 1:
         raise ShapeMismatch(
             "chain carrier must run from 0 to 1",

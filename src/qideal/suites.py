@@ -128,15 +128,6 @@ def _census(A, budget):
                  for phi in lowers)
 
 
-def _int_param(params, name, default):
-    """params[name], or default; a value that is not an int (a bool is
-    not) is refused naming the parameter."""
-    value = params.get(name, default)
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def _saturation_battery():
     out = []
     for q, qd in ((lukasiewicz_chain(2), "lukasiewicz-2"),
@@ -177,7 +168,7 @@ def _ideal_witness(desc, phi, reason, budget):
             "witnesses": rep.witnesses}
 
 
-def _inclusion_suite(keep_base, offend, reason, params, seed, budget, tolerance):
+def _inclusion_suite(keep_base, offend, reason, seed, budget, tolerance):
     instances, witnesses = [], []
     ideals = 0
     battery = _full_battery(seed, budget)
@@ -216,7 +207,7 @@ _INCLUSION_SUITES = {
 }
 
 
-def _suite_boolean4_counterexample(params, seed, budget, tolerance):
+def _suite_boolean4_counterexample(seed, budget, tolerance):
     q = boolean4()
     A = standard_qorder(q, "discrete", n=2)
     phi = fuzzy_set(A, {"x0": "a", "x1": "b"})
@@ -231,10 +222,8 @@ def _suite_boolean4_counterexample(params, seed, budget, tolerance):
     return ["discrete-2 over boolean4"], witnesses, details
 
 
-def _suite_godel_flat_not_irr(params, seed, budget, tolerance):
-    n = _int_param(params, "n", 5)
-    b = Fraction(str(params.get("b", "1/2")))
-    a = Fraction(str(params.get("a", "1/4")))
+def _suite_godel_flat_not_irr(seed, budget, tolerance, n, b, a):
+    b, a = Fraction(str(b)), Fraction(str(a))
     _charge(n ** 3, budget, "quantale law checks")
     q = godel_chain(n)
     A = standard_qorder(q, "dL")
@@ -253,11 +242,10 @@ def _suite_godel_flat_not_irr(params, seed, budget, tolerance):
     return [f"dL over godel-{n} with b={b}, a={a}"], witnesses, details
 
 
-def _suite_cor312_families(params, seed, budget, tolerance):
+def _suite_cor312_families(seed, budget, tolerance, grid):
     from .interval import (_grid, approach_terms, classify_sampled, generate_interval_ideal,
                            interval_order, interval_quantale, irreducible_interval_ideal)
 
-    grid = _int_param(params, "grid", 257)
     family_at = (0.0, 0.25, 0.5, 1.0)
     # each member, over two quantales and two orders: two scans of the
     # grid and a shape check of 65 points and their pairs
@@ -323,7 +311,7 @@ def _suite_cor312_families(params, seed, budget, tolerance):
                                   "grid": grid, "tolerance": tol}
 
 
-def _saturation_suite(tag, params, seed, budget, tolerance):
+def _saturation_suite(tag, seed, budget, tolerance):
     from .completion import check_saturation
 
     instances, witnesses = [], []
@@ -337,7 +325,7 @@ def _saturation_suite(tag, params, seed, budget, tolerance):
     return instances, witnesses, {"weights_checked": weights}
 
 
-def _suite_thm42_free(params, seed, budget, tolerance):
+def _suite_thm42_free(seed, budget, tolerance):
     from .completion import check_completeness_continuity, ideal_space
 
     instances, witnesses = [], []
@@ -382,10 +370,9 @@ def _suite_thm42_free(params, seed, budget, tolerance):
 _SCOTT_PHASES = ("axioms", "classical", "duality")
 
 
-def _suite_scott_axioms(params, seed, budget, tolerance):
+def _suite_scott_axioms(seed, budget, tolerance, phases, max_points):
     from .scott import generate_scott_structure
 
-    phases = params.get("phases", _SCOTT_PHASES)
     if not isinstance(phases, (list, tuple)):
         phases = [p.strip() for p in str(phases).split(",") if p.strip()]
     unknown = [p for p in phases if p not in _SCOTT_PHASES]
@@ -419,7 +406,7 @@ def _suite_scott_axioms(params, seed, budget, tolerance):
         details["strong_cotopologies"] = strong_c
 
     if "classical" in phases:
-        line, posets = _crisp_posets(_int_param(params, "max_points", 4), budget)
+        line, posets = _crisp_posets(max_points, budget)
         mismatches = 0
         for P in posets:
             n, leq = P.n, _leq(P)
@@ -479,7 +466,7 @@ def _suite_scott_axioms(params, seed, budget, tolerance):
     return instances, witnesses, details
 
 
-def _suite_prop57_equiv(params, seed, budget, tolerance):
+def _suite_prop57_equiv(seed, budget, tolerance):
     from .scott import check_open_preimages, cocontinuity_equivalence
 
     q = lukasiewicz_chain(3)
@@ -509,11 +496,9 @@ def _suite_prop57_equiv(params, seed, budget, tolerance):
                                   "cocontinuous_maps": cocontinuous}
 
 
-def _suite_ex58_characterization(params, seed, budget, tolerance):
+def _suite_ex58_characterization(seed, budget, tolerance, tnorm, grid):
     from .interval import interval_dR_scott_closed, interval_quantale
 
-    tnorm = params.get("tnorm", "lukasiewicz")
-    grid = _int_param(params, "grid", 257)
     q = interval_quantale(tnorm, tolerance=tolerance)
     cases = (
         ("identity", lambda x: x, True),
@@ -536,21 +521,23 @@ def _suite_ex58_characterization(params, seed, budget, tolerance):
     return instances, witnesses, {"grid": grid, "cases": reports}
 
 
-def _suite_ex510_generation(params, seed, budget, tolerance):
+def _suite_ex510_generation(seed, budget, tolerance, grid, shift, tnorm):
     from .interval import interval_quantale, verify_ordinal_sum_generation
 
-    grid = _int_param(params, "grid", 257)
-    shift = float(Fraction(str(params.get("shift", "1/4"))))
-    if shift < 0:
+    step = float(Fraction(str(shift)))
+    if step < 0:
         # min(1, x + shift) must lie above the identity
-        raise ValueError(f"shift must be at least 0, got {params['shift']}")
-    q = interval_quantale(params.get("tnorm", "lukasiewicz"), tolerance=tolerance)
-    fn = lambda x: min(1.0, x + shift)
+        raise ValueError(f"shift must be at least 0, got {shift}")
+    q = interval_quantale(tnorm, tolerance=tolerance)
+    if not quantale_properties(q).is_divisible:
+        # the divisible t-norms are the ordinal sums the claim is about
+        raise ValueError(f"tnorm {tnorm} has no ordinal-sum decomposition")
+    fn = lambda x: min(1.0, x + step)
     # two generations on the grid, each with at most two pieces: its
     # closedness and family scans visit fewer than 2 * grid * (grid + 6)
     # points and pairs, and five family members are checked on 65 points
     _charge(2 * (2 * grid * (grid + 6) + 5 * 65 * 66), budget, "grid points and pairs scanned")
-    instances = [f"min(1, x+{shift}) over unit-interval {q.tnorm}, grid {grid}"]
+    instances = [f"min(1, x+{step}) over unit-interval {q.tnorm}, grid {grid}"]
     witnesses = []
     rep = verify_ordinal_sum_generation(fn, q, grid=grid)
     details = {"max_deviation": rep["max_deviation"],
@@ -581,8 +568,8 @@ def _suite_ex510_generation(params, seed, budget, tolerance):
     return instances, witnesses, details
 
 
-def _suite_classical_degeneration(params, seed, budget, tolerance):
-    line, posets = _crisp_posets(_int_param(params, "max_points", 4), budget)
+def _suite_classical_degeneration(seed, budget, tolerance, max_points):
+    line, posets = _crisp_posets(max_points, budget)
     witnesses = []
     ideals = 0
     for P in posets:
@@ -601,21 +588,23 @@ def _suite_classical_degeneration(params, seed, budget, tolerance):
     return [line], witnesses, {"posets": len(posets), "ideals_checked": ideals}
 
 
-# name -> (the suite, the names of the parameters it reads)
+# name -> (the suite, each parameter it reads with its default)
 _REGISTRY = {
-    **{name: (partial(_inclusion_suite, *row), ())
+    **{name: (partial(_inclusion_suite, *row), {})
        for name, row in _INCLUSION_SUITES.items()},
-    "BOOLEAN4_COUNTEREXAMPLE": (_suite_boolean4_counterexample, ()),
-    "GODEL_FLAT_NOT_IRR": (_suite_godel_flat_not_irr, ("n", "b", "a")),
-    "COR312_FAMILIES": (_suite_cor312_families, ("grid",)),
-    **{f"SATURATION_{tag.upper()}": (partial(_saturation_suite, tag), ())
+    "BOOLEAN4_COUNTEREXAMPLE": (_suite_boolean4_counterexample, {}),
+    "GODEL_FLAT_NOT_IRR": (_suite_godel_flat_not_irr, {"n": 5, "b": "1/2", "a": "1/4"}),
+    "COR312_FAMILIES": (_suite_cor312_families, {"grid": 257}),
+    **{f"SATURATION_{tag.upper()}": (partial(_saturation_suite, tag), {})
        for tag in ("fc", "flat", "irr")},
-    "THM42_FREE": (_suite_thm42_free, ()),
-    "SCOTT_AXIOMS": (_suite_scott_axioms, ("phases", "max_points")),
-    "PROP57_EQUIV": (_suite_prop57_equiv, ()),
-    "EX58_CHARACTERIZATION": (_suite_ex58_characterization, ("tnorm", "grid")),
-    "EX510_GENERATION": (_suite_ex510_generation, ("grid", "shift", "tnorm")),
-    "CLASSICAL_DEGENERATION": (_suite_classical_degeneration, ("max_points",)),
+    "THM42_FREE": (_suite_thm42_free, {}),
+    "SCOTT_AXIOMS": (_suite_scott_axioms, {"phases": _SCOTT_PHASES, "max_points": 4}),
+    "PROP57_EQUIV": (_suite_prop57_equiv, {}),
+    "EX58_CHARACTERIZATION": (_suite_ex58_characterization,
+                              {"tnorm": "lukasiewicz", "grid": 257}),
+    "EX510_GENERATION": (_suite_ex510_generation,
+                         {"grid": 257, "shift": "1/4", "tnorm": "lukasiewicz"}),
+    "CLASSICAL_DEGENERATION": (_suite_classical_degeneration, {"max_points": 4}),
 }
 
 
@@ -627,20 +616,24 @@ def run_suite(name, seed=None, budget=None, tolerance=None, **params):
     """Execute one named suite and return its SuiteResult.  Verdicts:
     pass, fail (claim violated, witnesses attached), budget (enumeration
     gave up, or a grid parameter was too coarse to sample).  A parameter
-    the suite does not read, and a run that checks no instance, are
-    refused with ValueError."""
+    the suite does not read, one whose default is an int given anything
+    but an int (a bool is not one), and a run that checks no instance,
+    are refused with ValueError."""
     key = str(name).upper().replace("-", "_")
     if key not in _REGISTRY:
         raise UnknownSuite(name, suite_names())
-    suite, known = _REGISTRY[key]
-    unknown = sorted(set(params) - set(known))
+    suite, defaults = _REGISTRY[key]
+    unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ValueError(f"{key} reads no parameter {', '.join(unknown)}; "
-                         f"its parameters are {', '.join(known) or 'none'}")
+                         f"its parameters are {', '.join(defaults) or 'none'}")
+    for k, value in params.items():
+        if type(defaults[k]) is int and type(value) is not int:
+            raise ValueError(f"{k} must be an integer, got {value!r}")
     seed = DEFAULT_SEED if seed is None else int(seed) & (2 ** 64 - 1)
     start = time.perf_counter()
     try:
-        instances, witnesses, details = suite(params, seed, budget, tolerance)
+        instances, witnesses, details = suite(seed, budget, tolerance, **{**defaults, **params})
     except (BudgetExceeded, GridTooCoarse) as e:
         return SuiteResult(key, [], "budget", [{"budget": str(e)}],
                            time.perf_counter() - start, {"seed": seed})

@@ -78,6 +78,20 @@ def test_classify(capsys):
     assert code == 0 and report2["flat"] == report["flat"]
 
 
+def test_classify_reads_its_fuzzy_set_as_every_instance_argument(capsys, tmp_path,
+                                                                monkeypatch):
+    """A file name is resolved against the working directory, as the
+    order argument's is, so a missing one is reported as ./name."""
+    monkeypatch.chdir(tmp_path)
+    for argv in (("classify", DL3, "missing.json"), ("classify", "missing.json", "[1]")):
+        code, report, err = run(capsys, *argv)
+        assert (code, report) == (2, None)
+        assert err == "error: [Errno 2] No such file or directory: './missing.json'\n"
+    (tmp_path / "phi.json").write_text('{"values": ["1", "1", "1/2"]}')
+    code, report, _ = run(capsys, "classify", DL3, "phi.json")
+    assert code == 0 and report["values"] == {"0": "1", "1/2": "1", "1": "1/2"}
+
+
 def test_classify_rejects_misshapen_values(capsys):
     code, _, err = run(capsys, "classify", DL3, '["1", "1"]')
     assert code == 1
@@ -453,6 +467,22 @@ def test_ex510_refuses_a_negative_shift(capsys, tmp_path, monkeypatch):
     code, report, err = run(capsys, "check", "EX510_GENERATION", "--param", "shift=-1")
     assert code == 2 and report is None
     assert err == "error: shift must be at least 0, got -1\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_ex510_refuses_a_tnorm_with_no_ordinal_sum_decomposition(capsys, tmp_path, monkeypatch):
+    """The claim rebuilds a closed map from the pieces of an ordinal sum:
+    nilpotent minimum has none, which is a usage error (exit 2) named
+    before any grid is charged or scanned, not an invalid instance."""
+    monkeypatch.chdir(tmp_path)
+    for tnorm in ("min", "product", "lukasiewicz", "ordinal_sum"):
+        code, report, _ = run(capsys, "check", "EX510_GENERATION", "--param", f"tnorm={tnorm}",
+                              "--param", "grid=65")
+        assert code == 0 and report["verdict"] == "pass", tnorm
+    code, report, err = run(capsys, "--budget", "0", "check", "EX510_GENERATION",
+                            "--param", "tnorm=nilpotent_minimum")
+    assert code == 2 and report is None
+    assert err == "error: tnorm nilpotent_minimum has no ordinal-sum decomposition\n"
     assert not list(tmp_path.iterdir())
 
 

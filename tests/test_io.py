@@ -14,7 +14,6 @@ from qideal.io import (
     load_quantale,
     parse_label,
     save_instance,
-    unparse_label,
 )
 from qideal.ideals import periodic_sequence
 from qideal.interval import DEFAULT_TOLERANCE, interval_quantale
@@ -29,8 +28,8 @@ def test_parse_label_edges():
     assert parse_label(0.5) == Fraction(1, 2)
     assert parse_label(True) is True
     assert parse_label("mid") == "mid"
-    assert unparse_label(Fraction(1, 3)) == "1/3"
-    assert unparse_label("mid") == "mid"
+    assert jsonable(Fraction(1, 3)) == "1/3"
+    assert jsonable("mid") == "mid"
 
 
 def test_quantale_roundtrips():
@@ -132,6 +131,59 @@ def test_save_instance(tmp_path):
     text = path.read_text()
     assert text.endswith("\n")
     assert load_instance(str(path)).hom == A.hom
+
+
+def _every_kind(kind):
+    L3 = lukasiewicz_chain(3)
+    A = standard_qorder(L3, "dL")
+    P = standard_qorder(L3, "power", n=2)
+    return {
+        "chain": lambda: L3,
+        "chain-carrier": lambda: chain_quantale("godel", carrier=["0", "1/3", "1"]),
+        "table": lambda: build_finite_quantale(
+            ("bot", "mid", "top"),
+            ((True, True, True), (False, True, True), (False, False, True)),
+            (("bot", "bot", "bot"), ("bot", "mid", "mid"), ("bot", "mid", "top")), "top"),
+        "interval": lambda: interval_quantale(
+            "ordinal_sum", pieces=((0.0, 0.5, "lukasiewicz"), (0.5, 1.0, "product"))),
+        "qorder": lambda: A,
+        "power": lambda: P,
+        "power-boolean4": lambda: standard_qorder(boolean4(), "power", labels=["u"]),
+        "fuzzy-set": lambda: yoneda(A, Fraction(1, 2)),
+        "fuzzy-set-on-power": lambda: yoneda(P, P.elements[5]),
+        "map": lambda: build_qmap(A, A, dict(zip(A.elements, reversed(A.elements)))),
+        "map-on-power": lambda: build_qmap(P, P, dict(zip(P.elements, P.elements))),
+        "sequence": lambda: periodic_sequence(A, cycle=(Fraction(1),), prefix=(Fraction(0),)),
+    }[kind]()
+
+
+@pytest.mark.parametrize("kind", [
+    "chain", "chain-carrier", "table", "interval", "qorder", "power", "power-boolean4",
+    "fuzzy-set", "fuzzy-set-on-power", "map", "map-on-power", "sequence"])
+def test_every_kind_is_spelled_by_jsonable_alone(kind):
+    """Each dump is plain JSON, equals jsonable of the instance, and
+    loads back to an equal instance."""
+    x = _every_kind(kind)
+    data = dump_instance(x)
+    assert json.loads(json.dumps(data)) == data
+    assert jsonable(x) == data
+    assert load_instance(json.loads(json.dumps(data))) == x
+
+
+def test_a_power_order_is_saved_and_read_back(tmp_path):
+    """Its points are named by strings, so save_instance writes them and
+    load_instance finds each one again."""
+    P = standard_qorder(lukasiewicz_chain(3), "power", n=2)
+    path = tmp_path / "power.json"
+    save_instance(P, path)
+    back = load_instance(str(path))
+    assert back == P and back.elements[:2] == ("(0, 0)", "(0, 1/2)")
+    assert load_instance(jsonable(dump_instance(P))) == P
+    phi = yoneda(P, "(1/2, 1)")
+    save_instance(phi, path)
+    assert load_instance(str(path)) == phi
+    keys = dump_instance(standard_qorder(boolean4(), "power", n=1))["elements"]
+    assert keys == ["(0)", "(a)", "(b)", "(1)"]
 
 
 def test_jsonable_payloads():

@@ -77,11 +77,24 @@ def test_power_order_is_pointwise():
     q = lukasiewicz_chain(2)
     A = standard_qorder(q, "power", n=2)
     assert A.n == 4
-    # hom of maps is the meet of pointwise inclusion degrees
-    f, g = (Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))
+    # each map is named by its values; hom of maps is the meet of
+    # pointwise inclusion degrees
+    assert A.elements == ("(0, 0)", "(0, 1)", "(1, 0)", "(1, 1)")
+    f, g = "(0, 1)", "(1, 0)"
     assert A.degree(f, f) == 1
     assert A.degree(f, g) == 0
-    assert A.degree((Fraction(0), Fraction(0)), f) == 1
+    assert A.degree("(0, 0)", f) == 1
+
+
+def test_two_maps_whose_names_spell_alike_are_refused():
+    """A label holding ", " lets (v, "v, v") and ("v, v", v) spell one
+    name; the power order refuses it as a duplicate label."""
+    q = build_finite_quantale(("v", "v, v", "t"),
+                              ((True, True, True), (False, True, True), (False, False, True)),
+                              (("v", "v", "v"), ("v", "v, v", "v, v"), ("v", "v, v", "t")), "t")
+    assert standard_qorder(q, "power", n=1).elements == ("(v)", "(v, v)", "(t)")
+    with pytest.raises(ShapeMismatch, match="duplicate element label"):
+        standard_qorder(q, "power", n=2)
 
 
 def test_power_order_budget():

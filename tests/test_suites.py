@@ -185,6 +185,15 @@ def test_an_integer_parameter_that_is_no_int_is_refused(name, param, value):
         run_suite(name, **{param: value})
 
 
+def test_an_integer_parameter_is_checked_when_its_phase_does_not_run():
+    """Each parameter is checked against its registry default before the
+    suite starts, so max_points is refused where no classical phase
+    would read it."""
+    with pytest.raises(ValueError, match="^max_points must be an integer, got 3.0$"):
+        run_suite("SCOTT_AXIOMS", phases="duality", max_points=3.0)
+    assert run_suite("SCOTT_AXIOMS", phases="duality", max_points=3).verdict == "pass"
+
+
 def test_summary_mentions_verdict_and_counts():
     res = run_suite("BOOLEAN4_COUNTEREXAMPLE")
     text = res.summary()
