@@ -139,14 +139,18 @@ def _first_break(A, kind, vals):
     pushes out keeps the join of all the rows in G_u: the threshold
     passes.  If every cell dies, the fold first leaves G_u at i, the
     largest die(c); i >= 1, as the first cell (y, w) keeps its own row,
-    r_0(y) = A(y,y) -> w = w."""
+    r_0(y) = A(y,y) -> w = w.
+
+    Every threshold has a cell, as phi is inhabited (its values join to
+    1), and where some b qualifies an extreme one does.  Irreducible: the
+    meet of the phi(y) -> 0 is 1 -> 0 = 0 <= u, and u is meet-prime, so
+    phi(y) -> 0 <= u, and b = 0 qualifies, at some y.  Flat: j <= 1, the
+    join of the phi(y), and j is join-prime, so j <= phi(y) & 1 at some y."""
     _, gens, table, keeps = getattr(A.quantale.prime_tables, kind)
     hom = A.hom
     # at_k[y]: the generators of phi(y) at threshold k
     for k, at_k in enumerate(zip(*map(gens.__getitem__, vals))):
         cells = [(y, w) for y, at in enumerate(at_k) for w in at]
-        if not cells:
-            continue
         i = 0
         for y, w in cells:
             for die, (x, v) in enumerate(cells):

@@ -116,20 +116,22 @@ def interval_quantale(tnorm, pieces=None, tolerance=None):
     ps = ()
     if tnorm == "ordinal_sum":
         cleaned = []
-        for lo, hi, kindname in (pieces or ()):
-            lo, hi = float(Fraction(lo) if isinstance(lo, str) else lo), \
-                float(Fraction(hi) if isinstance(hi, str) else hi)
+        for piece in (pieces or ()):
+            try:
+                lo, hi, kindname = piece
+                lo, hi = (float(Fraction(v) if isinstance(v, str) else v) for v in (lo, hi))
+            except (TypeError, ValueError):
+                raise ShapeMismatch('each entry of "pieces" must be [lo, hi, kind] with '
+                                    'numeric ends', witness=(piece,)) from None
             if kindname not in _PIECE_KINDS:
                 raise ShapeMismatch("unknown ordinal-sum piece kind", witness=(kindname,))
             if not (0.0 <= lo < hi <= 1.0):
                 raise ShapeMismatch("piece endpoints out of order", witness=(lo, hi))
             cleaned.append((lo, hi, kindname))
         cleaned.sort()
-        last = 0.0
-        for lo, hi, _ in cleaned:
+        for (_, last, _), (lo, hi, _) in zip(cleaned, cleaned[1:]):
             if lo < last:
                 raise ShapeMismatch("pieces overlap", witness=(lo, hi))
-            last = hi
         ps = tuple(cleaned)
     elif pieces:
         raise ShapeMismatch("pieces are only meaningful for ordinal sums")

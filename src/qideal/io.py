@@ -24,9 +24,9 @@ whole command line.  Sizes are charged against the caller's budget
 before any table is built: a chain or table quantale on n elements
 costs n**3 law checks, a discrete order on n points (or labels) n**2
 hom entries, an order given by its elements n**3 law checks, and the
-power construction charges its own hom lookups.  A size "n"
-must be an integer (not a bool).  An instance carries no budget of its
-own.
+power construction charges its own hom lookups.  A value of the wrong
+JSON type is refused naming its key (a size "n" is an integer, not a
+bool), a Q-order needs a finite base, and no instance sets a budget.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import os
 import re
 from fractions import Fraction
 
-from .errors import _charge
+from .errors import ShapeMismatch, _charge
 from .fuzzy import FuzzySet, fuzzy_set
 from .ideals import EventuallyPeriodicSequence, periodic_sequence
 from .qorder import QMap, QOrderedSet, build_qmap, build_qorder, crisp_qorder, standard_qorder
@@ -65,13 +65,25 @@ def _resolve(data, base_dir):
     return data, base_dir
 
 
-def _size(data):
-    """data["n"], None when there is none; a size that is not an int (a
-    bool is not) is refused naming the key."""
-    n = data.get("n")
-    if "n" in data and type(n) is not int:
-        raise ValueError(f'"n" must be an integer, got {n!r}')
-    return n
+# how a refusal names a JSON type other than null; a label is any JSON scalar
+_TYPE_NAMES = {list: "a list", dict: "an object", str: "a string", int: "an integer"}
+_LABEL = (str, int, float, bool, type(None))
+
+
+def _read(data, key, types, each=None):
+    """data[key], refused naming the key unless its JSON type (null when
+    absent; a bool is no integer) is in types, and each item's in each."""
+    value = data.get(key)
+    if type(value) not in types:
+        raise ValueError(f'"{key}" must be {_spell(types)}, got {value!r}')
+    for item in (value or ()) if each else ():
+        if type(item) not in each:
+            raise ValueError(f'each entry of "{key}" must be {_spell(each)}, got {item!r}')
+    return value
+
+
+def _spell(types):
+    return "a label" if types is _LABEL else " or ".join(filter(None, map(_TYPE_NAMES.get, types)))
 
 
 def _charge_size(size, budget, what, power):
@@ -86,68 +98,70 @@ def load_quantale(data, base_dir=None, budget=None):
     if kind == "boolean4":
         return boolean4()
     if kind == "chain":
-        n, carrier = _size(data), data.get("carrier")
+        n, carrier = _read(data, "n", (int, type(None))), \
+            _read(data, "carrier", (list, type(None)), _LABEL)
         _charge_size(n if carrier is None else len(carrier), budget,
                      "quantale law checks", 3)
         if carrier is not None:
             carrier = [parse_label(c) for c in carrier]
-        return chain_quantale(data["tnorm"], n=n, carrier=carrier)
+        return chain_quantale(_read(data, "tnorm", (str,)), n=n, carrier=carrier)
     if kind == "interval":
         from .interval import interval_quantale
-        pieces = tuple(tuple(p) for p in data.get("pieces") or ())
-        return interval_quantale(data["tnorm"], pieces=pieces or None,
+        return interval_quantale(_read(data, "tnorm", (str,)),
+                                 pieces=_read(data, "pieces", (list, type(None))) or None,
                                  tolerance=data.get("tolerance"))
     if kind == "table":
-        _charge_size(len(data["elements"]), budget, "quantale law checks", 3)
-        elements = [parse_label(e) for e in data["elements"]]
-        leq = [[bool(v) for v in row] for row in data["leq"]]
-        tensor = [[parse_label(v) for v in row] for row in data["tensor"]]
+        elements = [parse_label(e) for e in _read(data, "elements", (list,), _LABEL)]
+        _charge_size(len(elements), budget, "quantale law checks", 3)
+        leq = [[bool(v) for v in row] for row in _read(data, "leq", (list,), (list,))]
+        tensor = [[parse_label(v) for v in row] for row in _read(data, "tensor", (list,), (list,))]
         return build_finite_quantale(elements, leq, tensor, parse_label(data["unit"]))
     raise ValueError(f"unknown quantale kind {kind!r}")
 
 
 def load_qorder(data, base_dir=None, budget=None):
     data, base_dir = _resolve(data, base_dir)
-    base = load_quantale(data["base"], base_dir, budget)
+    base = load_quantale(_read(data, "base", (dict, str)), base_dir, budget)
+    if not isinstance(base, FiniteQuantale):
+        raise ShapeMismatch("a Q-order needs a finite base", witness=(type(base).__name__,))
     if "name" in data:
         params = {k: v for k, v in data.items() if k not in ("base", "name")}
         if "budget" in params:
             raise ValueError("an instance cannot set a budget; the caller's applies")
-        if data["name"] == "opposite":
-            raise ValueError('"opposite" needs the Q-order it flips, which an instance '
-                             'cannot name; give its "elements" and "hom" instead')
-        n = _size(params)
-        if params.get("labels") is not None:
-            n = len(params["labels"])
-            params["labels"] = [parse_label(e) for e in params["labels"]]
+        n = _read(params, "n", (int, type(None)))
+        labels = _read(params, "labels", (list, type(None)), _LABEL)
+        if labels is not None:
+            n = len(labels)
+            params["labels"] = [parse_label(e) for e in labels]
         if data["name"] == "discrete":
             _charge_size(n, budget, "hom entries", 2)
-        return standard_qorder(base, data["name"], budget=budget, **params)
-    _charge_size(len(data["elements"]), budget, "qorder law checks", 3)
-    elements = [parse_label(e) for e in data["elements"]]
+        return standard_qorder(base, _read(data, "name", (str,)), budget=budget, **params)
+    elements = [parse_label(e) for e in _read(data, "elements", (list,), _LABEL)]
+    _charge_size(len(elements), budget, "qorder law checks", 3)
     if "crisp_leq" in data:
-        return crisp_qorder(base, elements, [[bool(v) for v in row]
-                                             for row in data["crisp_leq"]])
-    return build_qorder(base, elements, data["hom"])
+        return crisp_qorder(base, elements, [[bool(v) for v in row] for row in
+                                             _read(data, "crisp_leq", (list,), (list,))])
+    return build_qorder(base, elements, _read(data, "hom", (list,), (list,)))
 
 
 def load_fuzzy_set(data, base_dir=None, budget=None):
     data, base_dir = _resolve(data, base_dir)
-    order = load_qorder(data["order"], base_dir, budget)
-    return fuzzy_set(order, data["values"])
+    order = load_qorder(_read(data, "order", (dict, str)), base_dir, budget)
+    return fuzzy_set(order, _read(data, "values", (dict, list)))
 
 
 def load_qmap(data, base_dir=None, budget=None):
     data, base_dir = _resolve(data, base_dir)
-    source = load_qorder(data["source"], base_dir, budget)
-    target = load_qorder(data["target"], base_dir, budget)
-    return build_qmap(source, target, data["mapping"])
+    source = load_qorder(_read(data, "source", (dict, str)), base_dir, budget)
+    target = load_qorder(_read(data, "target", (dict, str)), base_dir, budget)
+    return build_qmap(source, target, _read(data, "mapping", (dict, list)))
 
 
 def load_sequence(data, base_dir=None, budget=None):
     data, base_dir = _resolve(data, base_dir)
-    order = load_qorder(data["order"], base_dir, budget)
-    return periodic_sequence(order, data["cycle"], prefix=data.get("prefix", ()))
+    order = load_qorder(_read(data, "order", (dict, str)), base_dir, budget)
+    return periodic_sequence(order, _read(data, "cycle", (list,)),
+                             prefix=_read(data, "prefix", (list, type(None))) or ())
 
 
 def load_instance(data, base_dir=None, budget=None):

@@ -138,6 +138,11 @@ def crisp_qorder(q, elements, leq, catalog=None):
     return build_qorder(q, elements, hom, catalog=catalog)
 
 
+# the parameters each named construction reads, besides the budget
+_STANDARD_PARAMS = {"dL": (), "dR": (), "discrete": ("n", "labels"),
+                    "power": ("n", "labels"), "point": ()}
+
+
 def standard_qorder(q, name, **params):
     """Named constructions.
 
@@ -147,16 +152,20 @@ def standard_qorder(q, name, **params):
     inclusion degree, each map the point "(v1, ..., vk)" named by the
     labels of its values; its count**2 * k hom lookups, for count = |Q|**k
     maps on k labels, are charged against params budget first.
-    opposite: pass base=A.  point: the one-element order.
+    point: the one-element order.  Every construction takes a budget,
+    and a parameter it does not read is refused.
     """
-    if name in ("discrete", "power") and params.get("labels") is None and "n" not in params:
+    if name not in _STANDARD_PARAMS:
+        raise ValueError(f"unknown standard Q-order {name!r}")
+    unknown = sorted(set(params) - {"budget", *_STANDARD_PARAMS[name]})
+    if unknown:
+        raise ValueError(f"a {name} order reads no parameter {', '.join(unknown)}; "
+                         f"its parameters are {', '.join(_STANDARD_PARAMS[name]) or 'none'}")
+    if name in ("discrete", "power") and params.get("labels") is None and params.get("n") is None:
         raise ValueError(f'a {name} order needs "n" or "labels"')
-    if name == "dL":
-        hom = tuple(tuple(q.res_table[i][j] for j in range(q.n)) for i in range(q.n))
-        return QOrderedSet(q, q.elements, hom, catalog=("dL", {}))
-    if name == "dR":
-        hom = tuple(tuple(q.res_table[j][i] for j in range(q.n)) for i in range(q.n))
-        return QOrderedSet(q, q.elements, hom, catalog=("dR", {}))
+    if name in ("dL", "dR"):
+        hom = q.res_table if name == "dL" else tuple(zip(*q.res_table))
+        return QOrderedSet(q, q.elements, hom, catalog=(name, {}))
     if name == "discrete":
         labels = params.get("labels")
         if labels is None:
@@ -184,16 +193,7 @@ def standard_qorder(q, name, **params):
         carrier = tuple(f"({', '.join(str(q.elements[v]) for v in vec)})" for vec in vecs)
         label_map(carrier)  # refuses two maps whose names spell alike
         return QOrderedSet(q, carrier, hom, catalog=("power", {"labels": list(labels)}))
-    if name == "opposite":
-        base = params.get("base")
-        if base is None:
-            raise ValueError("an opposite order needs base=, the Q-order it flips")
-        if base.quantale != q:
-            raise QuantaleMismatch("opposite asked for over a different quantale")
-        return opposite(base)
-    if name == "point":
-        return point_qorder(q)
-    raise ValueError(f"unknown standard Q-order {name!r}")
+    return point_qorder(q)
 
 
 def random_qorder(q, n, rng, labels=None):

@@ -6,8 +6,9 @@ top element.  The residuation ``->`` is the right adjoint of the tensor,
 
     p & q <= r   iff   q <= p -> r,
 
-computed as the join of every s with p & s <= r.  The unit interval,
-with its closed forms, lives in the interval module.
+read off the order as the element whose down-set is every s with
+p & s <= r.  The unit interval, with its closed forms, lives in the
+interval module.
 """
 
 from __future__ import annotations
@@ -276,52 +277,39 @@ def build_finite_quantale(elements, leq, tensor, unit, catalog=None):
     unit_i = at(unit, "unit label")
     lab = elements.__getitem__
 
+    # up[i] holds the elements at or above i, down[i] those at or below
+    # it, as bitmasks, built as fuzzy._walk builds its own
+    bits = [1 << i for i in range(n)]
+    up = [sum(itertools.compress(bits, row)) for row in leq_t]
+    down = [sum(itertools.compress(bits, col)) for col in zip(*leq_t)]
+    lowest = lambda mask: lab((mask & -mask).bit_length() - 1)   # the label of its lowest bit
+
     for i in range(n):
         if not leq_t[i][i]:
             raise NotALattice("order is not reflexive", witness=(lab(i),))
     for i in range(n):
-        for j in range(n):
-            if i != j and leq_t[i][j] and leq_t[j][i]:
-                raise NotALattice("order is not antisymmetric", witness=(lab(i), lab(j)))
-    for i in range(n):
-        for j in range(n):
-            if not leq_t[i][j]:
-                continue
-            for k in range(n):
-                if leq_t[j][k] and not leq_t[i][k]:
-                    raise NotALattice("order is not transitive", witness=(lab(i), lab(j), lab(k)))
+        if both := up[i] & down[i] & ~(1 << i):
+            raise NotALattice("order is not antisymmetric", witness=(lab(i), lowest(both)))
+    # i <= j needs up[j] inside up[i]; the lowest k outside is the witness
+    for i, j in itertools.product(range(n), repeat=2):
+        if leq_t[i][j] and (out := up[j] & ~up[i]):
+            raise NotALattice("order is not transitive", witness=(lab(i), lab(j), lowest(out)))
 
-    def lub(i, j):
-        ubs = [k for k in range(n) if leq_t[i][k] and leq_t[j][k]]
-        least = [k for k in ubs if all(leq_t[k][m] for m in ubs)]
-        return least[0] if len(least) == 1 else None
+    # no two elements of a partial order share an up-set or a down-set: the
+    # join of i and j is the element whose up-set is up[i] & up[j], if any
+    by_up, by_down = dict(zip(up, range(n))), dict(zip(down, range(n)))
 
-    def glb(i, j):
-        lbs = [k for k in range(n) if leq_t[k][i] and leq_t[k][j]]
-        greatest = [k for k in lbs if all(leq_t[m][k] for m in lbs)]
-        return greatest[0] if len(greatest) == 1 else None
+    def bounds(i, j):
+        k, m = by_up.get(up[i] & up[j]), by_down.get(down[i] & down[j])
+        if k is None:
+            raise NotALattice("pair has no least upper bound", witness=(lab(i), lab(j)))
+        if m is None:
+            raise NotALattice("pair has no greatest lower bound", witness=(lab(i), lab(j)))
+        return k, m
 
-    join_rows, meet_rows = [], []
-    for i in range(n):
-        jrow, mrow = [], []
-        for j in range(n):
-            v = lub(i, j)
-            if v is None:
-                raise NotALattice("pair has no least upper bound", witness=(lab(i), lab(j)))
-            jrow.append(v)
-            w = glb(i, j)
-            if w is None:
-                raise NotALattice("pair has no greatest lower bound", witness=(lab(i), lab(j)))
-            mrow.append(w)
-        join_rows.append(tuple(jrow))
-        meet_rows.append(tuple(mrow))
-    join_t, meet_t = tuple(join_rows), tuple(meet_rows)
-
-    bot = 0
-    top = 0
-    for i in range(1, n):
-        bot = meet_t[bot][i]
-        top = join_t[top][i]
+    pairs = [bounds(i, j) for i, j in itertools.product(range(n), repeat=2)]
+    join_t, meet_t = (tuple(col[k:k + n] for k in range(0, n * n, n)) for col in zip(*pairs))
+    bot, top = by_up[(1 << n) - 1], by_down[(1 << n) - 1]
 
     for i in range(n):
         for j in range(n):
@@ -348,24 +336,15 @@ def build_finite_quantale(elements, leq, tensor, unit, catalog=None):
                         "tensor does not distribute over join",
                         witness=(lab(p), lab(q), lab(r)))
 
-    res_rows = []
-    for p in range(n):
-        row = []
-        for r in range(n):
-            best = bot
-            for s in range(n):
-                if leq_t[tens[p][s]][r]:
-                    best = join_t[best][s]
-            row.append(best)
-        res_rows.append(tuple(row))
-    res_t = tuple(res_rows)
-    # the adjunction is forced by distributivity; cheap insurance against table bugs
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                if leq_t[tens[p][q]][r] != leq_t[q][res_t[p][r]]:
-                    raise RuntimeError(
-                        f"internal: residuation adjunction failed at {lab(p)},{lab(q)},{lab(r)}")
+    def residuum(p, r):
+        # the element whose down-set is {s : p & s <= r}: a hit is the
+        # adjunction itself, which distributivity forces
+        below = sum(itertools.compress(bits, [down[r] >> v & 1 for v in tens[p]]))
+        if below not in by_down:
+            raise RuntimeError(f"internal: residuation adjunction failed at {lab(p)},{lab(r)}")
+        return by_down[below]
+
+    res_t = tuple(tuple(map(residuum, [p] * n, range(n))) for p in range(n))
     neg = tuple(res_t[i][bot] for i in range(n))
 
     return FiniteQuantale(elements, leq_t, tens, unit_i, join_t, meet_t, res_t, neg, bot, top,

@@ -223,12 +223,84 @@ def test_validate_refuses_a_size_that_is_not_an_integer(capsys, n):
 
 
 @pytest.mark.parametrize("name,missing", [("discrete", '"n" or "labels"'),
-                                          ("power", '"n" or "labels"'),
-                                          ("opposite", "the Q-order it flips")])
+                                          ("power", '"n" or "labels"')])
 def test_validate_names_what_a_named_order_misses(capsys, name, missing):
     code, report, err = run(capsys, "validate",
                             '{"base": {"kind": "boolean4"}, "name": "%s"}' % name)
     assert code == 2 and report is None and missing in err, err
+
+
+B4 = '{"kind": "boolean4"}'
+DL_B4 = '{"base": %s, "name": "dL"}' % B4
+DL_INTERVAL = '{"base": {"kind": "interval", "tnorm": "min"}, "name": "dL"}'
+NOT_FINITE = "invalid instance: a Q-order needs a finite base [witness: ('IntervalQuantale',)]"
+# id -> the command line, its exit code and its one line on stderr: a
+# Q-order over the unit interval, for every command that reads one, and
+# malformed instances, each refused where the value is read, naming its key
+MALFORMED = {
+    "interval-validate": (("validate", DL_INTERVAL), 1, NOT_FINITE),
+    "interval-classify": (("classify", DL_INTERVAL, "[1]"), 1, NOT_FINITE),
+    "interval-enumerate": (("enumerate", DL_INTERVAL), 1, NOT_FINITE),
+    "interval-scott": (("scott", DL_INTERVAL), 1, NOT_FINITE),
+    "interval-discrete": (("validate", '{"base": {"kind": "interval", "tnorm": "min"}, '
+                                       '"name": "discrete", "n": 2}'), 1, NOT_FINITE),
+    "interval-hom": (("validate", '{"base": {"kind": "interval", "tnorm": "min"}, '
+                                  '"elements": ["a"], "hom": [[1]]}'), 1, NOT_FINITE),
+    "interval-fuzzy-set": (("validate", '{"order": %s, "values": [1]}' % DL_INTERVAL),
+                           1, NOT_FINITE),
+    "piece-null-end": (
+        ("validate", '{"kind": "interval", "tnorm": "ordinal_sum", '
+                     '"pieces": [[0, null, "product"]]}'), 1,
+        'invalid instance: each entry of "pieces" must be [lo, hi, kind] with numeric ends '
+        "[witness: ([0, None, 'product'],)]"),
+    "piece-two-entries": (
+        ("validate", '{"kind": "interval", "tnorm": "ordinal_sum", "pieces": [[0.1, 0.2]]}'), 1,
+        'invalid instance: each entry of "pieces" must be [lo, hi, kind] with numeric ends '
+        "[witness: ([0.1, 0.2],)]"),
+    "piece-a-number": (
+        ("validate", '{"kind": "interval", "tnorm": "ordinal_sum", "pieces": [0.5]}'), 1,
+        'invalid instance: each entry of "pieces" must be [lo, hi, kind] with numeric ends '
+        "[witness: (0.5,)]"),
+    "carrier": (("validate", '{"kind": "chain", "tnorm": "godel", "carrier": 5}'), 2,
+                'error: "carrier" must be a list, got 5'),
+    "table-list-label": (
+        ("validate", '{"kind": "table", "elements": [[0], 1], "leq": [[1, 1], [0, 1]], '
+                     '"tensor": [[0, 0], [0, 1]], "unit": 1}'), 2,
+        'error: each entry of "elements" must be a label, got [0]'),
+    "qorder-list-label": (
+        ("validate", '{"base": %s, "elements": [[0], 1], "hom": [["1", "0"], ["0", "1"]]}'
+         % B4), 2, 'error: each entry of "elements" must be a label, got [0]'),
+    "discrete-list-label": (
+        ("validate", '{"base": %s, "name": "discrete", "labels": [[1], 2]}' % B4), 2,
+        'error: each entry of "labels" must be a label, got [1]'),
+    "hom": (("validate", '{"base": %s, "elements": ["a"], "hom": 5}' % B4), 2,
+            'error: "hom" must be a list, got 5'),
+    "elements": (("validate", '{"base": %s, "elements": 5, "hom": [["1"]]}' % B4), 2,
+                 'error: "elements" must be a list, got 5'),
+    "crisp_leq": (("validate", '{"base": %s, "elements": ["a"], "crisp_leq": 5}' % B4), 2,
+                  'error: "crisp_leq" must be a list, got 5'),
+    "labels": (("validate", '{"base": %s, "name": "discrete", "labels": 5}' % B4), 2,
+               'error: "labels" must be a list, got 5'),
+    "base": (("validate", '{"base": 5, "name": "dL"}'), 2,
+             'error: "base" must be an object or a string, got 5'),
+    "values": (("validate", '{"order": %s, "values": 5}' % DL_B4), 2,
+               'error: "values" must be an object or a list, got 5'),
+    "cycle": (("validate", '{"order": %s, "cycle": 5}' % DL_B4), 2,
+              'error: "cycle" must be a list, got 5'),
+    "mapping": (("validate", '{"source": %s, "target": %s, "mapping": 5}' % (DL_B4, DL_B4)), 2,
+                'error: "mapping" must be an object or a list, got 5'),
+    "dL-with-a-size": (("validate", '{"base": %s, "name": "dL", "n": 2}' % B4), 2,
+                       "error: a dL order reads no parameter n; its parameters are none"),
+    "opposite": (("validate", '{"base": %s, "name": "opposite"}' % B4), 2,
+                 "error: unknown standard Q-order 'opposite'"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_instances_are_refused_in_one_line(capsys, name):
+    argv, code, line = MALFORMED[name]
+    assert main(list(argv)) == code
+    assert capsys.readouterr() == ("", line + "\n")
 
 
 @pytest.mark.parametrize("name", ["discrete", "power"])

@@ -317,6 +317,34 @@ def test_random_orders(q, n, seed):
     assert_matches_oracles(random_qorder(q, n, random.Random(seed)))
 
 
+def assert_cells_at_every_threshold(A):
+    """Every inhabited lower set of A has a generator cell at every
+    threshold of both kinds, as the proof in _first_break says."""
+    primes = A.quantale.prime_tables
+    for vals in _monotone_value_tuples(A, "lower", DEFAULT_BUDGET):
+        if _inhabited(A, vals):
+            for kind in ("lower", "upper"):
+                side = getattr(primes, kind)
+                for k, u in enumerate(side.thresholds):
+                    assert any(side.generators[v][k] for v in vals), (kind, u, vals)
+
+
+@pytest.mark.parametrize("q", [boolean4(), lukasiewicz_chain(3), godel_chain(4)],
+                         ids=["boolean4", "L3", "G4"])
+def test_every_inhabited_lower_set_has_cells_at_every_threshold(q):
+    bases = [*two_point_orders(q), *(standard_qorder(q, name) for name in ("dL", "dR")),
+             *(standard_qorder(q, "discrete", n=n) for n in (1, 2, 3))]
+    for A in bases:
+        assert_cells_at_every_threshold(A)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([q for q in RANDOM_BASES if q.prime_tables.distributive]),
+       st.integers(3, 4), st.integers(0, 2 ** 32))
+def test_random_inhabited_lower_sets_have_cells_at_every_threshold(q, n, seed):
+    assert_cells_at_every_threshold(random_qorder(q, n, random.Random(seed)))
+
+
 @pytest.mark.parametrize("A", [
     *(standard_qorder(lukasiewicz_chain(k), name) for k in range(7, 11) for name in ("dL", "dR")),
     standard_qorder(lukasiewicz_chain(3), "discrete", n=4),

@@ -17,7 +17,7 @@ from qideal.io import (
 )
 from qideal.ideals import periodic_sequence
 from qideal.interval import DEFAULT_TOLERANCE, interval_quantale
-from qideal.qorder import build_qmap, standard_qorder
+from qideal.qorder import build_qmap, opposite, standard_qorder
 from qideal.quantale import boolean4, build_finite_quantale, chain_quantale, lukasiewicz_chain
 
 
@@ -241,15 +241,20 @@ def test_an_interval_tolerance_defaults_once():
 
 
 @pytest.mark.parametrize("name,missing", [("discrete", '"n" or "labels"'),
-                                          ("power", '"n" or "labels"'),
-                                          ("opposite", "the Q-order it flips")])
+                                          ("power", '"n" or "labels"')])
 def test_named_orders_name_what_they_miss(name, missing):
     with pytest.raises(ValueError, match=missing):
         load_instance({"base": {"kind": "boolean4"}, "name": name})
 
 
 def test_standard_opposite_needs_the_order_it_flips():
-    with pytest.raises(ValueError, match="base="):
+    """opposite(A) flips a Q-order it is given, which a name alone
+    cannot give, so neither the constructor nor an instance names it."""
+    with pytest.raises(ValueError, match="^unknown standard Q-order 'opposite'$"):
         standard_qorder(boolean4(), "opposite")
+    with pytest.raises(ValueError, match="^unknown standard Q-order 'opposite'$"):
+        load_instance({"base": {"kind": "boolean4"}, "name": "opposite"})
+    q = boolean4()
+    assert opposite(standard_qorder(q, "dL")).hom == standard_qorder(q, "dR").hom
     with pytest.raises(ValueError, match='"n" or "labels"'):
         standard_qorder(boolean4(), "discrete")

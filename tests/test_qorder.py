@@ -116,10 +116,20 @@ def test_power_order_charges_its_hom_lookups():
 
 
 def test_standard_qorder_rejects_unknown_name():
-    with pytest.raises(ValueError):
-        standard_qorder(L4, "zigzag")
-    with pytest.raises(QuantaleMismatch):
-        standard_qorder(godel_chain(3), "opposite", base=DL)
+    for name in ("zigzag", "opposite"):
+        with pytest.raises(ValueError, match=f"^unknown standard Q-order '{name}'$"):
+            standard_qorder(L4, name)
+
+
+def test_a_standard_order_refuses_a_parameter_it_does_not_read():
+    for name in ("dL", "dR", "point"):
+        assert standard_qorder(L4, name, budget=1) == standard_qorder(L4, name)
+        with pytest.raises(ValueError, match=f"^a {name} order reads no parameter n; "
+                                             "its parameters are none$"):
+            standard_qorder(L4, name, n=2)
+    with pytest.raises(ValueError, match="^a discrete order reads no parameter base, k; "
+                                         "its parameters are n, labels$"):
+        standard_qorder(L4, "discrete", n=2, k=1, base=DL)
 
 
 def test_build_qorder_guards():

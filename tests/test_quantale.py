@@ -13,8 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from qideal.errors import (
     ChainNotClosed,
+    EmptyCarrier,
     GridTooCoarse,
+    NotALattice,
     NotAssociative,
+    NotCommutative,
     NotDistributive,
     NotIntegral,
     ShapeMismatch,
@@ -210,6 +213,165 @@ def test_build_rejects_broken_tables():
     tensor = [["0", "0", "0"], ["0", "1", "m"], ["0", "m", "1"]]
     with pytest.raises((NotAssociative, NotDistributive)):
         build_finite_quantale(e3, leq3, tensor, "1")
+
+
+_CHAIN3 = ((1, 1, 1), (0, 1, 1), (0, 0, 1))
+_BOOL_TENSOR = (("0", "0"), ("0", "1"))
+# id -> the call, the class it raises, its message and its witness; each
+# refusal comes before any later law is tried, so one table breaks one law
+REFUSALS = {
+    "empty-carrier": (lambda: build_finite_quantale((), (), (), "1"),
+                      EmptyCarrier, "carrier is empty", None),
+    "leq-not-square": (lambda: build_finite_quantale(("0", "1"), ((1, 1),), _BOOL_TENSOR, "1"),
+                       ShapeMismatch, "leq table is not square over the carrier", None),
+    "tensor-not-square": (
+        lambda: build_finite_quantale(("0", "1"), ((1, 1), (0, 1)), (("0", "0"), ("0",)), "1"),
+        ShapeMismatch, "tensor table is not square over the carrier", None),
+    "tensor-entry-outside": (
+        lambda: build_finite_quantale(("0", "1"), ((1, 1), (0, 1)), (("0", "0"), ("0", "z")),
+                                      "1"),
+        ShapeMismatch, "tensor entry outside the carrier [witness: ('z',)]", ("z",)),
+    "unit-outside": (
+        lambda: build_finite_quantale(("0", "1"), ((1, 1), (0, 1)), _BOOL_TENSOR, "u"),
+        ShapeMismatch, "unit label outside the carrier [witness: ('u',)]", ("u",)),
+    "not-reflexive": (
+        lambda: build_finite_quantale(("0", "1"), ((0, 1), (0, 1)), _BOOL_TENSOR, "1"),
+        NotALattice, "order is not reflexive [witness: ('0',)]", ("0",)),
+    # every element below every other: the first pair is the witness
+    "not-antisymmetric": (
+        lambda: build_finite_quantale(("0", "m", "1"), ((1,) * 3,) * 3, (("0",) * 3,) * 3, "1"),
+        NotALattice, "order is not antisymmetric [witness: ('0', 'm')]", ("0", "m")),
+    # 0 <= m <= a, b without 0 <= a or 0 <= b: the first triple is the witness
+    "not-transitive": (
+        lambda: build_finite_quantale(
+            ("0", "m", "a", "b"), ((1, 1, 0, 0), (0, 1, 1, 1), (0, 0, 1, 0), (0, 0, 0, 1)),
+            (("0",) * 4,) * 4, "0"),
+        NotALattice, "order is not transitive [witness: ('0', 'm', 'a')]", ("0", "m", "a")),
+    # a and b above 0 with nothing above both
+    "no-join": (
+        lambda: build_finite_quantale(("0", "a", "b"), ((1, 1, 1), (0, 1, 0), (0, 0, 1)),
+                                      (("0",) * 3,) * 3, "0"),
+        NotALattice, "pair has no least upper bound [witness: ('a', 'b')]", ("a", "b")),
+    # a and b below 1 with nothing below both
+    "no-meet": (
+        lambda: build_finite_quantale(("a", "b", "1"), ((1, 0, 1), (0, 1, 1), (0, 0, 1)),
+                                      (("1",) * 3,) * 3, "1"),
+        NotALattice, "pair has no greatest lower bound [witness: ('a', 'b')]", ("a", "b")),
+    # (m & m) & 1 = 0 & 1 = 0, m & (m & 1) = m & 1 = 1
+    "not-associative": (
+        lambda: build_finite_quantale(("0", "m", "1"), _CHAIN3,
+                                      (("0", "0", "0"), ("0", "0", "1"), ("0", "1", "1")), "1"),
+        NotAssociative, "tensor is not associative [witness: ('m', 'm', '1')]",
+        ("m", "m", "1")),
+    # the left projection is associative
+    "not-commutative": (
+        lambda: build_finite_quantale(("0", "1"), ((1, 1), (0, 1)),
+                                      (("0", "0"), ("1", "1")), "1"),
+        NotCommutative, "tensor is not commutative [witness: ('0', '1')]", ("0", "1")),
+    "unit-not-identity": (
+        lambda: build_finite_quantale(("0", "1"), ((1, 1), (0, 1)),
+                                      (("0", "0"), ("0", "0")), "1"),
+        NotIntegral, "unit does not act as identity [witness: ('1',)]", ("1",)),
+    # the two-element group, with 1 its identity: 0 & 0 = 1
+    "bottom-not-absorbed": (
+        lambda: build_finite_quantale(("0", "1"), ((1, 1), (0, 1)),
+                                      (("1", "0"), ("0", "1")), "1"),
+        NotDistributive, "tensor does not absorb bottom [witness: ('0',)]", ("0",)),
+    "unknown-chain-tnorm": (lambda: chain_quantale("hamacher", 3),
+                            ValueError, "unknown chain t-norm 'hamacher'", None),
+    "chain-of-one": (lambda: chain_quantale("godel", 1),
+                     ValueError, "need n >= 2 or an explicit carrier", None),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_each_broken_law_is_refused_with_its_witness(name):
+    build, cls, message, witness = REFUSALS[name]
+    with pytest.raises(Exception) as info:
+        build()
+    assert type(info.value) is cls
+    assert str(info.value) == message
+    assert getattr(info.value, "witness", None) == witness
+
+
+def searched_tables(q):
+    """The join, meet and residuum tables, the negation vector, the bottom
+    and the top of q, derived from its order and tensor alone as the
+    search builder did: each bound by a least-bound search over all
+    elements, the bottom and top by folds, each p -> r as the join of
+    every s with p & s <= r, and the adjunction checked afterwards.  The
+    oracle of the mask builder."""
+    leq, tens, rng = q.leq, q.tensor_table, range(q.n)
+
+    def least(bounds, below):
+        best = [k for k in bounds if all(below(k, m) for m in bounds)]
+        assert len(best) == 1, bounds
+        return best[0]
+
+    join = tuple(tuple(least([k for k in rng if leq[i][k] and leq[j][k]],
+                             lambda k, m: leq[k][m]) for j in rng) for i in rng)
+    meet = tuple(tuple(least([k for k in rng if leq[k][i] and leq[k][j]],
+                             lambda k, m: leq[m][k]) for j in rng) for i in rng)
+    bot = top = 0
+    for i in rng:
+        bot, top = meet[bot][i], join[top][i]
+    res = []
+    for p in rng:
+        row = []
+        for r in rng:
+            best = bot
+            for s in rng:
+                if leq[tens[p][s]][r]:
+                    best = join[best][s]
+            row.append(best)
+        res.append(tuple(row))
+    for p in rng:
+        for s in rng:
+            for r in rng:
+                assert leq[tens[p][s]][r] == leq[s][res[p][r]], (p, s, r)
+    return join, meet, tuple(res), tuple(res[i][bot] for i in rng), bot, top
+
+
+def assert_masks_match_the_search(q):
+    lab = q.elements.__getitem__
+    twin = build_finite_quantale(q.elements, q.leq,
+                                 [[lab(v) for v in row] for row in q.tensor_table], lab(q.unit))
+    assert (twin.leq, twin.tensor_table, twin.unit) == (q.leq, q.tensor_table, q.unit)
+    assert (q.join_table, q.meet_table, q.res_table, q.neg_vector, q.bottom, q.top) \
+        == searched_tables(q), q.catalog
+
+
+@pytest.mark.parametrize("tnorm", sorted(_CHAIN_TNORMS))
+def test_the_mask_builder_equals_the_search_on_chains(tnorm):
+    built = 0
+    for n in range(2, 41):
+        try:
+            q = chain_quantale(tnorm, n)
+        except ChainNotClosed:
+            continue
+        assert_masks_match_the_search(q)
+        built += 1
+    assert built == (1 if tnorm == "product" else 39)
+
+
+def test_the_mask_builder_equals_the_search_on_the_test_tables():
+    """boolean4, M3 with a top, the product quantales and every table
+    built by hand in the tests."""
+    from test_enumeration import l3_times_l2
+    from test_scott import CONTEXT_QUANTALES
+
+    e3 = ("bot", "mid", "top")
+    hand = [
+        build_finite_quantale(e3, _CHAIN3, (("bot",) * 3, ("bot", "mid", "mid"), e3), "top"),
+        build_finite_quantale(("v", "v, v", "t"), _CHAIN3,
+                              (("v",) * 3, ("v", "v, v", "v, v"), ("v", "v, v", "t")), "t"),
+        build_finite_quantale((False, True), ((1, 1), (0, 1)),
+                              ((False, False), (False, True)), True),
+        chain_quantale("godel", carrier=["0", "1/3", "1"])]
+    quantales = [boolean4(), m3_with_top(), l3_times_l2(), *hand,
+                 *(q for q, _ in CONTEXT_QUANTALES.values())]
+    for q in quantales:
+        assert_masks_match_the_search(q)
 
 
 def test_interval_closed_forms():
